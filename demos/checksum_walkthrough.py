@@ -38,7 +38,7 @@ def main() -> None:
     w = random_quant_matrix(8, 12, "uniform", 100)
     x = random_quant_matrix(12, 6, "uniform", 200)
     fault = FaultConfig(mode="ber", ber=args.ber, seed=args.seed)
-    result = run_array(w, x, flow="ws", fault=fault)
+    result = run_array(w, x, fault=fault)
 
     print(f"GEMM 8x12 @ 12x6, ber={args.ber:g}, seed={args.seed}")
     print(f"flips applied: {len(result.events)}")

@@ -21,14 +21,15 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .detectors import CriticalRegionParams
+from .detectors import DEFAULT_PARAMS, CriticalRegionParams
 from .faults import UNIFORM_MODE, FaultConfig, ErrorEvent, inject_uniform
 from .gemm import AccumMatrix
+from .resilience import NORM_KINDS
 from .rng import derive_seed
 
 # fallback slope when a grid shows no magnitude structure above theta_freq:
@@ -36,6 +37,10 @@ from .rng import derive_seed
 _FLAT_A = 1.0 + 2.0**-20
 
 MAX_MAG_LOG2 = 30.0
+
+DEFAULT_FREQ_AXIS = (1, 2, 3, 4, 6, 8, 11, 16, 23, 32, 45, 64, 91, 128, 181, 256)
+DEFAULT_MAG_AXIS = tuple(12.0 + 0.5 * i for i in range(16))
+ORACLES = ("planted", "norm_distortion")
 
 
 class NoBoundaryError(RuntimeError):
@@ -102,6 +107,45 @@ class QualityGrid:
                           ("quality", q), ("acceptable", acc)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+
+@dataclass(frozen=True)
+class CalibrationSettings:
+    """What a calibration run sweeps: oracle, grid axes, trials and target size."""
+
+    oracle: str = "planted"
+    epsilon: float = 0.5
+    trials: int = 8
+    freq_axis: tuple[int, ...] = DEFAULT_FREQ_AXIS
+    mag_log2_axis: tuple[float, ...] = DEFAULT_MAG_AXIS
+    planted: CriticalRegionParams = DEFAULT_PARAMS
+    norm_kind: str = "layer_norm"
+    target_rows: int = 16
+    target_cols: int = 16
+
+    def __post_init__(self):
+        if self.oracle not in ORACLES:
+            raise ValueError(f"oracle must be one of {ORACLES}, got {self.oracle!r}")
+        if not self.epsilon >= 0:
+            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if self.trials < 1:
+            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.norm_kind not in NORM_KINDS:
+            raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {self.norm_kind!r}")
+        for name in ("target_rows", "target_cols"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, lo, hi in (("freq_axis", 1, math.inf), ("mag_log2_axis", 0, MAX_MAG_LOG2)):
+            axis = getattr(self, name)
+            if len(axis) < 2 or not lo <= min(axis) <= max(axis) <= hi:
+                raise ValueError(f"{name} needs >= 2 values in [{lo}, {hi}], got {list(axis)}")
+            if any(b <= a for a, b in zip(axis, axis[1:])):
+                raise ValueError(f"{name} must be strictly increasing")
+        if max(self.freq_axis) > self.target_rows * self.target_cols:
+            raise ValueError(
+                f"freq_axis max {max(self.freq_axis)} exceeds injection target size "
+                f"{self.target_rows}x{self.target_cols}"
+            )
 
 
 def _default_factory(seed: int) -> AccumMatrix:

@@ -1,201 +1,67 @@
 """Experiment configuration: JSON file -> validated dataclasses.
 
-The schema rejects unknown keys everywhere so typos fail loudly. Every
-section is optional; defaults reproduce the stock experiment (64x64x64
-uniform INT8 stream, BER faults in the upper accumulator bits, statistical
-detector with the package-default critical region, synthetic voltage/BER
-table). ConfigError carries a human-readable reason and maps to exit code 2
-at the CLI.
+Every setting is a field of the dataclass that owns it, and ``ExperimentConfig()``
+is the stock experiment. Each JSON section is read onto a copy of its default
+object: unknown keys are rejected, a value must have the JSON type of the default
+it replaces, and the owning dataclass checks the bounds, naming the offending
+field first in its ValueError. ConfigError carries the dotted key path and the
+reason, and maps to exit code 2 at the CLI.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 
-import jsonschema
-
-from .calibration import MAX_MAG_LOG2
-from .detectors import CriticalRegionParams, DetectorSpec, load_params
+from .calibration import DEFAULT_FREQ_AXIS, DEFAULT_MAG_AXIS, CalibrationSettings  # noqa: F401
+from .detectors import (
+    DEFAULT_PARAMS,
+    DETECTOR_KINDS,
+    CriticalRegionParams,
+    DetectorSpec,
+    load_params,
+    params_from_doc,
+)
 from .energy import EnergyConfig
-from .faults import FaultConfig, TableFormatError, VoltageBerTable, default_table
+from .faults import FaultConfig, VoltageBerTable
 from .systolic import StatUnitConfig
-from .workloads import DISTRIBUTIONS, WorkloadSpec
-
-DEFAULT_PARAMS = CriticalRegionParams(a=2.0, b=40.0, theta_freq=4)
-DEFAULT_DETECTOR_SET = ("none", "classical", "statistical", "dmr")
-DEFAULT_FREQ_AXIS = (1, 2, 3, 4, 6, 8, 11, 16, 23, 32, 45, 64, 91, 128, 181, 256)
-DEFAULT_MAG_AXIS = tuple(12.0 + 0.5 * i for i in range(16))
+from .workloads import WorkloadSpec
 
 
 class ConfigError(ValueError):
     """Configuration rejected; the message says which key and why."""
 
 
-_PARAMS_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["a", "b", "theta_freq"],
-    "properties": {
-        "a": {"type": "number", "exclusiveMinimum": 1},
-        "b": {"type": "number"},
-        "theta_freq": {"type": "integer", "minimum": 0},
-    },
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "workload": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "m": {"type": "integer", "minimum": 1, "maximum": 4096},
-                "k": {"type": "integer", "minimum": 1, "maximum": 65536},
-                "n": {"type": "integer", "minimum": 1, "maximum": 4096},
-                "gemm_count": {"type": "integer", "minimum": 1},
-                "distribution": {"enum": list(DISTRIBUTIONS)},
-                "seed": {"type": "integer", "minimum": 0},
-            },
-        },
-        "fault": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "mode": {"enum": ["ber", "uniform"]},
-                "ber": {"type": "number", "minimum": 0, "maximum": 1},
-                "voltage": {"type": "number", "exclusiveMinimum": 0},
-                "bit_window": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 0, "maximum": 31},
-                    "minItems": 2,
-                    "maxItems": 2,
-                },
-                "mag": {"type": "integer"},
-                "freq": {"type": "integer", "minimum": 0},
-                "seed": {"type": "integer", "minimum": 0},
-            },
-        },
-        "detector": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": ["none", "classical", "msd", "statistical", "dmr"]},
-                "params": _PARAMS_SCHEMA,
-                "params_file": {"type": "string"},
-                "msd_threshold": {"type": "integer", "minimum": 0},
-            },
-        },
-        "stat_unit": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "log2_mode": {"enum": ["exact", "lzc"]},
-                "frac_bits": {"type": "integer", "minimum": 0, "maximum": 16},
-            },
-        },
-        "energy": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "v_nom": {"type": "number", "exclusiveMinimum": 0},
-                "e_mac_nom": {"type": "number", "exclusiveMinimum": 0},
-                "detect_overhead": {"type": "number", "minimum": 0},
-                "area_overhead": {"type": "number", "minimum": 0},
-                "table_file": {"type": "string"},
-            },
-        },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "voltages": {
-                    "type": "array",
-                    "items": {"type": "number", "exclusiveMinimum": 0},
-                    "minItems": 1,
-                },
-                "v_min": {"type": "number", "exclusiveMinimum": 0},
-                "v_max": {"type": "number", "exclusiveMinimum": 0},
-                "v_step": {"type": "number", "exclusiveMinimum": 0},
-                "trials": {"type": "integer", "minimum": 1},
-                "detectors": {
-                    "type": "array",
-                    "items": {"enum": ["none", "classical", "msd", "statistical", "dmr"]},
-                    "minItems": 1,
-                },
-            },
-        },
-        "calibrate": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "oracle": {"enum": ["planted", "norm_distortion"]},
-                "epsilon": {"type": "number", "minimum": 0},
-                "trials": {"type": "integer", "minimum": 1},
-                "freq_axis": {
-                    "type": "array",
-                    "items": {"type": "integer", "minimum": 1},
-                    "minItems": 2,
-                },
-                "mag_log2_axis": {
-                    "type": "array",
-                    "items": {"type": "number", "minimum": 0, "maximum": MAX_MAG_LOG2},
-                    "minItems": 2,
-                },
-                "planted": _PARAMS_SCHEMA,
-                "norm_kind": {"enum": ["layer_norm", "rms_norm", "none"]},
-                "target_rows": {"type": "integer", "minimum": 1},
-                "target_cols": {"type": "integer", "minimum": 1},
-            },
-        },
-        "output": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "dir": {"type": "string"},
-                "format": {"enum": ["csv", "json"]},
-            },
-        },
-    },
-}
-
-
-@dataclass(frozen=True)
-class CalibrationSettings:
-    oracle: str = "planted"
-    epsilon: float = 0.5
-    trials: int = 8
-    freq_axis: tuple[int, ...] = DEFAULT_FREQ_AXIS
-    mag_log2_axis: tuple[float, ...] = DEFAULT_MAG_AXIS
-    planted: CriticalRegionParams = DEFAULT_PARAMS
-    norm_kind: str = "layer_norm"
-    target_rows: int = 16
-    target_cols: int = 16
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully-resolved experiment settings, ready for any subcommand."""
 
-    workload: WorkloadSpec = field(default_factory=WorkloadSpec)
-    fault: FaultConfig = field(default_factory=lambda: FaultConfig(mode="ber", ber=1e-6))
-    detector: DetectorSpec = field(
-        default_factory=lambda: DetectorSpec(kind="statistical", params=DEFAULT_PARAMS)
-    )
-    stat_unit: StatUnitConfig = field(
-        default_factory=lambda: StatUnitConfig(params=DEFAULT_PARAMS)
-    )
-    energy: EnergyConfig = field(default_factory=EnergyConfig)
+    # frozen, so one shared default instance each
+    workload: WorkloadSpec = WorkloadSpec()
+    fault: FaultConfig = FaultConfig(mode="ber", ber=1e-6)
+    detector: DetectorSpec = DetectorSpec(kind="statistical", params=DEFAULT_PARAMS)
+    stat_unit: StatUnitConfig = StatUnitConfig(params=DEFAULT_PARAMS)
+    energy: EnergyConfig = EnergyConfig()
     sweep_voltages: tuple[float, ...] = ()
     sweep_trials: int = 200
-    detector_set: tuple[str, ...] = DEFAULT_DETECTOR_SET
-    calibrate: CalibrationSettings = field(default_factory=CalibrationSettings)
+    detector_set: tuple[str, ...] = ("none", "classical", "statistical", "dmr")
+    calibrate: CalibrationSettings = CalibrationSettings()
     output_dir: str = "out"
     output_format: str = "csv"
     params_provenance: str = ""
+
+    def __post_init__(self):
+        if not all(v > 0 for v in self.sweep_voltages):
+            raise ValueError(f"sweep_voltages must all be > 0, got {list(self.sweep_voltages)}")
+        if self.sweep_trials < 1:
+            raise ValueError(f"sweep_trials must be >= 1, got {self.sweep_trials}")
+        kinds = self.detector_set
+        if not kinds or len(set(kinds)) != len(kinds) or not set(kinds) <= set(DETECTOR_KINDS):
+            raise ValueError(f"detector_set must list unique kinds from {DETECTOR_KINDS}")
+        if self.output_format not in ("csv", "json"):
+            raise ValueError(f"output_format must be 'csv' or 'json', got {self.output_format!r}")
 
     def voltages(self) -> tuple[float, ...]:
         if self.sweep_voltages:
@@ -204,186 +70,148 @@ class ExperimentConfig:
 
     def detector_specs(self) -> tuple[DetectorSpec, ...]:
         """The comparison set, each kind parameterized from this config."""
-        specs = []
-        for kind in self.detector_set:
-            if kind == "statistical":
-                params = self.detector.params or DEFAULT_PARAMS
-                specs.append(DetectorSpec(kind=kind, params=params))
-            elif kind == "msd":
-                specs.append(DetectorSpec(kind=kind, msd_threshold=self.detector.msd_threshold))
-            else:
-                specs.append(DetectorSpec(kind=kind))
-        return tuple(specs)
+        settings = {
+            "statistical": {"params": self.detector.params or DEFAULT_PARAMS},
+            "msd": {"msd_threshold": self.detector.msd_threshold},
+        }
+        return tuple(DetectorSpec(kind=k, **settings.get(k, {})) for k in self.detector_set)
 
 
-def _fail(path: list, msg: str) -> ConfigError:
+# ExperimentConfig fields that JSON (and the run echo) group under a section
+_PATHS = {
+    "sweep_voltages": ("sweep", "voltages"),
+    "sweep_trials": ("sweep", "trials"),
+    "detector_set": ("sweep", "detectors"),
+    "output_dir": ("output", "dir"),
+    "output_format": ("output", "format"),
+}
+_RANGE = ("v_min", "v_max", "v_step")
+_TYPE_NAMES = {int: "integer", float: "number", str: "string"}
+
+
+def _fail(path, msg: str) -> ConfigError:
     where = ".".join(str(p) for p in path) or "<root>"
     return ConfigError(f"{where}: {msg}")
 
 
-def _params_from(doc: dict) -> CriticalRegionParams:
-    return CriticalRegionParams(
-        a=float(doc["a"]), b=float(doc["b"]), theta_freq=int(doc["theta_freq"])
-    )
+def _value(path, v, like):
+    """``v`` checked against a default value, a type, or a 1-tuple of either.
+
+    Booleans are not numbers. Lists must be non-empty; their items are
+    converted to the item type.
+    """
+    if isinstance(like, CriticalRegionParams):
+        doc = _object(path, v, [f.name for f in fields(like)])
+        return _build(path, lambda **keys: params_from_doc(keys), doc)
+    if isinstance(like, tuple):
+        if not isinstance(v, list) or not v:
+            raise _fail(path, f"expected a non-empty list, got {json.dumps(v)}")
+        t = like[0] if isinstance(like[0], type) else type(like[0])
+        return tuple(t(_value(path, x, t)) for x in v)
+    t = like if isinstance(like, type) else type(like)
+    if isinstance(v, bool) or not isinstance(v, (int, float) if t is float else t):
+        raise _fail(path, f"expected {_TYPE_NAMES[t]}, got {json.dumps(v)}")
+    return v
+
+
+def _object(path, v, keys) -> dict:
+    if not isinstance(v, dict):
+        raise _fail(path, f"must be a JSON object, got {json.dumps(v)}")
+    unknown = sorted(set(v) - set(keys))
+    if unknown:
+        raise _fail(path, f"unknown keys {unknown}")
+    return v
+
+
+def _fields(obj, skip=()) -> dict:
+    return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in skip}
+
+
+def _grouped(cfg: ExperimentConfig, section: str) -> dict:
+    """The ExperimentConfig fields that JSON groups under ``section``, by JSON key."""
+    return {k: getattr(cfg, f) for f, (s, k) in _PATHS.items() if s == section}
+
+
+def _build(path, make, values: dict):
+    """``make(**values)``; a ValueError is placed at the given key it starts with."""
+    try:
+        return make(**values)
+    except ValueError as e:
+        name, _, reason = str(e).partition(" ")
+        if name not in values:
+            raise _fail(path, str(e)) from None
+        raise _fail(_PATHS.get(name, [*path, name]), reason) from None
+
+
+def _call(path, fn, arg):
+    """``fn(arg)``, with a missing file or a rejected value reported at ``path``."""
+    try:
+        return fn(arg)
+    except FileNotFoundError:
+        raise _fail(path, f"no such file: {arg}") from None
+    except ValueError as e:
+        raise _fail(path, str(e)) from None
 
 
 def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     """Validate a config document and resolve it against the defaults."""
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        raise _fail(list(e.absolute_path), e.message) from None
+    base = ExperimentConfig()
+    likes = {
+        "workload": _fields(base.workload),
+        "fault": {**_fields(base.fault), "voltage": float},
+        "detector": {**_fields(base.detector), "params_file": str},
+        "stat_unit": _fields(base.stat_unit, skip=("params",)),
+        "energy": {**_fields(base.energy, skip=("table",)), "table_file": str},
+        "sweep": {**_grouped(base, "sweep"), "voltages": (float,), **dict.fromkeys(_RANGE, float)},
+        "calibrate": _fields(base.calibrate),
+        "output": _grouped(base, "output"),
+    }
+    _object([], doc, likes)
+    given = {}
+    for s, like in likes.items():
+        sec = _object([s], doc.get(s, {}), like)
+        given[s] = {k: _value([s, k], v, like[k]) for k, v in sec.items()}
+    fl, det, en, sw = (given[s] for s in ("fault", "detector", "energy", "sweep"))
 
-    wl = doc.get("workload", {})
-    workload = WorkloadSpec(
-        m=wl.get("m", 64),
-        k=wl.get("k", 64),
-        n=wl.get("n", 64),
-        gemm_count=wl.get("gemm_count", 100),
-        distribution=wl.get("distribution", "uniform"),
-        seed=wl.get("seed", 0),
-    )
-
-    en = doc.get("energy", {})
     if "table_file" in en:
-        path = os.path.join(base_dir, en["table_file"])
-        try:
-            table = VoltageBerTable.from_csv(path)
-        except FileNotFoundError:
-            raise _fail(["energy", "table_file"], f"no such file: {path}") from None
-        except TableFormatError as e:
-            raise _fail(["energy", "table_file"], str(e)) from None
-    else:
-        table = default_table()
-    try:
-        energy = EnergyConfig(
-            v_nom=en.get("v_nom", 0.9),
-            e_mac_nom=en.get("e_mac_nom", 1.0),
-            detect_overhead=en.get("detect_overhead", 0.0179),
-            area_overhead=en.get("area_overhead", 0.0142),
-            table=table,
-        )
-    except ValueError as e:
-        raise _fail(["energy"], str(e)) from None
-
-    fl = doc.get("fault", {})
-    if "ber" in fl and "voltage" in fl:
-        raise _fail(["fault"], "give either ber or voltage, not both")
-    ber = fl.get("ber", 1e-6)
+        path = os.path.join(base_dir, en.pop("table_file"))
+        en["table"] = _call(["energy", "table_file"], VoltageBerTable.from_csv, path)
     if "voltage" in fl:
-        try:
-            ber = energy.table.ber_at(fl["voltage"])
-        except ValueError as e:
-            raise _fail(["fault", "voltage"], str(e)) from None
-    window = tuple(fl.get("bit_window", (16, 31)))
-    try:
-        fault = FaultConfig(
-            mode=fl.get("mode", "ber"),
-            ber=ber,
-            bit_window=window,
-            mag=fl.get("mag", 0),
-            freq=fl.get("freq", 0),
-            seed=fl.get("seed", 0),
-        )
-    except ValueError as e:
-        raise _fail(["fault"], str(e)) from None
-
-    det = doc.get("detector", {})
+        if "ber" in fl:
+            raise _fail(["fault"], "give either ber or voltage, not both")
+        table = en.get("table", base.energy.table)
+        fl["ber"] = _call(["fault", "voltage"], table.ber_at, fl.pop("voltage"))
     provenance = ""
-    if "params" in det and "params_file" in det:
-        raise _fail(["detector"], "give either params or params_file, not both")
     if "params_file" in det:
-        path = os.path.join(base_dir, det["params_file"])
-        try:
-            params, provenance = load_params(path)
-        except FileNotFoundError:
-            raise _fail(["detector", "params_file"], f"no such file: {path}") from None
-        except (ValueError, json.JSONDecodeError) as e:
-            raise _fail(["detector", "params_file"], str(e)) from None
-    elif "params" in det:
-        params = _params_from(det["params"])
-    else:
-        params = DEFAULT_PARAMS
-    try:
-        detector = DetectorSpec(
-            kind=det.get("kind", "statistical"),
-            params=params,
-            msd_threshold=det.get("msd_threshold", 0),
-        )
-    except ValueError as e:
-        raise _fail(["detector"], str(e)) from None
+        if "params" in det:
+            raise _fail(["detector"], "give either params or params_file, not both")
+        path = os.path.join(base_dir, det.pop("params_file"))
+        det["params"], provenance = _call(["detector", "params_file"], load_params, path)
+    given["stat_unit"]["params"] = det.get("params", base.detector.params)
 
-    su = doc.get("stat_unit", {})
-    stat_unit = StatUnitConfig(
-        params=params,
-        log2_mode=su.get("log2_mode", "exact"),
-        frac_bits=su.get("frac_bits", 4),
-    )
-
-    sw = doc.get("sweep", {})
-    if "voltages" in sw and ("v_min" in sw or "v_max" in sw or "v_step" in sw):
+    if "voltages" in sw and any(k in sw for k in _RANGE):
         raise _fail(["sweep"], "give either voltages or a v_min/v_max/v_step range")
     if "voltages" in sw:
-        voltages = tuple(sorted((float(v) for v in sw["voltages"]), reverse=True))
-    elif "v_min" in sw or "v_max" in sw or "v_step" in sw:
-        missing = {"v_min", "v_max", "v_step"} - set(sw)
+        sw["voltages"] = tuple(sorted(sw["voltages"], reverse=True))
+    elif any(k in sw for k in _RANGE):
+        missing = set(_RANGE) - set(sw)
         if missing:
             raise _fail(["sweep"], f"range needs v_min/v_max/v_step, missing {sorted(missing)}")
         if sw["v_min"] > sw["v_max"]:
             raise _fail(["sweep"], "v_min must be <= v_max")
+        if not sw["v_step"] > 0:
+            raise _fail(["sweep", "v_step"], "must be > 0")
         voltages = []
         v = sw["v_max"]
         while v >= sw["v_min"] - 1e-9:
             voltages.append(round(v, 10))
             v -= sw["v_step"]
-        voltages = tuple(voltages)
-    else:
-        voltages = ()
+        sw["voltages"] = tuple(voltages)
 
-    detector_set = tuple(sw.get("detectors", DEFAULT_DETECTOR_SET))
-    if len(set(detector_set)) != len(detector_set):
-        raise _fail(["sweep", "detectors"], "detector kinds must be unique")
-
-    cal = doc.get("calibrate", {})
-    freq_axis = tuple(int(f) for f in cal.get("freq_axis", DEFAULT_FREQ_AXIS))
-    if any(b <= a for a, b in zip(freq_axis, freq_axis[1:])):
-        raise _fail(["calibrate", "freq_axis"], "must be strictly increasing")
-    mag_axis = tuple(float(m) for m in cal.get("mag_log2_axis", DEFAULT_MAG_AXIS))
-    if any(b <= a for a, b in zip(mag_axis, mag_axis[1:])):
-        raise _fail(["calibrate", "mag_log2_axis"], "must be strictly increasing")
-    calibrate = CalibrationSettings(
-        oracle=cal.get("oracle", "planted"),
-        epsilon=cal.get("epsilon", 0.5),
-        trials=cal.get("trials", 8),
-        freq_axis=freq_axis,
-        mag_log2_axis=mag_axis,
-        planted=_params_from(cal["planted"]) if "planted" in cal else DEFAULT_PARAMS,
-        norm_kind=cal.get("norm_kind", "layer_norm"),
-        target_rows=cal.get("target_rows", 16),
-        target_cols=cal.get("target_cols", 16),
-    )
-    if max(freq_axis) > calibrate.target_rows * calibrate.target_cols:
-        raise _fail(
-            ["calibrate", "freq_axis"],
-            f"max freq {max(freq_axis)} exceeds injection target size "
-            f"{calibrate.target_rows}x{calibrate.target_cols}",
-        )
-
-    out = doc.get("output", {})
-    return ExperimentConfig(
-        workload=workload,
-        fault=fault,
-        detector=detector,
-        stat_unit=stat_unit,
-        energy=energy,
-        sweep_voltages=voltages,
-        sweep_trials=sw.get("trials", 200),
-        detector_set=detector_set,
-        calibrate=calibrate,
-        output_dir=out.get("dir", "out"),
-        output_format=out.get("format", "csv"),
-        params_provenance=provenance,
-    )
+    own = [s for s in given if hasattr(base, s)]  # sections held as dataclasses
+    parts = {s: _build([s], partial(replace, getattr(base, s)), given[s]) for s in own}
+    top = {f: given[s][k] for f, (s, k) in _PATHS.items() if k in given[s]}
+    return _build([], partial(replace, base), {**parts, **top, "params_provenance": provenance})
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -394,85 +222,29 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
     return parse_config(doc, base_dir=os.path.dirname(os.path.abspath(path)))
 
 
 def override_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
     """Apply a CLI --seed to both the workload and fault streams."""
-    return replace(
-        cfg,
-        workload=replace(cfg.workload, seed=seed),
-        fault=replace(cfg.fault, seed=seed),
-    )
+    seeded = partial(replace, seed=seed)
+    return replace(cfg, workload=seeded(cfg.workload), fault=seeded(cfg.fault))
 
 
 def resolved_dict(cfg: ExperimentConfig) -> dict:
     """The fully-defaulted config as a JSON-ready document (the run echo)."""
-    det = cfg.detector
-    return {
-        "workload": {
-            "m": cfg.workload.m,
-            "k": cfg.workload.k,
-            "n": cfg.workload.n,
-            "gemm_count": cfg.workload.gemm_count,
-            "distribution": cfg.workload.distribution,
-            "seed": cfg.workload.seed,
-        },
-        "fault": {
-            "mode": cfg.fault.mode,
-            "ber": cfg.fault.ber,
-            "bit_window": list(cfg.fault.bit_window),
-            "mag": cfg.fault.mag,
-            "freq": cfg.fault.freq,
-            "seed": cfg.fault.seed,
-        },
-        "detector": {
-            "kind": det.kind,
-            "params": {
-                "a": det.params.a,
-                "b": det.params.b,
-                "theta_freq": det.params.theta_freq,
-            }
-            if det.params
-            else None,
-            "msd_threshold": det.msd_threshold,
-            "provenance": cfg.params_provenance,
-        },
-        "stat_unit": {
-            "log2_mode": cfg.stat_unit.log2_mode,
-            "frac_bits": cfg.stat_unit.frac_bits,
-        },
-        "energy": {
-            "v_nom": cfg.energy.v_nom,
-            "e_mac_nom": cfg.energy.e_mac_nom,
-            "detect_overhead": cfg.energy.detect_overhead,
-            "area_overhead": cfg.energy.area_overhead,
-            "table": [
-                {"voltage": float(v), "ber": float(b)}
-                for v, b in zip(cfg.energy.table.voltages, cfg.energy.table.bers)
-            ],
-        },
-        "sweep": {
-            "voltages": [float(v) for v in cfg.voltages()],
-            "trials": cfg.sweep_trials,
-            "detectors": list(cfg.detector_set),
-        },
-        "calibrate": {
-            "oracle": cfg.calibrate.oracle,
-            "epsilon": cfg.calibrate.epsilon,
-            "trials": cfg.calibrate.trials,
-            "freq_axis": list(cfg.calibrate.freq_axis),
-            "mag_log2_axis": list(cfg.calibrate.mag_log2_axis),
-            "planted": {
-                "a": cfg.calibrate.planted.a,
-                "b": cfg.calibrate.planted.b,
-                "theta_freq": cfg.calibrate.planted.theta_freq,
-            },
-            "norm_kind": cfg.calibrate.norm_kind,
-            "target_rows": cfg.calibrate.target_rows,
-            "target_cols": cfg.calibrate.target_cols,
-        },
-        "output": {"dir": cfg.output_dir, "format": cfg.output_format},
-    }
+    doc: dict = {}
+    for name, value in asdict(cfg).items():
+        if isinstance(value, dict):
+            doc[name] = {k: list(v) if isinstance(v, tuple) else v for k, v in value.items()}
+        elif name in _PATHS:
+            section, key = _PATHS[name]
+            doc.setdefault(section, {})[key] = list(value) if isinstance(value, tuple) else value
+    doc["detector"]["provenance"] = cfg.params_provenance
+    del doc["stat_unit"]["params"]
+    table = cfg.energy.table
+    doc["energy"]["table"] = [
+        {"voltage": float(v), "ber": float(b)} for v, b in zip(table.voltages, table.bers)
+    ]
+    doc["sweep"]["voltages"] = [float(v) for v in cfg.voltages()]
+    return doc

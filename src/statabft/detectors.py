@@ -62,6 +62,10 @@ class CriticalRegionParams:
             raise ValueError(f"theta_freq must be an int >= 0, got {self.theta_freq!r}")
 
 
+# the package-default critical region, used wherever no params are configured
+DEFAULT_PARAMS = CriticalRegionParams(a=2.0, b=40.0, theta_freq=4)
+
+
 @dataclass(frozen=True, eq=False)
 class ChecksumPair:
     """Predicted vs observed checksum row and their exact difference."""
@@ -248,19 +252,33 @@ def save_params(params: CriticalRegionParams, path: str, provenance: str = "") -
         fh.write("\n")
 
 
-def load_params(path: str) -> tuple[CriticalRegionParams, str]:
-    """Read a parameter file; calibrated params must satisfy a > 1 strictly."""
-    with open(path) as fh:
-        doc = json.load(fh)
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def params_from_doc(doc) -> CriticalRegionParams:
+    """Validate a decoded params document; calibrated params need a > 1 strictly.
+
+    Each ValueError message starts with the offending key when there is one.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"params must be a JSON object, got {type(doc).__name__}")
     missing = {"a", "b", "theta_freq"} - set(doc)
     if missing:
-        raise ValueError(f"parameter file missing keys: {sorted(missing)}")
-    a = float(doc["a"])
-    b = float(doc["b"])
-    tf = doc["theta_freq"]
+        raise ValueError(f"params missing keys: {sorted(missing)}")
+    a, b, tf = doc["a"], doc["b"], doc["theta_freq"]
+    if not (_is_number(a) and a > 1.0):
+        raise ValueError(f"a must be > 1 (calibrated params), got {a!r}")
+    if not (_is_number(b) and math.isfinite(b)):
+        raise ValueError(f"b must be a finite number, got {b!r}")
     if not isinstance(tf, int) or isinstance(tf, bool):
         raise ValueError(f"theta_freq must be an integer, got {tf!r}")
-    if not a > 1.0:
-        raise ValueError(f"calibrated a must be > 1, got {a}")
-    params = CriticalRegionParams(a=a, b=b, theta_freq=tf)
+    return CriticalRegionParams(a=float(a), b=float(b), theta_freq=tf)
+
+
+def load_params(path: str) -> tuple[CriticalRegionParams, str]:
+    """Read a parameter file written by save_params (or by hand)."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    params = params_from_doc(doc)
     return params, str(doc.get("provenance", ""))

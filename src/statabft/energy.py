@@ -34,7 +34,7 @@ from .detectors import (
 )
 from .faults import BER_MODE, FaultConfig, VoltageBerTable, default_table
 from .rng import derive_seed
-from .systolic import Dataflow, StatUnitConfig, run_array
+from .systolic import StatUnitConfig, run_array
 from .workloads import WorkloadSpec, workload_matrices
 
 THREADS_ENV = "REALM_SIM_THREADS"
@@ -62,8 +62,10 @@ class EnergyConfig:
             raise ValueError("v_nom must be > 0")
         if not self.e_mac_nom > 0:
             raise ValueError("e_mac_nom must be > 0")
-        if self.detect_overhead < 0 or self.area_overhead < 0:
-            raise ValueError("overheads must be >= 0")
+        for name in ("detect_overhead", "area_overhead"):
+            v = getattr(self, name)
+            if v < 0:
+                raise ValueError(f"{name} must be >= 0 like all overheads, got {v}")
 
 
 def compute_energy(v: float, n_mac: int, cfg: EnergyConfig) -> float:
@@ -159,15 +161,13 @@ def _trial_pairs(
     spec: WorkloadSpec,
     trials: int,
     fault_for_trial,
-    seed: int,
-    flow,
     stat: StatUnitConfig | None,
 ):
     """Yield (ChecksumPair, verdict) for each trial of a GEMM stream."""
     stream = replace(spec, gemm_count=max(trials, 1))
     for t in range(trials):
         w, x = workload_matrices(stream, t)
-        sim = run_array(w, x, flow=flow, fault=fault_for_trial(t), stat=stat)
+        sim = run_array(w, x, fault=fault_for_trial(t), stat=stat)
         yield ChecksumPair.from_vectors(sim.predicted, sim.observed)
 
 
@@ -213,7 +213,6 @@ def compare_detectors(
     trials: int | None = None,
     seed: int = 0,
     quality_params: CriticalRegionParams | None = None,
-    flow: Dataflow | str = Dataflow.WEIGHT_STATIONARY,
     stat: StatUnitConfig | None = None,
 ) -> list[CompareRow]:
     """Run one GEMM stream at a fixed fault level; score every detector on it.
@@ -233,7 +232,7 @@ def compare_detectors(
             return None
         return replace(fault, seed=derive_seed(seed, _TAG_FAULT, 0, t))
 
-    pairs = _trial_pairs(spec, trials, fault_for_trial, seed, flow, stat)
+    pairs = _trial_pairs(spec, trials, fault_for_trial, stat)
     n, recoveries, undetected, freq_sum, msd_sum = _score_stream(pairs, detectors, ref)
     return [
         CompareRow(
@@ -257,7 +256,6 @@ def sweep_detectors(
     trials: int | None = None,
     seed: int = 0,
     quality_params: CriticalRegionParams | None = None,
-    flow: Dataflow | str = Dataflow.WEIGHT_STATIONARY,
     stat: StatUnitConfig | None = None,
     bit_window: tuple[int, int] = (16, 31),
 ) -> dict[str, SweepResult]:
@@ -295,7 +293,7 @@ def sweep_detectors(
                 seed=derive_seed(seed, _TAG_FAULT, vi + 1, t),
             )
 
-        pairs = _trial_pairs(spec, trials, fault_for_trial, seed, flow, stat)
+        pairs = _trial_pairs(spec, trials, fault_for_trial, stat)
         n, recoveries, undetected, _, _ = _score_stream(pairs, detectors, ref)
         points = []
         for d, label in zip(detectors, labels):

@@ -23,7 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,17 +59,21 @@ class FaultConfig:
 
     def __post_init__(self):
         if self.mode not in (BER_MODE, UNIFORM_MODE):
-            raise ValueError(f"unknown fault mode {self.mode!r}")
+            raise ValueError(f"mode must be {BER_MODE!r} or {UNIFORM_MODE!r}, got {self.mode!r}")
         if not (0.0 <= self.ber <= 1.0):
             raise ValueError(f"ber must be in [0, 1], got {self.ber}")
+        if len(self.bit_window) != 2 or not (0 <= self.bit_window[0] <= self.bit_window[1] <= 31):
+            raise ValueError(
+                f"bit_window must be (lo, hi) with 0 <= lo <= hi <= 31, got {self.bit_window}"
+            )
         lo, hi = self.bit_window
-        if not (0 <= lo <= hi <= 31):
-            raise ValueError(f"bit_window must satisfy 0 <= lo <= hi <= 31, got {self.bit_window}")
         object.__setattr__(self, "bit_window", (int(lo), int(hi)))
         if self.freq < 0:
             raise ValueError(f"freq must be >= 0, got {self.freq}")
         if not (INT32_MIN <= self.mag <= INT32_MAX):
             raise ValueError(f"mag must fit INT32, got {self.mag}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

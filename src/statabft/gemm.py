@@ -18,7 +18,7 @@ INT64 checksums hold sums of up to 2**16 such values with > 16 bits to spare.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -1,11 +1,10 @@
 """Behavioral model of a checksum-extended systolic array.
 
 The model is functional, not cycle-accurate: outputs and checksums are
-computed exactly (weight-stationary and output-stationary dataflows produce
-identical numbers, which is a tested invariant), while a simple analytic
-cycle model accounts for time. A tile of shape M x K times K x N costs
-M + N + K - 2 cycles fill-to-drain plus one checksum-accumulate stage;
-problems larger than the physical array are tiled and tile costs add up.
+computed exactly, while a simple analytic cycle model accounts for time. A
+tile of shape M x K times K x N costs M + N + K - 2 cycles fill-to-drain
+plus one checksum-accumulate stage; problems larger than the physical array
+are tiled and tile costs add up.
 
 The statistical detection unit is modeled at datapath level, mirroring a
 hardware pipeline of a subtractor, a deviation accumulator, a log2 stage,
@@ -29,12 +28,12 @@ whose log sits on a fixed-point quantization edge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
+from dataclasses import dataclass
 
 import numpy as np
 
 from .detectors import (
+    DEFAULT_PARAMS,
     PASS,
     RECOVER,
     CriticalRegionParams,
@@ -52,20 +51,6 @@ from .gemm import (
 
 EXACT = "exact"
 LZC = "lzc"
-
-
-class Dataflow(Enum):
-    WEIGHT_STATIONARY = "ws"
-    OUTPUT_STATIONARY = "os"
-
-
-def _coerce_flow(flow) -> Dataflow:
-    if isinstance(flow, Dataflow):
-        return flow
-    try:
-        return Dataflow(flow)
-    except ValueError:
-        raise ValueError(f"dataflow must be 'ws' or 'os', got {flow!r}") from None
 
 
 @dataclass(frozen=True)
@@ -213,7 +198,6 @@ def gemm_cycles(m: int, k: int, n: int, array: ArrayConfig) -> int:
 def run_array(
     w: QuantMatrix,
     x: QuantMatrix,
-    flow: Dataflow | str = Dataflow.WEIGHT_STATIONARY,
     fault: FaultConfig | None = None,
     stat: StatUnitConfig | None = None,
     array: ArrayConfig | None = None,
@@ -221,16 +205,13 @@ def run_array(
 ) -> SimResult:
     """One GEMM through the array: compute, optionally corrupt, then detect.
 
-    The dataflow changes scheduling, not arithmetic; both flows produce the
-    same outputs, checksums, and verdicts, and the same cycle count under
-    this model. Faults hit the INT32 output domain only; the input-side
-    checksum prediction is computed before injection and is never corrupted.
+    Faults hit the INT32 output domain only; the input-side checksum
+    prediction is computed before injection and is never corrupted.
     """
-    _coerce_flow(flow)
     if array is None:
         array = ArrayConfig()
     if stat is None:
-        stat = StatUnitConfig(params=CriticalRegionParams(a=2.0, b=40.0, theta_freq=4))
+        stat = StatUnitConfig(params=DEFAULT_PARAMS)
 
     clean = gemm(w, x)
     predicted = predicted_output_checksum(w, x)

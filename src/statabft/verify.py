@@ -2,10 +2,10 @@
 
 Each check runs a configurable number of randomized cases and reports the
 first violation. These are the properties the whole methodology leans on:
-exact checksum identities, dataflow equivalence, agreement between the
-datapath-level statistical unit and the reference detector, fault-log
-soundness, the MSD = freq * mag relation for uniform injections, and
-voltage/BER table interpolation behavior.
+exact checksum identities, agreement between the datapath-level
+statistical unit and the reference detector, fault-log soundness, the
+MSD = freq * mag relation for uniform injections, and voltage/BER table
+interpolation behavior.
 """
 
 from __future__ import annotations
@@ -85,32 +85,6 @@ def check_checksum_identities(cases: int, seed: int, planted_failure: bool = Fal
                 "checksum-identities", c + 1, False, f"scalar identity broken at case {c}"
             )
     return CheckResult("checksum-identities", cases, True)
-
-
-def check_dataflow_equivalence(cases: int, seed: int) -> CheckResult:
-    from .systolic import run_array
-
-    for c in range(cases):
-        s = derive_seed(seed, 2, c)
-        m, k, n = _dims(s)
-        w = random_quant_matrix(m, k, "uniform", derive_seed(s, 0))
-        x = random_quant_matrix(k, n, "uniform", derive_seed(s, 1))
-        fault = FaultConfig(mode="ber", ber=0.001, seed=derive_seed(s, 2))
-        stat = StatUnitConfig(params=_random_params(derive_seed(s, 3)))
-        ws = run_array(w, x, flow="ws", fault=fault, stat=stat)
-        os_ = run_array(w, x, flow="os", fault=fault, stat=stat)
-        same = (
-            ws.output == os_.output
-            and ws.predicted == os_.predicted
-            and ws.observed == os_.observed
-            and ws.cycles == os_.cycles
-            and ws.verdict == os_.verdict
-        )
-        if not same:
-            return CheckResult(
-                "dataflow-equivalence", c + 1, False, f"ws/os diverge at case {c}"
-            )
-    return CheckResult("dataflow-equivalence", cases, True)
 
 
 def check_stat_unit_reference(cases: int, seed: int) -> CheckResult:
@@ -267,7 +241,6 @@ def check_lzc_band(cases: int, seed: int) -> CheckResult:
 
 ALL_CHECKS = (
     "checksum-identities",
-    "dataflow-equivalence",
     "stat-unit-reference",
     "event-replay",
     "uniform-msd-relation",
@@ -282,7 +255,6 @@ def run_checks(cases: int = 200, seed: int = 0, planted_failure: bool = False) -
         raise ValueError("cases must be >= 1")
     return [
         check_checksum_identities(cases, seed, planted_failure),
-        check_dataflow_equivalence(max(cases // 4, 25), seed),
         check_stat_unit_reference(cases, seed),
         check_event_replay(max(cases // 4, 25), seed),
         check_uniform_msd_relation(cases, seed),

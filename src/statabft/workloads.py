@@ -17,10 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gemm import QuantMatrix
+from .gemm import MAX_INNER_DIM, QuantMatrix
 from .rng import derive_seed, u64_stream
 
 DISTRIBUTIONS = ("uniform", "outlier")
+
+# |checksum deviation| per element < 2**32, so MSD <= m * n * 2**32 <= 2**56
+# stays exact in int64; K is capped where INT32 accumulation stays exact
+MAX_OUTER_DIM = 4096
 
 # disjoint derivation tags so workload and fault streams never collide even
 # when configured with the same root seed
@@ -40,12 +44,16 @@ class WorkloadSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if min(self.m, self.k, self.n) < 1:
-            raise ValueError("workload dimensions must be >= 1")
+        for name, hi in (("m", MAX_OUTER_DIM), ("k", MAX_INNER_DIM), ("n", MAX_OUTER_DIM)):
+            v = getattr(self, name)
+            if not 1 <= v <= hi:
+                raise ValueError(f"{name} must be in [1, {hi}] (workload dimensions), got {v}")
         if self.gemm_count < 1:
             raise ValueError("gemm_count must be >= 1")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     @property
     def macs_per_gemm(self) -> int:

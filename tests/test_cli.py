@@ -1,6 +1,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -281,3 +283,12 @@ def test_resolved_config_echo_contents(tmp_path):
     assert echo["config"]["fault"]["seed"] == 42
     # voltage was translated to a concrete BER before the echo
     assert echo["config"]["fault"]["ber"] > 0
+
+
+def test_cli_import_does_not_load_jsonschema():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, statabft.cli; print('jsonschema' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -1,7 +1,10 @@
 import json
+import os
+import re
 
 import pytest
 
+from statabft.cli import main
 from statabft.config import (
     DEFAULT_FREQ_AXIS,
     DEFAULT_MAG_AXIS,
@@ -228,3 +231,51 @@ def test_experiment_config_default_constructible():
     cfg = ExperimentConfig()
     assert cfg.detector.params == DEFAULT_PARAMS
     assert len(cfg.voltages()) == 16
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"workload": {"m": True}}, "workload.m"),
+        ({"workload": {"m": "64"}}, "workload.m"),
+        ({"workload": 3}, "workload"),
+        ({"fault": {"bit_window": [16]}}, "fault.bit_window"),
+        ({"fault": {"bit_window": ["a", 31]}}, "fault.bit_window"),
+        ({"calibrate": {"freq_axis": 4}}, "calibrate.freq_axis"),
+        ({"output": {"format": "xml"}}, "output.format"),
+    ],
+)
+def test_json_types_rejected_at_their_key(doc, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        parse_config(doc)
+
+
+def test_readme_full_config_example_parses(tmp_path):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read()
+    section = text[text.index("### Config file"):]
+    doc = json.loads(section[section.index("```json") + len("```json"):section.index("\n```\n")])
+    (tmp_path / doc["energy"]["table_file"]).write_text("voltage,ber\n0.9,0\n0.6,1e-4\n")
+    cfg = parse_config(doc, base_dir=str(tmp_path))
+    # integer JSON values are accepted on float axes and stored as floats
+    assert cfg.calibrate.mag_log2_axis == (12.0, 14.0, 16.0, 18.0)
+    assert cfg.detector.msd_threshold == 1048576
+    assert cfg.detector_set == ("classical", "statistical")
+
+
+@pytest.mark.parametrize(
+    "content", ['{"a": null, "b": 40, "theta_freq": 4}', '["a", "b", "theta_freq"]']
+)
+def test_malformed_params_file_is_a_config_error(tmp_path, content):
+    (tmp_path / "params.json").write_text(content)
+    with pytest.raises(ConfigError, match="detector.params_file"):
+        parse_config({"detector": {"params_file": "params.json"}}, base_dir=str(tmp_path))
+
+
+def test_malformed_params_file_exits_two(tmp_path, capsys):
+    (tmp_path / "params.json").write_text('{"a": null, "b": 40, "theta_freq": 4}')
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"detector": {"params_file": "params.json"}}))
+    assert main(["--config", str(path), "compare"]) == 2
+    assert "detector.params_file: " in capsys.readouterr().err

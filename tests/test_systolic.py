@@ -10,7 +10,6 @@ from statabft.faults import FaultConfig
 from statabft.gemm import checksum, gemm
 from statabft.systolic import (
     ArrayConfig,
-    Dataflow,
     StatUnitConfig,
     _theta_fixed,
     floor_log2,
@@ -110,27 +109,6 @@ def test_run_array_applies_fault_and_logs_events():
     assert changed == len(sim.events) > 0
     # prediction is computed pre-fault
     assert sim.predicted == checksum(clean, "row")
-
-
-def test_dataflow_values_and_validation():
-    w, x = matrices(3)
-    assert Dataflow("ws") is Dataflow.WEIGHT_STATIONARY
-    with pytest.raises(ValueError, match="dataflow"):
-        run_array(w, x, flow="diagonal")
-
-
-@given(st.integers(min_value=0, max_value=10_000))
-@settings(max_examples=60, deadline=None)
-def test_ws_os_equivalence(seed):
-    w, x = matrices(seed, m=(seed % 6) + 2, k=(seed % 5) + 2, n=(seed % 7) + 2)
-    fault = FaultConfig(mode="ber", ber=0.01, seed=seed)
-    stat = StatUnitConfig(params=P)
-    ws = run_array(w, x, flow="ws", fault=fault, stat=stat)
-    os_ = run_array(w, x, flow="os", fault=fault, stat=stat)
-    assert ws.output == os_.output
-    assert ws.predicted == os_.predicted and ws.observed == os_.observed
-    assert ws.verdict == os_.verdict
-    assert ws.cycles == os_.cycles
 
 
 @st.composite
