@@ -34,7 +34,6 @@ from .faults import TableFormatError
 from .gemm import AccumMatrix
 from .rng import derive_seed
 from .systolic import run_array
-from .verify import run_checks
 from .workloads import workload_matrices
 
 
@@ -96,6 +95,9 @@ def _prepare_out(cfg: ExperimentConfig, command: str, out_dir: str) -> str:
 
 
 def cmd_verify(cfg: ExperimentConfig, args) -> int:
+    # imported here so the other subcommands do not load the checks at start-up
+    from .verify import run_checks
+
     results = run_checks(
         cases=args.cases, seed=cfg.workload.seed, planted_failure=args.planted_failure
     )
@@ -203,7 +205,6 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
         cfg.energy,
         trials=cfg.sweep_trials,
         seed=cfg.fault.seed,
-        stat=cfg.stat_unit,
         bit_window=cfg.fault.bit_window,
     )
     out = _prepare_out(cfg, "sweep", args.out_dir or cfg.output_dir)

@@ -66,6 +66,11 @@ class CriticalRegionParams:
 DEFAULT_PARAMS = CriticalRegionParams(a=2.0, b=40.0, theta_freq=4)
 
 
+# an int64 sum of d is exact while len(d) * max|d_j| < 2**63. GEMM pairs meet
+# it: m, n <= 4096 and |d_j| <= m * 2**32 <= 2**44, so len(d) * |d_j| <= 2**56
+_INT64_SUM_LIMIT = 2**63
+
+
 @dataclass(frozen=True, eq=False)
 class ChecksumPair:
     """Predicted vs observed checksum row and their exact difference."""
@@ -73,6 +78,12 @@ class ChecksumPair:
     predicted: ChecksumVector
     observed: ChecksumVector
     diff: np.ndarray
+
+    def __post_init__(self):
+        d = self.diff
+        peak = max(int(d.max()), -int(d.min())) if d.size else 0
+        # outside the bound (no GEMM gets there) msd() falls back to Python ints
+        object.__setattr__(self, "_int64_sum", d.size * peak < _INT64_SUM_LIMIT)
 
     @classmethod
     def from_vectors(cls, predicted: ChecksumVector, observed: ChecksumVector) -> "ChecksumPair":
@@ -97,7 +108,9 @@ class ChecksumPair:
         )
 
     def msd(self) -> int:
-        """|sum of differences|, summed exactly in arbitrary precision."""
+        """|sum of differences|, exact: int64 within the bound, else Python ints."""
+        if self._int64_sum:
+            return abs(int(self.diff.sum()))
         return abs(sum(int(v) for v in self.diff))
 
     def nonzero_count(self) -> int:
@@ -252,8 +265,14 @@ def save_params(params: CriticalRegionParams, path: str, provenance: str = "") -
         fh.write("\n")
 
 
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+def _is_finite_number(v) -> bool:
+    """A JSON number that converts to a finite float (booleans are not numbers)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(float(v))
+    except OverflowError:  # an integer too large for a float
+        return False
 
 
 def params_from_doc(doc) -> CriticalRegionParams:
@@ -267,9 +286,11 @@ def params_from_doc(doc) -> CriticalRegionParams:
     if missing:
         raise ValueError(f"params missing keys: {sorted(missing)}")
     a, b, tf = doc["a"], doc["b"], doc["theta_freq"]
-    if not (_is_number(a) and a > 1.0):
+    if not _is_finite_number(a):
+        raise ValueError(f"a must be a finite number, got {a!r}")
+    if not a > 1.0:
         raise ValueError(f"a must be > 1 (calibrated params), got {a!r}")
-    if not (_is_number(b) and math.isfinite(b)):
+    if not _is_finite_number(b):
         raise ValueError(f"b must be a finite number, got {b!r}")
     if not isinstance(tf, int) or isinstance(tf, bool):
         raise ValueError(f"theta_freq must be an integer, got {tf!r}")

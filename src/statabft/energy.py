@@ -13,11 +13,14 @@ The "none" baseline pays neither overhead nor recovery; the DMR baseline
 pays compute twice (dual execution) plus the same recovery term. Expected
 latency stretches by the recovery rate: latency_factor = 1 + recovery_rate.
 
-A voltage sweep runs the same GEMM stream at every operating point (paired
-across voltages for variance reduction), injecting bit flips at the BER the
-voltage/BER table gives, and scores every detector on the same checksum
-evidence. The per-detector optimum is the sweep point with minimal energy
-(ties break toward higher voltage).
+A voltage sweep runs the same GEMM stream at every operating point, with
+its faults paired across voltages too (common random numbers, for variance
+reduction): each trial's bit flips are sampled once at the sweep's highest
+BER, and a voltage keeps the flips whose thinning uniform lies below the BER
+the voltage/BER table gives it. Detectors read only the checksum difference,
+so the sweep computes the clean output only at flipped elements. Every
+detector is scored on the same checksum evidence. The per-detector optimum
+is the sweep point with minimal energy (ties break toward higher voltage).
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ from dataclasses import dataclass, field, replace
 from .detectors import (
     ChecksumPair,
     CriticalRegionParams,
-    DetectorSpec,
     detect_statistical,
 )
-from .faults import BER_MODE, FaultConfig, VoltageBerTable, default_table
+from .faults import FaultConfig, SparseFlips, VoltageBerTable, default_table
 from .rng import derive_seed
 from .systolic import StatUnitConfig, run_array
 from .workloads import WorkloadSpec, workload_matrices
@@ -157,17 +159,25 @@ def _unique_labels(detectors) -> list[str]:
     return labels
 
 
+def _trial_fault_seed(seed: int, t: int) -> int:
+    """Fault stream of trial ``t``, shared by comparisons and sweeps."""
+    return derive_seed(seed, _TAG_FAULT, 0, t)
+
+
 def _trial_pairs(
     spec: WorkloadSpec,
     trials: int,
-    fault_for_trial,
+    fault: FaultConfig | None,
+    seed: int,
     stat: StatUnitConfig | None,
 ):
-    """Yield (ChecksumPair, verdict) for each trial of a GEMM stream."""
-    stream = replace(spec, gemm_count=max(trials, 1))
+    """Yield the dense ChecksumPair of each trial of a GEMM stream."""
+    stream = replace(spec, gemm_count=trials)
     for t in range(trials):
         w, x = workload_matrices(stream, t)
-        sim = run_array(w, x, fault=fault_for_trial(t), stat=stat)
+        if fault is not None:
+            fault = replace(fault, seed=_trial_fault_seed(seed, t))
+        sim = run_array(w, x, fault=fault, stat=stat)
         yield ChecksumPair.from_vectors(sim.predicted, sim.observed)
 
 
@@ -226,13 +236,7 @@ def compare_detectors(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     ref = _proxy_params(detectors, quality_params)
-
-    def fault_for_trial(t):
-        if fault is None:
-            return None
-        return replace(fault, seed=derive_seed(seed, _TAG_FAULT, 0, t))
-
-    pairs = _trial_pairs(spec, trials, fault_for_trial, stat)
+    pairs = _trial_pairs(spec, trials, fault, seed, stat)
     n, recoveries, undetected, freq_sum, msd_sum = _score_stream(pairs, detectors, ref)
     return [
         CompareRow(
@@ -256,15 +260,18 @@ def sweep_detectors(
     trials: int | None = None,
     seed: int = 0,
     quality_params: CriticalRegionParams | None = None,
-    stat: StatUnitConfig | None = None,
     bit_window: tuple[int, int] = (16, 31),
 ) -> dict[str, SweepResult]:
-    """Voltage sweep: same GEMM stream per point, BER from the table.
+    """Voltage sweep: same GEMM stream and faults per point, BER from the table.
 
-    Returns one SweepResult per detector kind with per-voltage points in the
-    order given and the energy-minimal optimum (ties break toward higher
-    voltage). Voltage points evaluate independently and may run on a small
-    thread pool; REALM_SIM_THREADS caps the worker count.
+    Each trial's flips are sampled once, at the sweep's highest BER with the
+    seed ``compare_detectors`` gives that trial, and thinned per voltage; the
+    point at the highest BER therefore scores the same evidence a comparison
+    at that BER does. Returns one SweepResult per detector kind with
+    per-voltage points in the order given and the energy-minimal optimum
+    (ties break toward higher voltage). Voltage points are scored
+    independently and may run on a small thread pool; REALM_SIM_THREADS caps
+    the worker count.
     """
     if energy_cfg is None:
         energy_cfg = EnergyConfig()
@@ -278,22 +285,23 @@ def sweep_detectors(
     labels = _unique_labels(detectors)
     ref = _proxy_params(detectors, quality_params)
     n_mac = spec.macs_per_gemm
+    bers = [energy_cfg.table.ber_at(v) for v in voltages]
+    top_ber = max(bers)
+
+    stream = replace(spec, gemm_count=trials)
+    flips = [
+        SparseFlips.sample(
+            *workload_matrices(stream, t),
+            seed=_trial_fault_seed(seed, t),
+            ber=top_ber,
+            bit_window=bit_window,
+        )
+        for t in range(trials)
+    ]
 
     def eval_voltage(vi: int) -> list[SweepPoint]:
-        v = voltages[vi]
-        ber = energy_cfg.table.ber_at(v)
-
-        def fault_for_trial(t):
-            if ber == 0.0:
-                return None
-            return FaultConfig(
-                mode=BER_MODE,
-                ber=ber,
-                bit_window=bit_window,
-                seed=derive_seed(seed, _TAG_FAULT, vi + 1, t),
-            )
-
-        pairs = _trial_pairs(spec, trials, fault_for_trial, stat)
+        v, ber = voltages[vi], bers[vi]
+        pairs = (ChecksumPair.from_diff(f.diff(ber)) for f in flips)
         n, recoveries, undetected, _, _ = _score_stream(pairs, detectors, ref)
         points = []
         for d, label in zip(detectors, labels):

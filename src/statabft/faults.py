@@ -3,10 +3,18 @@
 Two fault modes:
 
 * "ber": every bit inside ``bit_window`` of every output element flips
-  independently with probability ``ber``. Draws are counter-based SplitMix64
-  (one uniform per candidate bit, elements in row-major order, bits from the
-  low end of the window up), so a (seed, matrix shape, window) triple fixes
-  the corruption pattern exactly, regardless of batching.
+  independently with probability ``ber``. The candidate bits are indexed
+  elements in row-major order, bits from the low end of the window up, and
+  ``geometric_flips`` visits only the bits that flip: the gap before the next
+  flip is geometric, ``floor(log(U) / log(1 - ber))`` for a uniform U in
+  (0, 1] (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. X).
+  Flip j takes SplitMix64 draws 2j (its gap) and 2j + 1 (a thinning uniform
+  ``u`` in [0, ber)), so a (seed, matrix shape, window, ber) tuple fixes the
+  corruption pattern exactly, however the draws are batched. Keeping only the
+  flips with ``u < ber'`` gives an exact sample at any lower ``ber'`` from the
+  same draws, and the lower-BER flips are a subset of the higher-BER ones.
+  A gap goes through float64 ``log``, so patterns are bit-identical across
+  platforms only as far as their ``log`` results agree.
 
 * "uniform": exactly ``freq`` output elements at distinct positions each get
   ``mag`` added (wrapping in INT32). When no element wraps, the checksum sum
@@ -27,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gemm import AccumMatrix
-from .rng import derive_seed, u64_stream, unit_floats
+from .gemm import AccumMatrix, QuantMatrix, gemm_entries
+from .rng import u64_stream, unit_floats
 
 BER_MODE = "ber"
 UNIFORM_MODE = "uniform"
@@ -39,6 +47,10 @@ INT32_MAX = 2**31 - 1
 # BER values of exactly zero are floored to this in log space before
 # interpolation; exact table rows are returned verbatim.
 LOG_BER_FLOOR = 1e-15
+
+# flips drawn by the first batch of geometric_flips; each later batch doubles.
+# Results do not depend on it: the k-th draw is a pure function of (seed, k).
+_SKIP_CHUNK = 64
 
 
 @dataclass(frozen=True)
@@ -96,6 +108,51 @@ def _wrap_int32(v: int) -> int:
     return ((v - INT32_MIN) % 2**32) + INT32_MIN
 
 
+def geometric_flips(seed: int, n_bits: int, ber: float) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of the candidate bits that flip, and one thinning uniform each.
+
+    Each of ``n_bits`` bits flips independently with probability ``ber``.
+    Returns the flipped indices in ascending order (int64) and, per flip, a
+    uniform ``u`` in [0, ber) (float64): the flips with ``u < ber'`` are an
+    exact sample at any ``ber' <= ber``.
+    """
+    if not 0.0 <= ber <= 1.0:
+        raise ValueError(f"ber must be in [0, 1], got {ber}")
+    if ber == 0.0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
+    # log(1 - ber) is -inf at ber == 1 (where math.log1p raises), and every
+    # gap log(U) / -inf is then 0: all bits flip
+    log_q = math.log1p(-ber) if ber < 1.0 else -math.inf
+    indices, thinning = [], []
+    last, done, chunk = -1, 0, _SKIP_CHUNK
+    while True:
+        unit = unit_floats(u64_stream(seed, 2 * chunk, 2 * done))
+        # log1p(-unit) is log(U) for U = 1 - unit in (0, 1]; a gap past the
+        # last bit ends the sample, so clip before the integer cast
+        gaps = np.minimum(np.floor(np.log1p(-unit[0::2]) / log_q), n_bits)
+        idx = last + np.cumsum(gaps.astype(np.int64) + 1)
+        k = int(np.searchsorted(idx, n_bits))
+        indices.append(idx[:k])
+        thinning.append(ber * unit[1::2][:k])
+        if k < chunk:
+            return np.concatenate(indices), np.concatenate(thinning)
+        last, done, chunk = int(idx[-1]), done + chunk, 2 * chunk
+
+
+def _window_bits(mask: int, bit_window: tuple[int, int]) -> tuple[int, ...]:
+    lo, hi = bit_window
+    return tuple(b for b in range(lo, hi + 1) if mask & (1 << b))
+
+
+def _flip_sites(seed: int, n_elements: int, bit_window: tuple[int, int], ber: float):
+    """Element index, bit mask and thinning uniform of every flipped bit."""
+    lo, hi = bit_window
+    width = hi - lo + 1
+    idx, u = geometric_flips(seed, n_elements * width, ber)
+    elements, bits = np.divmod(idx, width)
+    return elements, np.left_shift(np.uint32(1), (bits + lo).astype(np.uint32)), u
+
+
 def sample_bitflips(
     y: AccumMatrix, cfg: FaultConfig, seed: int | None = None
 ) -> tuple[AccumMatrix, list[ErrorEvent]]:
@@ -104,20 +161,12 @@ def sample_bitflips(
         raise ValueError(f"sample_bitflips needs mode='ber', got {cfg.mode!r}")
     if seed is None:
         seed = cfg.seed
-    if cfg.ber == 0.0:
-        return AccumMatrix(y.data.copy()), []
 
-    lo, hi = cfg.bit_window
-    width = hi - lo + 1
     flat = y.data.ravel()
     n = flat.size
-
-    u = u64_stream(seed, n * width)
-    flips = (unit_floats(u) < cfg.ber).reshape(n, width)
-
+    elements, bit_masks, _ = _flip_sites(seed, n, cfg.bit_window, cfg.ber)
     masks = np.zeros(n, dtype=np.uint32)
-    for j in range(width):
-        masks |= flips[:, j].astype(np.uint32) << np.uint32(lo + j)
+    np.bitwise_or.at(masks, elements, bit_masks)
 
     corrupted = (flat.view(np.uint32) ^ masks).view(np.int32)
     out = AccumMatrix(corrupted.reshape(y.data.shape))
@@ -125,18 +174,78 @@ def sample_bitflips(
     events = []
     cols = y.data.shape[1]
     for idx in np.nonzero(masks)[0]:
-        mask = int(masks[idx])
-        bits = tuple(b for b in range(lo, hi + 1) if mask & (1 << b))
         events.append(
             ErrorEvent(
                 row=int(idx) // cols,
                 col=int(idx) % cols,
                 before=int(flat[idx]),
                 after=int(corrupted[idx]),
-                flipped_bits=bits,
+                flipped_bits=_window_bits(int(masks[idx]), cfg.bit_window),
             )
         )
     return out, events
+
+
+@dataclass(frozen=True, eq=False)
+class SparseFlips:
+    """One GEMM's bit flips at a top BER, each with the clean value it hits.
+
+    Holds O(flips) data and no output matrix: ``events(ber)`` thins the flips
+    to any ``ber`` up to the top one, and ``diff(ber)`` is the checksum
+    difference those events leave, predicted minus observed per column.
+    """
+
+    n_cols: int
+    ber: float
+    bit_window: tuple[int, int]
+    flips: tuple[tuple[int, int, float], ...]  # (element, bit mask, u)
+    clean: dict[int, int]  # element -> clean output value
+
+    @classmethod
+    def sample(
+        cls,
+        w: QuantMatrix,
+        x: QuantMatrix,
+        seed: int,
+        ber: float,
+        bit_window: tuple[int, int] = (16, 31),
+    ) -> "SparseFlips":
+        """The flips ``sample_bitflips`` makes in W @ X at (seed, ber, bit_window)."""
+        n_cols = x.cols
+        elements, masks, u = _flip_sites(seed, w.rows * n_cols, bit_window, ber)
+        rows, cols = np.divmod(elements, n_cols)
+        clean = dict(zip(elements.tolist(), gemm_entries(w, x, rows, cols).tolist()))
+        flips = tuple(zip(elements.tolist(), masks.tolist(), u.tolist()))
+        return cls(n_cols=n_cols, ber=ber, bit_window=bit_window, flips=flips, clean=clean)
+
+    def events(self, ber: float) -> list[ErrorEvent]:
+        """The corrupted elements at ``ber``, logged as ``sample_bitflips`` logs them."""
+        if not 0.0 <= ber <= self.ber:
+            raise ValueError(f"ber must be in [0, {self.ber}], got {ber}")
+        masks: dict[int, int] = {}
+        for element, mask, u in self.flips:
+            if u < ber:
+                masks[element] = masks.get(element, 0) | mask
+        events = []
+        for element, mask in masks.items():
+            before = self.clean[element]
+            events.append(
+                ErrorEvent(
+                    row=element // self.n_cols,
+                    col=element % self.n_cols,
+                    before=before,
+                    after=_wrap_int32(before ^ mask),
+                    flipped_bits=_window_bits(mask, self.bit_window),
+                )
+            )
+        return events
+
+    def diff(self, ber: float) -> np.ndarray:
+        """Per-column checksum difference at ``ber``: ``-sum(after - before)``."""
+        d = np.zeros(self.n_cols, dtype=np.int64)
+        for e in self.events(ber):
+            d[e.col] -= e.after - e.before
+        return d
 
 
 def inject_uniform(

@@ -165,6 +165,20 @@ def gemm(w: QuantMatrix, x: QuantMatrix) -> AccumMatrix:
     return AccumMatrix(y.astype(np.int32))
 
 
+def gemm_entries(w: QuantMatrix, x: QuantMatrix, rows, cols) -> np.ndarray:
+    """Entries (rows[i], cols[i]) of W @ X: one exact K-MAC dot product each.
+
+    Equal to ``gemm(w, x).data[rows, cols]`` without the dense product.
+    """
+    if w.cols != x.rows:
+        raise ValueError(f"inner dimensions differ: {w.cols} vs {x.rows}")
+    if w.cols > MAX_INNER_DIM:
+        raise ValueError(f"inner dimension {w.cols} exceeds {MAX_INNER_DIM}")
+    a = w.data[rows].astype(np.int64)
+    b = x.data[:, cols].astype(np.int64)
+    return np.einsum("ik,ki->i", a, b)
+
+
 def checksum(m: QuantMatrix | AccumMatrix, side: str = ROW) -> ChecksumVector:
     """Exact column sums (side="row") or row sums (side="column") in int64."""
     if side not in _SIDES:

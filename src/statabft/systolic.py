@@ -30,8 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .detectors import (
     DEFAULT_PARAMS,
     PASS,

@@ -4,8 +4,9 @@ Each check runs a configurable number of randomized cases and reports the
 first violation. These are the properties the whole methodology leans on:
 exact checksum identities, agreement between the datapath-level
 statistical unit and the reference detector, fault-log soundness, the
-MSD = freq * mag relation for uniform injections, and voltage/BER table
-interpolation behavior.
+MSD = freq * mag relation for uniform injections, voltage/BER table
+interpolation behavior, and the sweep's sparse checksum evidence against
+the dense product.
 """
 
 from __future__ import annotations
@@ -16,7 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detectors import ChecksumPair, CriticalRegionParams, detect_statistical
-from .faults import FaultConfig, VoltageBerTable, apply_fault, default_table, replay_events
+from .faults import (
+    FaultConfig,
+    SparseFlips,
+    VoltageBerTable,
+    apply_fault,
+    default_table,
+    replay_events,
+    sample_bitflips,
+)
 from .gemm import checksum, gemm, predicted_column_checksum, predicted_output_checksum, total_checksum
 from .rng import derive_seed, u64_stream
 from .systolic import StatUnitConfig, statistical_unit, floor_log2, _theta_fixed
@@ -239,6 +248,51 @@ def check_lzc_band(cases: int, seed: int) -> CheckResult:
     return CheckResult("lzc-agreement-band", cases, True)
 
 
+def check_sparse_evidence(cases: int, seed: int) -> CheckResult:
+    """Flips thinned from one draw give the dense checksum difference at every BER.
+
+    At the top BER the sparse events are ``sample_bitflips``'s own; as the
+    BER drops, the corrupted elements form nested sets, empty at BER 0.
+    Recovery rates are not checked for monotonicity: two flips in one column
+    can cancel to d_j = 0.
+    """
+    for c in range(cases):
+        s = derive_seed(seed, 8, c)
+        m, k, n = _dims(s)
+        w = random_quant_matrix(m, k, "uniform", derive_seed(s, 0))
+        x = random_quant_matrix(k, n, "uniform", derive_seed(s, 1))
+        clean = gemm(w, x)
+        predicted = predicted_output_checksum(w, x).data
+        top = 10.0 ** -(1 + int(u64_stream(s, 1)[0] % np.uint64(3)))
+        fault = FaultConfig(mode="ber", ber=top, seed=derive_seed(s, 2))
+        flips = SparseFlips.sample(w, x, fault.seed, top, fault.bit_window)
+        if flips.events(top) != sample_bitflips(clean, fault)[1]:
+            return CheckResult(
+                "sparse-evidence", c + 1, False, f"top-BER events differ from dense at case {c}"
+            )
+        above = None
+        for ber in (top, top / 3, top / 10, top / 100, 0.0):
+            kept = flips.events(ber)
+            dense = predicted - checksum(replay_events(clean, kept), "row").data
+            if not np.array_equal(flips.diff(ber), dense):
+                return CheckResult(
+                    "sparse-evidence", c + 1, False,
+                    f"sparse difference != dense at ber {ber:g}, case {c}",
+                )
+            sites = {(e.row, e.col) for e in kept}
+            if ber == 0.0 and sites:
+                return CheckResult(
+                    "sparse-evidence", c + 1, False, f"flips kept at ber 0 at case {c}"
+                )
+            if above is not None and not sites <= above:
+                return CheckResult(
+                    "sparse-evidence", c + 1, False,
+                    f"flips at ber {ber:g} not nested in the higher BER's at case {c}",
+                )
+            above = sites
+    return CheckResult("sparse-evidence", cases, True)
+
+
 ALL_CHECKS = (
     "checksum-identities",
     "stat-unit-reference",
@@ -246,6 +300,7 @@ ALL_CHECKS = (
     "uniform-msd-relation",
     "ber-table-interpolation",
     "lzc-agreement-band",
+    "sparse-evidence",
 )
 
 
@@ -260,4 +315,5 @@ def run_checks(cases: int = 200, seed: int = 0, planted_failure: bool = False) -
         check_uniform_msd_relation(cases, seed),
         check_ber_table(cases, seed),
         check_lzc_band(cases, seed),
+        check_sparse_evidence(max(cases // 4, 25), seed),
     ]

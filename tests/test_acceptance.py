@@ -28,7 +28,7 @@ from statabft.faults import FaultConfig, default_table, inject_uniform
 from statabft.gemm import AccumMatrix, checksum, gemm, predicted_output_checksum
 from statabft.rng import derive_seed, u64_stream
 from statabft.verify import check_lzc_band, check_stat_unit_reference
-from statabft.workloads import WorkloadSpec, random_quant_matrix, workload_matrices
+from statabft.workloads import WorkloadSpec, random_quant_matrix
 
 P = DEFAULT_PARAMS  # a=2, b=40, theta_freq=4
 

@@ -279,3 +279,18 @@ def test_malformed_params_file_exits_two(tmp_path, capsys):
     path.write_text(json.dumps({"detector": {"params_file": "params.json"}}))
     assert main(["--config", str(path), "compare"]) == 2
     assert "detector.params_file: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["a", "b"])
+def test_params_too_large_for_a_float_are_rejected(key):
+    params = {"a": 2.0, "b": 40, "theta_freq": 4}
+    params[key] = 10**400
+    with pytest.raises(ConfigError, match=f"detector.params.{key}: must be a finite number"):
+        parse_config({"detector": {"params": params}})
+
+
+def test_params_too_large_for_a_float_exit_two(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text('{"detector": {"params": {"a": 1' + "0" * 400 + ', "b": 40, "theta_freq": 4}}}')
+    assert main(["--config", str(path), "compare"]) == 2
+    assert "detector.params.a: must be a finite number" in capsys.readouterr().err

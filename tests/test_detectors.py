@@ -72,6 +72,21 @@ def test_msd_is_exact_for_huge_values():
     assert pair.msd() == big + 3
 
 
+@given(st.integers(min_value=1, max_value=64).flatmap(
+    lambda n: st.lists(
+        st.integers(
+            min_value=max(-(2**63 - 1) // n - 1, -(2**63)),
+            max_value=min((2**63 - 1) // n + 1, 2**63 - 1),
+        ),
+        min_size=n, max_size=n,
+    )
+))
+@settings(max_examples=300, deadline=None)
+def test_msd_equals_the_python_int_sum_at_the_int64_bound(diff):
+    # values straddle (2**63 - 1) / len(d): the int64 sum on one side, Python ints on the other
+    assert pair_of(diff).msd() == abs(sum(diff))
+
+
 def test_classical_fires_on_any_nonzero():
     assert detect_classical(pair_of([0, 0, 0])).decision == "pass"
     v = detect_classical(pair_of([0, 1, 0]))

@@ -227,3 +227,23 @@ def test_statistical_energy_never_exceeds_classical():
     for pc, ps in zip(res["classical"].points, res["statistical"].points):
         assert ps.recovery_rate <= pc.recovery_rate
         assert ps.energy_total <= pc.energy_total + 1e-12
+
+
+def test_sweep_point_at_top_ber_equals_compare_at_that_ber():
+    # the sweep samples each trial's flips at its highest BER with compare's
+    # per-trial fault seed, so that point scores exactly compare's evidence
+    table = VoltageBerTable(voltages=(0.9, 0.6), bers=(1e-6, 4e-3))
+    window = (12, 31)
+    res = sweep_detectors(
+        SPEC, DETECTORS, [0.9, 0.75, 0.6], EnergyConfig(table=table),
+        trials=40, seed=4, bit_window=window,
+    )
+    fault = FaultConfig(mode="ber", ber=table.ber_at(0.6), bit_window=window)
+    rows = compare_detectors(SPEC, DETECTORS, fault, trials=40, seed=4)
+    # not degenerate: statistical recovers some trials, none misses critical ones
+    assert 0.0 < rows[2].recovery_rate < 1.0 and rows[0].undetected_critical_rate > 0.0
+    for row in rows:
+        top = res[row.detector].points[-1]
+        assert top.ber == fault.ber
+        assert top.recovery_rate == row.recovery_rate
+        assert top.quality_proxy == row.undetected_critical_rate

@@ -3,19 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statabft import faults
 from statabft.faults import (
     FaultConfig,
+    SparseFlips,
     TableFormatError,
     VoltageBerTable,
     apply_fault,
     default_table,
+    geometric_flips,
     inject_uniform,
     replay_events,
     sample_bitflips,
 )
-from statabft.gemm import AccumMatrix
+from statabft.gemm import AccumMatrix, checksum, gemm, predicted_output_checksum
 from statabft.workloads import random_quant_matrix
-from statabft.gemm import gemm
 
 
 def make_output(seed, m=8, n=8, k=8):
@@ -80,6 +82,58 @@ def test_bitflip_rate_statistics():
     flips = sum(len(e.flipped_bits) for e in events)
     expected = y.data.size * 16 * 0.01  # 655 draws expected
     assert 0.7 * expected < flips < 1.3 * expected
+
+
+@pytest.mark.parametrize("n_bits, ber", [(1, 0.5), (500, 0.02), (4096, 0.3), (65536, 1e-4)])
+def test_geometric_flips_do_not_depend_on_chunk_size(monkeypatch, n_bits, ber):
+    idx, u = geometric_flips(17, n_bits, ber)
+    monkeypatch.setattr(faults, "_SKIP_CHUNK", 1)
+    idx1, u1 = geometric_flips(17, n_bits, ber)
+    assert np.array_equal(idx, idx1) and np.array_equal(u, u1)
+    assert np.all(np.diff(idx) > 0) and (idx.size == 0 or 0 <= idx[0] <= idx[-1] < n_bits)
+    assert np.all((0.0 <= u) & (u < ber))
+
+
+def test_geometric_flips_at_ber_zero_and_one():
+    idx, u = geometric_flips(3, 1000, 0.0)
+    assert idx.size == 0 and u.size == 0
+    idx, u = geometric_flips(3, 1000, 1.0)
+    assert np.array_equal(idx, np.arange(1000))
+    assert np.all((0.0 <= u) & (u < 1.0))
+    with pytest.raises(ValueError, match="ber"):
+        geometric_flips(3, 1000, 1.5)
+
+
+def test_geometric_flips_are_bernoulli_per_bit():
+    # a flip count and its thinned share each within 5 standard deviations
+    n_bits, ber = 200_000, 0.25
+    idx, u = geometric_flips(29, n_bits, ber)
+    sd = (n_bits * ber * (1 - ber)) ** 0.5
+    assert abs(idx.size - n_bits * ber) < 5 * sd
+    # bits are alike: every residue class of the index flips at the same rate
+    per_class = np.bincount(idx % 7, minlength=7)
+    assert np.all(np.abs(per_class - n_bits / 7 * ber) < 5 * sd / 7**0.5)
+    kept = int(np.count_nonzero(u < ber / 2))
+    assert abs(kept - idx.size / 2) < 5 * (idx.size / 4) ** 0.5
+
+
+def test_sparse_flips_match_the_dense_sampler():
+    w = random_quant_matrix(12, 40, "uniform", 5)
+    x = random_quant_matrix(40, 9, "outlier", 6)
+    clean = gemm(w, x)
+    cfg = FaultConfig(mode="ber", ber=0.05, bit_window=(8, 31), seed=8)
+    flips = SparseFlips.sample(w, x, cfg.seed, cfg.ber, cfg.bit_window)
+    corrupted, events = sample_bitflips(clean, cfg)
+    # the clean value at each flipped element is the dense product's
+    assert flips.clean and all(
+        v == clean.data.ravel()[e] for e, v in flips.clean.items()
+    )
+    assert flips.events(cfg.ber) == events
+    dense = predicted_output_checksum(w, x).data - checksum(corrupted, "row").data
+    assert np.array_equal(flips.diff(cfg.ber), dense)
+    assert not flips.diff(0.0).any()
+    with pytest.raises(ValueError, match="ber"):
+        flips.events(0.06)
 
 
 def test_event_log_replays_exactly():
