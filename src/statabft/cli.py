@@ -170,7 +170,6 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
         cfg.fault,
         trials=cfg.workload.gemm_count,
         seed=cfg.fault.seed,
-        stat=cfg.stat_unit,
     )
     out = _prepare_out(cfg, "compare", args.out_dir or cfg.output_dir)
     header = [

@@ -21,6 +21,7 @@ from .detectors import (
     DETECTOR_KINDS,
     CriticalRegionParams,
     DetectorSpec,
+    _is_finite_number,
     load_params,
     params_from_doc,
 )
@@ -86,7 +87,7 @@ _PATHS = {
     "output_format": ("output", "format"),
 }
 _RANGE = ("v_min", "v_max", "v_step")
-_TYPE_NAMES = {int: "integer", float: "number", str: "string"}
+_TYPE_NAMES = {int: "integer", str: "string"}
 
 
 def _fail(path, msg: str) -> ConfigError:
@@ -97,8 +98,9 @@ def _fail(path, msg: str) -> ConfigError:
 def _value(path, v, like):
     """``v`` checked against a default value, a type, or a 1-tuple of either.
 
-    Booleans are not numbers. Lists must be non-empty; their items are
-    converted to the item type.
+    Booleans are not numbers, and a float takes only a number that converts to
+    a finite float. Lists must be non-empty; their items are converted to the
+    item type.
     """
     if isinstance(like, CriticalRegionParams):
         doc = _object(path, v, [f.name for f in fields(like)])
@@ -109,7 +111,9 @@ def _value(path, v, like):
         t = like[0] if isinstance(like[0], type) else type(like[0])
         return tuple(t(_value(path, x, t)) for x in v)
     t = like if isinstance(like, type) else type(like)
-    if isinstance(v, bool) or not isinstance(v, (int, float) if t is float else t):
+    if t is float and not _is_finite_number(v):
+        raise _fail(path, f"expected a finite number, got {json.dumps(v)}")
+    if t is not float and (isinstance(v, bool) or not isinstance(v, t)):
         raise _fail(path, f"expected {_TYPE_NAMES[t]}, got {json.dumps(v)}")
     return v
 

@@ -18,9 +18,11 @@ its faults paired across voltages too (common random numbers, for variance
 reduction): each trial's bit flips are sampled once at the sweep's highest
 BER, and a voltage keeps the flips whose thinning uniform lies below the BER
 the voltage/BER table gives it. Detectors read only the checksum difference,
-so the sweep computes the clean output only at flipped elements. Every
-detector is scored on the same checksum evidence. The per-detector optimum
-is the sweep point with minimal energy (ties break toward higher voltage).
+which a trial's fault event log gives per column as ``-sum(after - before)``,
+so comparisons and sweeps alike compute the clean output only at corrupted
+elements and never run the dense GEMM. Every detector is scored on the same
+checksum evidence. The per-detector optimum is the sweep point with minimal
+energy (ties break toward higher voltage).
 """
 
 from __future__ import annotations
@@ -29,14 +31,13 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
-from .detectors import (
-    ChecksumPair,
-    CriticalRegionParams,
-    detect_statistical,
+from .detectors import ChecksumPair, CriticalRegionParams, detect_statistical
+from .faults import (
+    FaultConfig, SparseFlips, VoltageBerTable, checksum_diff, default_table, fault_events
 )
-from .faults import FaultConfig, SparseFlips, VoltageBerTable, default_table
 from .rng import derive_seed
-from .systolic import StatUnitConfig, run_array
+# not called: the benchmark's tracer (perfbench/tracing.py) looks it up in this module
+from .systolic import run_array
 from .workloads import WorkloadSpec, workload_matrices
 
 THREADS_ENV = "REALM_SIM_THREADS"
@@ -164,21 +165,13 @@ def _trial_fault_seed(seed: int, t: int) -> int:
     return derive_seed(seed, _TAG_FAULT, 0, t)
 
 
-def _trial_pairs(
-    spec: WorkloadSpec,
-    trials: int,
-    fault: FaultConfig | None,
-    seed: int,
-    stat: StatUnitConfig | None,
-):
-    """Yield the dense ChecksumPair of each trial of a GEMM stream."""
+def _trial_pairs(spec: WorkloadSpec, trials: int, fault: FaultConfig | None, seed: int):
+    """Yield the ChecksumPair of each trial of a GEMM stream, from its fault log."""
     stream = replace(spec, gemm_count=trials)
     for t in range(trials):
         w, x = workload_matrices(stream, t)
-        if fault is not None:
-            fault = replace(fault, seed=_trial_fault_seed(seed, t))
-        sim = run_array(w, x, fault=fault, stat=stat)
-        yield ChecksumPair.from_vectors(sim.predicted, sim.observed)
+        events = [] if fault is None else fault_events(w, x, fault, _trial_fault_seed(seed, t))
+        yield ChecksumPair.from_diff(checksum_diff(events, x.cols))
 
 
 def _proxy_params(detectors, quality_params):
@@ -223,20 +216,22 @@ def compare_detectors(
     trials: int | None = None,
     seed: int = 0,
     quality_params: CriticalRegionParams | None = None,
-    stat: StatUnitConfig | None = None,
 ) -> list[CompareRow]:
     """Run one GEMM stream at a fixed fault level; score every detector on it.
 
-    The undetected-critical rate counts trials a detector passed whose
-    checksum evidence lies inside the reference critical region
-    (quality_params, defaulting to the statistical detector's own params).
+    Each trial's checksum difference comes from its fault event log alone
+    (``fault_events``, clean values at the corrupted elements only), the same
+    sparse evidence ``sweep_detectors`` scores. The undetected-critical rate
+    counts trials a detector passed whose checksum evidence lies inside the
+    reference critical region (quality_params, defaulting to the statistical
+    detector's own params).
     """
     if trials is None:
         trials = spec.gemm_count
     if trials < 1:
         raise ValueError("trials must be >= 1")
     ref = _proxy_params(detectors, quality_params)
-    pairs = _trial_pairs(spec, trials, fault, seed, stat)
+    pairs = _trial_pairs(spec, trials, fault, seed)
     n, recoveries, undetected, freq_sum, msd_sum = _score_stream(pairs, detectors, ref)
     return [
         CompareRow(
@@ -301,7 +296,7 @@ def sweep_detectors(
 
     def eval_voltage(vi: int) -> list[SweepPoint]:
         v, ber = voltages[vi], bers[vi]
-        pairs = (ChecksumPair.from_diff(f.diff(ber)) for f in flips)
+        pairs = (ChecksumPair.from_diff(checksum_diff(f.events(ber), f.n_cols)) for f in flips)
         n, recoveries, undetected, _, _ = _score_stream(pairs, detectors, ref)
         points = []
         for d, label in zip(detectors, labels):

@@ -21,9 +21,11 @@ Two fault modes:
   deviation is exactly freq * mag, which is what makes this mode useful for
   planting errors of known severity.
 
-Every injection returns the corrupted matrix plus a ground-truth event log;
-``replay_events`` applies a log onto the clean matrix and must reproduce the
-corrupted one bit for bit.
+Each mode builds its ground-truth event log in one place, reading clean values
+only at the elements it touches through a callback ``entries(rows, cols)``.
+``fault_events`` reads them with ``gemm_entries`` (one K-MAC dot product each,
+no dense product); the dense injectors read them from the matrix and return
+it with the log replayed onto it by ``replay_events``.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -139,11 +142,6 @@ def geometric_flips(seed: int, n_bits: int, ber: float) -> tuple[np.ndarray, np.
         last, done, chunk = int(idx[-1]), done + chunk, 2 * chunk
 
 
-def _window_bits(mask: int, bit_window: tuple[int, int]) -> tuple[int, ...]:
-    lo, hi = bit_window
-    return tuple(b for b in range(lo, hi + 1) if mask & (1 << b))
-
-
 def _flip_sites(seed: int, n_elements: int, bit_window: tuple[int, int], ber: float):
     """Element index, bit mask and thinning uniform of every flipped bit."""
     lo, hi = bit_window
@@ -153,46 +151,12 @@ def _flip_sites(seed: int, n_elements: int, bit_window: tuple[int, int], ber: fl
     return elements, np.left_shift(np.uint32(1), (bits + lo).astype(np.uint32)), u
 
 
-def sample_bitflips(
-    y: AccumMatrix, cfg: FaultConfig, seed: int | None = None
-) -> tuple[AccumMatrix, list[ErrorEvent]]:
-    """Apply per-bit Bernoulli flips inside cfg.bit_window to every element."""
-    if cfg.mode != BER_MODE:
-        raise ValueError(f"sample_bitflips needs mode='ber', got {cfg.mode!r}")
-    if seed is None:
-        seed = cfg.seed
-
-    flat = y.data.ravel()
-    n = flat.size
-    elements, bit_masks, _ = _flip_sites(seed, n, cfg.bit_window, cfg.ber)
-    masks = np.zeros(n, dtype=np.uint32)
-    np.bitwise_or.at(masks, elements, bit_masks)
-
-    corrupted = (flat.view(np.uint32) ^ masks).view(np.int32)
-    out = AccumMatrix(corrupted.reshape(y.data.shape))
-
-    events = []
-    cols = y.data.shape[1]
-    for idx in np.nonzero(masks)[0]:
-        events.append(
-            ErrorEvent(
-                row=int(idx) // cols,
-                col=int(idx) % cols,
-                before=int(flat[idx]),
-                after=int(corrupted[idx]),
-                flipped_bits=_window_bits(int(masks[idx]), cfg.bit_window),
-            )
-        )
-    return out, events
-
-
 @dataclass(frozen=True, eq=False)
 class SparseFlips:
-    """One GEMM's bit flips at a top BER, each with the clean value it hits.
+    """One output's bit flips at a top BER, each with the clean value it hits.
 
     Holds O(flips) data and no output matrix: ``events(ber)`` thins the flips
-    to any ``ber`` up to the top one, and ``diff(ber)`` is the checksum
-    difference those events leave, predicted minus observed per column.
+    to any ``ber`` up to the top one.
     """
 
     n_cols: int
@@ -202,50 +166,105 @@ class SparseFlips:
     clean: dict[int, int]  # element -> clean output value
 
     @classmethod
-    def sample(
-        cls,
-        w: QuantMatrix,
-        x: QuantMatrix,
-        seed: int,
-        ber: float,
-        bit_window: tuple[int, int] = (16, 31),
-    ) -> "SparseFlips":
-        """The flips ``sample_bitflips`` makes in W @ X at (seed, ber, bit_window)."""
-        n_cols = x.cols
-        elements, masks, u = _flip_sites(seed, w.rows * n_cols, bit_window, ber)
-        rows, cols = np.divmod(elements, n_cols)
-        clean = dict(zip(elements.tolist(), gemm_entries(w, x, rows, cols).tolist()))
+    def draw(cls, n_rows: int, n_cols: int, entries, seed: int, ber: float, bit_window):
+        """The flips at (seed, ber, bit_window) in an n_rows x n_cols output.
+
+        ``entries(rows, cols)`` gives the clean values at the flipped elements.
+        """
+        elements, masks, u = _flip_sites(seed, n_rows * n_cols, bit_window, ber)
+        clean = dict(zip(elements.tolist(), entries(*np.divmod(elements, n_cols)).tolist()))
         flips = tuple(zip(elements.tolist(), masks.tolist(), u.tolist()))
         return cls(n_cols=n_cols, ber=ber, bit_window=bit_window, flips=flips, clean=clean)
 
+    @classmethod
+    def sample(
+        cls, w: QuantMatrix, x: QuantMatrix, seed: int, ber: float, bit_window=(16, 31)
+    ) -> "SparseFlips":
+        """The flips ``sample_bitflips`` makes in W @ X at (seed, ber, bit_window)."""
+        return cls.draw(w.rows, x.cols, partial(gemm_entries, w, x), seed, ber, bit_window)
+
     def events(self, ber: float) -> list[ErrorEvent]:
-        """The corrupted elements at ``ber``, logged as ``sample_bitflips`` logs them."""
+        """The corrupted elements at ``ber``, in row-major order."""
         if not 0.0 <= ber <= self.ber:
             raise ValueError(f"ber must be in [0, {self.ber}], got {ber}")
         masks: dict[int, int] = {}
         for element, mask, u in self.flips:
             if u < ber:
                 masks[element] = masks.get(element, 0) | mask
-        events = []
-        for element, mask in masks.items():
-            before = self.clean[element]
-            events.append(
-                ErrorEvent(
-                    row=element // self.n_cols,
-                    col=element % self.n_cols,
-                    before=before,
-                    after=_wrap_int32(before ^ mask),
-                    flipped_bits=_window_bits(mask, self.bit_window),
-                )
+        lo, hi = self.bit_window
+        return [
+            ErrorEvent(
+                row=element // self.n_cols,
+                col=element % self.n_cols,
+                before=self.clean[element],
+                after=_wrap_int32(self.clean[element] ^ mask),
+                flipped_bits=tuple(b for b in range(lo, hi + 1) if mask >> b & 1),
             )
-        return events
+            for element, mask in masks.items()
+        ]
 
-    def diff(self, ber: float) -> np.ndarray:
-        """Per-column checksum difference at ``ber``: ``-sum(after - before)``."""
-        d = np.zeros(self.n_cols, dtype=np.int64)
-        for e in self.events(ber):
-            d[e.col] -= e.after - e.before
-        return d
+
+def _uniform_events(n_rows: int, n_cols: int, entries, seed: int, freq: int, mag: int):
+    """``mag`` added (wrapping in INT32) to ``freq`` distinct elements chosen uniformly.
+
+    Each element gets one SplitMix64 priority draw (row-major order, same
+    stream discipline as the BER mode) and the ``freq`` smallest priorities
+    are corrupted, which selects position sets uniformly. ``entries(rows,
+    cols)`` gives the clean values there. freq == 0 or mag == 0 logs nothing.
+    """
+    n = n_rows * n_cols
+    if freq > n:
+        raise ValueError(f"freq {freq} exceeds element count {n}")
+    if freq == 0 or mag == 0:
+        return []
+    priority = u64_stream(seed, n)
+    if freq < n:
+        positions = np.sort(np.argpartition(priority, freq)[:freq])
+    else:
+        positions = np.arange(n)
+    rows, cols = np.divmod(positions, n_cols)
+    before = entries(rows, cols).astype(np.int64)
+    after = _wrap_int32(before + mag)
+    return [ErrorEvent(*e) for e in zip(*(a.tolist() for a in (rows, cols, before, after)))]
+
+
+def _events(n_rows: int, n_cols: int, entries, cfg: FaultConfig, seed: int | None):
+    """The event log of ``cfg`` on an n_rows x n_cols output, from its mode's builder."""
+    if seed is None:
+        seed = cfg.seed
+    if cfg.mode == BER_MODE:
+        flips = SparseFlips.draw(n_rows, n_cols, entries, seed, cfg.ber, cfg.bit_window)
+        return flips.events(cfg.ber)
+    return _uniform_events(n_rows, n_cols, entries, seed, cfg.freq, cfg.mag)
+
+
+def fault_events(
+    w: QuantMatrix, x: QuantMatrix, cfg: FaultConfig, seed: int | None = None
+) -> list[ErrorEvent]:
+    """The log ``apply_fault(gemm(w, x), cfg, seed)`` leaves, without the dense product."""
+    return _events(w.rows, x.cols, partial(gemm_entries, w, x), cfg, seed)
+
+
+def checksum_diff(events: list[ErrorEvent], n_cols: int) -> np.ndarray:
+    """Per-column checksum difference an event log leaves: ``-sum(after - before)``."""
+    d = np.zeros(n_cols, dtype=np.int64)
+    for e in events:
+        d[e.col] -= e.after - e.before
+    return d
+
+
+def _replayed(y: AccumMatrix, cfg: FaultConfig, seed: int | None, mode: str, name: str):
+    if cfg.mode != mode:
+        raise ValueError(f"{name} needs mode={mode!r}, got {cfg.mode!r}")
+    events = _events(*y.data.shape, lambda rows, cols: y.data[rows, cols], cfg, seed)
+    return replay_events(y, events), events
+
+
+def sample_bitflips(
+    y: AccumMatrix, cfg: FaultConfig, seed: int | None = None
+) -> tuple[AccumMatrix, list[ErrorEvent]]:
+    """Apply per-bit Bernoulli flips inside cfg.bit_window to every element."""
+    return _replayed(y, cfg, seed, BER_MODE, "sample_bitflips")
 
 
 def inject_uniform(
@@ -253,39 +272,9 @@ def inject_uniform(
 ) -> tuple[AccumMatrix, list[ErrorEvent]]:
     """Add cfg.mag to exactly cfg.freq distinct elements, chosen uniformly.
 
-    Each element gets one SplitMix64 priority draw (row-major order, same
-    stream discipline as the BER mode) and the cfg.freq smallest priorities
-    are corrupted, which selects position sets uniformly. mag == 0 or
-    freq == 0 yields an untouched copy and an empty log.
+    mag == 0 or freq == 0 yields an untouched copy and an empty log.
     """
-    if cfg.mode != UNIFORM_MODE:
-        raise ValueError(f"inject_uniform needs mode='uniform', got {cfg.mode!r}")
-    if seed is None:
-        seed = cfg.seed
-    n = y.data.size
-    if cfg.freq > n:
-        raise ValueError(f"freq {cfg.freq} exceeds element count {n}")
-    out_data = y.data.copy()
-    if cfg.freq == 0 or cfg.mag == 0:
-        return AccumMatrix(out_data), []
-
-    priority = u64_stream(seed, n)
-    if cfg.freq < n:
-        positions = np.sort(np.argpartition(priority, cfg.freq)[: cfg.freq])
-    else:
-        positions = np.arange(n)
-
-    flat = out_data.ravel()
-    cols = y.data.shape[1]
-    events = []
-    for pos in positions:
-        before = int(flat[pos])
-        after = _wrap_int32(before + cfg.mag)
-        flat[pos] = after
-        events.append(
-            ErrorEvent(row=int(pos) // cols, col=int(pos) % cols, before=before, after=after)
-        )
-    return AccumMatrix(out_data), events
+    return _replayed(y, cfg, seed, UNIFORM_MODE, "inject_uniform")
 
 
 def apply_fault(

@@ -5,8 +5,8 @@ first violation. These are the properties the whole methodology leans on:
 exact checksum identities, agreement between the datapath-level
 statistical unit and the reference detector, fault-log soundness, the
 MSD = freq * mag relation for uniform injections, voltage/BER table
-interpolation behavior, and the sweep's sparse checksum evidence against
-the dense product.
+interpolation behavior, and the sparse checksum evidence that compare and
+sweep score, against the dense product in both fault modes.
 """
 
 from __future__ import annotations
@@ -18,13 +18,8 @@ import numpy as np
 
 from .detectors import ChecksumPair, CriticalRegionParams, detect_statistical
 from .faults import (
-    FaultConfig,
-    SparseFlips,
-    VoltageBerTable,
-    apply_fault,
-    default_table,
-    replay_events,
-    sample_bitflips,
+    INT32_MAX, INT32_MIN, FaultConfig, SparseFlips, VoltageBerTable, apply_fault, checksum_diff,
+    default_table, fault_events, inject_uniform, replay_events, sample_bitflips,
 )
 from .gemm import checksum, gemm, predicted_column_checksum, predicted_output_checksum, total_checksum
 from .rng import derive_seed, u64_stream
@@ -248,48 +243,62 @@ def check_lzc_band(cases: int, seed: int) -> CheckResult:
     return CheckResult("lzc-agreement-band", cases, True)
 
 
-def check_sparse_evidence(cases: int, seed: int) -> CheckResult:
-    """Flips thinned from one draw give the dense checksum difference at every BER.
+def _sparse_evidence_failure(s: int) -> str:
+    """How case ``s`` breaks the sparse evidence (see below), or '' if it holds."""
+    m, k, n = _dims(s)
+    w = random_quant_matrix(m, k, "uniform", derive_seed(s, 0))
+    x = random_quant_matrix(k, n, "uniform", derive_seed(s, 1))
+    clean = gemm(w, x)
+    predicted = predicted_output_checksum(w, x).data
+    top = 10.0 ** -(1 + int(u64_stream(s, 1)[0] % np.uint64(3)))
+    fault = FaultConfig(mode="ber", ber=top, seed=derive_seed(s, 2))
+    flips = SparseFlips.sample(w, x, fault.seed, top, fault.bit_window)
+    if flips.events(top) != sample_bitflips(clean, fault)[1]:
+        return "top-BER events differ from dense"
+    above = None
+    for ber in (top, top / 3, top / 10, top / 100, 0.0):
+        kept = flips.events(ber)
+        dense = predicted - checksum(replay_events(clean, kept), "row").data
+        # a logged value differs from the clean one in exactly the logged bits
+        bits = all(
+            (e.before ^ e.after) & 0xFFFFFFFF == sum(1 << b for b in e.flipped_bits) for e in kept
+        )
+        if not (bits and np.array_equal(checksum_diff(kept, n), dense)):
+            return f"sparse difference != dense at ber {ber:g}"
+        sites = {(e.row, e.col) for e in kept}
+        if ber == 0.0 and sites:
+            return "flips kept at ber 0"
+        if above is not None and not sites <= above:
+            return f"flips at ber {ber:g} not nested in the higher BER's"
+        above = sites
+    freq = m * n if s % 4 == 0 else int(u64_stream(s, 2)[1] % np.uint64(m * n + 1))
+    mag = INT32_MAX if s % 3 else INT32_MIN  # adding an INT32 edge wraps often
+    uniform = FaultConfig(mode="uniform", freq=freq, mag=mag, seed=derive_seed(s, 3))
+    events = fault_events(w, x, uniform)
+    ref = clean.data.copy()  # numpy's own INT32 addition wraps
+    ref[[e.row for e in events], [e.col for e in events]] += np.int32(mag)
+    if (
+        not np.array_equal(checksum_diff(events, n), predicted - ref.sum(0, dtype=np.int64))
+        or len({(e.row, e.col) for e in events}) != freq
+        or events != inject_uniform(clean, uniform)[1]
+    ):
+        return "uniform log != dense"
+    return ""
 
-    At the top BER the sparse events are ``sample_bitflips``'s own; as the
-    BER drops, the corrupted elements form nested sets, empty at BER 0.
+
+def check_sparse_evidence(cases: int, seed: int) -> CheckResult:
+    """Logs built from clean values at the touched elements give the dense difference.
+
+    BER: at the top BER the sparse events are ``sample_bitflips``'s own; as
+    the BER drops, the corrupted elements form nested sets, empty at BER 0.
     Recovery rates are not checked for monotonicity: two flips in one column
-    can cancel to d_j = 0.
+    can cancel to d_j = 0. Uniform: ``fault_events`` is ``inject_uniform``'s
+    log, at INT32-edge magnitudes that wrap and up to every element corrupted.
     """
     for c in range(cases):
-        s = derive_seed(seed, 8, c)
-        m, k, n = _dims(s)
-        w = random_quant_matrix(m, k, "uniform", derive_seed(s, 0))
-        x = random_quant_matrix(k, n, "uniform", derive_seed(s, 1))
-        clean = gemm(w, x)
-        predicted = predicted_output_checksum(w, x).data
-        top = 10.0 ** -(1 + int(u64_stream(s, 1)[0] % np.uint64(3)))
-        fault = FaultConfig(mode="ber", ber=top, seed=derive_seed(s, 2))
-        flips = SparseFlips.sample(w, x, fault.seed, top, fault.bit_window)
-        if flips.events(top) != sample_bitflips(clean, fault)[1]:
-            return CheckResult(
-                "sparse-evidence", c + 1, False, f"top-BER events differ from dense at case {c}"
-            )
-        above = None
-        for ber in (top, top / 3, top / 10, top / 100, 0.0):
-            kept = flips.events(ber)
-            dense = predicted - checksum(replay_events(clean, kept), "row").data
-            if not np.array_equal(flips.diff(ber), dense):
-                return CheckResult(
-                    "sparse-evidence", c + 1, False,
-                    f"sparse difference != dense at ber {ber:g}, case {c}",
-                )
-            sites = {(e.row, e.col) for e in kept}
-            if ber == 0.0 and sites:
-                return CheckResult(
-                    "sparse-evidence", c + 1, False, f"flips kept at ber 0 at case {c}"
-                )
-            if above is not None and not sites <= above:
-                return CheckResult(
-                    "sparse-evidence", c + 1, False,
-                    f"flips at ber {ber:g} not nested in the higher BER's at case {c}",
-                )
-            above = sites
+        failure = _sparse_evidence_failure(derive_seed(seed, 8, c))
+        if failure:
+            return CheckResult("sparse-evidence", c + 1, False, f"{failure} at case {c}")
     return CheckResult("sparse-evidence", cases, True)
 
 

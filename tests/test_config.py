@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 
@@ -243,6 +244,12 @@ def test_experiment_config_default_constructible():
         ({"fault": {"bit_window": ["a", 31]}}, "fault.bit_window"),
         ({"calibrate": {"freq_axis": 4}}, "calibrate.freq_axis"),
         ({"output": {"format": "xml"}}, "output.format"),
+        ({"energy": {"v_nom": math.inf}}, "energy.v_nom: expected a finite number"),
+        ({"energy": {"v_nom": 10**400}}, "energy.v_nom: expected a finite number"),
+        ({"energy": {"detect_overhead": math.inf}}, "energy.detect_overhead"),
+        ({"energy": {"e_mac_nom": math.inf}}, "energy.e_mac_nom"),
+        ({"fault": {"ber": math.nan}}, "fault.ber"),
+        ({"sweep": {"voltages": [0.8, -math.inf]}}, "sweep.voltages"),
     ],
 )
 def test_json_types_rejected_at_their_key(doc, key):
@@ -294,3 +301,11 @@ def test_params_too_large_for_a_float_exit_two(tmp_path, capsys):
     path.write_text('{"detector": {"params": {"a": 1' + "0" * 400 + ', "b": 40, "theta_freq": 4}}}')
     assert main(["--config", str(path), "compare"]) == 2
     assert "detector.params.a: must be a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["Infinity", "1e400", "1" + "0" * 400])
+def test_non_finite_float_values_exit_two(tmp_path, capsys, value):
+    path = tmp_path / "c.json"
+    path.write_text('{"energy": {"v_nom": ' + value + "}}")
+    assert main(["--config", str(path), "sweep"]) == 2
+    assert "energy.v_nom: expected a finite number" in capsys.readouterr().err

@@ -1,11 +1,15 @@
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from statabft.detectors import CriticalRegionParams, DetectorSpec
 from statabft.energy import (
     EnergyConfig,
     SweepPoint,
+    _trial_fault_seed,
+    _trial_pairs,
     compare_detectors,
     compute_energy,
     energy_saving,
@@ -14,8 +18,9 @@ from statabft.energy import (
     sweep_detectors,
     total_energy,
 )
-from statabft.faults import FaultConfig, VoltageBerTable
-from statabft.workloads import WorkloadSpec
+from statabft.faults import FaultConfig, VoltageBerTable, checksum_diff, fault_events
+from statabft.systolic import run_array
+from statabft.workloads import WorkloadSpec, workload_matrices
 
 P = CriticalRegionParams(a=2.0, b=40.0, theta_freq=4)
 DETECTORS = (
@@ -247,3 +252,34 @@ def test_sweep_point_at_top_ber_equals_compare_at_that_ber():
         assert top.ber == fault.ber
         assert top.recovery_rate == row.recovery_rate
         assert top.quality_proxy == row.undetected_critical_rate
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        FaultConfig(mode="ber", ber=2e-3),
+        FaultConfig(mode="ber", ber=2e-2, bit_window=(0, 31)),
+        FaultConfig(mode="uniform", freq=5, mag=70000),
+        FaultConfig(mode="uniform", freq=SPEC.m * SPEC.n, mag=2**31 - 1),
+        None,
+    ],
+    ids=["ber-16-31", "ber-0-31", "uniform", "uniform-all-wrap", "clean"],
+)
+def test_compare_evidence_equals_the_dense_oracle(fault):
+    # compare scores each trial from its fault log alone; the dense run_array,
+    # given the same per-trial fault seed, corrupts the whole product
+    pairs = list(_trial_pairs(SPEC, SPEC.gemm_count, fault, 3))
+    assert len(pairs) == SPEC.gemm_count
+    wrapped = 0
+    for t, pair in enumerate(pairs):
+        w, x = workload_matrices(SPEC, t)
+        seeded = None if fault is None else replace(fault, seed=_trial_fault_seed(3, t))
+        sim = run_array(w, x, fault=seeded)
+        assert np.array_equal(pair.diff, sim.predicted.data - sim.observed.data)
+        events = [] if fault is None else fault_events(w, x, fault, _trial_fault_seed(3, t))
+        assert np.array_equal(checksum_diff(events, x.cols), pair.diff)
+        if seeded is not None and seeded.mode == "uniform":
+            wrapped += sum(e.after - e.before != seeded.mag for e in events)
+    assert any(p.diff.any() for p in pairs) == (fault is not None)
+    if fault is not None and fault.mag == 2**31 - 1:
+        assert wrapped > 0  # the INT32 wrap is exercised

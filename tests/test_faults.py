@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,9 @@ from statabft.faults import (
     TableFormatError,
     VoltageBerTable,
     apply_fault,
+    checksum_diff,
     default_table,
+    fault_events,
     geometric_flips,
     inject_uniform,
     replay_events,
@@ -130,10 +134,28 @@ def test_sparse_flips_match_the_dense_sampler():
     )
     assert flips.events(cfg.ber) == events
     dense = predicted_output_checksum(w, x).data - checksum(corrupted, "row").data
-    assert np.array_equal(flips.diff(cfg.ber), dense)
-    assert not flips.diff(0.0).any()
+    assert np.array_equal(checksum_diff(flips.events(cfg.ber), flips.n_cols), dense)
+    assert not checksum_diff(flips.events(0.0), flips.n_cols).any()
     with pytest.raises(ValueError, match="ber"):
         flips.events(0.06)
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        FaultConfig(mode="ber", ber=0.01, bit_window=(4, 31)),
+        FaultConfig(mode="uniform", freq=7, mag=-(2**31)),
+    ],
+    ids=["ber", "uniform"],
+)
+def test_fault_events_equal_the_dense_injectors_log(cfg):
+    # the same builder per mode, fed gemm_entries instead of the dense product
+    w = random_quant_matrix(10, 24, "outlier", 3)
+    x = random_quant_matrix(24, 12, "uniform", 4)
+    for s in range(6):
+        events = fault_events(w, x, cfg, s)
+        assert events and events == apply_fault(gemm(w, x), cfg, s)[1]
+    assert fault_events(w, x, replace(cfg, seed=s)) == events
 
 
 def test_event_log_replays_exactly():
