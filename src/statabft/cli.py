@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .calibration import (
 )
 from .config import ConfigError, ExperimentConfig, load_config, override_seed, resolved_dict
 from .detectors import ChecksumPair, save_params
-from .energy import compare_detectors, energy_saving, sweep_detectors
+from .energy import CompareRow, SweepPoint, compare_detectors, energy_saving, sweep_detectors
 from .faults import TableFormatError
 from .gemm import AccumMatrix
 from .rng import derive_seed
@@ -172,19 +172,8 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
         seed=cfg.fault.seed,
     )
     out = _prepare_out(cfg, "compare", args.out_dir or cfg.output_dir)
-    header = [
-        "detector",
-        "trials",
-        "recovery_rate",
-        "undetected_critical_rate",
-        "mean_freq_eff",
-        "mean_msd",
-    ]
-    table = [
-        [r.detector, r.trials, r.recovery_rate, r.undetected_critical_rate,
-         r.mean_freq_eff, r.mean_msd]
-        for r in rows
-    ]
+    header = [f.name for f in fields(CompareRow)]
+    table = [astuple(r) for r in rows]
     path = _write_table(out, "detectors", cfg.output_format, header, table)
     for r in rows:
         print(
@@ -207,28 +196,10 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
         bit_window=cfg.fault.bit_window,
     )
     out = _prepare_out(cfg, "sweep", args.out_dir or cfg.output_dir)
-    header = [
-        "voltage",
-        "ber",
-        "recovery_rate",
-        "energy_total",
-        "latency_factor",
-        "quality_proxy",
-        "detector",
-    ]
-    rows = []
+    header = [f.name for f in fields(SweepPoint)]
+    rows = [astuple(p) for res in results.values() for p in res.points]
     for res in results.values():
-        for p in res.points:
-            rows.append(
-                [p.voltage, p.ber, p.recovery_rate, p.energy_total,
-                 p.latency_factor, p.quality_proxy, p.detector]
-            )
-    for res in results.values():
-        p = res.optimum
-        rows.append(
-            [p.voltage, p.ber, p.recovery_rate, p.energy_total,
-             p.latency_factor, p.quality_proxy, f"{p.detector}_optimum"]
-        )
+        rows.append(astuple(replace(res.optimum, detector=f"{res.optimum.detector}_optimum")))
     path = _write_table(out, "sweep", cfg.output_format, header, rows)
 
     classical = results.get("classical")
@@ -275,33 +246,14 @@ def cmd_inject(cfg: ExperimentConfig, args) -> int:
         "shape": {"m": spec.m, "k": spec.k, "n": spec.n},
         "cycles": sim.cycles,
         "fault": resolved_dict(cfg)["fault"],
-        "events": [
-            {
-                "row": e.row,
-                "col": e.col,
-                "before": e.before,
-                "after": e.after,
-                "flipped_bits": list(e.flipped_bits),
-            }
-            for e in sim.events
-        ],
+        "events": [asdict(e) for e in sim.events],
         "predicted_checksum": sim.predicted.data,
         "observed_checksum": sim.observed.data,
         "diff": pair.diff,
-        "stat_unit": {
-            "detector": sim.verdict.detector,
-            "msd": sim.verdict.msd,
-            "theta_mag": sim.verdict.theta_mag,
-            "freq_eff": sim.verdict.freq_eff,
-            "decision": sim.verdict.decision,
-        },
+        "stat_unit": asdict(sim.verdict),
+        # keyed by kind, so each verdict's own detector name is left out
         "verdicts": {
-            kind: {
-                "msd": v.msd,
-                "theta_mag": v.theta_mag,
-                "freq_eff": v.freq_eff,
-                "decision": v.decision,
-            }
+            kind: {k: x for k, x in asdict(v).items() if k != "detector"}
             for kind, v in verdicts.items()
         },
     }

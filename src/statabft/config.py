@@ -11,6 +11,7 @@ reason, and maps to exit code 2 at the CLI.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
@@ -63,6 +64,10 @@ class ExperimentConfig:
             raise ValueError(f"detector_set must list unique kinds from {DETECTOR_KINDS}")
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"output_format must be 'csv' or 'json', got {self.output_format!r}")
+        # (3 + detect_overhead) nominal GEMMs bound every energy a sweep reports
+        nominal = self.workload.macs_per_gemm * self.energy.e_mac_nom
+        if not math.isfinite(nominal * (3 + self.energy.detect_overhead)):
+            raise ValueError("energy e_mac_nom and detect_overhead overflow the per-GEMM energy")
 
     def voltages(self) -> tuple[float, ...]:
         if self.sweep_voltages:

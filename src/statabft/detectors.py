@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -254,12 +254,7 @@ class DetectorSpec:
 
 def save_params(params: CriticalRegionParams, path: str, provenance: str = "") -> None:
     """Write calibrated parameters as a small JSON document."""
-    doc = {
-        "a": params.a,
-        "b": params.b,
-        "theta_freq": params.theta_freq,
-        "provenance": provenance,
-    }
+    doc = {**asdict(params), "provenance": provenance}
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")

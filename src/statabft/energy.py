@@ -31,9 +31,18 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
-from .detectors import ChecksumPair, CriticalRegionParams, detect_statistical
+from .detectors import (
+    ChecksumPair,
+    CriticalRegionParams,
+    detect_statistical,
+)
 from .faults import (
-    FaultConfig, SparseFlips, VoltageBerTable, checksum_diff, default_table, fault_events
+    FaultConfig,
+    SparseFlips,
+    VoltageBerTable,
+    checksum_diff,
+    default_table,
+    fault_events,
 )
 from .rng import derive_seed
 # not called: the benchmark's tracer (perfbench/tracing.py) looks it up in this module

@@ -178,7 +178,12 @@ class SparseFlips:
 
     @classmethod
     def sample(
-        cls, w: QuantMatrix, x: QuantMatrix, seed: int, ber: float, bit_window=(16, 31)
+        cls,
+        w: QuantMatrix,
+        x: QuantMatrix,
+        seed: int,
+        ber: float,
+        bit_window: tuple[int, int] = (16, 31),
     ) -> "SparseFlips":
         """The flips ``sample_bitflips`` makes in W @ X at (seed, ber, bit_window)."""
         return cls.draw(w.rows, x.cols, partial(gemm_entries, w, x), seed, ber, bit_window)

@@ -24,6 +24,9 @@ import numpy as np
 
 MAX_INNER_DIM = 2**16
 
+# int64 values per operand block gathered by gemm_entries (2 MiB each)
+_ENTRY_BLOCK = 2**18
+
 ROW = "row"
 COLUMN = "column"
 _SIDES = (ROW, COLUMN)
@@ -168,15 +171,22 @@ def gemm(w: QuantMatrix, x: QuantMatrix) -> AccumMatrix:
 def gemm_entries(w: QuantMatrix, x: QuantMatrix, rows, cols) -> np.ndarray:
     """Entries (rows[i], cols[i]) of W @ X: one exact K-MAC dot product each.
 
-    Equal to ``gemm(w, x).data[rows, cols]`` without the dense product.
+    Equal to ``gemm(w, x).data[rows, cols]`` without the dense product. The
+    operand rows and columns are gathered in blocks of at most
+    ``_ENTRY_BLOCK`` values each, so memory stays bounded however many
+    entries are asked for.
     """
     if w.cols != x.rows:
         raise ValueError(f"inner dimensions differ: {w.cols} vs {x.rows}")
     if w.cols > MAX_INNER_DIM:
         raise ValueError(f"inner dimension {w.cols} exceeds {MAX_INNER_DIM}")
-    a = w.data[rows].astype(np.int64)
-    b = x.data[:, cols].astype(np.int64)
-    return np.einsum("ik,ki->i", a, b)
+    out = np.zeros(len(rows), dtype=np.int64)
+    step = max(_ENTRY_BLOCK // w.cols, 1)
+    for i in range(0, len(rows), step):
+        a = w.data[rows[i : i + step]].astype(np.int64)
+        b = x.data[:, cols[i : i + step]].astype(np.int64)
+        out[i : i + step] = np.einsum("ik,ki->i", a, b)
+    return out
 
 
 def checksum(m: QuantMatrix | AccumMatrix, side: str = ROW) -> ChecksumVector:

@@ -18,10 +18,26 @@ import numpy as np
 
 from .detectors import ChecksumPair, CriticalRegionParams, detect_statistical
 from .faults import (
-    INT32_MAX, INT32_MIN, FaultConfig, SparseFlips, VoltageBerTable, apply_fault, checksum_diff,
-    default_table, fault_events, inject_uniform, replay_events, sample_bitflips,
+    INT32_MAX,
+    INT32_MIN,
+    FaultConfig,
+    SparseFlips,
+    VoltageBerTable,
+    apply_fault,
+    checksum_diff,
+    default_table,
+    fault_events,
+    inject_uniform,
+    sample_bitflips,
 )
-from .gemm import checksum, gemm, predicted_column_checksum, predicted_output_checksum, total_checksum
+from .gemm import (
+    AccumMatrix,
+    checksum,
+    gemm,
+    predicted_column_checksum,
+    predicted_output_checksum,
+    total_checksum,
+)
 from .rng import derive_seed, u64_stream
 from .systolic import StatUnitConfig, statistical_unit, floor_log2, _theta_fixed
 from .workloads import random_quant_matrix
@@ -117,6 +133,22 @@ def check_stat_unit_reference(cases: int, seed: int) -> CheckResult:
     return CheckResult("stat-unit-reference", cases, True)
 
 
+def _applied(y: AccumMatrix, events, cfg: FaultConfig) -> np.ndarray:
+    """``y`` with each logged fault applied by numpy, not read from ``after``.
+
+    BER XORs in the logged bits; uniform adds ``mag`` by numpy's own wrapping
+    INT32 addition. A log is sound when this reproduces the corrupted output.
+    """
+    out = y.data.copy()
+    at = ([e.row for e in events], [e.col for e in events])
+    if cfg.mode == "ber":
+        masks = [sum(1 << b for b in e.flipped_bits) for e in events]
+        out[at] ^= np.array(masks, dtype=np.uint32).view(np.int32)
+    else:
+        out[at] += np.int32(cfg.mag)
+    return out
+
+
 def check_event_replay(cases: int, seed: int) -> CheckResult:
     for c in range(cases):
         s = derive_seed(seed, 4, c)
@@ -132,7 +164,7 @@ def check_event_replay(cases: int, seed: int) -> CheckResult:
                 mode="uniform", freq=freq, mag=1 << 20, seed=derive_seed(s, 2)
             )
         corrupted, events = apply_fault(y, cfg)
-        if replay_events(y, events) != corrupted:
+        if not np.array_equal(corrupted.data, _applied(y, events, cfg)):
             return CheckResult(
                 "event-replay", c + 1, False, f"log does not reproduce corruption at case {c}"
             )
@@ -146,8 +178,6 @@ def check_event_replay(cases: int, seed: int) -> CheckResult:
 
 
 def check_uniform_msd_relation(cases: int, seed: int) -> CheckResult:
-    from .gemm import AccumMatrix
-
     zero = AccumMatrix(np.zeros((16, 16), dtype=np.int32))
     for c in range(cases):
         s = derive_seed(seed, 5, c)
@@ -258,12 +288,8 @@ def _sparse_evidence_failure(s: int) -> str:
     above = None
     for ber in (top, top / 3, top / 10, top / 100, 0.0):
         kept = flips.events(ber)
-        dense = predicted - checksum(replay_events(clean, kept), "row").data
-        # a logged value differs from the clean one in exactly the logged bits
-        bits = all(
-            (e.before ^ e.after) & 0xFFFFFFFF == sum(1 << b for b in e.flipped_bits) for e in kept
-        )
-        if not (bits and np.array_equal(checksum_diff(kept, n), dense)):
+        dense = predicted - _applied(clean, kept, fault).sum(0, dtype=np.int64)
+        if not np.array_equal(checksum_diff(kept, n), dense):
             return f"sparse difference != dense at ber {ber:g}"
         sites = {(e.row, e.col) for e in kept}
         if ber == 0.0 and sites:
@@ -275,10 +301,9 @@ def _sparse_evidence_failure(s: int) -> str:
     mag = INT32_MAX if s % 3 else INT32_MIN  # adding an INT32 edge wraps often
     uniform = FaultConfig(mode="uniform", freq=freq, mag=mag, seed=derive_seed(s, 3))
     events = fault_events(w, x, uniform)
-    ref = clean.data.copy()  # numpy's own INT32 addition wraps
-    ref[[e.row for e in events], [e.col for e in events]] += np.int32(mag)
+    dense = predicted - _applied(clean, events, uniform).sum(0, dtype=np.int64)
     if (
-        not np.array_equal(checksum_diff(events, n), predicted - ref.sum(0, dtype=np.int64))
+        not np.array_equal(checksum_diff(events, n), dense)
         or len({(e.row, e.col) for e in events}) != freq
         or events != inject_uniform(clean, uniform)[1]
     ):

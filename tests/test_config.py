@@ -248,6 +248,8 @@ def test_experiment_config_default_constructible():
         ({"energy": {"v_nom": 10**400}}, "energy.v_nom: expected a finite number"),
         ({"energy": {"detect_overhead": math.inf}}, "energy.detect_overhead"),
         ({"energy": {"e_mac_nom": math.inf}}, "energy.e_mac_nom"),
+        ({"energy": {"detect_overhead": 1e308}}, "energy: e_mac_nom and detect_overhead overflow"),
+        ({"energy": {"e_mac_nom": 1e304}}, "energy: e_mac_nom and detect_overhead overflow"),
         ({"fault": {"ber": math.nan}}, "fault.ber"),
         ({"sweep": {"voltages": [0.8, -math.inf]}}, "sweep.voltages"),
     ],
@@ -309,3 +311,10 @@ def test_non_finite_float_values_exit_two(tmp_path, capsys, value):
     path.write_text('{"energy": {"v_nom": ' + value + "}}")
     assert main(["--config", str(path), "sweep"]) == 2
     assert "energy.v_nom: expected a finite number" in capsys.readouterr().err
+
+
+def test_finite_energies_that_overflow_exit_two(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text('{"energy": {"detect_overhead": 1e308}}')
+    assert main(["--config", str(path), "sweep"]) == 2
+    assert "energy: e_mac_nom and detect_overhead overflow" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -283,3 +284,18 @@ def test_compare_evidence_equals_the_dense_oracle(fault):
     assert any(p.diff.any() for p in pairs) == (fault is not None)
     if fault is not None and fault.mag == 2**31 - 1:
         assert wrapped > 0  # the INT32 wrap is exercised
+
+
+def test_compare_with_every_element_corrupted_runs_in_bounded_memory():
+    # uniform faults on all m*n elements need m*n clean values; gathered at
+    # once, their int64 operand rows and columns would take 2*m*n*k*8 bytes
+    m, k, n = 48, 2048, 48
+    fault = FaultConfig(mode="uniform", freq=m * n, mag=3)
+    tracemalloc.start()
+    try:
+        rows = compare_detectors(WorkloadSpec(m=m, k=k, n=n, gemm_count=2), DETECTORS, fault)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * m * n * k * 8 / 4
+    assert rows[0].mean_msd == m * n * 3 and rows[1].recovery_rate == 1.0

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from statabft.gemm import (
     checksum,
     format_matrix_text,
     gemm,
+    gemm_entries,
     parse_matrix_text,
     predicted_column_checksum,
     predicted_output_checksum,
@@ -171,3 +174,18 @@ def test_max_inner_dim_enforced():
     data = np.zeros((1, 2**16 + 1), dtype=np.int8)
     with pytest.raises(ValueError, match="exceeds"):
         gemm(QuantMatrix(data), QuantMatrix(data.T.copy()))
+
+
+@pytest.mark.parametrize("block", [1, 7 * 5, 7 * 64, 2**18])
+def test_gemm_entries_equal_the_dense_product_in_any_block_size(monkeypatch, block):
+    # a block holds block // k entries (at least one), so block boundaries fall
+    # inside, at the end of, and beyond the requested entries
+    # the package exports the function gemm under the module's name
+    monkeypatch.setattr(importlib.import_module("statabft.gemm"), "_ENTRY_BLOCK", block)
+    w = random_quant_matrix(9, 7, "outlier", 1)
+    x = random_quant_matrix(7, 11, "uniform", 2)
+    dense = gemm(w, x).data
+    rows, cols = np.divmod(np.arange(0, 99, 2), 11)
+    assert np.array_equal(gemm_entries(w, x, rows, cols), dense[rows, cols])
+    empty = gemm_entries(w, x, rows[:0], cols[:0])
+    assert empty.dtype == np.int64 and empty.size == 0
