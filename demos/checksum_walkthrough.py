@@ -22,6 +22,7 @@ from statabft.detectors import (
     detect_classical,
     detect_msd,
     detect_statistical,
+    detect_statistical_lzc,
     theta_mag,
 )
 from statabft.faults import FaultConfig
@@ -60,12 +61,11 @@ def main() -> None:
         ("classical", detect_classical(pair)),
         ("msd-threshold", detect_msd(pair, threshold=2**20)),
         ("statistical", detect_statistical(pair, params)),
+        ("statistical_lzc", detect_statistical_lzc(pair, params)),
     ):
         print(
-            f"{name:<14} freq_eff={verdict.freq_eff}  decision={verdict.decision}"
+            f"{name:<15} freq_eff={verdict.freq_eff}  decision={verdict.decision}"
         )
-
-    print("\narray verdict (as run):", result.verdict.decision)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from .detectors import (
 )
 from .energy import EnergyConfig
 from .faults import FaultConfig, VoltageBerTable
-from .systolic import StatUnitConfig
 from .workloads import WorkloadSpec
 
 
@@ -43,8 +42,8 @@ class ExperimentConfig:
     # frozen, so one shared default instance each
     workload: WorkloadSpec = WorkloadSpec()
     fault: FaultConfig = FaultConfig(mode="ber", ber=1e-6)
+    # the spec each kind in detector_set is built from; its own kind is not a setting
     detector: DetectorSpec = DetectorSpec(kind="statistical", params=DEFAULT_PARAMS)
-    stat_unit: StatUnitConfig = StatUnitConfig(params=DEFAULT_PARAMS)
     energy: EnergyConfig = EnergyConfig()
     sweep_voltages: tuple[float, ...] = ()
     sweep_trials: int = 200
@@ -68,6 +67,9 @@ class ExperimentConfig:
         nominal = self.workload.macs_per_gemm * self.energy.e_mac_nom
         if not math.isfinite(nominal * (3 + self.energy.detect_overhead)):
             raise ValueError("energy e_mac_nom and detect_overhead overflow the per-GEMM energy")
+        # every sweep energy is at least the compute at the lowest voltage; savings divide by one
+        if not nominal * (min(self.voltages()) / self.energy.v_nom) ** 2 > 0:
+            raise ValueError("energy per-GEMM energy at the lowest sweep voltage underflows to 0")
 
     def voltages(self) -> tuple[float, ...]:
         if self.sweep_voltages:
@@ -75,12 +77,8 @@ class ExperimentConfig:
         return tuple(float(v) for v in self.energy.table.voltages)
 
     def detector_specs(self) -> tuple[DetectorSpec, ...]:
-        """The comparison set, each kind parameterized from this config."""
-        settings = {
-            "statistical": {"params": self.detector.params or DEFAULT_PARAMS},
-            "msd": {"msd_threshold": self.detector.msd_threshold},
-        }
-        return tuple(DetectorSpec(kind=k, **settings.get(k, {})) for k in self.detector_set)
+        """The comparison set: the ``detector`` spec under each kind of detector_set."""
+        return tuple(replace(self.detector, kind=k) for k in self.detector_set)
 
 
 # ExperimentConfig fields that JSON (and the run echo) group under a section
@@ -168,8 +166,7 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     likes = {
         "workload": _fields(base.workload),
         "fault": {**_fields(base.fault), "voltage": float},
-        "detector": {**_fields(base.detector), "params_file": str},
-        "stat_unit": _fields(base.stat_unit, skip=("params",)),
+        "detector": {**_fields(base.detector, skip=("kind",)), "params_file": str},
         "energy": {**_fields(base.energy, skip=("table",)), "table_file": str},
         "sweep": {**_grouped(base, "sweep"), "voltages": (float,), **dict.fromkeys(_RANGE, float)},
         "calibrate": _fields(base.calibrate),
@@ -196,7 +193,6 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
             raise _fail(["detector"], "give either params or params_file, not both")
         path = os.path.join(base_dir, det.pop("params_file"))
         det["params"], provenance = _call(["detector", "params_file"], load_params, path)
-    given["stat_unit"]["params"] = det.get("params", base.detector.params)
 
     if "voltages" in sw and any(k in sw for k in _RANGE):
         raise _fail(["sweep"], "give either voltages or a v_min/v_max/v_step range")
@@ -249,8 +245,8 @@ def resolved_dict(cfg: ExperimentConfig) -> dict:
         elif name in _PATHS:
             section, key = _PATHS[name]
             doc.setdefault(section, {})[key] = list(value) if isinstance(value, tuple) else value
+    del doc["detector"]["kind"]
     doc["detector"]["provenance"] = cfg.params_provenance
-    del doc["stat_unit"]["params"]
     table = cfg.energy.table
     doc["energy"]["table"] = [
         {"voltage": float(v), "ber": float(b)} for v, b in zip(table.voltages, table.bers)

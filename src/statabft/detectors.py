@@ -10,18 +10,25 @@ observed checksum row of the possibly-faulted output. From d they derive
 
 and decide:
 
-    classical     recover iff any d_j != 0
-    msd           recover iff MSD > threshold
-    statistical   recover iff freq_eff > theta_freq
-    none          never recovers
-    dmr           classical's decisions (costed differently by the energy
-                  model: full dual execution instead of checksums)
+    classical        recover iff any d_j != 0
+    msd              recover iff MSD > threshold
+    statistical      recover iff freq_eff > theta_freq
+    statistical_lzc  the statistical rule on the integer LZC datapath (below)
+    none             never recovers
+    dmr              classical's decisions (costed differently by the energy
+                     model: full dual execution instead of checksums)
 
 The statistical rule encodes a critical region in (frequency, magnitude)
 space: errors are worth recovering only when more than theta_freq checksum
 lanes deviate by more than the magnitude bound theta, which shrinks as the
 total deviation MSD grows (a > 1 makes the boundary slope downward in
 log-log space).
+
+statistical_lzc decides as a low-cost detector circuit would: log2|d_j| is
+floored by a leading-zero count, and theta comes from Mitchell's truncated
+piecewise-linear log2 of MSD (IRE Trans. Electronic Computers EC-11(4),
+1962) on a grid of LZC_FRAC_BITS fractional bits. It can disagree with
+statistical only on a lane within one octave of a bound.
 """
 
 from __future__ import annotations
@@ -37,7 +44,14 @@ from .gemm import ChecksumVector
 PASS = "pass"
 RECOVER = "recover"
 
-DETECTOR_KINDS = ("none", "classical", "msd", "statistical", "dmr")
+DETECTOR_KINDS = ("none", "classical", "msd", "statistical", "statistical_lzc", "dmr")
+# the kinds that decide by a critical region and so need CriticalRegionParams
+STATISTICAL_KINDS = ("statistical", "statistical_lzc")
+
+# fractional bits of the LZC datapath's fixed-point log2 and theta
+LZC_FRAC_BITS = 4
+# lane exponents on the grid lie in [0, 63 << LZC_FRAC_BITS]: saturating changes no decision
+_THETA_LIMIT = 64 << LZC_FRAC_BITS
 
 
 @dataclass(frozen=True)
@@ -153,10 +167,48 @@ def effective_frequency(pair: ChecksumPair, theta: float) -> int:
     """Count checksum lanes whose deviation magnitude exceeds 2**theta."""
     d = pair.diff
     nz = d != 0
-    if not nz.any() or math.isinf(theta):
+    if not nz.any() or theta == math.inf:
         return 0
     mags = np.abs(d[nz].astype(np.float64))
     return int(np.count_nonzero(np.log2(mags) > theta))
+
+
+def floor_log2(x: int) -> int:
+    """floor(log2 x) for x >= 1 via bit length (what an LZC circuit yields)."""
+    if x < 1:
+        raise ValueError(f"floor_log2 needs x >= 1, got {x}")
+    return x.bit_length() - 1
+
+
+def log2_fixed(x: int, frac_bits: int) -> int:
+    """Truncated Mitchell log2 of x >= 1 as an integer scaled by 2**frac_bits.
+
+    The integer part is the LZC exponent; the fractional part is the first
+    ``frac_bits`` mantissa bits below the leading one (linear interpolation
+    between powers of two, truncated).
+    """
+    e = floor_log2(x)
+    return (e << frac_bits) | (((x << frac_bits) >> e) & ((1 << frac_bits) - 1))
+
+
+def _theta_fixed(msd: int, p: CriticalRegionParams) -> int | None:
+    """Magnitude bound on the LZC_FRAC_BITS grid, saturated; None encodes +inf (MSD == 0)."""
+    if msd == 0:
+        return None
+    theta = p.b * (1 << LZC_FRAC_BITS) - (p.a - 1.0) * log2_fixed(msd, LZC_FRAC_BITS)
+    return round(min(max(theta, -_THETA_LIMIT), _THETA_LIMIT))
+
+
+def _floor_log2_lanes(d: np.ndarray) -> np.ndarray:
+    """floor(log2 |d_j|) of nonzero int64 lanes, by a 6-step binary search for the leading one."""
+    # |INT64_MIN| wraps to INT64_MIN, whose uint64 view is 2**63
+    x = np.abs(d).view(np.uint64)
+    e = np.zeros(x.shape, dtype=np.int64)
+    for shift in (32, 16, 8, 4, 2, 1):
+        high = (x >> np.uint64(shift)) != 0
+        e[high] += shift
+        x = np.where(high, x >> np.uint64(shift), x)
+    return e
 
 
 def detect_classical(pair: ChecksumPair) -> DetectionVerdict:
@@ -204,6 +256,23 @@ def detect_statistical(pair: ChecksumPair, params: CriticalRegionParams) -> Dete
     )
 
 
+def detect_statistical_lzc(pair: ChecksumPair, params: CriticalRegionParams) -> DetectionVerdict:
+    """detect_statistical on the LZC datapath; theta_mag is the fixed-point bound."""
+    msd = pair.msd()
+    theta = _theta_fixed(msd, params)
+    freq_eff = 0
+    if theta is not None:
+        lanes = pair.diff[pair.diff != 0]
+        freq_eff = int(np.count_nonzero((_floor_log2_lanes(lanes) << LZC_FRAC_BITS) > theta))
+    return DetectionVerdict(
+        detector="statistical_lzc",
+        msd=msd,
+        theta_mag=math.inf if theta is None else theta / (1 << LZC_FRAC_BITS),
+        freq_eff=freq_eff,
+        decision=RECOVER if freq_eff > params.theta_freq else PASS,
+    )
+
+
 def detect_none(pair: ChecksumPair) -> DetectionVerdict:
     """Baseline that never recovers; stats still reported for bookkeeping."""
     return DetectionVerdict(
@@ -226,8 +295,8 @@ class DetectorSpec:
     def __post_init__(self):
         if self.kind not in DETECTOR_KINDS:
             raise ValueError(f"kind must be one of {DETECTOR_KINDS}, got {self.kind!r}")
-        if self.kind == "statistical" and self.params is None:
-            raise ValueError("statistical detector needs CriticalRegionParams")
+        if self.kind in STATISTICAL_KINDS and self.params is None:
+            raise ValueError(f"{self.kind} detector needs CriticalRegionParams")
         if self.msd_threshold < 0:
             raise ValueError("msd_threshold must be >= 0")
 
@@ -238,6 +307,8 @@ class DetectorSpec:
             return detect_msd(pair, self.msd_threshold)
         if self.kind == "statistical":
             return detect_statistical(pair, self.params)
+        if self.kind == "statistical_lzc":
+            return detect_statistical_lzc(pair, self.params)
         if self.kind == "none":
             return detect_none(pair)
         # dmr: detection is by full re-execution, behaviorally equivalent to

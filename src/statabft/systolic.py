@@ -6,23 +6,13 @@ tile of shape M x K times K x N costs M + N + K - 2 cycles fill-to-drain
 plus one checksum-accumulate stage; problems larger than the physical array
 are tiled and tile costs add up.
 
-The statistical detection unit is modeled at datapath level, mirroring a
-hardware pipeline of a subtractor, a deviation accumulator, a log2 stage,
-and a comparator-based countif over the buffered lane deviations. The log2
-stage runs in one of two modes:
-
-* "exact": float64 log2, the reference semantics.
-* "lzc": leading-zero-count hardware. floor(log2 x) of a positive int is
-  its bit length minus 1 (equivalently 63 - lzc for a 64-bit word). The
-  magnitude bound theta is computed from a truncated piecewise-linear
-  (Mitchell) log2 of MSD carrying ``frac_bits`` fractional bits, then
-  rounded onto the same fixed-point grid; lane comparisons happen entirely
-  in that integer domain.
-
-The two modes can only disagree on a lane whose deviation magnitude sits
-within one octave of the exact bound, or when an integer exponent lands
-between the exact and fixed-point bounds; both conditions mark MSD values
-whose log sits on a fixed-point quantization edge.
+``run_array`` is the dense reference: it computes the whole product, applies
+a fault, and reduces the observed checksum from the corrupted output.
+``statistical_unit`` is a scalar model of the detection datapath (a
+subtractor, a deviation accumulator, a log2 stage and a comparator-based
+countif) in plain Python integers. It is the independent oracle that
+``statabft verify`` holds the vectorized ``statistical`` ("exact" log2) and
+``statistical_lzc`` ("lzc" log2) detectors to, verdict for verdict.
 """
 
 from __future__ import annotations
@@ -31,11 +21,13 @@ import math
 from dataclasses import dataclass
 
 from .detectors import (
-    DEFAULT_PARAMS,
+    LZC_FRAC_BITS,
     PASS,
     RECOVER,
     CriticalRegionParams,
     DetectionVerdict,
+    _theta_fixed,
+    floor_log2,
 )
 from .faults import FaultConfig, ErrorEvent, apply_fault
 from .gemm import (
@@ -64,104 +56,50 @@ class ArrayConfig:
             raise ValueError("array dimensions must be >= 1")
 
 
-@dataclass(frozen=True)
-class StatUnitConfig:
-    """Statistical-unit datapath configuration."""
-
-    params: CriticalRegionParams
-    log2_mode: str = EXACT
-    frac_bits: int = 4
-
-    def __post_init__(self):
-        if self.log2_mode not in (EXACT, LZC):
-            raise ValueError(f"log2_mode must be 'exact' or 'lzc', got {self.log2_mode!r}")
-        if not (0 <= self.frac_bits <= 16):
-            raise ValueError(f"frac_bits must be in [0, 16], got {self.frac_bits}")
-
-
 @dataclass(frozen=True, eq=False)
 class SimResult:
-    """One simulated GEMM: output, checksums, cycle count, and the verdict."""
+    """One simulated GEMM: output, checksums, cycle count, and the fault log."""
 
     output: AccumMatrix
     predicted: ChecksumVector
     observed: ChecksumVector
     cycles: int
-    verdict: DetectionVerdict
     events: tuple[ErrorEvent, ...] = ()
 
 
-def floor_log2(x: int) -> int:
-    """floor(log2 x) for x >= 1 via bit length (what an LZC circuit yields)."""
-    if x < 1:
-        raise ValueError(f"floor_log2 needs x >= 1, got {x}")
-    return x.bit_length() - 1
-
-
-def log2_fixed(x: int, frac_bits: int) -> int:
-    """Truncated Mitchell log2 of x >= 1 as an integer scaled by 2**frac_bits.
-
-    The integer part is the LZC exponent; the fractional part is the first
-    ``frac_bits`` mantissa bits below the leading one (linear interpolation
-    between powers of two, truncated).
-    """
-    e = floor_log2(x)
-    if e >= frac_bits:
-        frac = (x >> (e - frac_bits)) & ((1 << frac_bits) - 1)
-    else:
-        frac = (x << (frac_bits - e)) & ((1 << frac_bits) - 1)
-    return (e << frac_bits) | frac
-
-
-def _theta_fixed(msd: int, p: CriticalRegionParams, frac_bits: int) -> int | None:
-    """Magnitude bound on the fixed-point grid; None encodes +inf (MSD == 0)."""
-    if msd == 0:
-        return None
-    scale = 1 << frac_bits
-    log_msd = log2_fixed(msd, frac_bits) / scale
-    return round((p.b - (p.a - 1.0) * log_msd) * scale)
-
-
 def statistical_unit(
-    predicted: ChecksumVector, observed: ChecksumVector, cfg: StatUnitConfig
+    predicted: ChecksumVector,
+    observed: ChecksumVector,
+    params: CriticalRegionParams,
+    log2_mode: str = EXACT,
 ) -> DetectionVerdict:
     """Run the detection datapath over one checksum pair.
 
-    Implemented with scalar integer arithmetic, independent of the
-    vectorized detector in detectors.py; the exact mode is required to agree
-    with it verdict-for-verdict.
+    "exact" takes float64 log2s. "lzc" floors each lane's log2 to its bit
+    length minus 1 and compares it, on the LZC_FRAC_BITS fixed-point grid,
+    with the Mitchell-log2 bound ``_theta_fixed``.
     """
+    if log2_mode not in (EXACT, LZC):
+        raise ValueError(f"log2_mode must be 'exact' or 'lzc', got {log2_mode!r}")
     if len(predicted) != len(observed):
         raise ValueError("checksum lengths differ")
-    ds = [int(p) - int(o) for p, o in zip(predicted.data, observed.data)]
-    msd = abs(sum(ds))
-    p = cfg.params
-
-    if cfg.log2_mode == EXACT:
-        theta = math.inf if msd == 0 else p.b - (p.a - 1.0) * math.log2(msd)
-        freq_eff = 0
-        for d in ds:
-            if d != 0 and math.log2(abs(d)) > theta:
-                freq_eff += 1
-        theta_out = theta
+    lanes = [int(p) - int(o) for p, o in zip(predicted.data, observed.data) if p != o]
+    msd = abs(sum(lanes))
+    if msd == 0:
+        theta, over = math.inf, []
+    elif log2_mode == EXACT:
+        theta = params.b - (params.a - 1.0) * math.log2(msd)
+        over = [d for d in lanes if math.log2(abs(d)) > theta]
     else:
-        theta_fp = _theta_fixed(msd, p, cfg.frac_bits)
-        freq_eff = 0
-        if theta_fp is None:
-            theta_out = math.inf
-        else:
-            f = cfg.frac_bits
-            for d in ds:
-                if d != 0 and (floor_log2(abs(d)) << f) > theta_fp:
-                    freq_eff += 1
-            theta_out = theta_fp / (1 << f)
-
+        theta_fp = _theta_fixed(msd, params)
+        theta = theta_fp / (1 << LZC_FRAC_BITS)
+        over = [d for d in lanes if (floor_log2(abs(d)) << LZC_FRAC_BITS) > theta_fp]
     return DetectionVerdict(
-        detector=f"stat-unit-{cfg.log2_mode}",
+        detector=f"stat-unit-{log2_mode}",
         msd=msd,
-        theta_mag=theta_out,
-        freq_eff=freq_eff,
-        decision=RECOVER if freq_eff > p.theta_freq else PASS,
+        theta_mag=theta,
+        freq_eff=len(over),
+        decision=RECOVER if len(over) > params.theta_freq else PASS,
     )
 
 
@@ -197,19 +135,16 @@ def run_array(
     w: QuantMatrix,
     x: QuantMatrix,
     fault: FaultConfig | None = None,
-    stat: StatUnitConfig | None = None,
     array: ArrayConfig | None = None,
     fault_seed: int | None = None,
 ) -> SimResult:
-    """One GEMM through the array: compute, optionally corrupt, then detect.
+    """One GEMM through the array, densely: compute, then optionally corrupt.
 
     Faults hit the INT32 output domain only; the input-side checksum
     prediction is computed before injection and is never corrupted.
     """
     if array is None:
         array = ArrayConfig()
-    if stat is None:
-        stat = StatUnitConfig(params=DEFAULT_PARAMS)
 
     clean = gemm(w, x)
     predicted = predicted_output_checksum(w, x)
@@ -220,14 +155,10 @@ def run_array(
         out, ev = apply_fault(clean, fault, fault_seed)
         events = tuple(ev)
 
-    observed = checksum(out, side="row")
-    verdict = statistical_unit(predicted, observed, stat)
-    cycles = gemm_cycles(w.rows, w.cols, x.cols, array)
     return SimResult(
         output=out,
         predicted=predicted,
-        observed=observed,
-        cycles=cycles,
-        verdict=verdict,
+        observed=checksum(out, side="row"),
+        cycles=gemm_cycles(w.rows, w.cols, x.cols, array),
         events=events,
     )

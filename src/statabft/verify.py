@@ -3,10 +3,11 @@
 Each check runs a configurable number of randomized cases and reports the
 first violation. These are the properties the whole methodology leans on:
 exact checksum identities, agreement between the datapath-level
-statistical unit and the reference detector, fault-log soundness, the
-MSD = freq * mag relation for uniform injections, voltage/BER table
-interpolation behavior, and the sparse checksum evidence that compare and
-sweep score, against the dense product in both fault modes.
+statistical unit and the vectorized statistical detectors in both log2
+modes, fault-log soundness, the MSD = freq * mag relation for uniform
+injections, voltage/BER table interpolation behavior, and the sparse
+checksum evidence that compare and sweep score, against the dense product
+in both fault modes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detectors import ChecksumPair, CriticalRegionParams, detect_statistical
+from .detectors import (
+    ChecksumPair,
+    CriticalRegionParams,
+    detect_statistical,
+    detect_statistical_lzc,
+    floor_log2,
+)
 from .faults import (
     INT32_MAX,
     INT32_MIN,
@@ -39,7 +46,7 @@ from .gemm import (
     total_checksum,
 )
 from .rng import derive_seed, u64_stream
-from .systolic import StatUnitConfig, statistical_unit, floor_log2, _theta_fixed
+from .systolic import EXACT, LZC, statistical_unit
 from .workloads import random_quant_matrix
 
 
@@ -107,29 +114,33 @@ def check_checksum_identities(cases: int, seed: int, planted_failure: bool = Fal
     return CheckResult("checksum-identities", cases, True)
 
 
+def _random_case(seed: int) -> tuple[ChecksumPair, CriticalRegionParams]:
+    """A deviation vector of 2 to 64 lanes (see _random_diff) and random params."""
+    n = int(u64_stream(seed, 1)[0] % np.uint64(63)) + 2
+    pair = ChecksumPair.from_diff(_random_diff(derive_seed(seed, 0), n))
+    return pair, _random_params(derive_seed(seed, 1))
+
+
 def check_stat_unit_reference(cases: int, seed: int) -> CheckResult:
+    """Both vectorized statistical detectors agree with the scalar unit in their mode."""
     for c in range(cases):
-        s = derive_seed(seed, 3, c)
-        n = int(u64_stream(s, 1)[0] % np.uint64(63)) + 2
-        d = _random_diff(derive_seed(s, 0), n)
-        pair = ChecksumPair.from_diff(d)
-        params = _random_params(derive_seed(s, 1))
-        ref = detect_statistical(pair, params)
-        unit = statistical_unit(
-            pair.predicted, pair.observed, StatUnitConfig(params=params, log2_mode="exact")
-        )
-        same = (
-            ref.msd == unit.msd
-            and ref.freq_eff == unit.freq_eff
-            and ref.decision == unit.decision
-            and (math.isinf(ref.theta_mag) == math.isinf(unit.theta_mag))
-        )
-        if not same:
-            return CheckResult(
-                "stat-unit-reference", c + 1, False,
-                f"datapath disagrees with reference at case {c}: "
-                f"{unit.freq_eff} vs {ref.freq_eff}",
+        pair, params = _random_case(derive_seed(seed, 3, c))
+        for detect, mode in ((detect_statistical, EXACT), (detect_statistical_lzc, LZC)):
+            ref = detect(pair, params)
+            unit = statistical_unit(pair.predicted, pair.observed, params, mode)
+            same = (
+                ref.msd == unit.msd
+                and ref.freq_eff == unit.freq_eff
+                and ref.decision == unit.decision
+                and (math.isinf(ref.theta_mag) == math.isinf(unit.theta_mag))
+                and (mode == EXACT or ref.theta_mag == unit.theta_mag)
             )
+            if not same:
+                return CheckResult(
+                    "stat-unit-reference", c + 1, False,
+                    f"{mode} datapath disagrees with {ref.detector} at case {c}: "
+                    f"{unit.freq_eff} vs {ref.freq_eff}",
+                )
     return CheckResult("stat-unit-reference", cases, True)
 
 
@@ -233,39 +244,18 @@ def check_ber_table(cases: int, seed: int) -> CheckResult:
 def check_lzc_band(cases: int, seed: int) -> CheckResult:
     """LZC-mode verdicts may differ from exact only near quantization edges."""
     for c in range(cases):
-        s = derive_seed(seed, 7, c)
-        n = int(u64_stream(s, 1)[0] % np.uint64(63)) + 2
-        d = _random_diff(derive_seed(s, 0), n)
-        pair = ChecksumPair.from_diff(d)
-        params = _random_params(derive_seed(s, 1))
-        exact = statistical_unit(
-            pair.predicted, pair.observed, StatUnitConfig(params=params, log2_mode="exact")
-        )
-        lzc = statistical_unit(
-            pair.predicted, pair.observed, StatUnitConfig(params=params, log2_mode="lzc")
-        )
+        pair, params = _random_case(derive_seed(seed, 7, c))
+        exact = statistical_unit(pair.predicted, pair.observed, params, EXACT)
+        lzc = statistical_unit(pair.predicted, pair.observed, params, LZC)
         if exact.decision == lzc.decision:
             continue
-        msd = pair.msd()
-        if msd == 0:
-            return CheckResult(
-                "lzc-agreement-band", c + 1, False, f"msd=0 disagreement at case {c}"
-            )
-        theta_exact = params.b - (params.a - 1.0) * math.log2(msd)
-        theta_lzc = _theta_fixed(msd, params, 4) / 16.0
-        near_edge = False
-        for v in d:
-            if v == 0:
-                continue
-            lg = math.log2(abs(int(v)))
-            if abs(lg - theta_exact) <= 1.0:
-                near_edge = True
-                break
-            e = floor_log2(abs(int(v)))
-            if min(theta_exact, theta_lzc) < e <= max(theta_exact, theta_lzc):
-                near_edge = True
-                break
-        if not near_edge:
+        # at MSD == 0 both bounds are +inf, so a disagreement there fails below
+        lo, hi = sorted((exact.theta_mag, lzc.theta_mag))
+        lanes = [abs(int(v)) for v in pair.diff if v != 0]
+        if not any(
+            abs(math.log2(v) - exact.theta_mag) <= 1.0 or lo < floor_log2(v) <= hi
+            for v in lanes
+        ):
             return CheckResult(
                 "lzc-agreement-band", c + 1, False,
                 f"disagreement away from quantization edge at case {c}",

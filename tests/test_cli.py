@@ -292,3 +292,49 @@ def test_cli_import_does_not_load_jsonschema():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_inject_runs_no_dense_gemm_and_matches_the_dense_oracle(tmp_path, capsys, monkeypatch):
+    from statabft.faults import FaultConfig
+    from statabft.rng import derive_seed
+    from statabft.systolic import run_array
+    from statabft.workloads import WorkloadSpec, workload_matrices
+
+    def dense(*args, **kwargs):
+        raise AssertionError("inject ran a dense GEMM")
+
+    for doc, fault in (
+        ({"mode": "ber", "ber": 0.02, "bit_window": [0, 31], "seed": 1},
+         FaultConfig(mode="ber", ber=0.02, bit_window=(0, 31))),
+        ({"mode": "uniform", "freq": 40, "mag": 2**31 - 1, "seed": 1},
+         FaultConfig(mode="uniform", freq=40, mag=2**31 - 1)),
+    ):
+        cfg = write_config(tmp_path, {"workload": SMALL_WORKLOAD, "fault": doc})
+        modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "statabft"]
+        with monkeypatch.context() as patched:
+            # every name the dense product can be reached by, in every loaded module
+            for module in modules:
+                for name in ("gemm", "run_array"):
+                    if hasattr(module, name):
+                        patched.setattr(module, name, dense)
+            assert main(["--config", cfg, "inject", "--index", "3"]) == 0
+        got = json.loads(capsys.readouterr().out)
+        w, x = workload_matrices(WorkloadSpec(**SMALL_WORKLOAD), 3)
+        sim = run_array(w, x, fault=fault, fault_seed=derive_seed(1, 900, 3))
+        assert got["events"] and len(got["events"]) == len(sim.events)
+        assert got["observed_checksum"] == sim.observed.data.tolist()
+        assert got["predicted_checksum"] == sim.predicted.data.tolist()
+        assert got["cycles"] == sim.cycles
+
+
+def test_sweep_scores_statistical_lzc_beside_statistical(tmp_path):
+    cfg = write_config(
+        tmp_path,
+        {"workload": SMALL_WORKLOAD, "sweep": {"trials": 8,
+         "detectors": ["classical", "statistical", "statistical_lzc"]}},
+    )
+    out_dir = str(tmp_path / "sw")
+    assert main(["--config", cfg, "--out", out_dir, "sweep"]) == 0
+    with open(os.path.join(out_dir, "sweep_summary.csv")) as fh:
+        rows = {r["detector"]: r for r in csv.DictReader(fh)}
+    assert list(rows) == ["classical", "statistical", "statistical_lzc"]

@@ -27,9 +27,7 @@ def test_empty_config_gives_stock_experiment():
     assert cfg.workload.distribution == "uniform"
     assert cfg.fault.mode == "ber" and cfg.fault.ber == 1e-6
     assert cfg.fault.bit_window == (16, 31)
-    assert cfg.detector.kind == "statistical"
     assert cfg.detector.params == DEFAULT_PARAMS
-    assert cfg.stat_unit.log2_mode == "exact" and cfg.stat_unit.frac_bits == 4
     assert cfg.energy.v_nom == 0.9
     assert cfg.sweep_voltages == ()
     assert cfg.sweep_trials == 200
@@ -59,8 +57,6 @@ def test_schema_bounds_enforced():
         parse_config({"fault": {"ber": 1.5}})
     with pytest.raises(ConfigError, match="detector.params.a"):
         parse_config({"detector": {"params": {"a": 1.0, "b": 40, "theta_freq": 4}}})
-    with pytest.raises(ConfigError, match="stat_unit.frac_bits"):
-        parse_config({"stat_unit": {"frac_bits": 99}})
 
 
 def test_fault_ber_xor_voltage():
@@ -75,7 +71,7 @@ def test_fault_ber_xor_voltage():
 
 
 def test_detector_params_inline_and_file(tmp_path):
-    doc = {"detector": {"kind": "statistical", "params": {"a": 1.9, "b": 38.5, "theta_freq": 3}}}
+    doc = {"detector": {"params": {"a": 1.9, "b": 38.5, "theta_freq": 3}}}
     cfg = parse_config(doc)
     assert cfg.detector.params == CriticalRegionParams(a=1.9, b=38.5, theta_freq=3)
     assert cfg.params_provenance == ""
@@ -85,8 +81,6 @@ def test_detector_params_inline_and_file(tmp_path):
     cfg2 = parse_config({"detector": {"params_file": "params.json"}}, base_dir=str(tmp_path))
     assert cfg2.detector.params == CriticalRegionParams(a=2.1, b=41.0, theta_freq=5)
     assert cfg2.params_provenance == "calibrated on grid 7"
-    # stat unit inherits the loaded params
-    assert cfg2.stat_unit.params == cfg2.detector.params
 
     with pytest.raises(ConfigError, match="not both"):
         parse_config(
@@ -134,12 +128,16 @@ def test_sweep_detector_set():
     specs = cfg.detector_specs()
     assert [s.kind for s in specs] == ["classical", "statistical"]
     assert specs[1].params == DEFAULT_PARAMS
+    params = {"a": 1.5, "b": 30.0, "theta_freq": 2}
+    cfg = parse_config({"detector": {"params": params},
+                        "sweep": {"detectors": ["statistical_lzc", "statistical"]}})
+    assert [s.params for s in cfg.detector_specs()] == [CriticalRegionParams(**params)] * 2
     with pytest.raises(ConfigError, match="unique"):
         parse_config({"sweep": {"detectors": ["none", "none"]}})
 
 
 def test_msd_detector_threshold_plumbed():
-    cfg = parse_config({"detector": {"kind": "msd", "msd_threshold": 4096},
+    cfg = parse_config({"detector": {"msd_threshold": 4096},
                         "sweep": {"detectors": ["msd"]}})
     (spec,) = cfg.detector_specs()
     assert spec.kind == "msd" and spec.msd_threshold == 4096
@@ -190,7 +188,7 @@ def test_resolved_dict_round_trips_through_parse():
     doc = {
         "workload": {"m": 16, "k": 32, "n": 8, "seed": 5},
         "fault": {"mode": "ber", "ber": 2e-5, "seed": 9},
-        "detector": {"kind": "statistical", "params": {"a": 2.2, "b": 39.0, "theta_freq": 6}},
+        "detector": {"params": {"a": 2.2, "b": 39.0, "theta_freq": 6}},
         "sweep": {"voltages": [0.9, 0.7], "trials": 12},
         "output": {"format": "json"},
     }
@@ -208,11 +206,9 @@ def test_resolved_dict_round_trips_through_parse():
             "workload": echo["workload"],
             "fault": {k: v for k, v in echo["fault"].items()},
             "detector": {
-                "kind": echo["detector"]["kind"],
                 "params": echo["detector"]["params"],
                 "msd_threshold": echo["detector"]["msd_threshold"],
             },
-            "stat_unit": echo["stat_unit"],
             "sweep": {
                 "voltages": echo["sweep"]["voltages"],
                 "trials": echo["sweep"]["trials"],
@@ -318,3 +314,26 @@ def test_finite_energies_that_overflow_exit_two(tmp_path, capsys):
     path.write_text('{"energy": {"detect_overhead": 1e308}}')
     assert main(["--config", str(path), "sweep"]) == 2
     assert "energy: e_mac_nom and detect_overhead overflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"stat_unit": {"log2_mode": "lzc"}},
+        {"detector": {"kind": "statistical"}},
+        {"energy": {"area_overhead": 0.0142}},
+    ],
+)
+def test_removed_keys_exit_two(tmp_path, capsys, doc):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "compare"]) == 2
+    assert "unknown keys" in capsys.readouterr().err
+
+
+def test_zero_energy_at_the_lowest_voltage_exits_two(tmp_path, capsys):
+    # (0.6 / 1e300)**2 underflows, and energy_saving would divide by the 0
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"energy": {"v_nom": 1e300}, "sweep": {"trials": 5}}))
+    assert main(["--config", str(path), "sweep"]) == 2
+    assert "energy: per-GEMM energy at the lowest sweep voltage" in capsys.readouterr().err

@@ -227,3 +227,21 @@ def test_params_file_rejects_missing_and_bad_types(tmp_path):
         json.dump({"a": 2.0, "b": 10.0, "theta_freq": 2.5}, fh)
     with pytest.raises(ValueError, match="integer"):
         load_params(path)
+
+
+def test_statistical_lzc_floors_lane_logs_and_uses_the_mitchell_bound():
+    # MSD = 3 * 2**20: Mitchell's log2 is 21.5 (exact 21.585), so the fixed-point
+    # bound is 40 - 21.5 = 18.5 where the exact one is 18.415. The 357000 lane
+    # (log2 18.45) lies between them, and its floored log2 is 18
+    pair = pair_of([357000, 3 * 2**20 - 357000])
+    params = CriticalRegionParams(a=2.0, b=40.0, theta_freq=1)
+    exact = DetectorSpec(kind="statistical", params=params).evaluate(pair)
+    lzc = DetectorSpec(kind="statistical_lzc", params=params).evaluate(pair)
+    assert (exact.freq_eff, exact.decision) == (2, "recover")
+    assert (lzc.detector, lzc.theta_mag, lzc.freq_eff, lzc.decision) == (
+        "statistical_lzc", 18.5, 1, "pass"
+    )
+    cancelled = DetectorSpec(kind="statistical_lzc", params=params).evaluate(pair_of([5, -5]))
+    assert math.isinf(cancelled.theta_mag) and cancelled.freq_eff == 0
+    with pytest.raises(ValueError, match="statistical_lzc detector needs CriticalRegionParams"):
+        DetectorSpec(kind="statistical_lzc")

@@ -79,7 +79,6 @@ def test_energy_config_validation():
         EnergyConfig(detect_overhead=-0.01)
     cfg = EnergyConfig()
     assert cfg.detect_overhead == 0.0179
-    assert cfg.area_overhead == 0.0142
     assert cfg.v_nom == 0.9
 
 

@@ -1,22 +1,34 @@
 """Every top-level import in the package's modules is used."""
 
 import ast
+import importlib.util
 import pathlib
 
 import pytest
 
 import statabft
+from statabft import energy
 
 SRC = pathlib.Path(statabft.__file__).parent
+TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
-# names that outside code looks up in a module's namespace by name (the
-# benchmark's tracer in perfbench/tracing.py patches them there), so they stay
-# importable from that module even where the module itself stops using one
-LOOKED_UP = {
-    "energy": {"_score_stream", "workload_matrices", "run_array", "detect_statistical", "derive_seed"},
-    "faults": {"sample_bitflips", "inject_uniform", "u64_stream", "unit_floats"},
-    "systolic": {"gemm", "predicted_output_checksum", "checksum", "apply_fault", "statistical_unit"},
-}
+
+def _load_tracing():
+    """The benchmark's tracer module, loaded from its file and only read."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracing = _load_tracing()
+
+# names that the benchmark's tracer looks up in a module's namespace (it patches
+# them there), so they stay importable from that module even where the module
+# itself stops using one
+LOOKED_UP = {}
+for _module, _attr, *_ in (*tracing.PROBES, *tracing.ORACLE_FACTORIES):
+    LOOKED_UP.setdefault(_module.rpartition(".")[2], set()).add(_attr.partition(".")[0])
 
 
 def _exported(tree):
@@ -60,3 +72,19 @@ def test_unused_import_is_reported(tmp_path):
         "from math import e  # noqa: F401\nprint(np, tau)\n"
     )
     assert unused_imports(module) == ["os", "pi"]
+
+
+@pytest.mark.parametrize(
+    "module, attr",
+    [p[:2] for p in (*tracing.PROBES, *tracing.ORACLE_FACTORIES)],
+    ids=lambda v: v,
+)
+def test_every_traced_name_resolves(module, attr):
+    # instrument() patches owner.__dict__[attr]; a missing name breaks --trace 1
+    owner, name = tracing._owner(module, attr)
+    assert callable(owner.__dict__[name]) or isinstance(owner.__dict__[name], classmethod)
+
+
+def test_benchmark_worker_reads_max_workers():
+    # perfbench/worker.py records energy.max_workers(16) in every run's environment
+    assert energy.max_workers(16) >= 1

@@ -5,16 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statabft.detectors import ChecksumPair, CriticalRegionParams, detect_statistical
+from statabft.detectors import (
+    LZC_FRAC_BITS,
+    ChecksumPair,
+    CriticalRegionParams,
+    _floor_log2_lanes,
+    _theta_fixed,
+    detect_statistical,
+    detect_statistical_lzc,
+    floor_log2,
+    log2_fixed,
+)
 from statabft.faults import FaultConfig
 from statabft.gemm import checksum, gemm
 from statabft.systolic import (
     ArrayConfig,
-    StatUnitConfig,
-    _theta_fixed,
-    floor_log2,
     gemm_cycles,
-    log2_fixed,
     run_array,
     statistical_unit,
     tile_cycles,
@@ -63,8 +69,8 @@ def test_log2_fixed_truncates_toward_zero():
 
 def test_theta_fixed_matches_exact_for_power_msd():
     # msd = 2**20: log2 is exact, theta = 40 - 20 = 20 on any grid
-    assert _theta_fixed(2**20, P, 4) == 20 << 4
-    assert _theta_fixed(0, P, 4) is None
+    assert _theta_fixed(2**20, P) == 20 << LZC_FRAC_BITS
+    assert _theta_fixed(0, P) is None
 
 
 def test_cycle_model():
@@ -92,10 +98,8 @@ def test_tiling_can_be_disabled():
 
 def test_run_array_clean_pass():
     w, x = matrices(1)
-    sim = run_array(w, x, stat=StatUnitConfig(params=P))
+    sim = run_array(w, x)
     assert sim.output == gemm(w, x)
-    assert sim.verdict.decision == "pass"
-    assert sim.verdict.msd == 0 and math.isinf(sim.verdict.theta_mag)
     assert sim.events == ()
     assert sim.observed == checksum(sim.output, "row")
 
@@ -103,7 +107,7 @@ def test_run_array_clean_pass():
 def test_run_array_applies_fault_and_logs_events():
     w, x = matrices(2)
     fault = FaultConfig(mode="ber", ber=0.02, seed=5)
-    sim = run_array(w, x, fault=fault, stat=StatUnitConfig(params=P))
+    sim = run_array(w, x, fault=fault)
     clean = gemm(w, x)
     changed = int(np.count_nonzero(sim.output.data != clean.data))
     assert changed == len(sim.events) > 0
@@ -127,7 +131,7 @@ def checksum_pairs(draw):
 @settings(max_examples=300, deadline=None)
 def test_exact_unit_agrees_with_reference_detector(pair):
     ref = detect_statistical(pair, P)
-    unit = statistical_unit(pair.predicted, pair.observed, StatUnitConfig(params=P))
+    unit = statistical_unit(pair.predicted, pair.observed, P)
     assert unit.msd == ref.msd
     assert unit.freq_eff == ref.freq_eff
     assert unit.decision == ref.decision
@@ -136,16 +140,14 @@ def test_exact_unit_agrees_with_reference_detector(pair):
 @given(checksum_pairs())
 @settings(max_examples=300, deadline=None)
 def test_lzc_unit_disagrees_only_near_quantization_edges(pair):
-    exact = statistical_unit(pair.predicted, pair.observed, StatUnitConfig(params=P))
-    lzc = statistical_unit(
-        pair.predicted, pair.observed, StatUnitConfig(params=P, log2_mode="lzc")
-    )
+    exact = statistical_unit(pair.predicted, pair.observed, P, "exact")
+    lzc = statistical_unit(pair.predicted, pair.observed, P, "lzc")
     if lzc.decision == exact.decision:
         return
     msd = pair.msd()
     assert msd > 0
     t_exact = P.b - (P.a - 1.0) * math.log2(msd)
-    t_lzc = _theta_fixed(msd, P, 4) / 16.0
+    t_lzc = _theta_fixed(msd, P) / (1 << LZC_FRAC_BITS)
     near = False
     for v in pair.diff:
         v = int(v)
@@ -162,14 +164,67 @@ def test_lzc_unit_disagrees_only_near_quantization_edges(pair):
 
 
 def test_stat_unit_config_validation():
+    pair = ChecksumPair.from_diff(np.array([1, 2], dtype=np.int64))
     with pytest.raises(ValueError, match="log2_mode"):
-        StatUnitConfig(params=P, log2_mode="approx")
-    with pytest.raises(ValueError, match="frac_bits"):
-        StatUnitConfig(params=P, frac_bits=17)
+        statistical_unit(pair.predicted, pair.observed, P, "approx")
 
 
 def test_stat_unit_length_mismatch():
     a = ChecksumPair.from_diff(np.array([1, 2], dtype=np.int64))
     b = ChecksumPair.from_diff(np.array([1, 2, 3], dtype=np.int64))
     with pytest.raises(ValueError, match="lengths"):
-        statistical_unit(a.predicted, b.observed, StatUnitConfig(params=P))
+        statistical_unit(a.predicted, b.observed, P)
+
+
+# lane deviations at the edges of the GEMM bound: zeros, around +-2**31 (one
+# INT32 flip at bit 31), and worst-case column stacking of +-m * 2**32 with m
+# up to the 4096-row limit, each nudged by -1, 0 or +1
+_EDGES = st.one_of(
+    st.just(0),
+    st.builds(lambda s, o: s * (2**31 + o), st.sampled_from((-1, 1)), st.integers(-1, 1)),
+    st.builds(
+        lambda s, m, o: s * (m * 2**32 + o),
+        st.sampled_from((-1, 1)),
+        st.integers(1, 4096),
+        st.integers(-1, 1),
+    ),
+    st.integers(-(2**20), 2**20),
+)
+_PARAMS = st.builds(
+    CriticalRegionParams,
+    a=st.floats(1.0, 5.0),
+    b=st.floats(0.0, 80.0),
+    theta_freq=st.integers(0, 8),
+)
+
+
+@given(st.lists(_EDGES, min_size=1, max_size=64), _PARAMS)
+@settings(max_examples=500, deadline=None)
+def test_vectorized_detectors_match_the_scalar_unit(d, params):
+    pair = ChecksumPair.from_diff(np.array(d, dtype=np.int64))
+    for detect, mode in ((detect_statistical, "exact"), (detect_statistical_lzc, "lzc")):
+        ref = detect(pair, params)
+        unit = statistical_unit(pair.predicted, pair.observed, params, mode)
+        assert (ref.msd, ref.freq_eff, ref.decision) == (unit.msd, unit.freq_eff, unit.decision)
+        if mode == "lzc":
+            assert ref.theta_mag == unit.theta_mag
+
+
+@given(st.lists(st.one_of(_EDGES, st.integers(-(2**63), 2**63 - 1)), min_size=1, max_size=64))
+@settings(max_examples=300, deadline=None)
+def test_lane_floor_log2_matches_bit_length(d):
+    lanes = np.array([v for v in d if v != 0] or [-(2**63)], dtype=np.int64)
+    assert _floor_log2_lanes(lanes).tolist() == [floor_log2(abs(int(v))) for v in lanes]
+
+
+def test_bounds_beyond_every_lane_count_all_lanes_or_none():
+    # theta is about 1e308 and -inf: far outside the lanes' [0, 63] exponents.
+    # The fixed-point bound saturates there without changing a lane's decision
+    pair = ChecksumPair.from_diff(np.array([1, -(2**40), 3], dtype=np.int64))
+    for params, lanes in (
+        (CriticalRegionParams(a=1.0, b=1e308, theta_freq=0), 0),
+        (CriticalRegionParams(a=1e308, b=0.0, theta_freq=0), 3),
+    ):
+        for detect, mode in ((detect_statistical, "exact"), (detect_statistical_lzc, "lzc")):
+            assert detect(pair, params).freq_eff == lanes
+            assert statistical_unit(pair.predicted, pair.observed, params, mode).freq_eff == lanes
