@@ -76,9 +76,7 @@ QualityOracle = Callable[[OracleCase], float]
 class QualityGrid:
     """Mean degradation per (freq, mag) cell plus the acceptability mask.
 
-    quality has shape (len(freq_axis), len(mag_log2_axis)). epsilon may be
-    NaN for grids deserialized from CSV, where the stored acceptability
-    column is authoritative.
+    quality has shape (len(freq_axis), len(mag_log2_axis)).
     """
 
     freq_axis: np.ndarray
@@ -101,7 +99,7 @@ class QualityGrid:
             raise ValueError(f"quality/acceptable must have shape {shape}")
         if np.any(q < 0) or not np.all(np.isfinite(q)):
             raise ValueError("quality values must be finite and >= 0")
-        if not math.isnan(self.epsilon) and not np.array_equal(acc, q <= self.epsilon):
+        if not np.array_equal(acc, q <= self.epsilon):
             raise ValueError("acceptable mask inconsistent with quality <= epsilon")
         for name, arr in (("freq_axis", fa), ("mag_log2_axis", ma),
                           ("quality", q), ("acceptable", acc)):
@@ -331,7 +329,7 @@ def fit_critical_region(grid: QualityGrid) -> CriticalRegionParams:
     return CriticalRegionParams(a=float(a), b=b, theta_freq=theta_freq)
 
 
-# --- grid CSV exchange format ------------------------------------------------
+# --- grid CSV, as calibrate writes it --------------------------------------
 #
 # Columns: freq,mag_log2,quality,acceptable. One row per cell, freq-major.
 
@@ -347,43 +345,3 @@ def grid_to_csv(grid: QualityGrid) -> str:
                  int(grid.acceptable[i, j])]
             )
     return buf.getvalue()
-
-
-def grid_from_csv(text: str) -> QualityGrid:
-    reader = csv.reader(io.StringIO(text))
-    rows = [r for r in reader if r and any(c.strip() for c in r)]
-    if not rows or [c.strip() for c in rows[0]] != ["freq", "mag_log2", "quality", "acceptable"]:
-        raise ValueError("grid CSV must start with header freq,mag_log2,quality,acceptable")
-    cells: dict[tuple[int, float], tuple[float, bool]] = {}
-    for lineno, r in enumerate(rows[1:], start=2):
-        if len(r) != 4:
-            raise ValueError(f"line {lineno}: expected 4 fields, got {len(r)}")
-        try:
-            f = int(r[0])
-            m = float(r[1])
-            q = float(r[2])
-            acc = r[3].strip().lower()
-        except ValueError:
-            raise ValueError(f"line {lineno}: malformed cell {r!r}") from None
-        if acc not in ("0", "1", "true", "false"):
-            raise ValueError(f"line {lineno}: acceptable must be 0/1/true/false")
-        if (f, m) in cells:
-            raise ValueError(f"line {lineno}: duplicate cell (freq={f}, mag_log2={m})")
-        cells[(f, m)] = (q, acc in ("1", "true"))
-
-    freqs = sorted({f for f, _ in cells})
-    mags = sorted({m for _, m in cells})
-    quality = np.zeros((len(freqs), len(mags)))
-    acceptable = np.zeros((len(freqs), len(mags)), dtype=bool)
-    for i, f in enumerate(freqs):
-        for j, m in enumerate(mags):
-            if (f, m) not in cells:
-                raise ValueError(f"grid CSV not rectangular: missing cell ({f}, {m})")
-            quality[i, j], acceptable[i, j] = cells[(f, m)]
-    return QualityGrid(
-        freq_axis=np.array(freqs, dtype=np.int64),
-        mag_log2_axis=np.array(mags),
-        quality=quality,
-        acceptable=acceptable,
-        epsilon=math.nan,
-    )

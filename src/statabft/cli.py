@@ -3,7 +3,8 @@
 Subcommands: verify, calibrate, compare, sweep, inject. Global flags:
 --config PATH, --seed N, --out DIR, --format csv|json. Exit codes: 0 on
 success, 1 when the experiment itself fails (a verification check fails, no
-boundary can be fitted), 2 for configuration or environment problems.
+boundary can be fitted), 2 for configuration or environment problems, 141
+(128 + SIGPIPE) when stdout is closed early, as by ``| head``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .calibration import (
 from .config import ConfigError, ExperimentConfig, load_config, override_seed, resolved_dict
 from .detectors import ChecksumPair, save_params
 from .energy import CompareRow, SweepPoint, compare_detectors, energy_saving, sweep_detectors
-from .faults import TableFormatError, checksum_diff, fault_events
+from .faults import UNIFORM_MODE, TableFormatError, checksum_diff, fault_events
 from .gemm import AccumMatrix, ChecksumVector, predicted_output_checksum
 from .rng import derive_seed
 from .systolic import ArrayConfig, gemm_cycles
@@ -186,6 +187,8 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, args) -> int:
+    if cfg.fault.mode == UNIFORM_MODE:
+        raise ConfigError("fault.mode: sweep draws BER faults from the voltage table, not uniform")
     results = sweep_detectors(
         cfg.workload,
         cfg.detector_specs(),
@@ -329,6 +332,11 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader left; the SIGPIPE note in the Python docs points stdout at
+        # devnull so that the flush at shutdown does not raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

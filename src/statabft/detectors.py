@@ -10,7 +10,8 @@ observed checksum row of the possibly-faulted output. From d they derive
 
 and decide:
 
-    classical        recover iff any d_j != 0
+    classical        recover iff any d_j != 0 (the ABFT of Huang and Abraham,
+                     IEEE Trans. Computers C-33(6), 1984)
     msd              recover iff MSD > threshold
     statistical      recover iff freq_eff > theta_freq
     statistical_lzc  the statistical rule on the integer LZC datapath (below)
@@ -301,7 +302,9 @@ class DetectorSpec:
             raise ValueError("msd_threshold must be >= 0")
 
     def evaluate(self, pair: ChecksumPair) -> DetectionVerdict:
-        if self.kind == "classical":
+        # dmr catches every nonzero difference by full re-execution, so it
+        # decides as classical does; only its energy cost differs
+        if self.kind in ("classical", "dmr"):
             return detect_classical(pair)
         if self.kind == "msd":
             return detect_msd(pair, self.msd_threshold)
@@ -309,18 +312,7 @@ class DetectorSpec:
             return detect_statistical(pair, self.params)
         if self.kind == "statistical_lzc":
             return detect_statistical_lzc(pair, self.params)
-        if self.kind == "none":
-            return detect_none(pair)
-        # dmr: detection is by full re-execution, behaviorally equivalent to
-        # catching every nonzero difference
-        v = detect_classical(pair)
-        return DetectionVerdict(
-            detector="dmr",
-            msd=v.msd,
-            theta_mag=v.theta_mag,
-            freq_eff=v.freq_eff,
-            decision=v.decision,
-        )
+        return detect_none(pair)
 
 
 def save_params(params: CriticalRegionParams, path: str, provenance: str = "") -> None:

@@ -27,8 +27,6 @@ energy (ties break toward higher voltage).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 from .detectors import (
@@ -49,8 +47,6 @@ from .rng import derive_seed
 # not called: the benchmark's tracer (perfbench/tracing.py) looks it up in this module
 from .systolic import run_array
 from .workloads import WorkloadSpec, workload_matrices
-
-THREADS_ENV = "REALM_SIM_THREADS"
 
 # derivation tag for fault streams inside sweeps/comparisons
 _TAG_FAULT = 201
@@ -147,18 +143,8 @@ class CompareRow:
 
 
 def max_workers(n_items: int) -> int:
-    """Worker count for per-voltage parallelism, capped by REALM_SIM_THREADS."""
-    default = min(4, os.cpu_count() or 1, max(n_items, 1))
-    raw = os.environ.get(THREADS_ENV, "").strip()
-    if not raw:
-        return max(default, 1)
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValueError(f"{THREADS_ENV} must be >= 1, got {cap}")
-    return max(min(default, cap), 1)
+    """Always 1, as sweeps run serially; perfbench/worker.py records max_workers(16)."""
+    return 1
 
 
 def _unique_labels(detectors) -> list[str]:
@@ -272,9 +258,7 @@ def sweep_detectors(
     point at the highest BER therefore scores the same evidence a comparison
     at that BER does. Returns one SweepResult per detector kind with
     per-voltage points in the order given and the energy-minimal optimum
-    (ties break toward higher voltage). Voltage points are scored
-    independently and may run on a small thread pool; REALM_SIM_THREADS caps
-    the worker count.
+    (ties break toward higher voltage).
     """
     if energy_cfg is None:
         energy_cfg = EnergyConfig()
@@ -302,14 +286,13 @@ def sweep_detectors(
         for t in range(trials)
     ]
 
-    def eval_voltage(vi: int) -> list[SweepPoint]:
-        v, ber = voltages[vi], bers[vi]
+    points = {label: [] for label in labels}
+    for v, ber in zip(voltages, bers):
         pairs = (ChecksumPair.from_diff(checksum_diff(f.events(ber), f.n_cols)) for f in flips)
         n, recoveries, undetected, _, _ = _score_stream(pairs, detectors, ref)
-        points = []
         for d, label in zip(detectors, labels):
             rate = recoveries[label] / n
-            points.append(
+            points[label].append(
                 SweepPoint(
                     voltage=v,
                     ber=ber,
@@ -320,20 +303,11 @@ def sweep_detectors(
                     detector=label,
                 )
             )
-        return points
-
-    workers = max_workers(len(voltages))
-    if workers > 1 and len(voltages) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_voltage = list(pool.map(eval_voltage, range(len(voltages))))
-    else:
-        per_voltage = [eval_voltage(i) for i in range(len(voltages))]
 
     results = {}
-    for di, label in enumerate(labels):
-        points = tuple(per_voltage[vi][di] for vi in range(len(voltages)))
-        optimum = min(points, key=lambda p: (p.energy_total, -p.voltage))
-        results[label] = SweepResult(detector=label, points=points, optimum=optimum)
+    for label, pts in points.items():
+        optimum = min(pts, key=lambda p: (p.energy_total, -p.voltage))
+        results[label] = SweepResult(detector=label, points=tuple(pts), optimum=optimum)
     return results
 
 

@@ -31,7 +31,6 @@ it with the log replayed onto it by ``replay_events``.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -365,35 +364,27 @@ class VoltageBerTable:
         return 10.0 ** ((1 - t) * math.log10(b0) + t * math.log10(b1))
 
     @classmethod
-    def from_csv(cls, path_or_text: str, *, is_text: bool = False) -> "VoltageBerTable":
+    def from_csv(cls, path: str) -> "VoltageBerTable":
         """Parse a ``voltage,ber`` CSV file (header row required)."""
-        if is_text:
-            fh = io.StringIO(path_or_text)
-            return cls._parse(fh)
-        with open(path_or_text, newline="") as fh:
-            return cls._parse(fh)
-
-    @classmethod
-    def _parse(cls, fh) -> "VoltageBerTable":
-        reader = csv.reader(fh)
         rows = []
         header = None
-        for lineno, row in enumerate(reader, start=1):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if header is None:
-                header = [c.strip().lower() for c in row]
-                if header != ["voltage", "ber"]:
-                    raise TableFormatError(
-                        f"line {lineno}: header must be 'voltage,ber', got {','.join(row)!r}"
-                    )
-                continue
-            if len(row) != 2:
-                raise TableFormatError(f"line {lineno}: expected 2 fields, got {len(row)}")
-            try:
-                rows.append((float(row[0]), float(row[1])))
-            except ValueError:
-                raise TableFormatError(f"line {lineno}: non-numeric field in {row!r}") from None
+        with open(path, newline="") as fh:
+            for lineno, row in enumerate(csv.reader(fh), start=1):
+                if not row or all(not c.strip() for c in row):
+                    continue
+                if header is None:
+                    header = [c.strip().lower() for c in row]
+                    if header != ["voltage", "ber"]:
+                        raise TableFormatError(
+                            f"line {lineno}: header must be 'voltage,ber', got {','.join(row)!r}"
+                        )
+                    continue
+                if len(row) != 2:
+                    raise TableFormatError(f"line {lineno}: expected 2 fields, got {len(row)}")
+                try:
+                    rows.append((float(row[0]), float(row[1])))
+                except ValueError:
+                    raise TableFormatError(f"line {lineno}: non-numeric field in {row!r}") from None
         if header is None:
             raise TableFormatError("line 1: empty table")
         if len(rows) < 2:
@@ -405,12 +396,6 @@ class VoltageBerTable:
             )
         except ValueError as e:
             raise TableFormatError(str(e)) from None
-
-    def to_csv(self) -> str:
-        lines = ["voltage,ber"]
-        for v, b in zip(self.voltages, self.bers):
-            lines.append(f"{v:.6g},{b:.6g}")
-        return "\n".join(lines) + "\n"
 
 
 def default_table() -> VoltageBerTable:

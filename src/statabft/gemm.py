@@ -83,13 +83,6 @@ class QuantMatrix:
             return NotImplemented
         return self.scale == other.scale and np.array_equal(self.data, other.data)
 
-    @classmethod
-    def from_text(cls, text: str, scale: float = 1.0) -> "QuantMatrix":
-        return cls(parse_matrix_text(text), scale=scale)
-
-    def to_text(self) -> str:
-        return format_matrix_text(self.data)
-
 
 @dataclass(frozen=True, eq=False)
 class AccumMatrix:
@@ -112,13 +105,6 @@ class AccumMatrix:
         if not isinstance(other, AccumMatrix):
             return NotImplemented
         return np.array_equal(self.data, other.data)
-
-    @classmethod
-    def from_text(cls, text: str) -> "AccumMatrix":
-        return cls(parse_matrix_text(text))
-
-    def to_text(self) -> str:
-        return format_matrix_text(self.data)
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,42 +211,3 @@ def total_checksum(w: QuantMatrix, x: QuantMatrix) -> int:
     wsum = w.data.sum(axis=0, dtype=np.int64)
     xsum = x.data.sum(axis=1, dtype=np.int64)
     return int(wsum @ xsum)
-
-
-# --- plain-text matrix exchange format --------------------------------------
-#
-# First whitespace-separated token pair: rows cols. Then rows*cols integers
-# in row-major order. Any whitespace (spaces, newlines) separates tokens.
-
-
-def parse_matrix_text(text: str) -> np.ndarray:
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise ValueError("matrix text needs a 'rows cols' header")
-    try:
-        rows, cols = int(tokens[0]), int(tokens[1])
-    except ValueError:
-        raise ValueError(
-            f"matrix header must be two integers, got {tokens[0]!r} {tokens[1]!r}"
-        ) from None
-    if rows <= 0 or cols <= 0:
-        raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
-    body = tokens[2:]
-    if len(body) != rows * cols:
-        raise ValueError(
-            f"expected {rows * cols} elements for a {rows}x{cols} matrix, "
-            f"got {len(body)}"
-        )
-    try:
-        values = np.array([int(t) for t in body], dtype=np.int64)
-    except ValueError as e:
-        raise ValueError(f"non-integer matrix element: {e}") from None
-    return values.reshape(rows, cols)
-
-
-def format_matrix_text(data: np.ndarray) -> str:
-    rows, cols = data.shape
-    lines = [f"{rows} {cols}"]
-    for r in range(rows):
-        lines.append(" ".join(str(int(v)) for v in data[r]))
-    return "\n".join(lines) + "\n"

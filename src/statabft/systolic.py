@@ -49,7 +49,6 @@ class ArrayConfig:
 
     rows: int = 256
     cols: int = 256
-    allow_tiling: bool = True
 
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
@@ -117,11 +116,6 @@ def gemm_cycles(m: int, k: int, n: int, array: ArrayConfig) -> int:
     """
     if m < 1 or k < 1 or n < 1:
         raise ValueError("GEMM dimensions must be >= 1")
-    if not array.allow_tiling and (m > array.rows or n > array.cols):
-        raise ValueError(
-            f"problem {m}x{k}x{n} exceeds array {array.rows}x{array.cols} "
-            "and tiling is disabled"
-        )
     total = 0
     for mi in range(0, m, array.rows):
         tm = min(array.rows, m - mi)

@@ -13,16 +13,18 @@ in both fault modes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .detectors import (
+    LZC_FRAC_BITS,
     ChecksumPair,
     CriticalRegionParams,
     detect_statistical,
     detect_statistical_lzc,
     floor_log2,
+    log2_fixed,
 )
 from .faults import (
     INT32_MAX,
@@ -121,10 +123,32 @@ def _random_case(seed: int) -> tuple[ChecksumPair, CriticalRegionParams]:
     return pair, _random_params(derive_seed(seed, 1))
 
 
+def _on_grid_params(
+    pair: ChecksumPair, params: CriticalRegionParams, seed: int
+) -> CriticalRegionParams:
+    """``params`` moved so that the LZC bound lands exactly on a lane's exponent e.
+
+    a = 2, b * 2**LZC_FRAC_BITS = log2_fixed(MSD) + (e << LZC_FRAC_BITS): the lane tells > from >=.
+    """
+    msd = pair.msd()
+    if msd == 0:
+        return params
+    lanes = pair.diff[pair.diff != 0]
+    e = floor_log2(abs(int(lanes[int(u64_stream(seed, 1)[0] % np.uint64(lanes.size))])))
+    b = (log2_fixed(msd, LZC_FRAC_BITS) + (e << LZC_FRAC_BITS)) / (1 << LZC_FRAC_BITS)
+    return replace(params, a=2.0, b=b)
+
+
 def check_stat_unit_reference(cases: int, seed: int) -> CheckResult:
-    """Both vectorized statistical detectors agree with the scalar unit in their mode."""
+    """Both vectorized statistical detectors agree with the scalar unit in their mode.
+
+    Every fourth case puts the LZC bound on a lane's exponent, where random params rarely do.
+    """
     for c in range(cases):
-        pair, params = _random_case(derive_seed(seed, 3, c))
+        s = derive_seed(seed, 3, c)
+        pair, params = _random_case(s)
+        if c % 4 == 3:
+            params = _on_grid_params(pair, params, derive_seed(s, 2))
         for detect, mode in ((detect_statistical, EXACT), (detect_statistical_lzc, LZC)):
             ref = detect(pair, params)
             unit = statistical_unit(pair.predicted, pair.observed, params, mode)

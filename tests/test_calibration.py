@@ -9,8 +9,6 @@ from statabft.calibration import (
     OracleCase,
     QualityGrid,
     fit_critical_region,
-    grid_from_csv,
-    grid_to_csv,
     norm_distortion_oracle,
     planted_step_oracle,
     quality_grid,
@@ -205,42 +203,6 @@ def test_norm_distortion_oracle_spread_vs_confined():
     )
     assert norm_distortion_oracle("layer_norm")(case) == 1.0
     assert norm_distortion_oracle("none")(case) == 4.0 / 256.0
-
-
-def test_grid_csv_round_trip():
-    planted = CriticalRegionParams(a=2.0, b=40.0, theta_freq=4)
-    grid = quality_grid(
-        planted_step_oracle(planted),
-        DEFAULT_MAG_AXIS,
-        DEFAULT_FREQ_AXIS,
-        epsilon=0.5,
-        trials=1,
-    )
-    text = grid_to_csv(grid)
-    assert text.splitlines()[0] == "freq,mag_log2,quality,acceptable"
-    back = grid_from_csv(text)
-    np.testing.assert_array_equal(back.freq_axis, grid.freq_axis)
-    np.testing.assert_array_equal(back.mag_log2_axis, grid.mag_log2_axis)
-    np.testing.assert_array_equal(back.quality, grid.quality)
-    np.testing.assert_array_equal(back.acceptable, grid.acceptable)
-    assert math.isnan(back.epsilon)
-    assert fit_critical_region(back) == fit_critical_region(grid)
-
-
-def test_grid_csv_rejects_malformed_input():
-    good = grid_to_csv(make_grid([1, 2], [4.0, 5.0], [[True, True], [True, False]]))
-    with pytest.raises(ValueError, match="header"):
-        grid_from_csv("a,b,c,d\n1,4,0,1\n")
-    with pytest.raises(ValueError, match="4 fields"):
-        grid_from_csv("freq,mag_log2,quality,acceptable\n1,4,0\n")
-    with pytest.raises(ValueError, match="malformed"):
-        grid_from_csv("freq,mag_log2,quality,acceptable\nx,4,0,1\n")
-    with pytest.raises(ValueError, match="duplicate"):
-        grid_from_csv(good + "2,5,1,0\n")
-    with pytest.raises(ValueError, match="not rectangular"):
-        grid_from_csv(good + "3,4,1,0\n")
-    with pytest.raises(ValueError, match="0/1/true/false"):
-        grid_from_csv("freq,mag_log2,quality,acceptable\n1,4,0,maybe\n")
 
 
 def test_grid_type_validation():

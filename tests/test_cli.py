@@ -1,8 +1,10 @@
 import csv
+import errno
 import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -191,15 +193,63 @@ def test_sweep_outputs(tmp_path, capsys):
 
 
 def test_sweep_deterministic_across_runs_and_threads(tmp_path, monkeypatch):
+    def start(self):
+        raise AssertionError("the sweep started a thread")
+
     texts = []
-    for i, threads in enumerate(["1", "3"]):
-        monkeypatch.setenv("REALM_SIM_THREADS", threads)
+    for i in range(2):
+        if i:  # the second run forbids thread starts: the sweep scores serially
+            monkeypatch.setattr(threading.Thread, "start", start)
         out_dir = str(tmp_path / f"sweep{i}")
         rc = main(["--config", sweep_config(tmp_path), "--out", out_dir, "sweep"])
         assert rc == 0
         with open(os.path.join(out_dir, "sweep.csv")) as fh:
             texts.append(fh.read())
     assert texts[0] == texts[1]
+
+
+def test_sweep_rejects_uniform_faults(tmp_path, capsys):
+    # the sweep draws BER faults from the voltage table, so a uniform fault
+    # config would be silently ignored; compare still takes it
+    cfg = write_config(
+        tmp_path,
+        {
+            "workload": SMALL_WORKLOAD,
+            "fault": {"mode": "uniform", "freq": 5, "mag": 100},
+            "sweep": {"trials": 2},
+        },
+    )
+    assert main(["--config", cfg, "--out", str(tmp_path / "sweep"), "sweep"]) == 2
+    assert "fault.mode" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
+    assert main(["--config", cfg, "--out", str(tmp_path / "cmp"), "compare"]) == 0
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone, as when the output is piped into head."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_141_silently(tmp_path, capsys, monkeypatch):
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        rc = main(["--config", sweep_config(tmp_path), "--out", str(tmp_path / "s"), "sweep"])
+    finally:
+        os.close(fd)
+    assert rc == 141
+    assert capsys.readouterr().err == ""
 
 
 def test_seed_override_changes_results(tmp_path):
@@ -285,13 +335,22 @@ def test_resolved_config_echo_contents(tmp_path):
     assert echo["config"]["fault"]["ber"] > 0
 
 
-def test_cli_import_does_not_load_jsonschema():
+def _loaded_by_cli_import(module):
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, statabft.cli; print('jsonschema' in sys.modules)"
+    code = f"import sys, statabft.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip() == "True"
+
+
+def test_cli_import_does_not_load_jsonschema():
+    assert not _loaded_by_cli_import("jsonschema")
+
+
+def test_cli_import_does_not_load_concurrent_futures():
+    # the sweep scores its voltages serially; nothing imports an executor
+    assert not _loaded_by_cli_import("concurrent.futures")
 
 
 def test_inject_runs_no_dense_gemm_and_matches_the_dense_oracle(tmp_path, capsys, monkeypatch):

@@ -158,8 +158,7 @@ def test_detector_spec_dispatch():
     assert DetectorSpec(kind="none").evaluate(pair).decision == "pass"
     assert DetectorSpec(kind="msd", msd_threshold=2**40).evaluate(pair).decision == "pass"
     assert DetectorSpec(kind="statistical", params=P).evaluate(pair).decision == "recover"
-    dmr = DetectorSpec(kind="dmr").evaluate(pair)
-    assert dmr.decision == "recover" and dmr.detector == "dmr"
+    assert DetectorSpec(kind="dmr").evaluate(pair) == detect_classical(pair)
     with pytest.raises(ValueError, match="kind"):
         DetectorSpec(kind="quantum")
     with pytest.raises(ValueError, match="needs CriticalRegionParams"):

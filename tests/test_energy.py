@@ -1,4 +1,5 @@
 import math
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -15,7 +16,6 @@ from statabft.energy import (
     compute_energy,
     energy_saving,
     latency_factor,
-    max_workers,
     sweep_detectors,
     total_energy,
 )
@@ -80,22 +80,6 @@ def test_energy_config_validation():
     cfg = EnergyConfig()
     assert cfg.detect_overhead == 0.0179
     assert cfg.v_nom == 0.9
-
-
-def test_max_workers_env_handling(monkeypatch):
-    monkeypatch.delenv("REALM_SIM_THREADS", raising=False)
-    assert 1 <= max_workers(8) <= 4
-    assert max_workers(1) == 1
-    monkeypatch.setenv("REALM_SIM_THREADS", "1")
-    assert max_workers(8) == 1
-    monkeypatch.setenv("REALM_SIM_THREADS", "2")
-    assert max_workers(8) <= 2
-    monkeypatch.setenv("REALM_SIM_THREADS", "abc")
-    with pytest.raises(ValueError, match="REALM_SIM_THREADS"):
-        max_workers(8)
-    monkeypatch.setenv("REALM_SIM_THREADS", "0")
-    with pytest.raises(ValueError, match="REALM_SIM_THREADS"):
-        max_workers(8)
 
 
 def test_compare_clean_stream_never_recovers():
@@ -183,13 +167,15 @@ def test_sweep_points_follow_voltage_order_and_table():
 
 
 def test_sweep_deterministic_and_thread_invariant(monkeypatch):
+    # the sweep scores its voltages serially: it starts no thread at all
+    def start(self):
+        raise AssertionError("sweep_detectors started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
     cfg = EnergyConfig(table=clean_point_table())
     voltages = [0.9, 0.8, 0.7, 0.6]
-    monkeypatch.setenv("REALM_SIM_THREADS", "1")
-    serial = sweep_detectors(SPEC, DETECTORS, voltages, cfg, trials=6, seed=9)
-    monkeypatch.setenv("REALM_SIM_THREADS", "3")
-    threaded = sweep_detectors(SPEC, DETECTORS, voltages, cfg, trials=6, seed=9)
-    assert serial == threaded
+    first = sweep_detectors(SPEC, DETECTORS, voltages, cfg, trials=6, seed=9)
+    assert sweep_detectors(SPEC, DETECTORS, voltages, cfg, trials=6, seed=9) == first
 
 
 def test_sweep_input_validation():

@@ -295,18 +295,21 @@ def test_default_table_endpoints_and_monotonicity():
 def test_table_csv_round_trip(tmp_path):
     t = default_table()
     p = tmp_path / "table.csv"
-    p.write_text(t.to_csv())
+    rows = zip(t.voltages.tolist(), t.bers.tolist())
+    p.write_text("voltage,ber\n" + "".join(f"{v!r},{b!r}\n" for v, b in rows))
     back = VoltageBerTable.from_csv(str(p))
-    assert np.allclose(back.voltages, t.voltages)
-    assert np.allclose(back.bers, t.bers, rtol=1e-5)
+    assert np.array_equal(back.voltages, t.voltages)
+    assert np.array_equal(back.bers, t.bers)
 
 
-def test_table_csv_errors_carry_line_numbers():
-    with pytest.raises(TableFormatError, match="line 1"):
-        VoltageBerTable.from_csv("volts,ber\n0.9,1e-9\n0.8,1e-6\n", is_text=True)
-    with pytest.raises(TableFormatError, match="line 3"):
-        VoltageBerTable.from_csv("voltage,ber\n0.9,1e-9\n0.8\n", is_text=True)
-    with pytest.raises(TableFormatError, match="line 2"):
-        VoltageBerTable.from_csv("voltage,ber\n0.9,abc\n", is_text=True)
-    with pytest.raises(TableFormatError, match="2 data rows"):
-        VoltageBerTable.from_csv("voltage,ber\n0.9,1e-9\n", is_text=True)
+def test_table_csv_errors_carry_line_numbers(tmp_path):
+    p = tmp_path / "table.csv"
+    for text, match in (
+        ("volts,ber\n0.9,1e-9\n0.8,1e-6\n", "line 1"),
+        ("voltage,ber\n0.9,1e-9\n0.8\n", "line 3"),
+        ("voltage,ber\n0.9,abc\n", "line 2"),
+        ("voltage,ber\n0.9,1e-9\n", "2 data rows"),
+    ):
+        p.write_text(text)
+        with pytest.raises(TableFormatError, match=match):
+            VoltageBerTable.from_csv(str(p))

@@ -10,10 +10,8 @@ from statabft.gemm import (
     ChecksumVector,
     QuantMatrix,
     checksum,
-    format_matrix_text,
     gemm,
     gemm_entries,
-    parse_matrix_text,
     predicted_column_checksum,
     predicted_output_checksum,
     total_checksum,
@@ -130,41 +128,6 @@ def test_equality_semantics():
     assert a == b and a != c
     assert AccumMatrix([[5]]) == AccumMatrix([[5]])
     assert ChecksumVector([1, 2], side="row") != ChecksumVector([1, 2], side="column")
-
-
-def test_text_format_round_trip():
-    w = random_quant_matrix(5, 3, "uniform", 11)
-    text = w.to_text()
-    assert text.splitlines()[0] == "5 3"
-    assert QuantMatrix.from_text(text) == w
-    y = AccumMatrix([[1, -2], [2**31 - 1, -(2**31)]])
-    assert AccumMatrix.from_text(y.to_text()) == y
-
-
-def test_text_format_accepts_any_whitespace():
-    parsed = parse_matrix_text("2 2\n1 2\n3 4\n")
-    assert parsed.tolist() == [[1, 2], [3, 4]]
-    assert np.array_equal(parse_matrix_text("2  2 1\t2\n3    4"), parsed)
-
-
-def test_text_format_rejects_malformed():
-    with pytest.raises(ValueError, match="header"):
-        parse_matrix_text("2")
-    with pytest.raises(ValueError, match="two integers"):
-        parse_matrix_text("a b 1 2")
-    with pytest.raises(ValueError, match="positive"):
-        parse_matrix_text("0 2 ")
-    with pytest.raises(ValueError, match="expected 4 elements"):
-        parse_matrix_text("2 2 1 2 3")
-    with pytest.raises(ValueError, match="non-integer"):
-        parse_matrix_text("1 2 1 x")
-    with pytest.raises(ValueError, match="out of range"):
-        QuantMatrix.from_text("1 2 1 999")
-
-
-def test_format_matrix_text_layout():
-    text = format_matrix_text(np.array([[1, 2], [3, 4]]))
-    assert text == "2 2\n1 2\n3 4\n"
 
 
 def test_max_inner_dim_enforced():

@@ -89,13 +89,6 @@ def test_cycle_model():
     assert gemm_cycles(300, 8, 300, t) == expect
 
 
-def test_tiling_can_be_disabled():
-    arr = ArrayConfig(rows=4, cols=4, allow_tiling=False)
-    with pytest.raises(ValueError, match="tiling is disabled"):
-        gemm_cycles(8, 8, 8, arr)
-    assert gemm_cycles(4, 8, 4, arr) == tile_cycles(4, 4, 8)
-
-
 def test_run_array_clean_pass():
     w, x = matrices(1)
     sim = run_array(w, x)

@@ -1,6 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from statabft import detectors, verify
 from statabft.verify import (
     ALL_CHECKS,
     _random_diff,
@@ -59,3 +62,20 @@ def test_individual_checks_report_case_counts():
     assert check_uniform_msd_relation(11, 2).cases == 11
     assert check_ber_table(13, 3).cases == 13
     assert check_lzc_band(17, 4).cases == 17
+
+
+def test_stat_unit_reference_catches_a_non_strict_lzc_bound(monkeypatch):
+    # the LZC rule counts lanes strictly above the bound; a lane exactly on
+    # it, which random params almost never produce, tells > from >=
+    def non_strict(pair, params):
+        theta = detectors._theta_fixed(pair.msd(), params)
+        lanes = detectors._floor_log2_lanes(pair.diff[pair.diff != 0])
+        freq_eff = 0 if theta is None else int(
+            np.count_nonzero((lanes << detectors.LZC_FRAC_BITS) >= theta)
+        )
+        return replace(detectors.detect_statistical_lzc(pair, params), freq_eff=freq_eff)
+
+    monkeypatch.setattr(verify, "detect_statistical_lzc", non_strict)
+    result = check_stat_unit_reference(100, 0)
+    assert not result.passed
+    assert "lzc datapath disagrees" in result.detail
