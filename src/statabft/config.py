@@ -56,6 +56,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not all(v > 0 for v in self.sweep_voltages):
             raise ValueError(f"sweep_voltages must all be > 0, got {list(self.sweep_voltages)}")
+        if len(set(self.sweep_voltages)) != len(self.sweep_voltages):
+            raise ValueError(
+                f"sweep_voltages must be distinct, got {list(self.sweep_voltages)}"
+            )
         if self.sweep_trials < 1:
             raise ValueError(f"sweep_trials must be >= 1, got {self.sweep_trials}")
         kinds = self.detector_set
@@ -90,6 +94,9 @@ _PATHS = {
     "output_format": ("output", "format"),
 }
 _RANGE = ("v_min", "v_max", "v_step")
+# a v_min/v_max/v_step range gives voltages rounded to this many decimals
+_VOLTAGE_DECIMALS = 10
+_MAX_RANGE_VOLTAGES = 10_000
 _TYPE_NAMES = {int: "integer", str: "string"}
 
 
@@ -160,6 +167,26 @@ def _call(path, fn, arg):
         raise _fail(path, str(e)) from None
 
 
+def _voltage_range(v_min: float, v_max: float, v_step: float) -> tuple[float, ...]:
+    """v_max, v_max - v_step, ... down to v_min (within 1e-9), each rounded to 1e-10."""
+    where = ["sweep", "v_step"]
+    if not v_step > 0:
+        raise _fail(where, "must be > 0")
+    if v_step < 10.0**-_VOLTAGE_DECIMALS:
+        raise _fail(
+            where,
+            f"{v_step:g} is finer than the 1e-{_VOLTAGE_DECIMALS} rounding of sweep "
+            "voltages, so it can only repeat voltages",
+        )
+    # v_max - v_min may overflow to inf, which the bound rejects
+    steps = (v_max - v_min + 1e-9) / v_step
+    if not steps < _MAX_RANGE_VOLTAGES:
+        raise _fail(where, f"the range gives more than {_MAX_RANGE_VOLTAGES} voltages")
+    return tuple(
+        round(v_max - i * v_step, _VOLTAGE_DECIMALS) for i in range(math.floor(steps) + 1)
+    )
+
+
 def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
     """Validate a config document and resolve it against the defaults."""
     base = ExperimentConfig()
@@ -204,14 +231,7 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
             raise _fail(["sweep"], f"range needs v_min/v_max/v_step, missing {sorted(missing)}")
         if sw["v_min"] > sw["v_max"]:
             raise _fail(["sweep"], "v_min must be <= v_max")
-        if not sw["v_step"] > 0:
-            raise _fail(["sweep", "v_step"], "must be > 0")
-        voltages = []
-        v = sw["v_max"]
-        while v >= sw["v_min"] - 1e-9:
-            voltages.append(round(v, 10))
-            v -= sw["v_step"]
-        sw["voltages"] = tuple(voltages)
+        sw["voltages"] = _voltage_range(sw["v_min"], sw["v_max"], sw["v_step"])
 
     own = [s for s in given if hasattr(base, s)]  # sections held as dataclasses
     parts = {s: _build([s], partial(replace, getattr(base, s)), given[s]) for s in own}

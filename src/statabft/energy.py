@@ -20,14 +20,18 @@ BER, and a voltage keeps the flips whose thinning uniform lies below the BER
 the voltage/BER table gives it. Detectors read only the checksum difference,
 which a trial's fault event log gives per column as ``-sum(after - before)``,
 so comparisons and sweeps alike compute the clean output only at corrupted
-elements and never run the dense GEMM. Every detector is scored on the same
-checksum evidence. The per-detector optimum is the sweep point with minimal
-energy (ties break toward higher voltage).
+elements and never run the dense GEMM. Nor do they draw whole operands:
+``workload_entries`` draws just the W rows and X columns that the corrupted
+elements read, so a trial costs in proportion to its faults, not to the
+GEMM's size. Every detector is scored on the same checksum evidence. The
+per-detector optimum is the sweep point with minimal energy (ties break
+toward higher voltage).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 from .detectors import (
     STATISTICAL_KINDS,
@@ -41,12 +45,14 @@ from .faults import (
     VoltageBerTable,
     checksum_diff,
     default_table,
-    fault_events,
+    output_events,
 )
 from .rng import derive_seed
-# not called: the benchmark's tracer (perfbench/tracing.py) looks it up in this module
+from .workloads import WorkloadSpec, workload_entries
+# not called: the benchmark's tracer (perfbench/tracing.py) looks run_array and
+# workload_matrices up in this module
 from .systolic import run_array
-from .workloads import WorkloadSpec, workload_matrices
+from .workloads import workload_matrices
 
 # derivation tag for fault streams inside sweeps/comparisons
 _TAG_FAULT = 201
@@ -159,13 +165,20 @@ def _trial_fault_seed(seed: int, t: int) -> int:
     return derive_seed(seed, _TAG_FAULT, 0, t)
 
 
+def _trial_entries(spec: WorkloadSpec, trials: int):
+    """Per trial, the ``entries(rows, cols)`` callback that reads its clean output."""
+    stream = replace(spec, gemm_count=trials)
+    return [partial(workload_entries, stream, t) for t in range(trials)]
+
+
 def _trial_pairs(spec: WorkloadSpec, trials: int, fault: FaultConfig | None, seed: int):
     """Yield the ChecksumPair of each trial of a GEMM stream, from its fault log."""
-    stream = replace(spec, gemm_count=trials)
-    for t in range(trials):
-        w, x = workload_matrices(stream, t)
-        events = [] if fault is None else fault_events(w, x, fault, _trial_fault_seed(seed, t))
-        yield ChecksumPair.from_diff(checksum_diff(events, x.cols))
+    for t, entries in enumerate(_trial_entries(spec, trials)):
+        events = (
+            [] if fault is None
+            else output_events(spec.m, spec.n, entries, fault, _trial_fault_seed(seed, t))
+        )
+        yield ChecksumPair.from_diff(checksum_diff(events, spec.n))
 
 
 def _proxy_params(detectors, quality_params):
@@ -214,7 +227,7 @@ def compare_detectors(
     """Run one GEMM stream at a fixed fault level; score every detector on it.
 
     Each trial's checksum difference comes from its fault event log alone
-    (``fault_events``, clean values at the corrupted elements only), the same
+    (``output_events``, clean values at the corrupted elements only), the same
     sparse evidence ``sweep_detectors`` scores. The undetected-critical rate
     counts trials a detector passed whose checksum evidence lies inside the
     reference critical region (quality_params, defaulting to the statistical
@@ -275,15 +288,9 @@ def sweep_detectors(
     bers = [energy_cfg.table.ber_at(v) for v in voltages]
     top_ber = max(bers)
 
-    stream = replace(spec, gemm_count=trials)
     flips = [
-        SparseFlips.sample(
-            *workload_matrices(stream, t),
-            seed=_trial_fault_seed(seed, t),
-            ber=top_ber,
-            bit_window=bit_window,
-        )
-        for t in range(trials)
+        SparseFlips.draw(spec.m, spec.n, entries, _trial_fault_seed(seed, t), top_ber, bit_window)
+        for t, entries in enumerate(_trial_entries(spec, trials))
     ]
 
     points = {label: [] for label in labels}

@@ -22,10 +22,13 @@ Two fault modes:
   planting errors of known severity.
 
 Each mode builds its ground-truth event log in one place, reading clean values
-only at the elements it touches through a callback ``entries(rows, cols)``.
-``fault_events`` reads them with ``gemm_entries`` (one K-MAC dot product each,
-no dense product); the dense injectors read them from the matrix and return
-it with the log replayed onto it by ``replay_events``.
+only at the elements it touches through a callback ``entries(rows, cols)``;
+``output_events`` picks the mode's builder. Comparisons and sweeps pass
+``workloads.workload_entries``, which draws only the operand rows and columns
+the corrupted elements read. ``fault_events`` reads them from given operands
+with ``gemm_entries`` (one K-MAC dot product each, no dense product); the
+dense injectors read them from the matrix and return it with the log replayed
+onto it by ``replay_events``.
 """
 
 from __future__ import annotations
@@ -175,18 +178,6 @@ class SparseFlips:
         flips = tuple(zip(elements.tolist(), masks.tolist(), u.tolist()))
         return cls(n_cols=n_cols, ber=ber, bit_window=bit_window, flips=flips, clean=clean)
 
-    @classmethod
-    def sample(
-        cls,
-        w: QuantMatrix,
-        x: QuantMatrix,
-        seed: int,
-        ber: float,
-        bit_window: tuple[int, int] = (16, 31),
-    ) -> "SparseFlips":
-        """The flips ``sample_bitflips`` makes in W @ X at (seed, ber, bit_window)."""
-        return cls.draw(w.rows, x.cols, partial(gemm_entries, w, x), seed, ber, bit_window)
-
     def events(self, ber: float) -> list[ErrorEvent]:
         """The corrupted elements at ``ber``, in row-major order."""
         if not 0.0 <= ber <= self.ber:
@@ -232,8 +223,13 @@ def _uniform_events(n_rows: int, n_cols: int, entries, seed: int, freq: int, mag
     return [ErrorEvent(*e) for e in zip(*(a.tolist() for a in (rows, cols, before, after)))]
 
 
-def _events(n_rows: int, n_cols: int, entries, cfg: FaultConfig, seed: int | None):
-    """The event log of ``cfg`` on an n_rows x n_cols output, from its mode's builder."""
+def output_events(
+    n_rows: int, n_cols: int, entries, cfg: FaultConfig, seed: int | None = None
+) -> list[ErrorEvent]:
+    """The event log of ``cfg`` on an n_rows x n_cols output, from its mode's builder.
+
+    ``entries(rows, cols)`` gives the clean values at the corrupted elements.
+    """
     if seed is None:
         seed = cfg.seed
     if cfg.mode == BER_MODE:
@@ -246,7 +242,7 @@ def fault_events(
     w: QuantMatrix, x: QuantMatrix, cfg: FaultConfig, seed: int | None = None
 ) -> list[ErrorEvent]:
     """The log ``apply_fault(gemm(w, x), cfg, seed)`` leaves, without the dense product."""
-    return _events(w.rows, x.cols, partial(gemm_entries, w, x), cfg, seed)
+    return output_events(w.rows, x.cols, partial(gemm_entries, w, x), cfg, seed)
 
 
 def checksum_diff(events: list[ErrorEvent], n_cols: int) -> np.ndarray:
@@ -260,7 +256,7 @@ def checksum_diff(events: list[ErrorEvent], n_cols: int) -> np.ndarray:
 def _replayed(y: AccumMatrix, cfg: FaultConfig, seed: int | None, mode: str, name: str):
     if cfg.mode != mode:
         raise ValueError(f"{name} needs mode={mode!r}, got {cfg.mode!r}")
-    events = _events(*y.data.shape, lambda rows, cols: y.data[rows, cols], cfg, seed)
+    events = output_events(*y.data.shape, lambda rows, cols: y.data[rows, cols], cfg, seed)
     return replay_events(y, events), events
 
 

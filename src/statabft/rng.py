@@ -3,7 +3,8 @@
 All randomness flows through SplitMix64 so runs reproduce bit-for-bit on any
 platform and trial seeds can be derived independently (no shared RNG state
 between concurrent trials). The k-th draw from a seed is a pure function of
-(seed, k), which also makes bulk sampling vectorizable.
+(seed, k), which makes bulk sampling vectorizable and lets ``u64_at`` draw
+any subset of a stream alone.
 """
 
 from __future__ import annotations
@@ -25,18 +26,26 @@ def mix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
-def u64_stream(seed: int, n: int, offset: int = 0) -> np.ndarray:
-    """First ``n`` outputs (after ``offset``) of SplitMix64 seeded with ``seed``.
+def u64_at(seed: int, idx) -> np.ndarray:
+    """Outputs ``idx`` (0-based, an index array of any shape) of SplitMix64 seeded with ``seed``.
 
-    Output i equals mix64(seed + (offset + i + 1) * GAMMA), the classic
-    sequential generator unrolled; ``SplitMix64`` produces the same values
-    one at a time.
+    Output i equals mix64(seed + (i + 1) * GAMMA), the classic sequential
+    generator unrolled, so any output is drawn without the ones before it.
     """
-    idx = np.arange(offset + 1, offset + n + 1, dtype=np.uint64)
-    z = np.uint64(seed & MASK64) + idx * np.uint64(GAMMA)
+    i = np.asarray(idx, dtype=np.uint64)
+    # seed + (i + 1) * GAMMA, on a raveled view so a 0-d index wraps like an array
+    z = np.uint64((seed + GAMMA) & MASK64) + i.ravel() * np.uint64(GAMMA)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-    return z ^ (z >> np.uint64(31))
+    return (z ^ (z >> np.uint64(31))).reshape(i.shape)
+
+
+def u64_stream(seed: int, n: int, offset: int = 0) -> np.ndarray:
+    """Outputs ``offset`` to ``offset + n - 1`` of SplitMix64 seeded with ``seed``.
+
+    ``SplitMix64`` produces the same values one at a time.
+    """
+    return u64_at(seed, np.arange(offset, offset + n, dtype=np.uint64))
 
 
 def unit_floats(u: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -35,8 +36,8 @@ from .faults import (
     apply_fault,
     checksum_diff,
     default_table,
-    fault_events,
     inject_uniform,
+    output_events,
     sample_bitflips,
 )
 from .gemm import (
@@ -47,9 +48,15 @@ from .gemm import (
     predicted_output_checksum,
     total_checksum,
 )
-from .rng import derive_seed, u64_stream
+from .rng import SplitMix64, derive_seed, u64_stream
 from .systolic import EXACT, LZC, statistical_unit
-from .workloads import random_quant_matrix
+from .workloads import (
+    DISTRIBUTIONS,
+    WorkloadSpec,
+    random_quant_matrix,
+    workload_entries,
+    workload_matrices,
+)
 
 
 @dataclass(frozen=True)
@@ -290,13 +297,21 @@ def check_lzc_band(cases: int, seed: int) -> CheckResult:
 def _sparse_evidence_failure(s: int) -> str:
     """How case ``s`` breaks the sparse evidence (see below), or '' if it holds."""
     m, k, n = _dims(s)
-    w = random_quant_matrix(m, k, "uniform", derive_seed(s, 0))
-    x = random_quant_matrix(k, n, "uniform", derive_seed(s, 1))
+    u = u64_stream(s, 4)
+    # drawing rows and columns alone relies on draw i being the sequential generator's
+    sequential = SplitMix64(s)
+    if [sequential.next_u64() for _ in range(4)] != u.tolist():
+        return "counter-based draws differ from sequential SplitMix64"
+    distribution = DISTRIBUTIONS[int(u[3] % np.uint64(len(DISTRIBUTIONS)))]
+    spec = WorkloadSpec(m=m, k=k, n=n, gemm_count=2, distribution=distribution, seed=s)
+    index = int(u[2] % np.uint64(2))
+    w, x = workload_matrices(spec, index)
     clean = gemm(w, x)
     predicted = predicted_output_checksum(w, x).data
-    top = 10.0 ** -(1 + int(u64_stream(s, 1)[0] % np.uint64(3)))
+    entries = partial(workload_entries, spec, index)
+    top = 10.0 ** -(1 + int(u[0] % np.uint64(3)))
     fault = FaultConfig(mode="ber", ber=top, seed=derive_seed(s, 2))
-    flips = SparseFlips.sample(w, x, fault.seed, top, fault.bit_window)
+    flips = SparseFlips.draw(m, n, entries, fault.seed, top, fault.bit_window)
     if flips.events(top) != sample_bitflips(clean, fault)[1]:
         return "top-BER events differ from dense"
     above = None
@@ -311,10 +326,10 @@ def _sparse_evidence_failure(s: int) -> str:
         if above is not None and not sites <= above:
             return f"flips at ber {ber:g} not nested in the higher BER's"
         above = sites
-    freq = m * n if s % 4 == 0 else int(u64_stream(s, 2)[1] % np.uint64(m * n + 1))
+    freq = m * n if s % 4 == 0 else int(u[1] % np.uint64(m * n + 1))
     mag = INT32_MAX if s % 3 else INT32_MIN  # adding an INT32 edge wraps often
     uniform = FaultConfig(mode="uniform", freq=freq, mag=mag, seed=derive_seed(s, 3))
-    events = fault_events(w, x, uniform)
+    events = output_events(m, n, entries, uniform)
     dense = predicted - _applied(clean, events, uniform).sum(0, dtype=np.int64)
     if (
         not np.array_equal(checksum_diff(events, n), dense)
@@ -328,11 +343,15 @@ def _sparse_evidence_failure(s: int) -> str:
 def check_sparse_evidence(cases: int, seed: int) -> CheckResult:
     """Logs built from clean values at the touched elements give the dense difference.
 
+    Each case is one GEMM of a random WorkloadSpec in either distribution.
+    Its logs read clean values through ``workload_entries``, as compare and
+    sweep do, and are held to ``gemm(*workload_matrices(...))``; the
+    counter-based draws that both use are held to the sequential generator.
     BER: at the top BER the sparse events are ``sample_bitflips``'s own; as
     the BER drops, the corrupted elements form nested sets, empty at BER 0.
     Recovery rates are not checked for monotonicity: two flips in one column
-    can cancel to d_j = 0. Uniform: ``fault_events`` is ``inject_uniform``'s
-    log, at INT32-edge magnitudes that wrap and up to every element corrupted.
+    can cancel to d_j = 0. Uniform: the log is ``inject_uniform``'s, at
+    INT32-edge magnitudes that wrap and up to every element corrupted.
     """
     for c in range(cases):
         failure = _sparse_evidence_failure(derive_seed(seed, 8, c))

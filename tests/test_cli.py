@@ -335,11 +335,17 @@ def test_resolved_config_echo_contents(tmp_path):
     assert echo["config"]["fault"]["ber"] > 0
 
 
-def _loaded_by_cli_import(module):
+def _run_child(code, **kwargs):
+    """``python -c code`` with statabft importable from this checkout."""
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = f"import sys, statabft.cli; print({module!r} in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, **kwargs
+    )
+
+
+def _loaded_by_cli_import(module):
+    out = _run_child(f"import sys, statabft.cli; print({module!r} in sys.modules)")
     assert out.returncode == 0, out.stderr
     return out.stdout.strip() == "True"
 
@@ -397,3 +403,27 @@ def test_sweep_scores_statistical_lzc_beside_statistical(tmp_path):
     with open(os.path.join(out_dir, "sweep_summary.csv")) as fh:
         rows = {r["detector"]: r for r in csv.DictReader(fh)}
     assert list(rows) == ["classical", "statistical", "statistical_lzc"]
+
+
+def test_sweep_step_finer_than_voltage_rounding_exits_two_at_once(tmp_path):
+    # v - 1e-300 == v in floats, so stepping down from v_max never ended; run in
+    # a child process, so that a hang fails this test instead of stalling the suite
+    cfg = write_config(tmp_path, {"sweep": {"v_min": 0.6, "v_max": 0.9, "v_step": 1e-300}})
+    args = ["--config", cfg, "--out", str(tmp_path / "out"), "sweep"]
+    code = (
+        "import time, statabft.cli; t = time.perf_counter(); "
+        f"rc = statabft.cli.main({args!r}); print(rc, time.perf_counter() - t)"
+    )
+    out = _run_child(code, timeout=60)
+    rc, elapsed = out.stdout.split()
+    assert rc == "2" and float(elapsed) < 1.0
+    assert out.stderr.startswith("error: sweep.v_step: ") and "Traceback" not in out.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_duplicate_sweep_voltages_exit_two(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"sweep": {"voltages": [0.7, 0.8, 0.7]}})
+    rc = main(["--config", cfg, "--out", str(tmp_path / "out"), "sweep"])
+    assert rc == 2
+    assert "sweep.voltages: must be distinct" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

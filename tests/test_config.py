@@ -18,6 +18,7 @@ from statabft.config import (
     resolved_dict,
 )
 from statabft.detectors import CriticalRegionParams, save_params
+from statabft.faults import default_table
 
 
 def test_empty_config_gives_stock_experiment():
@@ -120,6 +121,36 @@ def test_sweep_voltages_explicit_and_range():
         parse_config({"sweep": {"v_min": 0.6, "v_max": 0.9}})
     with pytest.raises(ConfigError, match="v_min"):
         parse_config({"sweep": {"v_min": 0.9, "v_max": 0.6, "v_step": 0.1}})
+
+
+def test_sweep_range_counts_its_steps():
+    # the stock table's rows, 20 mV apart, and a range ending off the step grid
+    cfg = parse_config({"sweep": {"v_min": 0.6, "v_max": 0.9, "v_step": 0.02}})
+    assert cfg.sweep_voltages == tuple(float(v) for v in default_table().voltages)
+    cfg = parse_config({"sweep": {"v_min": 0.61, "v_max": 0.87, "v_step": 0.013}})
+    assert cfg.sweep_voltages[-1] == 0.61 and len(cfg.sweep_voltages) == 21
+    cfg = parse_config({"sweep": {"v_min": 0.6, "v_max": 0.6, "v_step": 0.5}})
+    assert cfg.sweep_voltages == (0.6,)
+    # the finest step allowed still gives distinct voltages
+    cfg = parse_config({"sweep": {"v_min": 0.7, "v_max": 0.7 + 1e-9, "v_step": 1e-10}})
+    assert cfg.sweep_voltages[:2] == (0.700000001, 0.7000000009)
+    assert len(set(cfg.sweep_voltages)) == len(cfg.sweep_voltages)
+
+
+@pytest.mark.parametrize(
+    "sweep, message",
+    [
+        ({"v_min": 0.6, "v_max": 0.9, "v_step": 0.0}, "sweep.v_step: must be > 0"),
+        ({"v_min": 0.6, "v_max": 0.9, "v_step": 1e-300}, "sweep.v_step: 1e-300 is finer"),
+        ({"v_min": 0.6, "v_max": 0.9, "v_step": 5e-11}, "sweep.v_step: 5e-11 is finer"),
+        ({"v_min": 0.6, "v_max": 0.9, "v_step": 1e-9}, "sweep.v_step: the range gives more"),
+        ({"v_min": -1.7e308, "v_max": 1.7e308, "v_step": 1.0}, "sweep.v_step: the range gives"),
+        ({"voltages": [0.7, 0.7]}, r"sweep.voltages: must be distinct, got \[0.7, 0.7\]"),
+    ],
+)
+def test_sweep_voltages_that_repeat_or_never_end_are_rejected(sweep, message):
+    with pytest.raises(ConfigError, match=message):
+        parse_config({"sweep": sweep})
 
 
 def test_sweep_detector_set():

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from statabft import workloads
 from statabft.detectors import CriticalRegionParams, DetectorSpec
 from statabft.energy import (
     EnergyConfig,
@@ -19,7 +20,13 @@ from statabft.energy import (
     sweep_detectors,
     total_energy,
 )
-from statabft.faults import FaultConfig, VoltageBerTable, checksum_diff, fault_events
+from statabft.faults import (
+    FaultConfig,
+    VoltageBerTable,
+    checksum_diff,
+    fault_events,
+    output_events,
+)
 from statabft.systolic import run_array
 from statabft.workloads import WorkloadSpec, workload_matrices
 
@@ -284,3 +291,34 @@ def test_compare_with_every_element_corrupted_runs_in_bounded_memory():
         tracemalloc.stop()
     assert peak < 2 * m * n * k * 8 / 4
     assert rows[0].mean_msd == m * n * 3 and rows[1].recovery_rate == 1.0
+
+
+def test_compare_draws_only_the_operand_rows_and_columns_its_faults_read(monkeypatch):
+    # compare_deep's shape and BER: a trial draws k values per W row and per X
+    # column that its corrupted elements read, and a trial without flips none
+    m, k, n, trials = 64, 4096, 64, 8
+    spec = WorkloadSpec(m=m, k=k, n=n, gemm_count=trials, distribution="outlier")
+    fault = FaultConfig(mode="ber", ber=1e-5)
+    draws = []
+    real = workloads.u64_at
+
+    def spy(seed, idx):
+        draws.append(idx.size)
+        return real(seed, idx)
+
+    def zeros(rows, cols):
+        return np.zeros(len(rows), dtype=np.int64)
+
+    monkeypatch.setattr(workloads, "u64_at", spy)
+    pairs = list(_trial_pairs(spec, trials, fault, 5))
+    touched = []
+    for t in range(trials):
+        # where BER flips land does not depend on the clean values
+        events = output_events(m, n, zeros, fault, _trial_fault_seed(5, t))
+        touched.append(({e.row for e in events}, {e.col for e in events}))
+    flipped = [(r, c) for r, c in touched if r]
+    assert 0 < len(flipped) < trials  # both kinds of trial occur
+    assert len(draws) == 2 * len(flipped)
+    assert sum(draws) == sum(len(r) * k + k * len(c) for r, c in flipped)
+    assert sum(draws) < m * k
+    assert len(pairs) == trials

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from statabft.faults import (
     replay_events,
     sample_bitflips,
 )
-from statabft.gemm import AccumMatrix, checksum, gemm, predicted_output_checksum
+from statabft.gemm import AccumMatrix, checksum, gemm, gemm_entries, predicted_output_checksum
 from statabft.workloads import random_quant_matrix
 
 
@@ -126,7 +127,9 @@ def test_sparse_flips_match_the_dense_sampler():
     x = random_quant_matrix(40, 9, "outlier", 6)
     clean = gemm(w, x)
     cfg = FaultConfig(mode="ber", ber=0.05, bit_window=(8, 31), seed=8)
-    flips = SparseFlips.sample(w, x, cfg.seed, cfg.ber, cfg.bit_window)
+    flips = SparseFlips.draw(
+        w.rows, x.cols, partial(gemm_entries, w, x), cfg.seed, cfg.ber, cfg.bit_window
+    )
     corrupted, events = sample_bitflips(clean, cfg)
     # the clean value at each flipped element is the dense product's
     assert flips.clean and all(

@@ -2,7 +2,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statabft.rng import GAMMA, MASK64, SplitMix64, derive_seed, mix64, u64_stream, unit_floats
+from statabft.rng import (
+    GAMMA,
+    MASK64,
+    SplitMix64,
+    derive_seed,
+    mix64,
+    u64_at,
+    u64_stream,
+    unit_floats,
+)
 
 
 def reference_sequence(seed, n):
@@ -68,3 +77,27 @@ def test_mix64_stays_in_64_bits(x):
 def test_stream_prefix_stability(seed, n):
     long = u64_stream(seed, 64)
     assert np.array_equal(long[:n], u64_stream(seed, n))
+
+
+@given(
+    st.integers(min_value=0, max_value=MASK64),
+    st.integers(min_value=0, max_value=2**62),
+    st.lists(st.integers(min_value=0, max_value=63), max_size=40),
+    st.booleans(),
+)
+@settings(max_examples=100, deadline=None)
+def test_u64_at_draws_any_indices_of_the_stream(seed, offset, picks, two_d):
+    # unsorted, repeated and empty index arrays, flat or 2-D, at any offset
+    idx = np.array(picks, dtype=np.int64)
+    if two_d:
+        idx = np.stack([idx, idx[::-1]])
+    drawn = u64_at(seed, idx + offset)
+    assert drawn.shape == idx.shape and drawn.dtype == np.uint64
+    assert np.array_equal(drawn, u64_stream(seed, 64, offset)[idx])
+
+
+def test_u64_at_single_index_and_sequential_view():
+    rng = SplitMix64(99)
+    expected = [rng.next_u64() for _ in range(5)]
+    assert [int(u64_at(99, i)) for i in range(5)] == expected
+    assert u64_at(99, 4).shape == ()

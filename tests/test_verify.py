@@ -3,13 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from statabft import detectors, verify
+from statabft import detectors, rng, verify, workloads
 from statabft.verify import (
     ALL_CHECKS,
     _random_diff,
     check_ber_table,
     check_checksum_identities,
     check_lzc_band,
+    check_sparse_evidence,
     check_stat_unit_reference,
     check_uniform_msd_relation,
     run_checks,
@@ -79,3 +80,21 @@ def test_stat_unit_reference_catches_a_non_strict_lzc_bound(monkeypatch):
     result = check_stat_unit_reference(100, 0)
     assert not result.passed
     assert "lzc datapath disagrees" in result.detail
+
+
+@pytest.mark.parametrize(
+    "module, message",
+    [
+        # workload_entries reads the next draw: the sparse path alone goes wrong
+        (workloads, "top-BER events differ from dense"),
+        # every stream shifts alike, so only the sequential generator tells
+        (rng, "counter-based draws differ from sequential SplitMix64"),
+    ],
+    ids=["operand-index", "stream-counter"],
+)
+def test_sparse_evidence_catches_an_off_by_one_draw(monkeypatch, module, message):
+    real = rng.u64_at
+    monkeypatch.setattr(module, "u64_at", lambda seed, idx: real(seed, np.asarray(idx) + 1))
+    result = check_sparse_evidence(25, 0)
+    assert not result.passed
+    assert message in result.detail

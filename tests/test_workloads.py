@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statabft.gemm import gemm
 from statabft.workloads import (
     WorkloadSpec,
     random_quant_matrix,
+    workload_entries,
     workload_matrices,
 )
 
@@ -76,3 +78,42 @@ def test_matrix_values_always_in_int8(seed, dist):
     # construction would have raised on overflow; check shape and determinism
     again = random_quant_matrix(16, 16, dist, seed)
     assert m == again
+
+
+@st.composite
+def _entry_case(draw):
+    """A small spec, a GEMM index and positions in its output: unsorted, repeated or all."""
+    m, k, n = (draw(st.integers(min_value=1, max_value=hi)) for hi in (9, 33, 7))
+    spec = WorkloadSpec(
+        m=m, k=k, n=n, gemm_count=3,
+        distribution=draw(st.sampled_from(["uniform", "outlier"])),
+        seed=draw(st.integers(min_value=0, max_value=2**64 - 1)),
+    )
+    if draw(st.booleans()):
+        positions = draw(st.permutations(range(m * n)))
+    else:
+        positions = draw(st.lists(st.integers(min_value=0, max_value=m * n - 1), max_size=12))
+    return spec, draw(st.integers(min_value=0, max_value=2)), np.array(positions, dtype=np.int64)
+
+
+@given(_entry_case())
+@settings(max_examples=60, deadline=None)
+def test_workload_entries_equal_the_dense_product(case):
+    spec, index, positions = case
+    rows, cols = np.divmod(positions, spec.n)
+    got = workload_entries(spec, index, rows, cols)
+    assert got.dtype == np.int64 and got.shape == positions.shape
+    assert np.array_equal(got, gemm(*workload_matrices(spec, index)).data[rows, cols])
+
+
+def test_workload_entries_validation():
+    spec = WorkloadSpec(m=4, k=5, n=3, gemm_count=2)
+    assert workload_entries(spec, 1, [], []).size == 0
+    with pytest.raises(ValueError, match="outside"):
+        workload_entries(spec, 2, [0], [0])
+    with pytest.raises(ValueError, match="outside the 4x3 output"):
+        workload_entries(spec, 0, [4], [0])
+    with pytest.raises(ValueError, match="outside the 4x3 output"):
+        workload_entries(spec, 0, [0], [-1])
+    with pytest.raises(ValueError, match="2 rows but 1 cols"):
+        workload_entries(spec, 0, [0, 1], [0])
