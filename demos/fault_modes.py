@@ -24,7 +24,7 @@ def show_ber(ber: float, seeds: range) -> None:
     print(f"\nber mode, p={ber:g}, window bits [16, 31]:")
     print(f"{'seed':>6} {'flips':>6} {'nonzero cols':>13} {'MSD':>14}")
     for seed in seeds:
-        corrupted, events = sample_bitflips(zero, FaultConfig(mode="ber", ber=ber), seed)
+        corrupted, events = sample_bitflips(zero, FaultConfig(mode="ber", ber=ber, seed=seed))
         pair = ChecksumPair.from_vectors(base, checksum(corrupted, "row"))
         print(f"{seed:>6} {len(events):>6} {pair.nonzero_count():>13} {pair.msd():>14}")
 
@@ -35,8 +35,8 @@ def show_uniform(freq: int, mag: int, seeds: range) -> None:
     print(f"\nuniform mode, freq={freq}, mag={mag} (expect MSD = {freq * mag}):")
     print(f"{'seed':>6} {'events':>6} {'nonzero cols':>13} {'MSD':>14}")
     for seed in seeds:
-        cfg = FaultConfig(mode="uniform", freq=freq, mag=mag)
-        corrupted, events = inject_uniform(zero, cfg, seed)
+        cfg = FaultConfig(mode="uniform", freq=freq, mag=mag, seed=seed)
+        corrupted, events = inject_uniform(zero, cfg)
         pair = ChecksumPair.from_vectors(base, checksum(corrupted, "row"))
         print(f"{seed:>6} {len(events):>6} {pair.nonzero_count():>13} {pair.msd():>14}")
 

@@ -16,7 +16,7 @@ import argparse
 
 from statabft.detectors import CriticalRegionParams, DetectorSpec
 from statabft.energy import EnergyConfig, energy_saving, sweep_detectors
-from statabft.faults import default_table
+from statabft.faults import FaultConfig, default_table
 from statabft.workloads import WorkloadSpec
 
 PARAMS = CriticalRegionParams(a=2.0, b=40.0, theta_freq=4)
@@ -44,10 +44,10 @@ def main() -> None:
     results = sweep_detectors(
         spec,
         DETECTORS,
+        FaultConfig(mode="ber", seed=args.seed),
         voltages,
         EnergyConfig(table=table),
         trials=args.trials,
-        seed=args.seed,
     )
 
     nominal = results["none"].points[0].energy_total

@@ -7,160 +7,3 @@ needed to study the trade-off.
 """
 
 __version__ = "0.1.0"
-
-from .gemm import (
-    AccumMatrix,
-    ChecksumVector,
-    QuantMatrix,
-    checksum,
-    gemm,
-    predicted_column_checksum,
-    predicted_output_checksum,
-    total_checksum,
-)
-from .faults import (
-    ErrorEvent,
-    FaultConfig,
-    VoltageBerTable,
-    apply_fault,
-    default_table,
-    inject_uniform,
-    replay_events,
-    sample_bitflips,
-)
-from .detectors import (
-    ChecksumPair,
-    CriticalRegionParams,
-    DetectionVerdict,
-    DetectorSpec,
-    detect_classical,
-    detect_msd,
-    detect_none,
-    detect_statistical,
-    detect_statistical_lzc,
-    effective_frequency,
-    load_params,
-    save_params,
-    theta_mag,
-)
-from .systolic import (
-    ArrayConfig,
-    SimResult,
-    gemm_cycles,
-    run_array,
-    statistical_unit,
-)
-from .resilience import (
-    AmplificationResult,
-    NormPipelineConfig,
-    apply_norm,
-    layer_norm,
-    measure_change,
-    norm_amplification,
-    rms_norm,
-    synthetic_hidden_state,
-)
-from .calibration import (
-    GridCellError,
-    NoBoundaryError,
-    OracleCase,
-    QualityGrid,
-    fit_critical_region,
-    grid_to_csv,
-    norm_distortion_oracle,
-    planted_step_oracle,
-    quality_grid,
-)
-from .energy import (
-    CompareRow,
-    EnergyConfig,
-    SweepPoint,
-    SweepResult,
-    compare_detectors,
-    compute_energy,
-    energy_saving,
-    latency_factor,
-    sweep_detectors,
-    total_energy,
-)
-from .workloads import WorkloadSpec, random_quant_matrix, workload_entries, workload_matrices
-from .config import ConfigError, ExperimentConfig, load_config, parse_config
-from .rng import SplitMix64, derive_seed, mix64, u64_at, u64_stream, unit_floats
-
-__all__ = [
-    "AccumMatrix",
-    "AmplificationResult",
-    "ArrayConfig",
-    "ChecksumPair",
-    "ChecksumVector",
-    "CompareRow",
-    "ConfigError",
-    "CriticalRegionParams",
-    "DetectionVerdict",
-    "DetectorSpec",
-    "EnergyConfig",
-    "ErrorEvent",
-    "ExperimentConfig",
-    "FaultConfig",
-    "GridCellError",
-    "NoBoundaryError",
-    "NormPipelineConfig",
-    "OracleCase",
-    "QualityGrid",
-    "QuantMatrix",
-    "SimResult",
-    "SplitMix64",
-    "SweepPoint",
-    "SweepResult",
-    "VoltageBerTable",
-    "WorkloadSpec",
-    "apply_fault",
-    "apply_norm",
-    "checksum",
-    "compare_detectors",
-    "compute_energy",
-    "default_table",
-    "derive_seed",
-    "detect_classical",
-    "detect_msd",
-    "detect_none",
-    "detect_statistical",
-    "detect_statistical_lzc",
-    "effective_frequency",
-    "energy_saving",
-    "fit_critical_region",
-    "gemm",
-    "gemm_cycles",
-    "grid_to_csv",
-    "inject_uniform",
-    "latency_factor",
-    "layer_norm",
-    "load_config",
-    "load_params",
-    "measure_change",
-    "mix64",
-    "norm_amplification",
-    "norm_distortion_oracle",
-    "parse_config",
-    "planted_step_oracle",
-    "predicted_column_checksum",
-    "predicted_output_checksum",
-    "quality_grid",
-    "random_quant_matrix",
-    "replay_events",
-    "rms_norm",
-    "run_array",
-    "sample_bitflips",
-    "save_params",
-    "statistical_unit",
-    "sweep_detectors",
-    "synthetic_hidden_state",
-    "theta_mag",
-    "total_checksum",
-    "total_energy",
-    "u64_at",
-    "u64_stream",
-    "unit_floats",
-    "workload_entries",
-    "workload_matrices",
-]

@@ -190,11 +190,11 @@ def quality_grid(
             total = 0.0
             for t in range(trials):
                 clean = clean_factory(derive_seed(seed, cell, t, 0))
-                cfg = FaultConfig(mode=UNIFORM_MODE, freq=f, mag=mag)
+                cfg = FaultConfig(
+                    mode=UNIFORM_MODE, freq=f, mag=mag, seed=derive_seed(seed, cell, t, 1)
+                )
                 try:
-                    corrupted, events = inject_uniform(
-                        clean, cfg, derive_seed(seed, cell, t, 1)
-                    )
+                    corrupted, events = inject_uniform(clean, cfg)
                     score = float(
                         oracle(
                             OracleCase(

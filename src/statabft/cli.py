@@ -15,6 +15,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, astuple, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -30,12 +31,18 @@ from .calibration import (
 )
 from .config import ConfigError, ExperimentConfig, load_config, override_seed, resolved_dict
 from .detectors import ChecksumPair, save_params
-from .energy import CompareRow, SweepPoint, compare_detectors, energy_saving, sweep_detectors
-from .faults import UNIFORM_MODE, TableFormatError, checksum_diff, fault_events
+from .energy import (
+    CompareRow,
+    SweepPoint,
+    _trial_fault_seed,
+    compare_detectors,
+    energy_saving,
+    sweep_detectors,
+)
+from .faults import TableFormatError, checksum_diff, output_events
 from .gemm import AccumMatrix, ChecksumVector, predicted_output_checksum
-from .rng import derive_seed
 from .systolic import ArrayConfig, gemm_cycles
-from .workloads import workload_matrices
+from .workloads import workload_entries, workload_matrices
 
 
 def _jsonable(v):
@@ -165,13 +172,7 @@ def cmd_calibrate(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_compare(cfg: ExperimentConfig, args) -> int:
-    rows = compare_detectors(
-        cfg.workload,
-        cfg.detector_specs(),
-        cfg.fault,
-        trials=cfg.workload.gemm_count,
-        seed=cfg.fault.seed,
-    )
+    rows = compare_detectors(cfg.workload, cfg.detector_specs(), cfg.fault)
     out = _prepare_out(cfg, "compare", args.out_dir or cfg.output_dir)
     header = [f.name for f in fields(CompareRow)]
     table = [astuple(r) for r in rows]
@@ -187,16 +188,13 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_sweep(cfg: ExperimentConfig, args) -> int:
-    if cfg.fault.mode == UNIFORM_MODE:
-        raise ConfigError("fault.mode: sweep draws BER faults from the voltage table, not uniform")
     results = sweep_detectors(
         cfg.workload,
         cfg.detector_specs(),
+        cfg.fault,
         cfg.voltages(),
         cfg.energy,
         trials=cfg.sweep_trials,
-        seed=cfg.fault.seed,
-        bit_window=cfg.fault.bit_window,
     )
     out = _prepare_out(cfg, "sweep", args.out_dir or cfg.output_dir)
     header = [f.name for f in fields(SweepPoint)]
@@ -238,9 +236,9 @@ def cmd_inject(cfg: ExperimentConfig, args) -> int:
     if not (0 <= args.index < spec.gemm_count):
         raise ConfigError(f"--index must be in [0, {spec.gemm_count}), got {args.index}")
     w, x = workload_matrices(spec, args.index)
-    fault = replace(cfg.fault, seed=derive_seed(cfg.fault.seed, 900, args.index))
-    # the evidence compare scores: clean values only at the corrupted elements
-    events = fault_events(w, x, fault)
+    # compare's trial --index: its fault stream, and clean values only at the corrupted elements
+    fault = replace(cfg.fault, seed=_trial_fault_seed(cfg.fault.seed, args.index))
+    events = output_events(spec.m, spec.n, partial(workload_entries, spec, args.index), fault)
     predicted = predicted_output_checksum(w, x)
     observed = ChecksumVector(predicted.data - checksum_diff(events, x.cols))
     pair = ChecksumPair.from_vectors(predicted, observed)

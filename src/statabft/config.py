@@ -158,17 +158,23 @@ def _build(path, make, values: dict):
 
 
 def _call(path, fn, arg):
-    """``fn(arg)``, with a missing file or a rejected value reported at ``path``."""
+    """``fn(arg)``, with an unreadable file or a rejected value reported at ``path``."""
     try:
         return fn(arg)
     except FileNotFoundError:
         raise _fail(path, f"no such file: {arg}") from None
+    except OSError as e:
+        raise _fail(path, f"cannot read {arg}: {e.strerror or e}") from None
     except ValueError as e:
         raise _fail(path, str(e)) from None
 
 
 def _voltage_range(v_min: float, v_max: float, v_step: float) -> tuple[float, ...]:
-    """v_max, v_max - v_step, ... down to v_min (within 1e-9), each rounded to 1e-10."""
+    """v_max, v_max - v_step, ... down to v_min, each rounded to 1e-10.
+
+    The last step may fall short of v_min by min(1e-9, v_step / 2), which absorbs
+    float error in (v_max - v_min) / v_step without ever adding a whole step.
+    """
     where = ["sweep", "v_step"]
     if not v_step > 0:
         raise _fail(where, "must be > 0")
@@ -179,7 +185,7 @@ def _voltage_range(v_min: float, v_max: float, v_step: float) -> tuple[float, ..
             "voltages, so it can only repeat voltages",
         )
     # v_max - v_min may overflow to inf, which the bound rejects
-    steps = (v_max - v_min + 1e-9) / v_step
+    steps = (v_max - v_min + min(1e-9, v_step / 2)) / v_step
     if not steps < _MAX_RANGE_VOLTAGES:
         raise _fail(where, f"the range gives more than {_MAX_RANGE_VOLTAGES} voltages")
     return tuple(

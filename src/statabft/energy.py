@@ -33,13 +33,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import partial
 
-from .detectors import (
-    STATISTICAL_KINDS,
-    ChecksumPair,
-    CriticalRegionParams,
-    detect_statistical,
-)
+from .detectors import STATISTICAL_KINDS, ChecksumPair, detect_statistical
 from .faults import (
+    UNIFORM_MODE,
     FaultConfig,
     SparseFlips,
     VoltageBerTable,
@@ -161,36 +157,28 @@ def _unique_labels(detectors) -> list[str]:
 
 
 def _trial_fault_seed(seed: int, t: int) -> int:
-    """Fault stream of trial ``t``, shared by comparisons and sweeps."""
+    """Fault stream of trial ``t``, shared by comparisons, sweeps and ``inject``."""
     return derive_seed(seed, _TAG_FAULT, 0, t)
 
 
-def _trial_entries(spec: WorkloadSpec, trials: int):
-    """Per trial, the ``entries(rows, cols)`` callback that reads its clean output."""
-    stream = replace(spec, gemm_count=trials)
-    return [partial(workload_entries, stream, t) for t in range(trials)]
-
-
-def _trial_pairs(spec: WorkloadSpec, trials: int, fault: FaultConfig | None, seed: int):
-    """Yield the ChecksumPair of each trial of a GEMM stream, from its fault log."""
-    for t, entries in enumerate(_trial_entries(spec, trials)):
-        events = (
-            [] if fault is None
-            else output_events(spec.m, spec.n, entries, fault, _trial_fault_seed(seed, t))
-        )
+def _trial_pairs(spec: WorkloadSpec, fault: FaultConfig | None):
+    """Yield the ChecksumPair of each GEMM of the stream, from its fault log."""
+    for t in range(spec.gemm_count):
+        events = []
+        if fault is not None:
+            seeded = replace(fault, seed=_trial_fault_seed(fault.seed, t))
+            events = output_events(spec.m, spec.n, partial(workload_entries, spec, t), seeded)
         yield ChecksumPair.from_diff(checksum_diff(events, spec.n))
 
 
-def _proxy_params(detectors, quality_params):
-    if quality_params is not None:
-        return quality_params
+def _proxy_params(detectors):
     for d in detectors:
         if d.kind in STATISTICAL_KINDS:
             return d.params
     return None
 
 
-def _score_stream(pairs, detectors, quality_params):
+def _score_stream(pairs, detectors, reference):
     """Aggregate detector decisions over a stream of checksum pairs."""
     labels = _unique_labels(detectors)
     n = 0
@@ -200,10 +188,7 @@ def _score_stream(pairs, detectors, quality_params):
     msd_sum = 0.0
     for pair in pairs:
         n += 1
-        critical = (
-            quality_params is not None
-            and detect_statistical(pair, quality_params).recovers
-        )
+        critical = reference is not None and detect_statistical(pair, reference).recovers
         msd_sum += float(pair.msd())
         for d, label in zip(detectors, labels):
             v = d.evaluate(pair)
@@ -216,30 +201,21 @@ def _score_stream(pairs, detectors, quality_params):
 
 
 def compare_detectors(
-    spec: WorkloadSpec,
-    detectors,
-    fault: FaultConfig | None,
-    *,
-    trials: int | None = None,
-    seed: int = 0,
-    quality_params: CriticalRegionParams | None = None,
+    spec: WorkloadSpec, detectors, fault: FaultConfig | None
 ) -> list[CompareRow]:
-    """Run one GEMM stream at a fixed fault level; score every detector on it.
+    """Run the ``spec.gemm_count`` GEMMs of a stream at one fault level; score every detector.
 
-    Each trial's checksum difference comes from its fault event log alone
-    (``output_events``, clean values at the corrupted elements only), the same
-    sparse evidence ``sweep_detectors`` scores. The undetected-critical rate
-    counts trials a detector passed whose checksum evidence lies inside the
-    reference critical region (quality_params, defaulting to the statistical
-    detector's own params).
+    Trial ``t``'s checksum difference comes from its fault event log alone
+    (``output_events``, clean values at the corrupted elements only, fault
+    stream ``_trial_fault_seed(fault.seed, t)``), the same sparse evidence
+    ``sweep_detectors`` scores. The undetected-critical rate counts trials a
+    detector passed whose checksum evidence lies inside the statistical
+    detector's own critical region.
     """
-    if trials is None:
-        trials = spec.gemm_count
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    ref = _proxy_params(detectors, quality_params)
-    pairs = _trial_pairs(spec, trials, fault, seed)
-    n, recoveries, undetected, freq_sum, msd_sum = _score_stream(pairs, detectors, ref)
+    ref = _proxy_params(detectors)
+    n, recoveries, undetected, freq_sum, msd_sum = _score_stream(
+        _trial_pairs(spec, fault), detectors, ref
+    )
     return [
         CompareRow(
             detector=label,
@@ -256,23 +232,24 @@ def compare_detectors(
 def sweep_detectors(
     spec: WorkloadSpec,
     detectors,
+    fault: FaultConfig,
     voltages,
     energy_cfg: EnergyConfig | None = None,
     *,
     trials: int | None = None,
-    seed: int = 0,
-    quality_params: CriticalRegionParams | None = None,
-    bit_window: tuple[int, int] = (16, 31),
 ) -> dict[str, SweepResult]:
     """Voltage sweep: same GEMM stream and faults per point, BER from the table.
 
-    Each trial's flips are sampled once, at the sweep's highest BER with the
-    seed ``compare_detectors`` gives that trial, and thinned per voltage; the
-    point at the highest BER therefore scores the same evidence a comparison
-    at that BER does. Returns one SweepResult per detector kind with
-    per-voltage points in the order given and the energy-minimal optimum
-    (ties break toward higher voltage).
+    ``fault`` gives the seed and bit window; its ``ber`` is not read, and a
+    uniform-mode ``fault`` is rejected. Each trial's flips are sampled once,
+    at the sweep's highest BER with the seed ``compare_detectors`` gives that
+    trial, and thinned per voltage; the point at the highest BER therefore
+    scores the same evidence a comparison at that BER does. Returns one
+    SweepResult per detector kind with per-voltage points in the order given
+    and the energy-minimal optimum (ties break toward higher voltage).
     """
+    if fault.mode == UNIFORM_MODE:
+        raise ValueError("fault.mode: sweep draws BER faults from the voltage table, not uniform")
     if energy_cfg is None:
         energy_cfg = EnergyConfig()
     voltages = [float(v) for v in voltages]
@@ -283,14 +260,18 @@ def sweep_detectors(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     labels = _unique_labels(detectors)
-    ref = _proxy_params(detectors, quality_params)
+    ref = _proxy_params(detectors)
     n_mac = spec.macs_per_gemm
     bers = [energy_cfg.table.ber_at(v) for v in voltages]
-    top_ber = max(bers)
+    top = replace(fault, ber=max(bers))
 
+    stream = replace(spec, gemm_count=trials)
     flips = [
-        SparseFlips.draw(spec.m, spec.n, entries, _trial_fault_seed(seed, t), top_ber, bit_window)
-        for t, entries in enumerate(_trial_entries(spec, trials))
+        SparseFlips.draw(
+            spec.m, spec.n, partial(workload_entries, stream, t),
+            replace(top, seed=_trial_fault_seed(fault.seed, t)),
+        )
+        for t in range(trials)
     ]
 
     points = {label: [] for label in labels}

@@ -23,12 +23,11 @@ Two fault modes:
 
 Each mode builds its ground-truth event log in one place, reading clean values
 only at the elements it touches through a callback ``entries(rows, cols)``;
-``output_events`` picks the mode's builder. Comparisons and sweeps pass
-``workloads.workload_entries``, which draws only the operand rows and columns
-the corrupted elements read. ``fault_events`` reads them from given operands
-with ``gemm_entries`` (one K-MAC dot product each, no dense product); the
-dense injectors read them from the matrix and return it with the log replayed
-onto it by ``replay_events``.
+``output_events`` picks the mode's builder. Comparisons, sweeps and ``inject``
+pass ``workloads.workload_entries``, which draws only the operand rows and
+columns the corrupted elements read; the dense injectors read them from the
+matrix and return it with the log replayed onto it by ``replay_events``. A
+``FaultConfig`` is the only source of a fault's seed and bit window.
 """
 
 from __future__ import annotations
@@ -36,11 +35,10 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .gemm import AccumMatrix, QuantMatrix, gemm_entries
+from .gemm import AccumMatrix
 from .rng import u64_stream, unit_floats
 
 BER_MODE = "ber"
@@ -64,7 +62,7 @@ class FaultConfig:
 
     mode="ber" uses ``ber`` and ``bit_window`` (inclusive bit positions
     within the 32-bit accumulator); mode="uniform" uses ``freq`` and ``mag``.
-    ``seed`` is the default stream seed when the caller does not supply one.
+    ``seed`` roots the fault stream in either mode.
     """
 
     mode: str
@@ -168,15 +166,15 @@ class SparseFlips:
     clean: dict[int, int]  # element -> clean output value
 
     @classmethod
-    def draw(cls, n_rows: int, n_cols: int, entries, seed: int, ber: float, bit_window):
-        """The flips at (seed, ber, bit_window) in an n_rows x n_cols output.
+    def draw(cls, n_rows: int, n_cols: int, entries, cfg: FaultConfig):
+        """The flips of ``cfg``'s (seed, ber, bit_window) in an n_rows x n_cols output.
 
         ``entries(rows, cols)`` gives the clean values at the flipped elements.
         """
-        elements, masks, u = _flip_sites(seed, n_rows * n_cols, bit_window, ber)
+        elements, masks, u = _flip_sites(cfg.seed, n_rows * n_cols, cfg.bit_window, cfg.ber)
         clean = dict(zip(elements.tolist(), entries(*np.divmod(elements, n_cols)).tolist()))
         flips = tuple(zip(elements.tolist(), masks.tolist(), u.tolist()))
-        return cls(n_cols=n_cols, ber=ber, bit_window=bit_window, flips=flips, clean=clean)
+        return cls(n_cols=n_cols, ber=cfg.ber, bit_window=cfg.bit_window, flips=flips, clean=clean)
 
     def events(self, ber: float) -> list[ErrorEvent]:
         """The corrupted elements at ``ber``, in row-major order."""
@@ -223,26 +221,14 @@ def _uniform_events(n_rows: int, n_cols: int, entries, seed: int, freq: int, mag
     return [ErrorEvent(*e) for e in zip(*(a.tolist() for a in (rows, cols, before, after)))]
 
 
-def output_events(
-    n_rows: int, n_cols: int, entries, cfg: FaultConfig, seed: int | None = None
-) -> list[ErrorEvent]:
+def output_events(n_rows: int, n_cols: int, entries, cfg: FaultConfig) -> list[ErrorEvent]:
     """The event log of ``cfg`` on an n_rows x n_cols output, from its mode's builder.
 
     ``entries(rows, cols)`` gives the clean values at the corrupted elements.
     """
-    if seed is None:
-        seed = cfg.seed
     if cfg.mode == BER_MODE:
-        flips = SparseFlips.draw(n_rows, n_cols, entries, seed, cfg.ber, cfg.bit_window)
-        return flips.events(cfg.ber)
-    return _uniform_events(n_rows, n_cols, entries, seed, cfg.freq, cfg.mag)
-
-
-def fault_events(
-    w: QuantMatrix, x: QuantMatrix, cfg: FaultConfig, seed: int | None = None
-) -> list[ErrorEvent]:
-    """The log ``apply_fault(gemm(w, x), cfg, seed)`` leaves, without the dense product."""
-    return output_events(w.rows, x.cols, partial(gemm_entries, w, x), cfg, seed)
+        return SparseFlips.draw(n_rows, n_cols, entries, cfg).events(cfg.ber)
+    return _uniform_events(n_rows, n_cols, entries, cfg.seed, cfg.freq, cfg.mag)
 
 
 def checksum_diff(events: list[ErrorEvent], n_cols: int) -> np.ndarray:
@@ -253,37 +239,31 @@ def checksum_diff(events: list[ErrorEvent], n_cols: int) -> np.ndarray:
     return d
 
 
-def _replayed(y: AccumMatrix, cfg: FaultConfig, seed: int | None, mode: str, name: str):
+def _replayed(y: AccumMatrix, cfg: FaultConfig, mode: str, name: str):
     if cfg.mode != mode:
         raise ValueError(f"{name} needs mode={mode!r}, got {cfg.mode!r}")
-    events = output_events(*y.data.shape, lambda rows, cols: y.data[rows, cols], cfg, seed)
+    events = output_events(*y.data.shape, lambda rows, cols: y.data[rows, cols], cfg)
     return replay_events(y, events), events
 
 
-def sample_bitflips(
-    y: AccumMatrix, cfg: FaultConfig, seed: int | None = None
-) -> tuple[AccumMatrix, list[ErrorEvent]]:
+def sample_bitflips(y: AccumMatrix, cfg: FaultConfig) -> tuple[AccumMatrix, list[ErrorEvent]]:
     """Apply per-bit Bernoulli flips inside cfg.bit_window to every element."""
-    return _replayed(y, cfg, seed, BER_MODE, "sample_bitflips")
+    return _replayed(y, cfg, BER_MODE, "sample_bitflips")
 
 
-def inject_uniform(
-    y: AccumMatrix, cfg: FaultConfig, seed: int | None = None
-) -> tuple[AccumMatrix, list[ErrorEvent]]:
+def inject_uniform(y: AccumMatrix, cfg: FaultConfig) -> tuple[AccumMatrix, list[ErrorEvent]]:
     """Add cfg.mag to exactly cfg.freq distinct elements, chosen uniformly.
 
     mag == 0 or freq == 0 yields an untouched copy and an empty log.
     """
-    return _replayed(y, cfg, seed, UNIFORM_MODE, "inject_uniform")
+    return _replayed(y, cfg, UNIFORM_MODE, "inject_uniform")
 
 
-def apply_fault(
-    y: AccumMatrix, cfg: FaultConfig, seed: int | None = None
-) -> tuple[AccumMatrix, list[ErrorEvent]]:
+def apply_fault(y: AccumMatrix, cfg: FaultConfig) -> tuple[AccumMatrix, list[ErrorEvent]]:
     """Dispatch on cfg.mode."""
     if cfg.mode == BER_MODE:
-        return sample_bitflips(y, cfg, seed)
-    return inject_uniform(y, cfg, seed)
+        return sample_bitflips(y, cfg)
+    return inject_uniform(y, cfg)
 
 
 def replay_events(y: AccumMatrix, events: list[ErrorEvent]) -> AccumMatrix:

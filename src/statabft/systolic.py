@@ -130,7 +130,6 @@ def run_array(
     x: QuantMatrix,
     fault: FaultConfig | None = None,
     array: ArrayConfig | None = None,
-    fault_seed: int | None = None,
 ) -> SimResult:
     """One GEMM through the array, densely: compute, then optionally corrupt.
 
@@ -146,7 +145,7 @@ def run_array(
     events: tuple[ErrorEvent, ...] = ()
     out = clean
     if fault is not None:
-        out, ev = apply_fault(clean, fault, fault_seed)
+        out, ev = apply_fault(clean, fault)
         events = tuple(ev)
 
     return SimResult(

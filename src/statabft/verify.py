@@ -311,7 +311,7 @@ def _sparse_evidence_failure(s: int) -> str:
     entries = partial(workload_entries, spec, index)
     top = 10.0 ** -(1 + int(u[0] % np.uint64(3)))
     fault = FaultConfig(mode="ber", ber=top, seed=derive_seed(s, 2))
-    flips = SparseFlips.draw(m, n, entries, fault.seed, top, fault.bit_window)
+    flips = SparseFlips.draw(m, n, entries, fault)
     if flips.events(top) != sample_bitflips(clean, fault)[1]:
         return "top-BER events differ from dense"
     above = None

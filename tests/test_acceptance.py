@@ -52,7 +52,7 @@ def default_sweep():
     table = default_table()
     voltages = [float(v) for v in table.voltages]
     return voltages, sweep_detectors(
-        spec, detectors, voltages, EnergyConfig(table=table), trials=200, seed=0
+        spec, detectors, FaultConfig(mode="ber"), voltages, EnergyConfig(table=table), trials=200
     )
 
 
@@ -133,8 +133,8 @@ def test_criterion_06_uniform_msd_relation():
     for i in range(8):
         for j in range(8):
             freq, mag = 2**i, 2 ** (4 + j)
-            cfg = FaultConfig(mode="uniform", freq=freq, mag=mag)
-            corrupted, events = inject_uniform(zero, cfg, derive_seed(14, i, j))
+            cfg = FaultConfig(mode="uniform", freq=freq, mag=mag, seed=derive_seed(14, i, j))
+            corrupted, events = inject_uniform(zero, cfg)
             pair = ChecksumPair.from_vectors(base, checksum(corrupted, "row"))
             if pair.msd() != freq * mag or len(events) != freq:
                 bad += 1
@@ -210,9 +210,7 @@ def test_criterion_09_recovery_rate_reduction(default_sweep):
         for r in compare_detectors(
             spec,
             (DetectorSpec(kind="classical"), DetectorSpec(kind="statistical", params=P)),
-            FaultConfig(mode="ber", ber=ber),
-            trials=1000,
-            seed=1,
+            FaultConfig(mode="ber", ber=ber, seed=1),
         )
     }
     rates_ok = (

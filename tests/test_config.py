@@ -137,6 +137,16 @@ def test_sweep_range_counts_its_steps():
     assert len(set(cfg.sweep_voltages)) == len(cfg.sweep_voltages)
 
 
+def test_sweep_range_never_steps_below_v_min():
+    # a step finer than the 1e-9 float allowance once gave 21 voltages, 10 below v_min
+    cfg = parse_config({"sweep": {"v_min": 0.7, "v_max": 0.700000001, "v_step": 1e-10}})
+    assert len(cfg.sweep_voltages) == 11
+    assert min(cfg.sweep_voltages) == 0.7
+    # off the step grid, the range ends at its last whole step above v_min
+    cfg = parse_config({"sweep": {"v_min": 0.7, "v_max": 0.7000000012, "v_step": 1e-9}})
+    assert cfg.sweep_voltages == (0.7000000012, 0.7000000002)
+
+
 @pytest.mark.parametrize(
     "sweep, message",
     [
@@ -307,6 +317,22 @@ def test_malformed_params_file_is_a_config_error(tmp_path, content):
     (tmp_path / "params.json").write_text(content)
     with pytest.raises(ConfigError, match="detector.params_file"):
         parse_config({"detector": {"params_file": "params.json"}}, base_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"detector": {"params_file": ""}}, "detector.params_file"),
+        ({"energy": {"table_file": "."}}, "energy.table_file"),
+    ],
+    ids=["params_file", "table_file"],
+)
+def test_unreadable_file_exits_two_at_its_key(tmp_path, capsys, doc, key):
+    # both paths name the config's own directory, which open() cannot read
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--config", str(path), "compare"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}: cannot read ")
 
 
 def test_malformed_params_file_exits_two(tmp_path, capsys):

@@ -20,13 +20,7 @@ from statabft.energy import (
     sweep_detectors,
     total_energy,
 )
-from statabft.faults import (
-    FaultConfig,
-    VoltageBerTable,
-    checksum_diff,
-    fault_events,
-    output_events,
-)
+from statabft.faults import FaultConfig, VoltageBerTable, checksum_diff, output_events
 from statabft.systolic import run_array
 from statabft.workloads import WorkloadSpec, workload_matrices
 
@@ -38,6 +32,8 @@ DETECTORS = (
     DetectorSpec(kind="dmr"),
 )
 SPEC = WorkloadSpec(m=8, k=16, n=8, gemm_count=16, seed=7)
+# a sweep reads its fault's seed and bit window; the table gives each point's BER
+BER = FaultConfig(mode="ber")
 
 
 def test_compute_energy_quadratic():
@@ -90,7 +86,7 @@ def test_energy_config_validation():
 
 
 def test_compare_clean_stream_never_recovers():
-    rows = compare_detectors(SPEC, DETECTORS, fault=None, trials=6)
+    rows = compare_detectors(replace(SPEC, gemm_count=6), DETECTORS, fault=None)
     assert [r.detector for r in rows] == ["none", "classical", "statistical", "dmr"]
     for r in rows:
         assert r.trials == 6
@@ -100,11 +96,8 @@ def test_compare_clean_stream_never_recovers():
 
 
 def test_compare_detector_ordering_under_faults():
-    fault = FaultConfig(mode="ber", ber=0.004)
-    rows = {
-        r.detector: r
-        for r in compare_detectors(SPEC, DETECTORS, fault, trials=64, seed=3)
-    }
+    fault = FaultConfig(mode="ber", ber=0.004, seed=3)
+    rows = {r.detector: r for r in compare_detectors(replace(SPEC, gemm_count=64), DETECTORS, fault)}
     # classical fires on any deviation, so it recovers at least as often as
     # the statistical rule; dmr makes identical decisions to classical
     assert rows["classical"].recovery_rate >= rows["statistical"].recovery_rate
@@ -118,21 +111,17 @@ def test_compare_detector_ordering_under_faults():
 
 
 def test_compare_is_deterministic_in_seed():
-    fault = FaultConfig(mode="ber", ber=0.002)
-    a = compare_detectors(SPEC, DETECTORS, fault, trials=12, seed=5)
-    b = compare_detectors(SPEC, DETECTORS, fault, trials=12, seed=5)
+    spec, fault = replace(SPEC, gemm_count=12), FaultConfig(mode="ber", ber=0.002, seed=5)
+    a = compare_detectors(spec, DETECTORS, fault)
+    b = compare_detectors(spec, DETECTORS, fault)
     assert a == b
-    c = compare_detectors(SPEC, DETECTORS, fault, trials=12, seed=6)
+    c = compare_detectors(spec, DETECTORS, replace(fault, seed=6))
     assert [r.mean_msd for r in a] != [r.mean_msd for r in c]
 
 
 def test_compare_rejects_duplicate_detectors():
     with pytest.raises(ValueError, match="unique"):
-        compare_detectors(
-            SPEC, [DetectorSpec(kind="none"), DetectorSpec(kind="none")], None, trials=2
-        )
-    with pytest.raises(ValueError, match="trials"):
-        compare_detectors(SPEC, DETECTORS, None, trials=0)
+        compare_detectors(SPEC, [DetectorSpec(kind="none"), DetectorSpec(kind="none")], None)
 
 
 def clean_point_table():
@@ -142,7 +131,7 @@ def clean_point_table():
 
 def test_sweep_exact_energies_at_clean_nominal_point():
     cfg = EnergyConfig(table=clean_point_table())
-    res = sweep_detectors(SPEC, DETECTORS, [0.9], cfg, trials=4, seed=0)
+    res = sweep_detectors(SPEC, DETECTORS, BER, [0.9], cfg, trials=4)
     n_mac = SPEC.macs_per_gemm
     assert res["none"].points[0].energy_total == pytest.approx(n_mac)
     assert res["statistical"].points[0].energy_total == pytest.approx(n_mac * 1.0179)
@@ -158,7 +147,7 @@ def test_sweep_exact_energies_at_clean_nominal_point():
 def test_sweep_points_follow_voltage_order_and_table():
     cfg = EnergyConfig(table=clean_point_table())
     voltages = [0.9, 0.75, 0.6]
-    res = sweep_detectors(SPEC, DETECTORS, voltages, cfg, trials=8, seed=1)
+    res = sweep_detectors(SPEC, DETECTORS, replace(BER, seed=1), voltages, cfg, trials=8)
     for r in res.values():
         assert [p.voltage for p in r.points] == voltages
         for p in r.points:
@@ -181,15 +170,20 @@ def test_sweep_deterministic_and_thread_invariant(monkeypatch):
     monkeypatch.setattr(threading.Thread, "start", start)
     cfg = EnergyConfig(table=clean_point_table())
     voltages = [0.9, 0.8, 0.7, 0.6]
-    first = sweep_detectors(SPEC, DETECTORS, voltages, cfg, trials=6, seed=9)
-    assert sweep_detectors(SPEC, DETECTORS, voltages, cfg, trials=6, seed=9) == first
+    fault = replace(BER, seed=9)
+    first = sweep_detectors(SPEC, DETECTORS, fault, voltages, cfg, trials=6)
+    assert sweep_detectors(SPEC, DETECTORS, fault, voltages, cfg, trials=6) == first
 
 
 def test_sweep_input_validation():
     with pytest.raises(ValueError, match="voltage"):
-        sweep_detectors(SPEC, DETECTORS, [], trials=2)
+        sweep_detectors(SPEC, DETECTORS, BER, [], trials=2)
     with pytest.raises(ValueError, match="trials"):
-        sweep_detectors(SPEC, DETECTORS, [0.9], trials=0)
+        sweep_detectors(SPEC, DETECTORS, BER, [0.9], trials=0)
+    # the BER comes from the table, so a uniform fault has no place in a sweep
+    uniform = FaultConfig(mode="uniform", freq=1, mag=1)
+    with pytest.raises(ValueError, match="^fault.mode: sweep draws BER faults"):
+        sweep_detectors(SPEC, DETECTORS, uniform, [0.9], trials=2)
 
 
 def test_energy_saving_fraction():
@@ -217,10 +211,10 @@ def test_statistical_energy_never_exceeds_classical():
     res = sweep_detectors(
         SPEC,
         (DetectorSpec(kind="classical"), DetectorSpec(kind="statistical", params=P)),
+        replace(BER, seed=11),
         [0.70, 0.66, 0.62],
         EnergyConfig(),
         trials=48,
-        seed=11,
     )
     for pc, ps in zip(res["classical"].points, res["statistical"].points):
         assert ps.recovery_rate <= pc.recovery_rate
@@ -231,13 +225,11 @@ def test_sweep_point_at_top_ber_equals_compare_at_that_ber():
     # the sweep samples each trial's flips at its highest BER with compare's
     # per-trial fault seed, so that point scores exactly compare's evidence
     table = VoltageBerTable(voltages=(0.9, 0.6), bers=(1e-6, 4e-3))
-    window = (12, 31)
+    fault = FaultConfig(mode="ber", ber=table.ber_at(0.6), bit_window=(12, 31), seed=4)
     res = sweep_detectors(
-        SPEC, DETECTORS, [0.9, 0.75, 0.6], EnergyConfig(table=table),
-        trials=40, seed=4, bit_window=window,
+        SPEC, DETECTORS, fault, [0.9, 0.75, 0.6], EnergyConfig(table=table), trials=40
     )
-    fault = FaultConfig(mode="ber", ber=table.ber_at(0.6), bit_window=window)
-    rows = compare_detectors(SPEC, DETECTORS, fault, trials=40, seed=4)
+    rows = compare_detectors(replace(SPEC, gemm_count=40), DETECTORS, fault)
     # not degenerate: statistical recovers some trials, none misses critical ones
     assert 0.0 < rows[2].recovery_rate < 1.0 and rows[0].undetected_critical_rate > 0.0
     for row in rows:
@@ -261,7 +253,8 @@ def test_sweep_point_at_top_ber_equals_compare_at_that_ber():
 def test_compare_evidence_equals_the_dense_oracle(fault):
     # compare scores each trial from its fault log alone; the dense run_array,
     # given the same per-trial fault seed, corrupts the whole product
-    pairs = list(_trial_pairs(SPEC, SPEC.gemm_count, fault, 3))
+    fault = None if fault is None else replace(fault, seed=3)
+    pairs = list(_trial_pairs(SPEC, fault))
     assert len(pairs) == SPEC.gemm_count
     wrapped = 0
     for t, pair in enumerate(pairs):
@@ -269,7 +262,7 @@ def test_compare_evidence_equals_the_dense_oracle(fault):
         seeded = None if fault is None else replace(fault, seed=_trial_fault_seed(3, t))
         sim = run_array(w, x, fault=seeded)
         assert np.array_equal(pair.diff, sim.predicted.data - sim.observed.data)
-        events = [] if fault is None else fault_events(w, x, fault, _trial_fault_seed(3, t))
+        events = list(sim.events)
         assert np.array_equal(checksum_diff(events, x.cols), pair.diff)
         if seeded is not None and seeded.mode == "uniform":
             wrapped += sum(e.after - e.before != seeded.mag for e in events)
@@ -298,7 +291,7 @@ def test_compare_draws_only_the_operand_rows_and_columns_its_faults_read(monkeyp
     # column that its corrupted elements read, and a trial without flips none
     m, k, n, trials = 64, 4096, 64, 8
     spec = WorkloadSpec(m=m, k=k, n=n, gemm_count=trials, distribution="outlier")
-    fault = FaultConfig(mode="ber", ber=1e-5)
+    fault = FaultConfig(mode="ber", ber=1e-5, seed=5)
     draws = []
     real = workloads.u64_at
 
@@ -310,11 +303,11 @@ def test_compare_draws_only_the_operand_rows_and_columns_its_faults_read(monkeyp
         return np.zeros(len(rows), dtype=np.int64)
 
     monkeypatch.setattr(workloads, "u64_at", spy)
-    pairs = list(_trial_pairs(spec, trials, fault, 5))
+    pairs = list(_trial_pairs(spec, fault))
     touched = []
     for t in range(trials):
         # where BER flips land does not depend on the clean values
-        events = output_events(m, n, zeros, fault, _trial_fault_seed(5, t))
+        events = output_events(m, n, zeros, replace(fault, seed=_trial_fault_seed(5, t)))
         touched.append(({e.row for e in events}, {e.col for e in events}))
     flipped = [(r, c) for r, c in touched if r]
     assert 0 < len(flipped) < trials  # both kinds of trial occur

@@ -15,9 +15,9 @@ from statabft.faults import (
     apply_fault,
     checksum_diff,
     default_table,
-    fault_events,
     geometric_flips,
     inject_uniform,
+    output_events,
     replay_events,
     sample_bitflips,
 )
@@ -52,7 +52,7 @@ def test_bitflips_deterministic_and_seeded():
     a1, e1 = sample_bitflips(y, cfg)
     a2, e2 = sample_bitflips(y, cfg)
     assert a1 == a2 and e1 == e2
-    b, _ = sample_bitflips(y, cfg, seed=6)
+    b, _ = sample_bitflips(y, replace(cfg, seed=6))
     assert b != a1  # different stream, different corruption
 
 
@@ -127,9 +127,7 @@ def test_sparse_flips_match_the_dense_sampler():
     x = random_quant_matrix(40, 9, "outlier", 6)
     clean = gemm(w, x)
     cfg = FaultConfig(mode="ber", ber=0.05, bit_window=(8, 31), seed=8)
-    flips = SparseFlips.draw(
-        w.rows, x.cols, partial(gemm_entries, w, x), cfg.seed, cfg.ber, cfg.bit_window
-    )
+    flips = SparseFlips.draw(w.rows, x.cols, partial(gemm_entries, w, x), cfg)
     corrupted, events = sample_bitflips(clean, cfg)
     # the clean value at each flipped element is the dense product's
     assert flips.clean and all(
@@ -156,9 +154,9 @@ def test_fault_events_equal_the_dense_injectors_log(cfg):
     w = random_quant_matrix(10, 24, "outlier", 3)
     x = random_quant_matrix(24, 12, "uniform", 4)
     for s in range(6):
-        events = fault_events(w, x, cfg, s)
-        assert events and events == apply_fault(gemm(w, x), cfg, s)[1]
-    assert fault_events(w, x, replace(cfg, seed=s)) == events
+        seeded = replace(cfg, seed=s)
+        events = output_events(w.rows, x.cols, partial(gemm_entries, w, x), seeded)
+        assert events and events == apply_fault(gemm(w, x), seeded)[1]
 
 
 def test_event_log_replays_exactly():
