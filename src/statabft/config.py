@@ -167,13 +167,17 @@ def _call(path, fn, arg):
         raise _fail(path, f"cannot read {arg}: {e.strerror or e}") from None
     except ValueError as e:
         raise _fail(path, str(e)) from None
+    except RecursionError:
+        raise _fail(path, f"{arg} nests too deeply to parse") from None
 
 
 def _voltage_range(v_min: float, v_max: float, v_step: float) -> tuple[float, ...]:
     """v_max, v_max - v_step, ... down to v_min, each rounded to 1e-10.
 
-    The last step may fall short of v_min by min(1e-9, v_step / 2), which absorbs
-    float error in (v_max - v_min) / v_step without ever adding a whole step.
+    The step count allows the last step to fall short of v_min by min(1e-9,
+    v_step / 2), which absorbs float error in (v_max - v_min) / v_step without
+    ever adding a whole step; a last voltage that still rounds below v_min is
+    dropped, so no voltage lies below it.
     """
     where = ["sweep", "v_step"]
     if not v_step > 0:
@@ -188,9 +192,8 @@ def _voltage_range(v_min: float, v_max: float, v_step: float) -> tuple[float, ..
     steps = (v_max - v_min + min(1e-9, v_step / 2)) / v_step
     if not steps < _MAX_RANGE_VOLTAGES:
         raise _fail(where, f"the range gives more than {_MAX_RANGE_VOLTAGES} voltages")
-    return tuple(
-        round(v_max - i * v_step, _VOLTAGE_DECIMALS) for i in range(math.floor(steps) + 1)
-    )
+    voltages = (round(v_max - i * v_step, _VOLTAGE_DECIMALS) for i in range(math.floor(steps) + 1))
+    return tuple(v for v in voltages if v >= v_min)
 
 
 def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
@@ -253,6 +256,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config file not found: {path}") from None
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from None
+    except RecursionError:
+        raise ConfigError(f"config nests too deeply to parse: {path}") from None
     return parse_config(doc, base_dir=os.path.dirname(os.path.abspath(path)))
 
 

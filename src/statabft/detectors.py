@@ -30,6 +30,18 @@ floored by a leading-zero count, and theta comes from Mitchell's truncated
 piecewise-linear log2 of MSD (IRE Trans. Electronic Computers EC-11(4),
 1962) on a grid of LZC_FRAC_BITS fractional bits. It can disagree with
 statistical only on a lane within one octave of a bound.
+
+Each rule is written once, over rows: ``DetectorSpec.decide`` takes an int64
+(GEMMs x lanes) matrix D of checksum differences and decides every row in
+one vectorized pass, as a detector circuit does in one pass over its lanes.
+A sweep scores each voltage this way, one row per trial. MSD is the int64 row
+sum, exact while lanes * max|d_j| < 2**63 (asserted; a GEMM has |d_j| <=
+m * 2**32 <= 2**44 and at most 4096 lanes, so it stays below 2**56). The
+exact bound theta takes math.log2 of each row's nonzero MSD, as one GEMM's
+does; the LZC bound runs the integer log2 and float steps of ``_theta_fixed``
+over all rows at once. ``DetectorSpec.evaluate`` and the ``detect_*``
+functions are the one-row case; ``systolic.statistical_unit`` is the
+independent scalar oracle.
 """
 
 from __future__ import annotations
@@ -37,6 +49,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,6 +99,11 @@ DEFAULT_PARAMS = CriticalRegionParams(a=2.0, b=40.0, theta_freq=4)
 _INT64_SUM_LIMIT = 2**63
 
 
+def _peak(d: np.ndarray) -> int:
+    """max|d_j| as a Python int (|INT64_MIN| does not fit int64)."""
+    return max(int(d.max()), -int(d.min())) if d.size else 0
+
+
 @dataclass(frozen=True, eq=False)
 class ChecksumPair:
     """Predicted vs observed checksum row and their exact difference."""
@@ -95,10 +113,8 @@ class ChecksumPair:
     diff: np.ndarray
 
     def __post_init__(self):
-        d = self.diff
-        peak = max(int(d.max()), -int(d.min())) if d.size else 0
         # outside the bound (no GEMM gets there) msd() falls back to Python ints
-        object.__setattr__(self, "_int64_sum", d.size * peak < _INT64_SUM_LIMIT)
+        object.__setattr__(self, "_int64_sum", self.diff.size * _peak(self.diff) < _INT64_SUM_LIMIT)
 
     @classmethod
     def from_vectors(cls, predicted: ChecksumVector, observed: ChecksumVector) -> "ChecksumPair":
@@ -164,16 +180,6 @@ def theta_mag(msd: int, params: CriticalRegionParams) -> float:
     return params.b - (params.a - 1.0) * math.log2(msd)
 
 
-def effective_frequency(pair: ChecksumPair, theta: float) -> int:
-    """Count checksum lanes whose deviation magnitude exceeds 2**theta."""
-    d = pair.diff
-    nz = d != 0
-    if not nz.any() or theta == math.inf:
-        return 0
-    mags = np.abs(d[nz].astype(np.float64))
-    return int(np.count_nonzero(np.log2(mags) > theta))
-
-
 def floor_log2(x: int) -> int:
     """floor(log2 x) for x >= 1 via bit length (what an LZC circuit yields)."""
     if x < 1:
@@ -201,88 +207,80 @@ def _theta_fixed(msd: int, p: CriticalRegionParams) -> int | None:
 
 
 def _floor_log2_lanes(d: np.ndarray) -> np.ndarray:
-    """floor(log2 |d_j|) of nonzero int64 lanes, by a 6-step binary search for the leading one."""
+    """floor(log2 |d_j|) of int64 lanes (0 for a zero lane), by a 6-step search for the leading one."""
     # |INT64_MIN| wraps to INT64_MIN, whose uint64 view is 2**63
     x = np.abs(d).view(np.uint64)
-    e = np.zeros(x.shape, dtype=np.int64)
+    e = np.zeros(x.shape, dtype=np.uint64)
     for shift in (32, 16, 8, 4, 2, 1):
-        high = (x >> np.uint64(shift)) != 0
-        e[high] += shift
-        x = np.where(high, x >> np.uint64(shift), x)
-    return e
+        # shift by `shift` where a one lies that far up, else by 0
+        step = ((x >> np.uint64(shift)) != 0).astype(np.uint64) * np.uint64(shift)
+        e += step
+        x >>= step
+    return e.view(np.int64)
 
 
-def detect_classical(pair: ChecksumPair) -> DetectionVerdict:
-    """Classical ABFT: any nonzero checksum difference triggers recovery."""
-    nz = pair.nonzero_count()
-    return DetectionVerdict(
-        detector="classical",
-        msd=pair.msd(),
-        theta_mag=0.0,
-        freq_eff=nz,
-        decision=RECOVER if nz > 0 else PASS,
-    )
+class RowDecisions(NamedTuple):
+    """One detector's statistics and decision for each row of a difference matrix.
 
-
-def detect_msd(pair: ChecksumPair, threshold: int) -> DetectionVerdict:
-    """Recover iff MSD strictly exceeds the fixed threshold."""
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    msd = pair.msd()
-    return DetectionVerdict(
-        detector="msd",
-        msd=msd,
-        theta_mag=0.0,
-        freq_eff=pair.nonzero_count(),
-        decision=RECOVER if msd > threshold else PASS,
-    )
-
-
-def detect_statistical(pair: ChecksumPair, params: CriticalRegionParams) -> DetectionVerdict:
-    """Recover iff freq_eff strictly exceeds theta_freq.
-
-    Both comparisons are strict: lanes count toward freq_eff only when
-    log2|d_j| > theta, and recovery fires only when freq_eff > theta_freq.
-    MSD == 0 gives theta = +inf, so fully cancelling errors always pass.
+    Row i is one GEMM's checksum difference; every field holds one value per
+    row. ``theta_mag`` is the magnitude bound (+inf where MSD == 0) for the
+    statistical kinds and 0.0 for the others.
     """
-    msd = pair.msd()
-    theta = theta_mag(msd, params)
-    freq_eff = effective_frequency(pair, theta)
-    return DetectionVerdict(
-        detector="statistical",
-        msd=msd,
-        theta_mag=theta,
-        freq_eff=freq_eff,
-        decision=RECOVER if freq_eff > params.theta_freq else PASS,
-    )
+
+    msd: np.ndarray  # int64
+    theta_mag: np.ndarray  # float64
+    freq_eff: np.ndarray  # int64
+    recovers: np.ndarray  # bool
 
 
-def detect_statistical_lzc(pair: ChecksumPair, params: CriticalRegionParams) -> DetectionVerdict:
-    """detect_statistical on the LZC datapath; theta_mag is the fixed-point bound."""
-    msd = pair.msd()
-    theta = _theta_fixed(msd, params)
-    freq_eff = 0
-    if theta is not None:
-        lanes = pair.diff[pair.diff != 0]
-        freq_eff = int(np.count_nonzero((_floor_log2_lanes(lanes) << LZC_FRAC_BITS) > theta))
-    return DetectionVerdict(
-        detector="statistical_lzc",
-        msd=msd,
-        theta_mag=math.inf if theta is None else theta / (1 << LZC_FRAC_BITS),
-        freq_eff=freq_eff,
-        decision=RECOVER if freq_eff > params.theta_freq else PASS,
-    )
+def row_msd(diffs: np.ndarray) -> np.ndarray:
+    """MSD = |sum_j d_j| of each row of an int64 (GEMMs x lanes) matrix, exact in int64.
+
+    Raises ValueError outside the bound lanes * max|d_j| < 2**63 that keeps the sums exact.
+    """
+    peak = _peak(diffs)
+    if diffs.shape[1] * peak >= _INT64_SUM_LIMIT:
+        raise ValueError(
+            f"{diffs.shape[1]} lanes with |d_j| up to {peak} break the int64 bound "
+            "lanes * max|d_j| < 2**63"
+        )
+    return np.abs(diffs.sum(axis=1))
 
 
-def detect_none(pair: ChecksumPair) -> DetectionVerdict:
-    """Baseline that never recovers; stats still reported for bookkeeping."""
-    return DetectionVerdict(
-        detector="none",
-        msd=pair.msd(),
-        theta_mag=0.0,
-        freq_eff=pair.nonzero_count(),
-        decision=PASS,
-    )
+def _theta_fixed_rows(msd: np.ndarray, params: CriticalRegionParams) -> np.ndarray:
+    """``_theta_fixed`` of each MSD >= 1 at once: the same integer log2 and float steps."""
+    f = LZC_FRAC_BITS
+    e = _floor_log2_lanes(msd)
+    # the first f mantissa bits below the leading one; x << f would overflow past 2**59
+    below = np.where(e >= f, msd >> np.maximum(e - f, 0), msd << np.maximum(f - e, 0))
+    with np.errstate(over="ignore"):  # an infinite bound saturates below, as in _theta_fixed
+        theta = params.b * (1 << f) - (params.a - 1.0) * ((e << f) | (below & ((1 << f) - 1)))
+    if np.isnan(theta).any():
+        raise ValueError(f"the LZC bound of {params} is NaN")
+    # np.rint rounds half to even, as round() does
+    return np.rint(np.clip(theta, -_THETA_LIMIT, _THETA_LIMIT)).astype(np.int64)
+
+
+def _region_counts(diffs: np.ndarray, msd: np.ndarray, params: CriticalRegionParams, lzc: bool):
+    """Each row's magnitude bound and its count of nonzero lanes above it.
+
+    The exact bound is computed per row with MSD > 0 by the scalar ``theta_mag``
+    (math.log2), the LZC bound by ``_theta_fixed_rows``, so every row gets
+    exactly the bound its GEMM alone gets.
+    """
+    if lzc:
+        # rows with MSD == 0 get the saturated bound, which no lane exponent exceeds
+        active = msd != 0
+        fixed = np.where(active, _theta_fixed_rows(np.maximum(msd, 1), params), _THETA_LIMIT)
+        over = (_floor_log2_lanes(diffs) << LZC_FRAC_BITS) > fixed[:, np.newaxis]
+        theta = np.where(active, fixed / (1 << LZC_FRAC_BITS), math.inf)
+    else:
+        nonzero = np.flatnonzero(msd)
+        theta = np.full(len(diffs), math.inf)
+        theta[nonzero] = [theta_mag(m, params) for m in msd[nonzero].tolist()]
+        with np.errstate(divide="ignore"):  # log2(0) = -inf on zero lanes, masked below
+            over = np.log2(np.abs(diffs.astype(np.float64))) > theta[:, np.newaxis]
+    return theta, np.count_nonzero((diffs != 0) & over, axis=1)
 
 
 @dataclass(frozen=True)
@@ -301,18 +299,73 @@ class DetectorSpec:
         if self.msd_threshold < 0:
             raise ValueError("msd_threshold must be >= 0")
 
+    def decide(self, diffs: np.ndarray) -> RowDecisions:
+        """This kind's rule on every row of an int64 (GEMMs x lanes) difference matrix.
+
+        Rows are independent: row i gets the decision its GEMM would get alone.
+        """
+        if diffs.ndim != 2 or diffs.dtype != np.int64:
+            raise ValueError(f"diffs must be a 2-D int64 matrix, got {diffs.ndim}-D {diffs.dtype}")
+        msd = row_msd(diffs)
+        if self.kind in STATISTICAL_KINDS:
+            theta, freq_eff = _region_counts(
+                diffs, msd, self.params, self.kind == "statistical_lzc"
+            )
+            recovers = freq_eff > self.params.theta_freq
+        else:
+            theta = np.zeros(len(diffs))
+            freq_eff = np.count_nonzero(diffs, axis=1)
+            if self.kind in ("classical", "dmr"):
+                # dmr catches every nonzero difference by full re-execution, so it
+                # decides as classical does; only its energy cost differs
+                recovers = freq_eff > 0
+            elif self.kind == "msd":
+                recovers = msd > self.msd_threshold
+            else:
+                recovers = np.zeros(len(diffs), dtype=bool)
+        return RowDecisions(msd=msd, theta_mag=theta, freq_eff=freq_eff, recovers=recovers)
+
     def evaluate(self, pair: ChecksumPair) -> DetectionVerdict:
-        # dmr catches every nonzero difference by full re-execution, so it
-        # decides as classical does; only its energy cost differs
-        if self.kind in ("classical", "dmr"):
-            return detect_classical(pair)
-        if self.kind == "msd":
-            return detect_msd(pair, self.msd_threshold)
-        if self.kind == "statistical":
-            return detect_statistical(pair, self.params)
-        if self.kind == "statistical_lzc":
-            return detect_statistical_lzc(pair, self.params)
-        return detect_none(pair)
+        """The verdict on one GEMM: ``decide`` on the one-row matrix of its difference."""
+        rows = self.decide(pair.diff[np.newaxis])
+        return DetectionVerdict(
+            # a dmr verdict is classical's: the kinds differ only in energy
+            detector="classical" if self.kind == "dmr" else self.kind,
+            msd=int(rows.msd[0]),
+            theta_mag=float(rows.theta_mag[0]),
+            freq_eff=int(rows.freq_eff[0]),
+            decision=RECOVER if rows.recovers[0] else PASS,
+        )
+
+
+def detect_classical(pair: ChecksumPair) -> DetectionVerdict:
+    """Classical ABFT: any nonzero checksum difference triggers recovery."""
+    return DetectorSpec(kind="classical").evaluate(pair)
+
+
+def detect_msd(pair: ChecksumPair, threshold: int) -> DetectionVerdict:
+    """Recover iff MSD strictly exceeds the fixed threshold."""
+    return DetectorSpec(kind="msd", msd_threshold=threshold).evaluate(pair)
+
+
+def detect_statistical(pair: ChecksumPair, params: CriticalRegionParams) -> DetectionVerdict:
+    """Recover iff freq_eff strictly exceeds theta_freq.
+
+    Both comparisons are strict: lanes count toward freq_eff only when
+    log2|d_j| > theta, and recovery fires only when freq_eff > theta_freq.
+    MSD == 0 gives theta = +inf, so fully cancelling errors always pass.
+    """
+    return DetectorSpec(kind="statistical", params=params).evaluate(pair)
+
+
+def detect_statistical_lzc(pair: ChecksumPair, params: CriticalRegionParams) -> DetectionVerdict:
+    """detect_statistical on the LZC datapath; theta_mag is the fixed-point bound."""
+    return DetectorSpec(kind="statistical_lzc", params=params).evaluate(pair)
+
+
+def detect_none(pair: ChecksumPair) -> DetectionVerdict:
+    """Baseline that never recovers; stats still reported for bookkeeping."""
+    return DetectorSpec(kind="none").evaluate(pair)
 
 
 def save_params(params: CriticalRegionParams, path: str, provenance: str = "") -> None:

@@ -23,8 +23,14 @@ so comparisons and sweeps alike compute the clean output only at corrupted
 elements and never run the dense GEMM. Nor do they draw whole operands:
 ``workload_entries`` draws just the W rows and X columns that the corrupted
 elements read, so a trial costs in proportion to its faults, not to the
-GEMM's size. Every detector is scored on the same checksum evidence. The
-per-detector optimum is the sweep point with minimal energy (ties break
+GEMM's size. Every detector is scored on the same checksum evidence: a
+sweep builds, per voltage, one int64 (trials x lanes) matrix D of checksum
+differences from the thinned flips of all its trials, and each detector
+decides every row of D in one vectorized call (``DetectorSpec.decide``);
+``compare`` stacks its trials' difference rows into D the same way. Row sums
+are exact in int64 while lanes * max|d_j| < 2**63, which every GEMM meets
+(|d_j| <= m * 2**32 <= 2**44 with at most 4096 lanes) and which is asserted.
+The per-detector optimum is the sweep point with minimal energy (ties break
 toward higher voltage).
 """
 
@@ -33,7 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from functools import partial
 
-from .detectors import STATISTICAL_KINDS, ChecksumPair, detect_statistical
+import numpy as np
+
+from .detectors import STATISTICAL_KINDS, DetectorSpec, row_msd
 from .faults import (
     UNIFORM_MODE,
     FaultConfig,
@@ -45,8 +53,9 @@ from .faults import (
 )
 from .rng import derive_seed
 from .workloads import WorkloadSpec, workload_entries
-# not called: the benchmark's tracer (perfbench/tracing.py) looks run_array and
-# workload_matrices up in this module
+# not called: the benchmark's tracer (perfbench/tracing.py) looks detect_statistical,
+# run_array and workload_matrices up in this module
+from .detectors import detect_statistical
 from .systolic import run_array
 from .workloads import workload_matrices
 
@@ -161,14 +170,15 @@ def _trial_fault_seed(seed: int, t: int) -> int:
     return derive_seed(seed, _TAG_FAULT, 0, t)
 
 
-def _trial_pairs(spec: WorkloadSpec, fault: FaultConfig | None):
-    """Yield the ChecksumPair of each GEMM of the stream, from its fault log."""
-    for t in range(spec.gemm_count):
-        events = []
-        if fault is not None:
+def _trial_diffs(spec: WorkloadSpec, fault: FaultConfig | None) -> np.ndarray:
+    """The (GEMMs x n) checksum-difference matrix of the stream: row t from trial t's fault log."""
+    diffs = np.zeros((spec.gemm_count, spec.n), dtype=np.int64)
+    if fault is not None:
+        for t in range(spec.gemm_count):
             seeded = replace(fault, seed=_trial_fault_seed(fault.seed, t))
             events = output_events(spec.m, spec.n, partial(workload_entries, spec, t), seeded)
-        yield ChecksumPair.from_diff(checksum_diff(events, spec.n))
+            diffs[t] = checksum_diff(events, spec.n)
+    return diffs
 
 
 def _proxy_params(detectors):
@@ -178,25 +188,25 @@ def _proxy_params(detectors):
     return None
 
 
-def _score_stream(pairs, detectors, reference):
-    """Aggregate detector decisions over a stream of checksum pairs."""
+def _score_stream(diffs: np.ndarray, detectors, reference):
+    """Aggregate detector decisions over a (trials x lanes) checksum-difference matrix.
+
+    Each detector, and the statistical rule under ``reference`` that marks a
+    trial critical, decides all rows in one call.
+    """
     labels = _unique_labels(detectors)
-    n = 0
-    recoveries = dict.fromkeys(labels, 0)
-    undetected = dict.fromkeys(labels, 0)
-    freq_sum = dict.fromkeys(labels, 0)
-    msd_sum = 0.0
-    for pair in pairs:
-        n += 1
-        critical = reference is not None and detect_statistical(pair, reference).recovers
-        msd_sum += float(pair.msd())
-        for d, label in zip(detectors, labels):
-            v = d.evaluate(pair)
-            freq_sum[label] += v.freq_eff
-            if v.recovers:
-                recoveries[label] += 1
-            elif critical:
-                undetected[label] += 1
+    n = len(diffs)
+    critical = np.zeros(n, dtype=bool)
+    if reference is not None:
+        critical = DetectorSpec(kind="statistical", params=reference).decide(diffs).recovers
+    recoveries, undetected, freq_sum = {}, {}, {}
+    for d, label in zip(detectors, labels):
+        rows = d.decide(diffs)
+        recoveries[label] = int(np.count_nonzero(rows.recovers))
+        undetected[label] = int(np.count_nonzero(critical & ~rows.recovers))
+        freq_sum[label] = int(rows.freq_eff.sum())
+    # float MSDs summed one after another in trial order (np.sum would sum pairwise)
+    msd_sum = float(np.add.accumulate(row_msd(diffs).astype(np.float64))[-1]) if n else 0.0
     return n, recoveries, undetected, freq_sum, msd_sum
 
 
@@ -214,7 +224,7 @@ def compare_detectors(
     """
     ref = _proxy_params(detectors)
     n, recoveries, undetected, freq_sum, msd_sum = _score_stream(
-        _trial_pairs(spec, fault), detectors, ref
+        _trial_diffs(spec, fault), detectors, ref
     )
     return [
         CompareRow(
@@ -266,18 +276,17 @@ def sweep_detectors(
     top = replace(fault, ber=max(bers))
 
     stream = replace(spec, gemm_count=trials)
-    flips = [
+    flips = SparseFlips.stack([
         SparseFlips.draw(
             spec.m, spec.n, partial(workload_entries, stream, t),
             replace(top, seed=_trial_fault_seed(fault.seed, t)),
         )
         for t in range(trials)
-    ]
+    ])
 
     points = {label: [] for label in labels}
     for v, ber in zip(voltages, bers):
-        pairs = (ChecksumPair.from_diff(checksum_diff(f.events(ber), f.n_cols)) for f in flips)
-        n, recoveries, undetected, _, _ = _score_stream(pairs, detectors, ref)
+        n, recoveries, undetected, _, _ = _score_stream(flips.diff(ber), detectors, ref)
         for d, label in zip(detectors, labels):
             rate = recoveries[label] / n
             points[label].append(

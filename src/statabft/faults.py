@@ -51,6 +51,10 @@ INT32_MAX = 2**31 - 1
 # interpolation; exact table rows are returned verbatim.
 LOG_BER_FLOOR = 1e-15
 
+# ber_at matches a table row within this many volts: a quarter of the 1e-10
+# rounding of sweep voltages, so two distinct sweep voltages never match one row
+ROW_TOLERANCE = 2.5e-11
+
 # flips drawn by the first batch of geometric_flips; each later batch doubles.
 # Results do not depend on it: the k-th draw is a pure function of (seed, k).
 _SKIP_CHUNK = 64
@@ -153,48 +157,84 @@ def _flip_sites(seed: int, n_elements: int, bit_window: tuple[int, int], ber: fl
 
 @dataclass(frozen=True, eq=False)
 class SparseFlips:
-    """One output's bit flips at a top BER, each with the clean value it hits.
+    """The bit flips of a stream of same-shaped outputs (trials) at a top BER.
 
-    Holds O(flips) data and no output matrix: ``events(ber)`` thins the flips
-    to any ``ber`` up to the top one.
+    Holds O(flips) data and no output matrix, as flat arrays with one entry per
+    flip, sorted by (trial, element): the flip hits the row-major ``element``
+    of trial ``trial``'s output with the one-bit ``mask``; ``u`` is its
+    thinning uniform and ``clean`` the clean value of the element it hits.
+    ``events(ber)`` and ``diff(ber)`` thin the flips to any ``ber`` up to the
+    top one.
     """
 
+    n_trials: int
     n_cols: int
     ber: float
     bit_window: tuple[int, int]
-    flips: tuple[tuple[int, int, float], ...]  # (element, bit mask, u)
-    clean: dict[int, int]  # element -> clean output value
+    trial: np.ndarray  # int64
+    element: np.ndarray  # int64
+    mask: np.ndarray  # uint32
+    u: np.ndarray  # float64
+    clean: np.ndarray  # int64
 
     @classmethod
     def draw(cls, n_rows: int, n_cols: int, entries, cfg: FaultConfig):
-        """The flips of ``cfg``'s (seed, ber, bit_window) in an n_rows x n_cols output.
+        """The flips of ``cfg``'s (seed, ber, bit_window) in one n_rows x n_cols output.
 
         ``entries(rows, cols)`` gives the clean values at the flipped elements.
         """
         elements, masks, u = _flip_sites(cfg.seed, n_rows * n_cols, cfg.bit_window, cfg.ber)
-        clean = dict(zip(elements.tolist(), entries(*np.divmod(elements, n_cols)).tolist()))
-        flips = tuple(zip(elements.tolist(), masks.tolist(), u.tolist()))
-        return cls(n_cols=n_cols, ber=cfg.ber, bit_window=cfg.bit_window, flips=flips, clean=clean)
+        clean = np.asarray(entries(*np.divmod(elements, n_cols)), dtype=np.int64)
+        trial = np.zeros(elements.size, dtype=np.int64)
+        return cls(1, n_cols, cfg.ber, cfg.bit_window, trial, elements, masks, u, clean)
 
-    def events(self, ber: float) -> list[ErrorEvent]:
-        """The corrupted elements at ``ber``, in row-major order."""
+    @classmethod
+    def stack(cls, parts: list["SparseFlips"]) -> "SparseFlips":
+        """One stream of one-trial draws of one shape, ber and bit window; trial t is parts[t]."""
+        trial = np.repeat(np.arange(len(parts)), [p.u.size for p in parts])
+        arrays = (np.concatenate([getattr(p, f) for p in parts]) for f in ("element", "mask", "u", "clean"))
+        first = parts[0]
+        return cls(len(parts), first.n_cols, first.ber, first.bit_window, trial, *arrays)
+
+    def _corrupted(self, ber: float):
+        """Trial, element, mask, clean and corrupted value of each element corrupted at ``ber``."""
         if not 0.0 <= ber <= self.ber:
             raise ValueError(f"ber must be in [0, {self.ber}], got {ber}")
-        masks: dict[int, int] = {}
-        for element, mask, u in self.flips:
-            if u < ber:
-                masks[element] = masks.get(element, 0) | mask
+        keep = self.u < ber
+        trial, element = self.trial[keep], self.element[keep]
+        # the kept flips stay sorted by (trial, element): each run of one key is one element
+        first = np.ones(trial.size, dtype=bool)
+        first[1:] = (trial[1:] != trial[:-1]) | (element[1:] != element[:-1])
+        starts = np.flatnonzero(first)
+        mask = np.bitwise_or.reduceat(self.mask[keep], starts)
+        before = self.clean[keep][starts]
+        after = _wrap_int32(before ^ mask.astype(np.int64))
+        return trial[starts], element[starts], mask, before, after
+
+    def events(self, ber: float) -> list[ErrorEvent]:
+        """The corrupted elements of a one-trial draw at ``ber``, in row-major order."""
+        if self.n_trials != 1:
+            raise ValueError(f"events are per output; these flips hold {self.n_trials} trials")
+        _, element, mask, before, after = self._corrupted(ber)
+        rows, cols = np.divmod(element, self.n_cols)
         lo, hi = self.bit_window
         return [
             ErrorEvent(
-                row=element // self.n_cols,
-                col=element % self.n_cols,
-                before=self.clean[element],
-                after=_wrap_int32(self.clean[element] ^ mask),
-                flipped_bits=tuple(b for b in range(lo, hi + 1) if mask >> b & 1),
+                row=r, col=c, before=b, after=a,
+                flipped_bits=tuple(bit for bit in range(lo, hi + 1) if m >> bit & 1),
             )
-            for element, mask in masks.items()
+            for r, c, m, b, a in zip(*(x.tolist() for x in (rows, cols, mask, before, after)))
         ]
+
+    def diff(self, ber: float) -> np.ndarray:
+        """The (n_trials x n_cols) checksum-difference matrix at ``ber``.
+
+        Row t is trial t's ``checksum_diff``: ``-sum(after - before)`` per column.
+        """
+        trial, element, _, before, after = self._corrupted(ber)
+        d = np.zeros((self.n_trials, self.n_cols), dtype=np.int64)
+        np.add.at(d, (trial, element % self.n_cols), before - after)
+        return d
 
 
 def _uniform_events(n_rows: int, n_cols: int, entries, seed: int, freq: int, mag: int):
@@ -292,7 +332,8 @@ class VoltageBerTable:
     """Operating points: strictly descending voltages, non-decreasing BERs.
 
     Queries between rows interpolate log-linearly in (voltage, log10 BER).
-    Exact row voltages return the stored BER verbatim, including 0.0.
+    Row voltages, within ROW_TOLERANCE, return the stored BER verbatim,
+    including 0.0.
     """
 
     voltages: np.ndarray
@@ -303,6 +344,8 @@ class VoltageBerTable:
         b = np.asarray(self.bers, dtype=np.float64)
         if v.ndim != 1 or v.size < 2 or v.shape != b.shape:
             raise ValueError("table needs matching 1-D voltage/ber arrays with >= 2 rows")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("voltages must be finite")
         if not np.all(np.diff(v) < 0):
             raise ValueError("voltages must be strictly descending")
         if np.any(b < 0) or np.any(b > 1):
@@ -323,14 +366,18 @@ class VoltageBerTable:
         return float(self.voltages[-1])
 
     def ber_at(self, v: float) -> float:
-        """BER at voltage ``v``; raises ValueError outside the table span."""
+        """BER at voltage ``v``; raises ValueError outside the table span.
+
+        A voltage within ROW_TOLERANCE of a row is that row's voltage, so float
+        error in a computed voltage still returns the stored BER verbatim.
+        """
+        nearest = int(np.argmin(np.abs(self.voltages - v)))
+        if abs(float(self.voltages[nearest]) - v) <= ROW_TOLERANCE:
+            return float(self.bers[nearest])
         if not (self.v_min <= v <= self.v_max):
             raise ValueError(
                 f"voltage {v} outside table span [{self.v_min}, {self.v_max}]"
             )
-        exact = np.nonzero(self.voltages == v)[0]
-        if exact.size:
-            return float(self.bers[exact[0]])
         # voltages descend, so search on the negated axis
         i = int(np.searchsorted(-self.voltages, -v)) - 1
         v0, v1 = float(self.voltages[i]), float(self.voltages[i + 1])

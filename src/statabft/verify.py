@@ -22,8 +22,7 @@ from .detectors import (
     LZC_FRAC_BITS,
     ChecksumPair,
     CriticalRegionParams,
-    detect_statistical,
-    detect_statistical_lzc,
+    DetectorSpec,
     floor_log2,
     log2_fixed,
 )
@@ -146,32 +145,57 @@ def _on_grid_params(
     return replace(params, a=2.0, b=b)
 
 
-def check_stat_unit_reference(cases: int, seed: int) -> CheckResult:
-    """Both vectorized statistical detectors agree with the scalar unit in their mode.
+# stat-unit-reference stacks this many cases, each zero-padded to this many
+# lanes (the most _random_case draws), into one square matrix
+_BLOCK = 64
 
-    Every fourth case puts the LZC bound on a lane's exponent, where random params rarely do.
-    """
-    for c in range(cases):
+
+def _stat_unit_block(start: int, stop: int, seed: int) -> tuple[int, str] | None:
+    """The first of cases [start, stop) that breaks stat-unit-reference, and how."""
+    cases = []
+    diffs = np.zeros((_BLOCK, _BLOCK), dtype=np.int64)
+    for i, c in enumerate(range(start, stop)):
         s = derive_seed(seed, 3, c)
         pair, params = _random_case(s)
         if c % 4 == 3:
             params = _on_grid_params(pair, params, derive_seed(s, 2))
-        for detect, mode in ((detect_statistical, EXACT), (detect_statistical_lzc, LZC)):
-            ref = detect(pair, params)
+        diffs[i, : pair.diff.size] = pair.diff
+        cases.append((c, pair, params))
+    for i, (c, pair, params) in enumerate(cases):
+        for kind, mode in (("statistical", EXACT), ("statistical_lzc", LZC)):
+            rows = DetectorSpec(kind=kind, params=params).decide(diffs)
             unit = statistical_unit(pair.predicted, pair.observed, params, mode)
+            theta = float(rows.theta_mag[i])
             same = (
-                ref.msd == unit.msd
-                and ref.freq_eff == unit.freq_eff
-                and ref.decision == unit.decision
-                and (math.isinf(ref.theta_mag) == math.isinf(unit.theta_mag))
-                and (mode == EXACT or ref.theta_mag == unit.theta_mag)
+                int(rows.msd[i]) == unit.msd
+                and int(rows.freq_eff[i]) == unit.freq_eff
+                and bool(rows.recovers[i]) == unit.recovers
+                and math.isinf(theta) == math.isinf(unit.theta_mag)
+                and (mode == EXACT or theta == unit.theta_mag)
             )
             if not same:
-                return CheckResult(
-                    "stat-unit-reference", c + 1, False,
-                    f"{mode} datapath disagrees with {ref.detector} at case {c}: "
-                    f"{unit.freq_eff} vs {ref.freq_eff}",
+                return c, (
+                    f"{mode} datapath disagrees with {kind} at case {c}: "
+                    f"{unit.freq_eff} vs {int(rows.freq_eff[i])}"
                 )
+    return None
+
+
+def check_stat_unit_reference(cases: int, seed: int) -> CheckResult:
+    """Both statistical detectors, deciding stacked cases, agree with the scalar unit.
+
+    Cases are stacked in blocks of 64 rows of 64 lanes. Each case's params
+    decide its whole block in one call, and the case's own row is held to the
+    unit in that detector's log2 mode. The blocks are square, so a per-row
+    bound applied along the lane axis still broadcasts and shows here as a
+    wrong verdict. Every fourth case puts the LZC bound on a lane's exponent,
+    where random params rarely do.
+    """
+    for start in range(0, cases, _BLOCK):
+        failure = _stat_unit_block(start, min(start + _BLOCK, cases), seed)
+        if failure is not None:
+            c, detail = failure
+            return CheckResult("stat-unit-reference", c + 1, False, detail)
     return CheckResult("stat-unit-reference", cases, True)
 
 
@@ -314,12 +338,19 @@ def _sparse_evidence_failure(s: int) -> str:
     flips = SparseFlips.draw(m, n, entries, fault)
     if flips.events(top) != sample_bitflips(clean, fault)[1]:
         return "top-BER events differ from dense"
+    # the sweep's matrix, with this GEMM as trial `index` of a two-trial stream
+    other = SparseFlips.draw(
+        m, n, partial(workload_entries, spec, 1 - index), replace(fault, seed=derive_seed(s, 4))
+    )
+    stream = SparseFlips.stack([flips, other] if index == 0 else [other, flips])
     above = None
     for ber in (top, top / 3, top / 10, top / 100, 0.0):
         kept = flips.events(ber)
         dense = predicted - _applied(clean, kept, fault).sum(0, dtype=np.int64)
         if not np.array_equal(checksum_diff(kept, n), dense):
             return f"sparse difference != dense at ber {ber:g}"
+        if not np.array_equal(stream.diff(ber)[index], dense):
+            return f"stacked difference row != dense at ber {ber:g}"
         sites = {(e.row, e.col) for e in kept}
         if ber == 0.0 and sites:
             return "flips kept at ber 0"
@@ -345,7 +376,8 @@ def check_sparse_evidence(cases: int, seed: int) -> CheckResult:
 
     Each case is one GEMM of a random WorkloadSpec in either distribution.
     Its logs read clean values through ``workload_entries``, as compare and
-    sweep do, and are held to ``gemm(*workload_matrices(...))``; the
+    sweep do, and are held to ``gemm(*workload_matrices(...))``, and so is
+    its row of the difference matrix a sweep builds for a two-trial stream; the
     counter-based draws that both use are held to the sequential generator.
     BER: at the top BER the sparse events are ``sample_bitflips``'s own; as
     the BER drops, the corrupted elements form nested sets, empty at BER 0.

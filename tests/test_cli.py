@@ -394,7 +394,8 @@ def test_inject_runs_no_dense_gemm_and_matches_the_dense_oracle(tmp_path, capsys
 
 def test_inject_index_t_is_compares_trial_t(tmp_path, capsys):
     from statabft.config import load_config
-    from statabft.energy import _trial_pairs
+    from statabft.detectors import ChecksumPair
+    from statabft.energy import _trial_diffs
 
     kinds = ["none", "classical", "statistical", "statistical_lzc", "dmr"]
     path = write_config(tmp_path, {
@@ -405,7 +406,8 @@ def test_inject_index_t_is_compares_trial_t(tmp_path, capsys):
     cfg = load_config(path)
     n = cfg.workload.gemm_count
     recoveries = dict.fromkeys(kinds, 0)
-    for t, pair in enumerate(_trial_pairs(cfg.workload, cfg.fault)):
+    for t, diff in enumerate(_trial_diffs(cfg.workload, cfg.fault)):
+        pair = ChecksumPair.from_diff(diff)
         assert main(["--config", path, "inject", "--index", str(t)]) == 0
         got = json.loads(capsys.readouterr().out)
         assert got["diff"] == pair.diff.tolist()

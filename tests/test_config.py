@@ -145,6 +145,14 @@ def test_sweep_range_never_steps_below_v_min():
     # off the step grid, the range ends at its last whole step above v_min
     cfg = parse_config({"sweep": {"v_min": 0.7, "v_max": 0.7000000012, "v_step": 1e-9}})
     assert cfg.sweep_voltages == (0.7000000012, 0.7000000002)
+    # within the 1e-9 float allowance of v_min, a last voltage below it is dropped
+    cfg = parse_config({"sweep": {"v_min": 0.7, "v_max": 0.7000000015, "v_step": 1e-9}})
+    assert cfg.sweep_voltages == (0.7000000015, 0.7000000005)
+    cfg = parse_config({"sweep": {"v_min": 0.7, "v_max": 0.700000005, "v_step": 2e-9}})
+    assert cfg.sweep_voltages == (0.700000005, 0.700000003, 0.700000001)
+    # a range that ends on v_min up to float error keeps v_min itself
+    cfg = parse_config({"sweep": {"v_min": 0.6, "v_max": 0.9, "v_step": 0.02}})
+    assert len(cfg.sweep_voltages) == 16 and cfg.sweep_voltages[-1] == 0.6
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ from statabft.energy import (
     EnergyConfig,
     SweepPoint,
     _trial_fault_seed,
-    _trial_pairs,
+    _trial_diffs,
     compare_detectors,
     compute_energy,
     energy_saving,
@@ -254,19 +254,19 @@ def test_compare_evidence_equals_the_dense_oracle(fault):
     # compare scores each trial from its fault log alone; the dense run_array,
     # given the same per-trial fault seed, corrupts the whole product
     fault = None if fault is None else replace(fault, seed=3)
-    pairs = list(_trial_pairs(SPEC, fault))
-    assert len(pairs) == SPEC.gemm_count
+    diffs = _trial_diffs(SPEC, fault)
+    assert diffs.shape == (SPEC.gemm_count, SPEC.n)
     wrapped = 0
-    for t, pair in enumerate(pairs):
+    for t, diff in enumerate(diffs):
         w, x = workload_matrices(SPEC, t)
         seeded = None if fault is None else replace(fault, seed=_trial_fault_seed(3, t))
         sim = run_array(w, x, fault=seeded)
-        assert np.array_equal(pair.diff, sim.predicted.data - sim.observed.data)
+        assert np.array_equal(diff, sim.predicted.data - sim.observed.data)
         events = list(sim.events)
-        assert np.array_equal(checksum_diff(events, x.cols), pair.diff)
+        assert np.array_equal(checksum_diff(events, x.cols), diff)
         if seeded is not None and seeded.mode == "uniform":
             wrapped += sum(e.after - e.before != seeded.mag for e in events)
-    assert any(p.diff.any() for p in pairs) == (fault is not None)
+    assert diffs.any() == (fault is not None)
     if fault is not None and fault.mag == 2**31 - 1:
         assert wrapped > 0  # the INT32 wrap is exercised
 
@@ -303,7 +303,7 @@ def test_compare_draws_only_the_operand_rows_and_columns_its_faults_read(monkeyp
         return np.zeros(len(rows), dtype=np.int64)
 
     monkeypatch.setattr(workloads, "u64_at", spy)
-    pairs = list(_trial_pairs(spec, fault))
+    diffs = _trial_diffs(spec, fault)
     touched = []
     for t in range(trials):
         # where BER flips land does not depend on the clean values
@@ -314,4 +314,4 @@ def test_compare_draws_only_the_operand_rows_and_columns_its_faults_read(monkeyp
     assert len(draws) == 2 * len(flipped)
     assert sum(draws) == sum(len(r) * k + k * len(c) for r, c in flipped)
     assert sum(draws) < m * k
-    assert len(pairs) == trials
+    assert len(diffs) == trials

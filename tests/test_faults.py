@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from functools import partial
 
@@ -130,15 +131,42 @@ def test_sparse_flips_match_the_dense_sampler():
     flips = SparseFlips.draw(w.rows, x.cols, partial(gemm_entries, w, x), cfg)
     corrupted, events = sample_bitflips(clean, cfg)
     # the clean value at each flipped element is the dense product's
-    assert flips.clean and all(
-        v == clean.data.ravel()[e] for e, v in flips.clean.items()
-    )
+    assert flips.clean.size and np.array_equal(flips.clean, clean.data.ravel()[flips.element])
     assert flips.events(cfg.ber) == events
     dense = predicted_output_checksum(w, x).data - checksum(corrupted, "row").data
     assert np.array_equal(checksum_diff(flips.events(cfg.ber), flips.n_cols), dense)
+    assert np.array_equal(flips.diff(cfg.ber), dense[np.newaxis])
     assert not checksum_diff(flips.events(0.0), flips.n_cols).any()
     with pytest.raises(ValueError, match="ber"):
         flips.events(0.06)
+
+
+def test_stacked_flips_give_each_trials_difference_row():
+    # a sweep thins the flips of all its trials at once: row t of diff(ber) is
+    # trial t's own checksum_diff at that ber, bit-31 flips that wrap included
+    w = random_quant_matrix(9, 30, "outlier", 2)
+    x = random_quant_matrix(30, 7, "uniform", 3)
+    entries = partial(gemm_entries, w, x)
+    cfg = FaultConfig(mode="ber", ber=0.04, bit_window=(0, 31))
+    parts = [SparseFlips.draw(w.rows, x.cols, entries, replace(cfg, seed=s)) for s in range(5)]
+    stream = SparseFlips.stack(parts)
+    assert stream.n_trials == 5
+    assert stream.trial.tolist() == [t for t, p in enumerate(parts) for _ in p.u]
+    for ber in (0.04, 0.01, 0.001, 0.0):
+        rows = [checksum_diff(p.events(ber), x.cols) for p in parts]
+        assert np.array_equal(stream.diff(ber), np.array(rows))
+    assert stream.diff(0.04).any() and not stream.diff(0.0).any()
+    # on a one-element output every trial's flips hit the element the trial
+    # before it ended on: the flips of two trials never merge into one element
+    one = [
+        SparseFlips.draw(1, 1, lambda rows, cols: np.full(rows.shape, 7), replace(cfg, seed=s, ber=0.5))
+        for s in range(4)
+    ]
+    rows = [checksum_diff(p.events(0.5), 1) for p in one]
+    assert all(r.any() for r in rows)
+    assert np.array_equal(SparseFlips.stack(one).diff(0.5), np.array(rows))
+    with pytest.raises(ValueError, match="5 trials"):
+        stream.events(0.01)
 
 
 @pytest.mark.parametrize(
@@ -261,6 +289,22 @@ def test_table_exact_rows_returned_verbatim():
     assert t.ber_at(0.9) == 0.0
     assert t.ber_at(0.8) == 1e-8
     assert t.ber_at(0.7) == 1e-5
+
+
+def test_table_rows_match_through_float_error_but_not_across_sweep_voltages():
+    t = VoltageBerTable(np.array([0.9, 0.8, 0.7]), np.array([0.0, 1e-8, 1e-5]))
+    # a voltage one ulp off a row, as float arithmetic leaves one, gets the row
+    for v in (0.9, 0.8, 0.7):
+        for off in (math.nextafter(v, 0.0), math.nextafter(v, 1.0)):
+            assert t.ber_at(off) == float(t.bers[[0.9, 0.8, 0.7].index(v)])
+    assert 0.7 + 0.1 != 0.8 and t.ber_at(0.7 + 0.1) == 1e-8
+    # 1e-10 apart, as two distinct sweep voltages are, interpolates
+    below = t.ber_at(0.8 - 1e-10)
+    above = t.ber_at(0.8 + 1e-10)
+    assert 1e-8 < below < 1e-5 and 0.0 < above < 1e-8
+    assert below == pytest.approx(1e-8, rel=1e-6)
+    with pytest.raises(ValueError, match="outside table span"):
+        t.ber_at(0.9 + 1e-10)
 
 
 def test_table_log_linear_interpolation():

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statabft.detectors import (
+    DETECTOR_KINDS,
     LZC_FRAC_BITS,
     ChecksumPair,
     CriticalRegionParams,
+    DetectorSpec,
     _floor_log2_lanes,
     _theta_fixed,
     detect_statistical,
@@ -201,6 +203,58 @@ def test_vectorized_detectors_match_the_scalar_unit(d, params):
         assert (ref.msd, ref.freq_eff, ref.decision) == (unit.msd, unit.freq_eff, unit.decision)
         if mode == "lzc":
             assert ref.theta_mag == unit.theta_mag
+
+
+@st.composite
+def difference_matrices(draw):
+    """A (rows x lanes) matrix of edge lanes with an all-zero row and, from two
+    lanes up, a row whose lanes cancel to MSD 0; params half the time put the
+    LZC bound exactly on a lane's exponent."""
+    n = draw(st.integers(1, 24))
+    rows = draw(st.lists(st.lists(_EDGES, min_size=n, max_size=n), min_size=1, max_size=10))
+    rows.append([0] * n)
+    if n > 1:
+        lanes = draw(st.lists(_EDGES, min_size=n - 1, max_size=n - 1))
+        rows.insert(draw(st.integers(0, len(rows))), [*lanes, -sum(lanes)])
+    diffs = np.array(rows, dtype=np.int64)
+    params = draw(_PARAMS)
+    msd = np.abs(diffs.sum(axis=1))
+    if draw(st.booleans()) and msd.any():
+        # a = 2 and b * 2**LZC_FRAC_BITS = log2_fixed(MSD) + (e << LZC_FRAC_BITS) give a bound of exactly e
+        i = draw(st.sampled_from(np.flatnonzero(msd).tolist()))
+        lane = draw(st.sampled_from([int(v) for v in diffs[i] if v != 0]))
+        fixed = log2_fixed(int(msd[i]), LZC_FRAC_BITS) + (floor_log2(abs(lane)) << LZC_FRAC_BITS)
+        params = CriticalRegionParams(a=2.0, b=fixed / (1 << LZC_FRAC_BITS), theta_freq=params.theta_freq)
+    return diffs, params
+
+
+@given(difference_matrices(), st.integers(0, 2**50))
+@settings(max_examples=100, deadline=None)
+def test_deciding_all_rows_at_once_equals_each_row_alone(case, threshold):
+    diffs, params = case
+    units = {"statistical": "exact", "statistical_lzc": "lzc"}
+    for kind in DETECTOR_KINDS:
+        spec = DetectorSpec(kind=kind, params=params, msd_threshold=threshold)
+        rows = spec.decide(diffs)
+        for i, d in enumerate(diffs):
+            pair = ChecksumPair.from_diff(d)
+            alone = spec.evaluate(pair)
+            assert (alone.msd, alone.theta_mag, alone.freq_eff, alone.recovers) == (
+                rows.msd[i], rows.theta_mag[i], rows.freq_eff[i], rows.recovers[i]
+            )
+            if kind in units:
+                unit = statistical_unit(pair.predicted, pair.observed, params, units[kind])
+                assert (unit.msd, unit.theta_mag, unit.freq_eff, unit.decision) == (
+                    alone.msd, alone.theta_mag, alone.freq_eff, alone.decision
+                )
+
+
+def test_decide_asserts_the_int64_bound():
+    # 2 lanes of 2**62: their int64 row sum would wrap
+    with pytest.raises(ValueError, match="int64 bound"):
+        DetectorSpec(kind="classical").decide(np.full((3, 2), 2**62, dtype=np.int64))
+    with pytest.raises(ValueError, match="2-D int64"):
+        DetectorSpec(kind="classical").decide(np.zeros((2, 2), dtype=np.int32))
 
 
 @given(st.lists(st.one_of(_EDGES, st.integers(-(2**63), 2**63 - 1)), min_size=1, max_size=64))

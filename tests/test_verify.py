@@ -68,18 +68,39 @@ def test_individual_checks_report_case_counts():
 def test_stat_unit_reference_catches_a_non_strict_lzc_bound(monkeypatch):
     # the LZC rule counts lanes strictly above the bound; a lane exactly on
     # it, which random params almost never produce, tells > from >=
-    def non_strict(pair, params):
-        theta = detectors._theta_fixed(pair.msd(), params)
-        lanes = detectors._floor_log2_lanes(pair.diff[pair.diff != 0])
-        freq_eff = 0 if theta is None else int(
-            np.count_nonzero((lanes << detectors.LZC_FRAC_BITS) >= theta)
-        )
-        return replace(detectors.detect_statistical_lzc(pair, params), freq_eff=freq_eff)
+    real = detectors._region_counts
 
-    monkeypatch.setattr(verify, "detect_statistical_lzc", non_strict)
+    def non_strict(diffs, msd, params, lzc):
+        theta, freq_eff = real(diffs, msd, params, lzc)
+        if lzc:
+            scaled = detectors._floor_log2_lanes(diffs) << detectors.LZC_FRAC_BITS
+            on = (diffs != 0) & (scaled == theta[:, np.newaxis] * (1 << detectors.LZC_FRAC_BITS))
+            freq_eff = freq_eff + np.count_nonzero(on, axis=1)
+        return theta, freq_eff
+
+    monkeypatch.setattr(detectors, "_region_counts", non_strict)
     result = check_stat_unit_reference(100, 0)
     assert not result.passed
     assert "lzc datapath disagrees" in result.detail
+
+
+def test_stat_unit_reference_catches_a_bound_broadcast_along_the_lanes(monkeypatch):
+    # the check stacks its cases into square blocks, so comparing lane j with
+    # row j's bound still broadcasts; only the verdicts show the wrong axis
+    real = detectors._region_counts
+
+    def wrong_axis(diffs, msd, params, lzc):
+        theta, freq_eff = real(diffs, msd, params, lzc)
+        if not lzc:
+            with np.errstate(divide="ignore"):
+                over = np.log2(np.abs(diffs.astype(np.float64))) > theta[np.newaxis, :]
+            freq_eff = np.count_nonzero((diffs != 0) & over, axis=1)
+        return theta, freq_eff
+
+    monkeypatch.setattr(detectors, "_region_counts", wrong_axis)
+    result = check_stat_unit_reference(100, 0)
+    assert not result.passed
+    assert "exact datapath disagrees with statistical" in result.detail
 
 
 @pytest.mark.parametrize(
