@@ -16,15 +16,7 @@ import argparse
 
 import numpy as np
 
-from statabft.detectors import (
-    ChecksumPair,
-    CriticalRegionParams,
-    detect_classical,
-    detect_msd,
-    detect_statistical,
-    detect_statistical_lzc,
-    theta_mag,
-)
+from statabft.detectors import ChecksumPair, CriticalRegionParams, DetectorSpec, theta_mag
 from statabft.faults import FaultConfig
 from statabft.systolic import run_array
 from statabft.workloads import random_quant_matrix
@@ -57,12 +49,13 @@ def main() -> None:
     t_mag = theta_mag(pair.msd(), params)
     print(f"theta_mag(MSD) = {t_mag:.3f}  (columns above this log2 magnitude count)")
 
-    for name, verdict in (
-        ("classical", detect_classical(pair)),
-        ("msd-threshold", detect_msd(pair, threshold=2**20)),
-        ("statistical", detect_statistical(pair, params)),
-        ("statistical_lzc", detect_statistical_lzc(pair, params)),
+    for name, spec in (
+        ("classical", DetectorSpec(kind="classical")),
+        ("msd-threshold", DetectorSpec(kind="msd", msd_threshold=2**20)),
+        ("statistical", DetectorSpec(kind="statistical", params=params)),
+        ("statistical_lzc", DetectorSpec(kind="statistical_lzc", params=params)),
     ):
+        verdict = spec.evaluate(pair)
         print(
             f"{name:<15} freq_eff={verdict.freq_eff}  decision={verdict.decision}"
         )

@@ -26,7 +26,7 @@ def show_ber(ber: float, seeds: range) -> None:
     for seed in seeds:
         corrupted, events = sample_bitflips(zero, FaultConfig(mode="ber", ber=ber, seed=seed))
         pair = ChecksumPair.from_vectors(base, checksum(corrupted, "row"))
-        print(f"{seed:>6} {len(events):>6} {pair.nonzero_count():>13} {pair.msd():>14}")
+        print(f"{seed:>6} {len(events):>6} {np.count_nonzero(pair.diff):>13} {pair.msd():>14}")
 
 
 def show_uniform(freq: int, mag: int, seeds: range) -> None:
@@ -38,7 +38,7 @@ def show_uniform(freq: int, mag: int, seeds: range) -> None:
         cfg = FaultConfig(mode="uniform", freq=freq, mag=mag, seed=seed)
         corrupted, events = inject_uniform(zero, cfg)
         pair = ChecksumPair.from_vectors(base, checksum(corrupted, "row"))
-        print(f"{seed:>6} {len(events):>6} {pair.nonzero_count():>13} {pair.msd():>14}")
+        print(f"{seed:>6} {len(events):>6} {np.count_nonzero(pair.diff):>13} {pair.msd():>14}")
 
 
 def main() -> None:

@@ -8,7 +8,7 @@ actually at risk keeps descending. The optimum row marks each detector's
 energy-minimal operating point.
 
     python3 demos/voltage_sweep.py
-    python3 demos/voltage_sweep.py --trials 100 --gemms 50
+    python3 demos/voltage_sweep.py --gemms 100
 """
 from __future__ import annotations
 
@@ -30,8 +30,7 @@ DETECTORS = (
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--trials", type=int, default=60, help="GEMM trials per voltage")
-    ap.add_argument("--gemms", type=int, default=60, help="workload GEMM count")
+    ap.add_argument("--gemms", type=int, default=60, help="workload GEMMs, each one trial per voltage")
     ap.add_argument("--dim", type=int, default=32, help="square GEMM dimension")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
@@ -47,11 +46,10 @@ def main() -> None:
         FaultConfig(mode="ber", seed=args.seed),
         voltages,
         EnergyConfig(table=table),
-        trials=args.trials,
     )
 
     nominal = results["none"].points[0].energy_total
-    print(f"workload: {args.gemms} x GEMM {args.dim}^3, {args.trials} trials/point")
+    print(f"workload: {args.gemms} x GEMM {args.dim}^3, one trial each per point")
     print(f"energy normalized to unprotected nominal = {nominal:.0f} MAC units\n")
 
     print(f"{'V':>5}", end="")

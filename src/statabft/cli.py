@@ -15,7 +15,6 @@ import math
 import os
 import sys
 from dataclasses import asdict, astuple, fields, replace
-from functools import partial
 
 import numpy as np
 
@@ -34,15 +33,14 @@ from .detectors import ChecksumPair, save_params
 from .energy import (
     CompareRow,
     SweepPoint,
-    _trial_fault_seed,
     compare_detectors,
     energy_saving,
     sweep_detectors,
+    trial,
 )
 from .faults import TableFormatError, checksum_diff, output_events
 from .gemm import AccumMatrix, ChecksumVector, predicted_output_checksum
-from .systolic import ArrayConfig, gemm_cycles
-from .workloads import workload_entries, workload_matrices
+from .workloads import workload_matrices
 
 
 def _jsonable(v):
@@ -189,12 +187,7 @@ def cmd_compare(cfg: ExperimentConfig, args) -> int:
 
 def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     results = sweep_detectors(
-        cfg.workload,
-        cfg.detector_specs(),
-        cfg.fault,
-        cfg.voltages(),
-        cfg.energy,
-        trials=cfg.sweep_trials,
+        cfg.workload, cfg.detector_specs(), cfg.fault, cfg.voltages(), cfg.energy
     )
     out = _prepare_out(cfg, "sweep", args.out_dir or cfg.output_dir)
     header = [f.name for f in fields(SweepPoint)]
@@ -236,9 +229,8 @@ def cmd_inject(cfg: ExperimentConfig, args) -> int:
     if not (0 <= args.index < spec.gemm_count):
         raise ConfigError(f"--index must be in [0, {spec.gemm_count}), got {args.index}")
     w, x = workload_matrices(spec, args.index)
-    # compare's trial --index: its fault stream, and clean values only at the corrupted elements
-    fault = replace(cfg.fault, seed=_trial_fault_seed(cfg.fault.seed, args.index))
-    events = output_events(spec.m, spec.n, partial(workload_entries, spec, args.index), fault)
+    # the trial compare and sweep score: clean values only at the corrupted elements
+    events = output_events(spec.m, spec.n, *trial(spec, cfg.fault, args.index))
     predicted = predicted_output_checksum(w, x)
     observed = ChecksumVector(predicted.data - checksum_diff(events, x.cols))
     pair = ChecksumPair.from_vectors(predicted, observed)
@@ -248,7 +240,6 @@ def cmd_inject(cfg: ExperimentConfig, args) -> int:
         "version": __version__,
         "gemm_index": args.index,
         "shape": {"m": spec.m, "k": spec.k, "n": spec.n},
-        "cycles": gemm_cycles(spec.m, spec.k, spec.n, ArrayConfig()),
         "fault": resolved_dict(cfg)["fault"],
         "events": [asdict(e) for e in events],
         "predicted_checksum": predicted.data,

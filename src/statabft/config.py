@@ -46,7 +46,6 @@ class ExperimentConfig:
     detector: DetectorSpec = DetectorSpec(kind="statistical", params=DEFAULT_PARAMS)
     energy: EnergyConfig = EnergyConfig()
     sweep_voltages: tuple[float, ...] = ()
-    sweep_trials: int = 200
     detector_set: tuple[str, ...] = ("none", "classical", "statistical", "dmr")
     calibrate: CalibrationSettings = CalibrationSettings()
     output_dir: str = "out"
@@ -60,8 +59,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"sweep_voltages must be distinct, got {list(self.sweep_voltages)}"
             )
-        if self.sweep_trials < 1:
-            raise ValueError(f"sweep_trials must be >= 1, got {self.sweep_trials}")
         kinds = self.detector_set
         if not kinds or len(set(kinds)) != len(kinds) or not set(kinds) <= set(DETECTOR_KINDS):
             raise ValueError(f"detector_set must list unique kinds from {DETECTOR_KINDS}")
@@ -74,6 +71,11 @@ class ExperimentConfig:
         # every sweep energy is at least the compute at the lowest voltage; savings divide by one
         if not nominal * (min(self.voltages()) / self.energy.v_nom) ** 2 > 0:
             raise ValueError("energy per-GEMM energy at the lowest sweep voltage underflows to 0")
+
+    @property
+    def sweep_trials(self) -> int:
+        """workload.gemm_count, the sweep's trial count; perfbench/cases.py reads it."""
+        return self.workload.gemm_count
 
     def voltages(self) -> tuple[float, ...]:
         if self.sweep_voltages:
@@ -88,7 +90,6 @@ class ExperimentConfig:
 # ExperimentConfig fields that JSON (and the run echo) group under a section
 _PATHS = {
     "sweep_voltages": ("sweep", "voltages"),
-    "sweep_trials": ("sweep", "trials"),
     "detector_set": ("sweep", "detectors"),
     "output_dir": ("output", "dir"),
     "output_format": ("output", "format"),

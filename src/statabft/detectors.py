@@ -39,9 +39,8 @@ sum, exact while lanes * max|d_j| < 2**63 (asserted; a GEMM has |d_j| <=
 m * 2**32 <= 2**44 and at most 4096 lanes, so it stays below 2**56). The
 exact bound theta takes math.log2 of each row's nonzero MSD, as one GEMM's
 does; the LZC bound runs the integer log2 and float steps of ``_theta_fixed``
-over all rows at once. ``DetectorSpec.evaluate`` and the ``detect_*``
-functions are the one-row case; ``systolic.statistical_unit`` is the
-independent scalar oracle.
+over all rows at once. ``DetectorSpec.evaluate`` is the one-row case;
+``systolic.statistical_unit`` is the independent scalar oracle.
 """
 
 from __future__ import annotations
@@ -143,9 +142,6 @@ class ChecksumPair:
         if self._int64_sum:
             return abs(int(self.diff.sum()))
         return abs(sum(int(v) for v in self.diff))
-
-    def nonzero_count(self) -> int:
-        return int(np.count_nonzero(self.diff))
 
 
 @dataclass(frozen=True)
@@ -338,16 +334,6 @@ class DetectorSpec:
         )
 
 
-def detect_classical(pair: ChecksumPair) -> DetectionVerdict:
-    """Classical ABFT: any nonzero checksum difference triggers recovery."""
-    return DetectorSpec(kind="classical").evaluate(pair)
-
-
-def detect_msd(pair: ChecksumPair, threshold: int) -> DetectionVerdict:
-    """Recover iff MSD strictly exceeds the fixed threshold."""
-    return DetectorSpec(kind="msd", msd_threshold=threshold).evaluate(pair)
-
-
 def detect_statistical(pair: ChecksumPair, params: CriticalRegionParams) -> DetectionVerdict:
     """Recover iff freq_eff strictly exceeds theta_freq.
 
@@ -356,16 +342,6 @@ def detect_statistical(pair: ChecksumPair, params: CriticalRegionParams) -> Dete
     MSD == 0 gives theta = +inf, so fully cancelling errors always pass.
     """
     return DetectorSpec(kind="statistical", params=params).evaluate(pair)
-
-
-def detect_statistical_lzc(pair: ChecksumPair, params: CriticalRegionParams) -> DetectionVerdict:
-    """detect_statistical on the LZC datapath; theta_mag is the fixed-point bound."""
-    return DetectorSpec(kind="statistical_lzc", params=params).evaluate(pair)
-
-
-def detect_none(pair: ChecksumPair) -> DetectionVerdict:
-    """Baseline that never recovers; stats still reported for bookkeeping."""
-    return DetectorSpec(kind="none").evaluate(pair)
 
 
 def save_params(params: CriticalRegionParams, path: str, provenance: str = "") -> None:

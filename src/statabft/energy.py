@@ -27,9 +27,10 @@ GEMM's size. Every detector is scored on the same checksum evidence: a
 sweep builds, per voltage, one int64 (trials x lanes) matrix D of checksum
 differences from the thinned flips of all its trials, and each detector
 decides every row of D in one vectorized call (``DetectorSpec.decide``);
-``compare`` stacks its trials' difference rows into D the same way. Row sums
-are exact in int64 while lanes * max|d_j| < 2**63, which every GEMM meets
-(|d_j| <= m * 2**32 <= 2**44 with at most 4096 lanes) and which is asserted.
+``compare`` stacks its trials' difference rows into D the same way, and
+``WorkloadSpec`` caps D at 2**24 lanes (128 MiB). Row sums are exact in
+int64 while lanes * max|d_j| < 2**63, which every GEMM meets (|d_j| <=
+m * 2**32 <= 2**44 with at most 4096 lanes) and which is asserted.
 The per-detector optimum is the sweep point with minimal energy (ties break
 toward higher voltage).
 """
@@ -165,19 +166,22 @@ def _unique_labels(detectors) -> list[str]:
     return labels
 
 
-def _trial_fault_seed(seed: int, t: int) -> int:
-    """Fault stream of trial ``t``, shared by comparisons, sweeps and ``inject``."""
-    return derive_seed(seed, _TAG_FAULT, 0, t)
+def trial(spec: WorkloadSpec, fault: FaultConfig, t: int):
+    """Trial ``t`` of the stream: GEMM ``t``'s clean-entry callback and ``fault`` on its own seed.
+
+    Comparisons, sweeps and ``inject`` all build trial ``t`` here, so each
+    scores or dumps the same GEMM under the same faults.
+    """
+    seeded = replace(fault, seed=derive_seed(fault.seed, _TAG_FAULT, 0, t))
+    return partial(workload_entries, spec, t), seeded
 
 
-def _trial_diffs(spec: WorkloadSpec, fault: FaultConfig | None) -> np.ndarray:
+def _trial_diffs(spec: WorkloadSpec, fault: FaultConfig) -> np.ndarray:
     """The (GEMMs x n) checksum-difference matrix of the stream: row t from trial t's fault log."""
     diffs = np.zeros((spec.gemm_count, spec.n), dtype=np.int64)
-    if fault is not None:
-        for t in range(spec.gemm_count):
-            seeded = replace(fault, seed=_trial_fault_seed(fault.seed, t))
-            events = output_events(spec.m, spec.n, partial(workload_entries, spec, t), seeded)
-            diffs[t] = checksum_diff(events, spec.n)
+    for t in range(spec.gemm_count):
+        events = output_events(spec.m, spec.n, *trial(spec, fault, t))
+        diffs[t] = checksum_diff(events, spec.n)
     return diffs
 
 
@@ -210,17 +214,15 @@ def _score_stream(diffs: np.ndarray, detectors, reference):
     return n, recoveries, undetected, freq_sum, msd_sum
 
 
-def compare_detectors(
-    spec: WorkloadSpec, detectors, fault: FaultConfig | None
-) -> list[CompareRow]:
+def compare_detectors(spec: WorkloadSpec, detectors, fault: FaultConfig) -> list[CompareRow]:
     """Run the ``spec.gemm_count`` GEMMs of a stream at one fault level; score every detector.
 
     Trial ``t``'s checksum difference comes from its fault event log alone
-    (``output_events``, clean values at the corrupted elements only, fault
-    stream ``_trial_fault_seed(fault.seed, t)``), the same sparse evidence
-    ``sweep_detectors`` scores. The undetected-critical rate counts trials a
-    detector passed whose checksum evidence lies inside the statistical
-    detector's own critical region.
+    (``output_events`` on ``trial(spec, fault, t)``, clean values at the
+    corrupted elements only), the same sparse evidence ``sweep_detectors``
+    scores. The undetected-critical rate counts trials a detector passed
+    whose checksum evidence lies inside the statistical detector's own
+    critical region.
     """
     ref = _proxy_params(detectors)
     n, recoveries, undetected, freq_sum, msd_sum = _score_stream(
@@ -245,18 +247,17 @@ def sweep_detectors(
     fault: FaultConfig,
     voltages,
     energy_cfg: EnergyConfig | None = None,
-    *,
-    trials: int | None = None,
 ) -> dict[str, SweepResult]:
     """Voltage sweep: same GEMM stream and faults per point, BER from the table.
 
     ``fault`` gives the seed and bit window; its ``ber`` is not read, and a
-    uniform-mode ``fault`` is rejected. Each trial's flips are sampled once,
-    at the sweep's highest BER with the seed ``compare_detectors`` gives that
-    trial, and thinned per voltage; the point at the highest BER therefore
-    scores the same evidence a comparison at that BER does. Returns one
-    SweepResult per detector kind with per-voltage points in the order given
-    and the energy-minimal optimum (ties break toward higher voltage).
+    uniform-mode ``fault`` is rejected. Each of the ``spec.gemm_count``
+    trials has its flips sampled once, at the sweep's highest BER with the
+    seed ``trial`` gives it, and thinned per voltage; the point at the
+    highest BER therefore scores the same evidence a comparison at that BER
+    does. Returns one SweepResult per detector kind with per-voltage points
+    in the order given and the energy-minimal optimum (ties break toward
+    higher voltage).
     """
     if fault.mode == UNIFORM_MODE:
         raise ValueError("fault.mode: sweep draws BER faults from the voltage table, not uniform")
@@ -265,24 +266,15 @@ def sweep_detectors(
     voltages = [float(v) for v in voltages]
     if not voltages:
         raise ValueError("sweep needs at least one voltage")
-    if trials is None:
-        trials = spec.gemm_count
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     labels = _unique_labels(detectors)
     ref = _proxy_params(detectors)
     n_mac = spec.macs_per_gemm
     bers = [energy_cfg.table.ber_at(v) for v in voltages]
     top = replace(fault, ber=max(bers))
 
-    stream = replace(spec, gemm_count=trials)
-    flips = SparseFlips.stack([
-        SparseFlips.draw(
-            spec.m, spec.n, partial(workload_entries, stream, t),
-            replace(top, seed=_trial_fault_seed(fault.seed, t)),
-        )
-        for t in range(trials)
-    ])
+    flips = SparseFlips.stack(
+        [SparseFlips.draw(spec.m, spec.n, *trial(spec, top, t)) for t in range(spec.gemm_count)]
+    )
 
     points = {label: [] for label in labels}
     for v, ber in zip(voltages, bers):

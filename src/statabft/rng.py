@@ -64,9 +64,6 @@ class SplitMix64:
         self._i += 1
         return mix64(self.seed + self._i * GAMMA)
 
-    def next_float(self) -> float:
-        return (self.next_u64() >> 11) * 2.0**-53
-
 
 def derive_seed(root: int, *indices: int) -> int:
     """Fold indices into a root seed, one fixed mixing round per index.

@@ -1,10 +1,7 @@
 """Behavioral model of a checksum-extended systolic array.
 
-The model is functional, not cycle-accurate: outputs and checksums are
-computed exactly, while a simple analytic cycle model accounts for time. A
-tile of shape M x K times K x N costs M + N + K - 2 cycles fill-to-drain
-plus one checksum-accumulate stage; problems larger than the physical array
-are tiled and tile costs add up.
+The model is functional: outputs and checksums are computed exactly, and no
+time is modelled.
 
 ``run_array`` is the dense reference: it computes the whole product, applies
 a fault, and reduces the observed checksum from the corrupted output.
@@ -43,26 +40,13 @@ EXACT = "exact"
 LZC = "lzc"
 
 
-@dataclass(frozen=True)
-class ArrayConfig:
-    """Physical array geometry; larger problems tile over it."""
-
-    rows: int = 256
-    cols: int = 256
-
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("array dimensions must be >= 1")
-
-
 @dataclass(frozen=True, eq=False)
 class SimResult:
-    """One simulated GEMM: output, checksums, cycle count, and the fault log."""
+    """One simulated GEMM: output, checksums, and the fault log."""
 
     output: AccumMatrix
     predicted: ChecksumVector
     observed: ChecksumVector
-    cycles: int
     events: tuple[ErrorEvent, ...] = ()
 
 
@@ -102,43 +86,12 @@ def statistical_unit(
     )
 
 
-def tile_cycles(m: int, n: int, k: int) -> int:
-    """Fill-to-drain latency of one tile plus the checksum-accumulate stage."""
-    return m + n + k - 2 + 1
-
-
-def gemm_cycles(m: int, k: int, n: int, array: ArrayConfig) -> int:
-    """Total cycles to stream an M x K by K x N product through the array.
-
-    The array holds rows x cols stationary operands; the M and N extents
-    tile over the physical geometry, the K extent streams through and is
-    never tiled by this model.
-    """
-    if m < 1 or k < 1 or n < 1:
-        raise ValueError("GEMM dimensions must be >= 1")
-    total = 0
-    for mi in range(0, m, array.rows):
-        tm = min(array.rows, m - mi)
-        for ni in range(0, n, array.cols):
-            tn = min(array.cols, n - ni)
-            total += tile_cycles(tm, tn, k)
-    return total
-
-
-def run_array(
-    w: QuantMatrix,
-    x: QuantMatrix,
-    fault: FaultConfig | None = None,
-    array: ArrayConfig | None = None,
-) -> SimResult:
+def run_array(w: QuantMatrix, x: QuantMatrix, fault: FaultConfig | None = None) -> SimResult:
     """One GEMM through the array, densely: compute, then optionally corrupt.
 
     Faults hit the INT32 output domain only; the input-side checksum
     prediction is computed before injection and is never corrupted.
     """
-    if array is None:
-        array = ArrayConfig()
-
     clean = gemm(w, x)
     predicted = predicted_output_checksum(w, x)
 
@@ -152,6 +105,5 @@ def run_array(
         output=out,
         predicted=predicted,
         observed=checksum(out, side="row"),
-        cycles=gemm_cycles(w.rows, w.cols, x.cols, array),
         events=events,
     )

@@ -29,6 +29,10 @@ DISTRIBUTIONS = ("uniform", "outlier")
 # stays exact in int64; K is capped where INT32 accumulation stays exact
 MAX_OUTER_DIM = 4096
 
+# compare and the sweep each hold the stream's checksum differences as one int64
+# (gemm_count x n) matrix; 2**24 lanes keep it at 128 MiB
+MAX_STREAM_LANES = 2**24
+
 # disjoint derivation tags so workload and fault streams never collide even
 # when configured with the same root seed
 TAG_WEIGHTS = 101
@@ -37,12 +41,16 @@ TAG_ACTIVATIONS = 102
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """Shape and distribution of the synthetic GEMM stream."""
+    """Shape and distribution of the synthetic GEMM stream.
+
+    GEMM t is trial t of every ``compare``, ``sweep`` and ``inject`` run, so
+    ``gemm_count`` is the one trial count.
+    """
 
     m: int = 64
     k: int = 64
     n: int = 64
-    gemm_count: int = 100
+    gemm_count: int = 200
     distribution: str = "uniform"
     seed: int = 0
 
@@ -53,6 +61,11 @@ class WorkloadSpec:
                 raise ValueError(f"{name} must be in [1, {hi}] (workload dimensions), got {v}")
         if self.gemm_count < 1:
             raise ValueError("gemm_count must be >= 1")
+        if self.gemm_count * self.n > MAX_STREAM_LANES:
+            raise ValueError(
+                f"gemm_count must be <= {MAX_STREAM_LANES // self.n} at n = {self.n} (a stream "
+                f"holds at most {MAX_STREAM_LANES} checksum lanes), got {self.gemm_count}"
+            )
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
         if self.seed < 0:

@@ -16,13 +16,7 @@ import pytest
 from statabft.calibration import fit_critical_region, planted_step_oracle, quality_grid
 from statabft.cli import main
 from statabft.config import DEFAULT_FREQ_AXIS, DEFAULT_MAG_AXIS, DEFAULT_PARAMS
-from statabft.detectors import (
-    ChecksumPair,
-    DetectorSpec,
-    detect_classical,
-    detect_statistical,
-    theta_mag,
-)
+from statabft.detectors import ChecksumPair, DetectorSpec, detect_statistical, theta_mag
 from statabft.energy import EnergyConfig, compare_detectors, sweep_detectors
 from statabft.faults import FaultConfig, default_table, inject_uniform
 from statabft.gemm import AccumMatrix, checksum, gemm, predicted_output_checksum
@@ -52,7 +46,7 @@ def default_sweep():
     table = default_table()
     voltages = [float(v) for v in table.voltages]
     return voltages, sweep_detectors(
-        spec, detectors, FaultConfig(mode="ber"), voltages, EnergyConfig(table=table), trials=200
+        spec, detectors, FaultConfig(mode="ber"), voltages, EnergyConfig(table=table)
     )
 
 
@@ -86,7 +80,7 @@ def test_criterion_03_single_bit_flip_exhaustion():
                 pair = ChecksumPair.from_vectors(
                     predicted, checksum(AccumMatrix(data), "row")
                 )
-                cl = detect_classical(pair)
+                cl = DetectorSpec(kind="classical").evaluate(pair)
                 st = detect_statistical(pair, P)
                 if not cl.recovers:
                     missed += 1
@@ -254,7 +248,7 @@ def test_criterion_11_deterministic_outputs(tmp_path):
     cfg_doc = {
         "workload": {"m": 16, "k": 16, "n": 16, "gemm_count": 20, "seed": 5},
         "fault": {"mode": "ber", "ber": 0.0002, "seed": 7},
-        "sweep": {"voltages": [0.9, 0.76, 0.62], "trials": 20},
+        "sweep": {"voltages": [0.9, 0.76, 0.62]},
     }
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(cfg_doc))

@@ -168,8 +168,8 @@ def sweep_config(tmp_path):
     return write_config(
         tmp_path,
         {
-            "workload": SMALL_WORKLOAD,
-            "sweep": {"voltages": [0.9, 0.8], "trials": 6},
+            "workload": dict(SMALL_WORKLOAD, gemm_count=6),
+            "sweep": {"voltages": [0.9, 0.8]},
         },
     )
 
@@ -214,9 +214,8 @@ def test_sweep_rejects_uniform_faults(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
         {
-            "workload": SMALL_WORKLOAD,
+            "workload": dict(SMALL_WORKLOAD, gemm_count=2),
             "fault": {"mode": "uniform", "freq": 5, "mag": 100},
-            "sweep": {"trials": 2},
         },
     )
     assert main(["--config", cfg, "--out", str(tmp_path / "sweep"), "sweep"]) == 2
@@ -360,7 +359,7 @@ def test_cli_import_does_not_load_concurrent_futures():
 
 
 def test_inject_runs_no_dense_gemm_and_matches_the_dense_oracle(tmp_path, capsys, monkeypatch):
-    from statabft.energy import _trial_fault_seed
+    from statabft.energy import trial
     from statabft.faults import FaultConfig
     from statabft.systolic import run_array
     from statabft.workloads import WorkloadSpec, workload_matrices
@@ -368,11 +367,12 @@ def test_inject_runs_no_dense_gemm_and_matches_the_dense_oracle(tmp_path, capsys
     def dense(*args, **kwargs):
         raise AssertionError("inject ran a dense GEMM")
 
+    spec = WorkloadSpec(**SMALL_WORKLOAD)
     for doc, fault in (
         ({"mode": "ber", "ber": 0.02, "bit_window": [0, 31], "seed": 1},
-         FaultConfig(mode="ber", ber=0.02, bit_window=(0, 31), seed=_trial_fault_seed(1, 3))),
+         FaultConfig(mode="ber", ber=0.02, bit_window=(0, 31), seed=1)),
         ({"mode": "uniform", "freq": 40, "mag": 2**31 - 1, "seed": 1},
-         FaultConfig(mode="uniform", freq=40, mag=2**31 - 1, seed=_trial_fault_seed(1, 3))),
+         FaultConfig(mode="uniform", freq=40, mag=2**31 - 1, seed=1)),
     ):
         cfg = write_config(tmp_path, {"workload": SMALL_WORKLOAD, "fault": doc})
         modules = [m for n, m in sys.modules.items() if n.split(".")[0] == "statabft"]
@@ -384,12 +384,12 @@ def test_inject_runs_no_dense_gemm_and_matches_the_dense_oracle(tmp_path, capsys
                         patched.setattr(module, name, dense)
             assert main(["--config", cfg, "inject", "--index", "3"]) == 0
         got = json.loads(capsys.readouterr().out)
-        w, x = workload_matrices(WorkloadSpec(**SMALL_WORKLOAD), 3)
-        sim = run_array(w, x, fault=fault)
+        w, x = workload_matrices(spec, 3)
+        sim = run_array(w, x, fault=trial(spec, fault, 3)[1])
         assert got["events"] and len(got["events"]) == len(sim.events)
         assert got["observed_checksum"] == sim.observed.data.tolist()
         assert got["predicted_checksum"] == sim.predicted.data.tolist()
-        assert got["cycles"] == sim.cycles
+        assert "cycles" not in got
 
 
 def test_inject_index_t_is_compares_trial_t(tmp_path, capsys):
@@ -428,11 +428,56 @@ def test_inject_index_t_is_compares_trial_t(tmp_path, capsys):
     assert 0 < recoveries["statistical"] < recoveries["classical"] < n
 
 
+def test_inject_takes_every_trial_the_default_sweep_scores(capsys):
+    # the default sweep scores GEMMs 0..199; inject --index 150 is trial 150 of compare
+    from statabft.config import ExperimentConfig
+    from statabft.energy import _trial_diffs
+
+    assert main(["inject", "--index", "150"]) == 0
+    got = json.loads(capsys.readouterr().out)
+    cfg = ExperimentConfig()
+    assert got["diff"] == _trial_diffs(cfg.workload, cfg.fault)[150].tolist()
+    assert main(["inject", "--index", "200"]) == 2
+    assert "--index must be in [0, 200)" in capsys.readouterr().err
+
+
+def test_compare_sweep_and_inject_build_trials_through_one_builder(tmp_path, monkeypatch):
+    from statabft import cli, energy
+
+    built = []
+    real = energy.trial
+
+    def spy(spec, fault, t):
+        built.append(t)
+        return real(spec, fault, t)
+
+    monkeypatch.setattr(energy, "trial", spy)
+    monkeypatch.setattr(cli, "trial", spy)
+    cfg = write_config(tmp_path, {"workload": SMALL_WORKLOAD, "sweep": {"voltages": [0.9, 0.7]}})
+    n = SMALL_WORKLOAD["gemm_count"]
+    for command, indices in (("compare", range(n)), ("sweep", range(n)), ("inject", [5])):
+        built.clear()
+        extra = ["--index", "5"] if command == "inject" else []
+        assert main(["--config", cfg, "--out", str(tmp_path / command), command, *extra]) == 0
+        assert built == list(indices), command
+
+
+@pytest.mark.parametrize("command", ["compare", "sweep"])
+@pytest.mark.parametrize("gemm_count", [10**8, 2**62])
+def test_stream_over_the_lane_bound_exits_two(tmp_path, capsys, command, gemm_count):
+    # one int64 (gemm_count x n) difference matrix; 10**8 x 64 lanes would take 47.7 GiB
+    cfg = write_config(tmp_path, {"workload": {"gemm_count": gemm_count}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: workload.gemm_count: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_scores_statistical_lzc_beside_statistical(tmp_path):
     cfg = write_config(
         tmp_path,
-        {"workload": SMALL_WORKLOAD, "sweep": {"trials": 8,
-         "detectors": ["classical", "statistical", "statistical_lzc"]}},
+        {"workload": dict(SMALL_WORKLOAD, gemm_count=8),
+         "sweep": {"detectors": ["classical", "statistical", "statistical_lzc"]}},
     )
     out_dir = str(tmp_path / "sw")
     assert main(["--config", cfg, "--out", out_dir, "sweep"]) == 0

@@ -56,7 +56,7 @@ HUGE = 10**30
 BAD = {
     "workload": {
         "m": _int(0, -HUGE, HUGE), "k": _int(0, HUGE), "n": _int(-1, HUGE),
-        "gemm_count": _int(0, -HUGE), "seed": _int(-1, -HUGE),
+        "gemm_count": _int(0, -HUGE, 10**8, HUGE), "seed": _int(-1, -HUGE),
         "distribution": _str("", "gaussian"),
     },
     "fault": {
@@ -77,7 +77,6 @@ BAD = {
     },
     "sweep": {
         "voltages": _list([0.7, 0.7], [-0.1], [0.0], [0.7, "0.6"], [0.7, None], [0.95], [1e308], [1e-320]),
-        "trials": _int(0, -HUGE),
         "detectors": _list(["bogus"], ["none", "none"], [1], [None], ["statistical", ""]),
         # a lone range key is an incomplete range, whatever its value
         "v_min": st.one_of(_NOT_FLOAT, _NUMBER), "v_max": st.one_of(_NOT_FLOAT, _NUMBER),

@@ -24,20 +24,29 @@ from statabft.faults import default_table
 def test_empty_config_gives_stock_experiment():
     cfg = parse_config({})
     assert cfg.workload.m == cfg.workload.k == cfg.workload.n == 64
-    assert cfg.workload.gemm_count == 100
+    assert cfg.workload.gemm_count == 200
     assert cfg.workload.distribution == "uniform"
     assert cfg.fault.mode == "ber" and cfg.fault.ber == 1e-6
     assert cfg.fault.bit_window == (16, 31)
     assert cfg.detector.params == DEFAULT_PARAMS
     assert cfg.energy.v_nom == 0.9
     assert cfg.sweep_voltages == ()
-    assert cfg.sweep_trials == 200
     assert cfg.detector_set == ("none", "classical", "statistical", "dmr")
     assert cfg.calibrate.freq_axis == DEFAULT_FREQ_AXIS
     assert cfg.calibrate.mag_log2_axis == DEFAULT_MAG_AXIS
     assert cfg.output_dir == "out" and cfg.output_format == "csv"
     # without explicit sweep voltages, the table's own rows drive the sweep
     assert cfg.voltages() == tuple(float(v) for v in cfg.energy.table.voltages)
+
+
+def test_sweep_trials_is_the_workload_gemm_count():
+    # the benchmark harness reads cfg.sweep_trials; it is no setting of its own
+    assert ExperimentConfig().sweep_trials == ExperimentConfig().workload.gemm_count == 200
+    cfg = parse_config({"workload": {"gemm_count": 37}})
+    assert cfg.sweep_trials == 37
+    with pytest.raises(AttributeError):
+        cfg.sweep_trials = 5
+    assert "trials" not in resolved_dict(cfg)["sweep"]
 
 
 def test_unknown_keys_rejected_everywhere():
@@ -235,10 +244,10 @@ def test_override_seed_touches_both_streams():
 
 def test_resolved_dict_round_trips_through_parse():
     doc = {
-        "workload": {"m": 16, "k": 32, "n": 8, "seed": 5},
+        "workload": {"m": 16, "k": 32, "n": 8, "gemm_count": 12, "seed": 5},
         "fault": {"mode": "ber", "ber": 2e-5, "seed": 9},
         "detector": {"params": {"a": 2.2, "b": 39.0, "theta_freq": 6}},
-        "sweep": {"voltages": [0.9, 0.7], "trials": 12},
+        "sweep": {"voltages": [0.9, 0.7]},
         "output": {"format": "json"},
     }
     cfg = parse_config(doc)
@@ -247,7 +256,7 @@ def test_resolved_dict_round_trips_through_parse():
     assert echo["fault"]["ber"] == 2e-5
     assert echo["detector"]["params"]["a"] == 2.2
     assert echo["sweep"]["voltages"] == [0.9, 0.7]
-    assert echo["sweep"]["trials"] == 12
+    assert echo["workload"]["gemm_count"] == 12
     assert echo["output"]["format"] == "json"
     # the echo is JSON-serializable and reparses to the same config
     again = parse_config(
@@ -260,7 +269,6 @@ def test_resolved_dict_round_trips_through_parse():
             },
             "sweep": {
                 "voltages": echo["sweep"]["voltages"],
-                "trials": echo["sweep"]["trials"],
                 "detectors": echo["sweep"]["detectors"],
             },
             "output": echo["output"],
@@ -387,6 +395,7 @@ def test_finite_energies_that_overflow_exit_two(tmp_path, capsys):
         {"stat_unit": {"log2_mode": "lzc"}},
         {"detector": {"kind": "statistical"}},
         {"energy": {"area_overhead": 0.0142}},
+        {"sweep": {"trials": 200}},
     ],
 )
 def test_removed_keys_exit_two(tmp_path, capsys, doc):
@@ -399,6 +408,6 @@ def test_removed_keys_exit_two(tmp_path, capsys, doc):
 def test_zero_energy_at_the_lowest_voltage_exits_two(tmp_path, capsys):
     # (0.6 / 1e300)**2 underflows, and energy_saving would divide by the 0
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"energy": {"v_nom": 1e300}, "sweep": {"trials": 5}}))
+    path.write_text(json.dumps({"energy": {"v_nom": 1e300}, "workload": {"gemm_count": 5}}))
     assert main(["--config", str(path), "sweep"]) == 2
     assert "energy: per-GEMM energy at the lowest sweep voltage" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from statabft.detectors import CriticalRegionParams, DetectorSpec
 from statabft.energy import (
     EnergyConfig,
     SweepPoint,
-    _trial_fault_seed,
     _trial_diffs,
     compare_detectors,
     compute_energy,
@@ -19,6 +18,7 @@ from statabft.energy import (
     latency_factor,
     sweep_detectors,
     total_energy,
+    trial,
 )
 from statabft.faults import FaultConfig, VoltageBerTable, checksum_diff, output_events
 from statabft.systolic import run_array
@@ -34,6 +34,8 @@ DETECTORS = (
 SPEC = WorkloadSpec(m=8, k=16, n=8, gemm_count=16, seed=7)
 # a sweep reads its fault's seed and bit window; the table gives each point's BER
 BER = FaultConfig(mode="ber")
+# a clean stream: BER 0 flips no bit
+CLEAN = FaultConfig(mode="ber", ber=0.0)
 
 
 def test_compute_energy_quadratic():
@@ -86,7 +88,7 @@ def test_energy_config_validation():
 
 
 def test_compare_clean_stream_never_recovers():
-    rows = compare_detectors(replace(SPEC, gemm_count=6), DETECTORS, fault=None)
+    rows = compare_detectors(replace(SPEC, gemm_count=6), DETECTORS, CLEAN)
     assert [r.detector for r in rows] == ["none", "classical", "statistical", "dmr"]
     for r in rows:
         assert r.trials == 6
@@ -121,7 +123,7 @@ def test_compare_is_deterministic_in_seed():
 
 def test_compare_rejects_duplicate_detectors():
     with pytest.raises(ValueError, match="unique"):
-        compare_detectors(SPEC, [DetectorSpec(kind="none"), DetectorSpec(kind="none")], None)
+        compare_detectors(SPEC, [DetectorSpec(kind="none"), DetectorSpec(kind="none")], CLEAN)
 
 
 def clean_point_table():
@@ -131,7 +133,7 @@ def clean_point_table():
 
 def test_sweep_exact_energies_at_clean_nominal_point():
     cfg = EnergyConfig(table=clean_point_table())
-    res = sweep_detectors(SPEC, DETECTORS, BER, [0.9], cfg, trials=4)
+    res = sweep_detectors(replace(SPEC, gemm_count=4), DETECTORS, BER, [0.9], cfg)
     n_mac = SPEC.macs_per_gemm
     assert res["none"].points[0].energy_total == pytest.approx(n_mac)
     assert res["statistical"].points[0].energy_total == pytest.approx(n_mac * 1.0179)
@@ -147,7 +149,7 @@ def test_sweep_exact_energies_at_clean_nominal_point():
 def test_sweep_points_follow_voltage_order_and_table():
     cfg = EnergyConfig(table=clean_point_table())
     voltages = [0.9, 0.75, 0.6]
-    res = sweep_detectors(SPEC, DETECTORS, replace(BER, seed=1), voltages, cfg, trials=8)
+    res = sweep_detectors(replace(SPEC, gemm_count=8), DETECTORS, replace(BER, seed=1), voltages, cfg)
     for r in res.values():
         assert [p.voltage for p in r.points] == voltages
         for p in r.points:
@@ -171,19 +173,19 @@ def test_sweep_deterministic_and_thread_invariant(monkeypatch):
     cfg = EnergyConfig(table=clean_point_table())
     voltages = [0.9, 0.8, 0.7, 0.6]
     fault = replace(BER, seed=9)
-    first = sweep_detectors(SPEC, DETECTORS, fault, voltages, cfg, trials=6)
-    assert sweep_detectors(SPEC, DETECTORS, fault, voltages, cfg, trials=6) == first
+    spec = replace(SPEC, gemm_count=6)
+    first = sweep_detectors(spec, DETECTORS, fault, voltages, cfg)
+    assert sweep_detectors(spec, DETECTORS, fault, voltages, cfg) == first
 
 
 def test_sweep_input_validation():
+    spec = replace(SPEC, gemm_count=2)
     with pytest.raises(ValueError, match="voltage"):
-        sweep_detectors(SPEC, DETECTORS, BER, [], trials=2)
-    with pytest.raises(ValueError, match="trials"):
-        sweep_detectors(SPEC, DETECTORS, BER, [0.9], trials=0)
+        sweep_detectors(spec, DETECTORS, BER, [])
     # the BER comes from the table, so a uniform fault has no place in a sweep
     uniform = FaultConfig(mode="uniform", freq=1, mag=1)
     with pytest.raises(ValueError, match="^fault.mode: sweep draws BER faults"):
-        sweep_detectors(SPEC, DETECTORS, uniform, [0.9], trials=2)
+        sweep_detectors(spec, DETECTORS, uniform, [0.9])
 
 
 def test_energy_saving_fraction():
@@ -209,12 +211,11 @@ def test_statistical_energy_never_exceeds_classical():
     # statistical recoveries are a subset of classical ones on every trial,
     # so at equal voltage the statistical expected energy is never higher
     res = sweep_detectors(
-        SPEC,
+        replace(SPEC, gemm_count=48),
         (DetectorSpec(kind="classical"), DetectorSpec(kind="statistical", params=P)),
         replace(BER, seed=11),
         [0.70, 0.66, 0.62],
         EnergyConfig(),
-        trials=48,
     )
     for pc, ps in zip(res["classical"].points, res["statistical"].points):
         assert ps.recovery_rate <= pc.recovery_rate
@@ -226,10 +227,9 @@ def test_sweep_point_at_top_ber_equals_compare_at_that_ber():
     # per-trial fault seed, so that point scores exactly compare's evidence
     table = VoltageBerTable(voltages=(0.9, 0.6), bers=(1e-6, 4e-3))
     fault = FaultConfig(mode="ber", ber=table.ber_at(0.6), bit_window=(12, 31), seed=4)
-    res = sweep_detectors(
-        SPEC, DETECTORS, fault, [0.9, 0.75, 0.6], EnergyConfig(table=table), trials=40
-    )
-    rows = compare_detectors(replace(SPEC, gemm_count=40), DETECTORS, fault)
+    spec = replace(SPEC, gemm_count=40)
+    res = sweep_detectors(spec, DETECTORS, fault, [0.9, 0.75, 0.6], EnergyConfig(table=table))
+    rows = compare_detectors(spec, DETECTORS, fault)
     # not degenerate: statistical recovers some trials, none misses critical ones
     assert 0.0 < rows[2].recovery_rate < 1.0 and rows[0].undetected_critical_rate > 0.0
     for row in rows:
@@ -246,28 +246,28 @@ def test_sweep_point_at_top_ber_equals_compare_at_that_ber():
         FaultConfig(mode="ber", ber=2e-2, bit_window=(0, 31)),
         FaultConfig(mode="uniform", freq=5, mag=70000),
         FaultConfig(mode="uniform", freq=SPEC.m * SPEC.n, mag=2**31 - 1),
-        None,
+        CLEAN,
     ],
     ids=["ber-16-31", "ber-0-31", "uniform", "uniform-all-wrap", "clean"],
 )
 def test_compare_evidence_equals_the_dense_oracle(fault):
     # compare scores each trial from its fault log alone; the dense run_array,
     # given the same per-trial fault seed, corrupts the whole product
-    fault = None if fault is None else replace(fault, seed=3)
+    fault = replace(fault, seed=3)
     diffs = _trial_diffs(SPEC, fault)
     assert diffs.shape == (SPEC.gemm_count, SPEC.n)
     wrapped = 0
     for t, diff in enumerate(diffs):
         w, x = workload_matrices(SPEC, t)
-        seeded = None if fault is None else replace(fault, seed=_trial_fault_seed(3, t))
+        _, seeded = trial(SPEC, fault, t)
         sim = run_array(w, x, fault=seeded)
         assert np.array_equal(diff, sim.predicted.data - sim.observed.data)
         events = list(sim.events)
         assert np.array_equal(checksum_diff(events, x.cols), diff)
-        if seeded is not None and seeded.mode == "uniform":
+        if seeded.mode == "uniform":
             wrapped += sum(e.after - e.before != seeded.mag for e in events)
-    assert diffs.any() == (fault is not None)
-    if fault is not None and fault.mag == 2**31 - 1:
+    assert diffs.any() == (fault != replace(CLEAN, seed=3))
+    if fault.mag == 2**31 - 1:
         assert wrapped > 0  # the INT32 wrap is exercised
 
 
@@ -307,7 +307,7 @@ def test_compare_draws_only_the_operand_rows_and_columns_its_faults_read(monkeyp
     touched = []
     for t in range(trials):
         # where BER flips land does not depend on the clean values
-        events = output_events(m, n, zeros, replace(fault, seed=_trial_fault_seed(5, t)))
+        events = output_events(m, n, zeros, trial(spec, fault, t)[1])
         touched.append(({e.row for e in events}, {e.col for e in events}))
     flipped = [(r, c) for r, c in touched if r]
     assert 0 < len(flipped) < trials  # both kinds of trial occur

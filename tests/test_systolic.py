@@ -13,23 +13,17 @@ from statabft.detectors import (
     DetectorSpec,
     _floor_log2_lanes,
     _theta_fixed,
-    detect_statistical,
-    detect_statistical_lzc,
     floor_log2,
     log2_fixed,
 )
 from statabft.faults import FaultConfig
 from statabft.gemm import checksum, gemm
-from statabft.systolic import (
-    ArrayConfig,
-    gemm_cycles,
-    run_array,
-    statistical_unit,
-    tile_cycles,
-)
+from statabft.systolic import run_array, statistical_unit
 from statabft.workloads import random_quant_matrix
 
 P = CriticalRegionParams(a=2.0, b=40.0, theta_freq=4)
+# each vectorized statistical kind and the scalar unit's log2 mode it must match
+MODES = (("statistical", "exact"), ("statistical_lzc", "lzc"))
 
 
 def matrices(seed, m=8, k=8, n=8):
@@ -75,22 +69,6 @@ def test_theta_fixed_matches_exact_for_power_msd():
     assert _theta_fixed(0, P) is None
 
 
-def test_cycle_model():
-    assert tile_cycles(1, 1, 1) == 2  # m+n+k-2 fill/drain + 1 checksum stage
-    assert tile_cycles(8, 8, 8) == 23
-    arr = ArrayConfig(rows=256, cols=256)
-    assert gemm_cycles(8, 8, 8, arr) == 23
-    # 300x300 output on a 256x256 array tiles into 4 pieces
-    t = ArrayConfig(rows=256, cols=256)
-    expect = (
-        tile_cycles(256, 256, 8)
-        + tile_cycles(256, 44, 8)
-        + tile_cycles(44, 256, 8)
-        + tile_cycles(44, 44, 8)
-    )
-    assert gemm_cycles(300, 8, 300, t) == expect
-
-
 def test_run_array_clean_pass():
     w, x = matrices(1)
     sim = run_array(w, x)
@@ -125,7 +103,7 @@ def checksum_pairs(draw):
 @given(checksum_pairs())
 @settings(max_examples=300, deadline=None)
 def test_exact_unit_agrees_with_reference_detector(pair):
-    ref = detect_statistical(pair, P)
+    ref = DetectorSpec(kind="statistical", params=P).evaluate(pair)
     unit = statistical_unit(pair.predicted, pair.observed, P)
     assert unit.msd == ref.msd
     assert unit.freq_eff == ref.freq_eff
@@ -197,8 +175,8 @@ _PARAMS = st.builds(
 @settings(max_examples=500, deadline=None)
 def test_vectorized_detectors_match_the_scalar_unit(d, params):
     pair = ChecksumPair.from_diff(np.array(d, dtype=np.int64))
-    for detect, mode in ((detect_statistical, "exact"), (detect_statistical_lzc, "lzc")):
-        ref = detect(pair, params)
+    for kind, mode in MODES:
+        ref = DetectorSpec(kind=kind, params=params).evaluate(pair)
         unit = statistical_unit(pair.predicted, pair.observed, params, mode)
         assert (ref.msd, ref.freq_eff, ref.decision) == (unit.msd, unit.freq_eff, unit.decision)
         if mode == "lzc":
@@ -232,7 +210,7 @@ def difference_matrices(draw):
 @settings(max_examples=100, deadline=None)
 def test_deciding_all_rows_at_once_equals_each_row_alone(case, threshold):
     diffs, params = case
-    units = {"statistical": "exact", "statistical_lzc": "lzc"}
+    units = dict(MODES)
     for kind in DETECTOR_KINDS:
         spec = DetectorSpec(kind=kind, params=params, msd_threshold=threshold)
         rows = spec.decide(diffs)
@@ -272,6 +250,6 @@ def test_bounds_beyond_every_lane_count_all_lanes_or_none():
         (CriticalRegionParams(a=1.0, b=1e308, theta_freq=0), 0),
         (CriticalRegionParams(a=1e308, b=0.0, theta_freq=0), 3),
     ):
-        for detect, mode in ((detect_statistical, "exact"), (detect_statistical_lzc, "lzc")):
-            assert detect(pair, params).freq_eff == lanes
+        for kind, mode in MODES:
+            assert DetectorSpec(kind=kind, params=params).evaluate(pair).freq_eff == lanes
             assert statistical_unit(pair.predicted, pair.observed, params, mode).freq_eff == lanes

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from statabft.gemm import gemm
 from statabft.workloads import (
+    MAX_STREAM_LANES,
     WorkloadSpec,
     random_quant_matrix,
     workload_entries,
@@ -20,6 +21,15 @@ def test_spec_validation():
     with pytest.raises(ValueError, match="distribution"):
         WorkloadSpec(distribution="gaussian")
     assert WorkloadSpec(m=8, k=16, n=32).macs_per_gemm == 8 * 16 * 32
+
+
+def test_stream_is_bounded_in_checksum_lanes():
+    # gemm_count * n lanes: at most 2**24, one 128 MiB int64 difference matrix
+    assert MAX_STREAM_LANES * 8 == 128 * 2**20
+    assert WorkloadSpec(n=64, gemm_count=MAX_STREAM_LANES // 64).gemm_count == 2**18
+    for n, gemm_count in ((64, MAX_STREAM_LANES // 64 + 1), (1, MAX_STREAM_LANES + 1), (4096, 10**30)):
+        with pytest.raises(ValueError, match=f"^gemm_count must be <= {MAX_STREAM_LANES // n} at n = {n} "):
+            WorkloadSpec(n=n, gemm_count=gemm_count)
 
 
 def test_uniform_matrix_covers_full_range():
