@@ -2,7 +2,11 @@
 
 A quality grid sweeps uniform injections over a (frequency, magnitude)
 lattice, scores each cell with a workload-quality oracle, and marks cells
-acceptable when mean degradation stays within an epsilon budget. Fitting a
+acceptable when mean degradation stays within an epsilon budget. A cell's
+trials are injected a block at a time, as one (trials x rows x cols) stack
+in one vectorized pass, so the grid's cost per injection is a few array
+operations plus the oracle call, and its memory is bounded by the block
+size, not by the trial count. Fitting a
 line to the acceptable/unacceptable boundary recovers critical-region
 parameters (a, b, theta_freq) for the statistical detector.
 
@@ -27,16 +31,22 @@ from typing import Callable
 import numpy as np
 
 from .detectors import DEFAULT_PARAMS, CriticalRegionParams
-from .faults import UNIFORM_MODE, FaultConfig, ErrorEvent, inject_uniform
+from .faults import BLOCK_LANES, inject_uniform_stack
 from .gemm import AccumMatrix
 from .resilience import NORM_KINDS
 from .rng import derive_seed
+# not called: the benchmark's tracer (perfbench/tracing.py) looks inject_uniform up in this module
+from .faults import inject_uniform
 
 # fallback slope when a grid shows no magnitude structure above theta_freq:
 # effectively flat, but strictly a > 1 so the params remain loadable
 _FLAT_A = 1.0 + 2.0**-20
 
 MAX_MAG_LOG2 = 30.0
+
+# elements of a calibration target (1024 x 1024): one trial's priority draws
+# then fill at most one injection block of BLOCK_LANES uint64s (8 MiB)
+MAX_TARGET_ELEMENTS = 2**20
 
 DEFAULT_FREQ_AXIS = (1, 2, 3, 4, 6, 8, 11, 16, 23, 32, 45, 64, 91, 128, 181, 256)
 DEFAULT_MAG_AXIS = tuple(12.0 + 0.5 * i for i in range(16))
@@ -62,7 +72,6 @@ class OracleCase:
 
     clean: AccumMatrix
     corrupted: AccumMatrix
-    events: tuple[ErrorEvent, ...]
     freq: int
     mag: int
     mag_log2: float
@@ -133,6 +142,11 @@ class CalibrationSettings:
         for name in ("target_rows", "target_cols"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.target_rows * self.target_cols > MAX_TARGET_ELEMENTS:
+            raise ValueError(
+                f"target_rows must make target_rows * target_cols <= {MAX_TARGET_ELEMENTS} "
+                f"(a 1024 x 1024 target), got {self.target_rows} * {self.target_cols}"
+            )
         for name, lo, hi in (("freq_axis", 1, math.inf), ("mag_log2_axis", 0, MAX_MAG_LOG2)):
             axis = getattr(self, name)
             if len(axis) < 2 or not lo <= min(axis) <= max(axis) <= hi:
@@ -150,6 +164,20 @@ def _default_factory(seed: int) -> AccumMatrix:
     return AccumMatrix(np.zeros((16, 16), dtype=np.int32))
 
 
+def _clean_blocks(clean_factory, seeds: list[int]):
+    """(first trial, clean matrices) of each block of consecutive trials.
+
+    A block holds max(1, BLOCK_LANES // elements) trials, sized by its first matrix.
+    """
+    t = 0
+    while t < len(seeds):
+        block = [clean_factory(seeds[t])]
+        end = t + max(1, BLOCK_LANES // block[0].data.size)
+        block += [clean_factory(s) for s in seeds[t + 1 : end]]
+        yield t, block
+        t += len(block)
+
+
 def quality_grid(
     oracle: QualityOracle,
     mag_log2_axis,
@@ -163,11 +191,17 @@ def quality_grid(
     """Score every (freq, mag) cell with ``trials`` uniform injections.
 
     Per trial the clean matrix comes from ``clean_factory`` (all-zero 16x16
-    by default) and exactly ``freq`` elements get ``round(2**mag_log2)``
-    added; the oracle maps the injected case to a degradation score >= 0.
-    Seeds are derived per (cell, trial), so cells are independent and the
-    whole grid is reproducible from ``seed``. Oracle or injection failures
-    surface as GridCellError carrying the cell coordinates.
+    by default), which must return one shape per grid, and exactly ``freq``
+    elements get ``round(2**mag_log2)`` added; the oracle maps the injected
+    case to a degradation score >= 0. Seeds are derived per (cell, trial), so
+    cells are independent and the whole grid is reproducible from ``seed``.
+
+    A cell injects its trials in blocks of max(1, BLOCK_LANES // elements):
+    the block's clean matrices are stacked and corrupted in one vectorized
+    pass (``inject_uniform_stack``), which equals ``inject_uniform`` trial
+    by trial, and the oracle then scores each trial in order. Block sizes
+    change no result. Oracle or injection failures, and a clean matrix of
+    another shape, surface as GridCellError carrying the cell coordinates.
     """
     mag_axis = np.asarray(mag_log2_axis, dtype=np.float64)
     freqs = np.asarray(freq_axis, dtype=np.int64)
@@ -181,38 +215,40 @@ def quality_grid(
         clean_factory = _default_factory
 
     quality = np.zeros((freqs.size, mag_axis.size))
-    for i, f in enumerate(freqs):
-        f = int(f)
-        for j, m in enumerate(mag_axis):
-            m = float(m)
+    shape = None
+    for i, f in enumerate(freqs.tolist()):
+        for j, m in enumerate(mag_axis.tolist()):
             mag = int(round(2.0**m))
             cell = i * mag_axis.size + j
+            # column 0 seeds trial t's clean matrix, column 1 its injection
+            seeds = derive_seed(seed, cell, np.arange(trials)[:, np.newaxis], np.arange(2))
             total = 0.0
-            for t in range(trials):
-                clean = clean_factory(derive_seed(seed, cell, t, 0))
-                cfg = FaultConfig(
-                    mode=UNIFORM_MODE, freq=f, mag=mag, seed=derive_seed(seed, cell, t, 1)
-                )
-                try:
-                    corrupted, events = inject_uniform(clean, cfg)
-                    score = float(
-                        oracle(
-                            OracleCase(
-                                clean=clean,
-                                corrupted=corrupted,
-                                events=tuple(events),
-                                freq=f,
-                                mag=mag,
-                                mag_log2=m,
-                                trial_index=t,
-                            )
-                        )
+            for t0, cleans in _clean_blocks(clean_factory, seeds[:, 0].tolist()):
+                shape = shape or cleans[0].data.shape
+                odd = {c.data.shape for c in cleans} - {shape}
+                if odd:
+                    raise GridCellError(
+                        f, m, f"clean_factory returned shape {odd.pop()} after {shape}; "
+                        "it must return one shape per grid"
                     )
-                except Exception as e:
+                try:
+                    corrupted = inject_uniform_stack(
+                        np.stack([c.data for c in cleans]), seeds[t0 : t0 + len(cleans), 1], f, mag
+                    )
+                except ValueError as e:
                     raise GridCellError(f, m, str(e)) from e
-                if not (score >= 0.0 and math.isfinite(score)):
-                    raise GridCellError(f, m, f"oracle returned {score!r}")
-                total += score
+                for t, (clean, bad) in enumerate(zip(cleans, corrupted), start=t0):
+                    case = OracleCase(
+                        clean=clean, corrupted=AccumMatrix(bad),
+                        freq=f, mag=mag, mag_log2=m, trial_index=t,
+                    )
+                    try:
+                        score = float(oracle(case))
+                    except Exception as e:
+                        raise GridCellError(f, m, str(e)) from e
+                    if not (score >= 0.0 and math.isfinite(score)):
+                        raise GridCellError(f, m, f"oracle returned {score!r}")
+                    total += score
             quality[i, j] = total / trials
 
     return QualityGrid(

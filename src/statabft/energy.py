@@ -26,8 +26,9 @@ elements read, so a trial costs in proportion to its faults, not to the
 GEMM's size. Every detector is scored on the same checksum evidence: a
 sweep builds, per voltage, one int64 (trials x lanes) matrix D of checksum
 differences from the thinned flips of all its trials, and each detector
-decides every row of D in one vectorized call (``DetectorSpec.decide``);
-``compare`` stacks its trials' difference rows into D the same way, and
+decides the rows of D in vectorized calls (``DetectorSpec.decide``), one per
+block of ``BLOCK_LANES`` lanes, so its temporaries stay bounded; ``compare``
+stacks its trials' difference rows into D the same way, and
 ``WorkloadSpec`` caps D at 2**24 lanes (128 MiB). Row sums are exact in
 int64 while lanes * max|d_j| < 2**63, which every GEMM meets (|d_j| <=
 m * 2**32 <= 2**44 with at most 4096 lanes) and which is asserted.
@@ -44,6 +45,7 @@ import numpy as np
 
 from .detectors import STATISTICAL_KINDS, DetectorSpec, row_msd
 from .faults import (
+    BLOCK_LANES,
     UNIFORM_MODE,
     FaultConfig,
     SparseFlips,
@@ -196,21 +198,27 @@ def _score_stream(diffs: np.ndarray, detectors, reference):
     """Aggregate detector decisions over a (trials x lanes) checksum-difference matrix.
 
     Each detector, and the statistical rule under ``reference`` that marks a
-    trial critical, decides all rows in one call.
+    trial critical, decides a block of max(1, BLOCK_LANES // lanes) rows per
+    call, so the deciders' temporaries stay bounded however long the stream;
+    counts and the MSD sum carry across blocks, giving one block's results.
     """
     labels = _unique_labels(detectors)
     n = len(diffs)
-    critical = np.zeros(n, dtype=bool)
-    if reference is not None:
-        critical = DetectorSpec(kind="statistical", params=reference).decide(diffs).recovers
-    recoveries, undetected, freq_sum = {}, {}, {}
-    for d, label in zip(detectors, labels):
-        rows = d.decide(diffs)
-        recoveries[label] = int(np.count_nonzero(rows.recovers))
-        undetected[label] = int(np.count_nonzero(critical & ~rows.recovers))
-        freq_sum[label] = int(rows.freq_eff.sum())
-    # float MSDs summed one after another in trial order (np.sum would sum pairwise)
-    msd_sum = float(np.add.accumulate(row_msd(diffs).astype(np.float64))[-1]) if n else 0.0
+    rule = None if reference is None else DetectorSpec(kind="statistical", params=reference)
+    recoveries, undetected, freq_sum = (dict.fromkeys(labels, 0) for _ in range(3))
+    msd_sum = 0.0
+    step = max(1, BLOCK_LANES // diffs.shape[1])
+    for start in range(0, n, step):
+        block = diffs[start : start + step]
+        critical = np.zeros(len(block), dtype=bool) if rule is None else rule.decide(block).recovers
+        for d, label in zip(detectors, labels):
+            rows = d.decide(block)
+            recoveries[label] += int(np.count_nonzero(rows.recovers))
+            undetected[label] += int(np.count_nonzero(critical & ~rows.recovers))
+            freq_sum[label] += int(rows.freq_eff.sum())
+        # float MSDs summed one after another in trial order (np.sum would sum pairwise)
+        msd = np.append(msd_sum, row_msd(block).astype(np.float64))
+        msd_sum = float(np.add.accumulate(msd)[-1])
     return n, recoveries, undetected, freq_sum, msd_sum
 
 

@@ -25,9 +25,17 @@ Each mode builds its ground-truth event log in one place, reading clean values
 only at the elements it touches through a callback ``entries(rows, cols)``;
 ``output_events`` picks the mode's builder. Comparisons, sweeps and ``inject``
 pass ``workloads.workload_entries``, which draws only the operand rows and
-columns the corrupted elements read; the dense injectors read them from the
-matrix and return it with the log replayed onto it by ``replay_events``. A
-``FaultConfig`` is the only source of a fault's seed and bit window.
+columns the corrupted elements read; the dense injectors (``sample_bitflips``,
+``inject_uniform``) read them from the matrix and return it with the log
+replayed onto it by ``replay_events``. A ``FaultConfig`` is the only source of
+a fault's seed and bit window.
+
+Uniform positions come from one sampler, ``uniform_positions``, which draws
+the positions of many trials at once, one seed per trial. The uniform event
+log is its one-trial case. ``inject_uniform_stack`` corrupts a whole
+(trials x rows x cols) stack of dense matrices with it in one vectorized
+pass and builds no event log; the calibration grid injects this way, and
+each of its trials equals ``inject_uniform`` on that trial's seed.
 """
 
 from __future__ import annotations
@@ -39,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gemm import AccumMatrix
-from .rng import u64_stream, unit_floats
+from .rng import MASK64, u64_rows, u64_stream, unit_floats
 
 BER_MODE = "ber"
 UNIFORM_MODE = "uniform"
@@ -54,6 +62,12 @@ LOG_BER_FLOOR = 1e-15
 # ber_at matches a table row within this many volts: a quarter of the 1e-10
 # rounding of sweep voltages, so two distinct sweep voltages never match one row
 ROW_TOLERANCE = 2.5e-11
+
+# 64-bit values per trial row that one vectorized block holds (8 MiB per
+# temporary): the calibration grid injects, and scoring decides, its trials
+# in blocks of max(1, BLOCK_LANES // lanes) rows, so memory stays bounded
+# however many trials there are. Results do not depend on it.
+BLOCK_LANES = 2**20
 
 # flips drawn by the first batch of geometric_flips; each later batch doubles.
 # Results do not depend on it: the k-th draw is a pure function of (seed, k).
@@ -237,24 +251,51 @@ class SparseFlips:
         return d
 
 
-def _uniform_events(n_rows: int, n_cols: int, entries, seed: int, freq: int, mag: int):
-    """``mag`` added (wrapping in INT32) to ``freq`` distinct elements chosen uniformly.
+def uniform_positions(seeds, n: int, freq: int) -> np.ndarray:
+    """Row r: the ``freq`` of ``n`` row-major elements hit by uniform injection on ``seeds[r]``.
 
-    Each element gets one SplitMix64 priority draw (row-major order, same
-    stream discipline as the BER mode) and the ``freq`` smallest priorities
-    are corrupted, which selects position sets uniformly. ``entries(rows,
-    cols)`` gives the clean values there. freq == 0 or mag == 0 logs nothing.
+    Each element gets one SplitMix64 priority draw under the row's seed
+    (row-major order, same stream discipline as the BER mode) and the
+    ``freq`` smallest priorities are taken, which selects position sets
+    uniformly. Returns an int64 (len(seeds) x freq) matrix, each row ascending.
     """
-    n = n_rows * n_cols
     if freq > n:
         raise ValueError(f"freq {freq} exceeds element count {n}")
+    if freq < 0:
+        raise ValueError(f"freq must be >= 0, got {freq}")
+    if freq in (0, n):
+        return np.tile(np.arange(freq), (len(seeds), 1))
+    positions = np.argpartition(u64_rows(seeds, n), freq, axis=1)[:, :freq]
+    positions.sort(axis=1)
+    return positions
+
+
+def inject_uniform_stack(clean: np.ndarray, seeds, freq: int, mag: int) -> np.ndarray:
+    """``mag`` added (wrapping in INT32) to ``freq`` uniform elements of each matrix of a stack.
+
+    ``clean`` is an int32 (trials x rows x cols) stack; trial t's elements
+    are ``uniform_positions`` on ``seeds[t]``, so it equals ``inject_uniform``
+    on ``FaultConfig(mode="uniform", freq=freq, mag=mag, seed=seeds[t])``.
+    Returns a new stack.
+    """
+    flat = clean.reshape(len(clean), -1)
+    out = flat.copy()
+    positions = uniform_positions(seeds, flat.shape[1], freq)
+    if freq and mag:
+        before = np.take_along_axis(flat, positions, axis=1).astype(np.int64)
+        np.put_along_axis(out, positions, _wrap_int32(before + mag), axis=1)
+    return out.reshape(clean.shape)
+
+
+def _uniform_events(n_rows: int, n_cols: int, entries, seed: int, freq: int, mag: int):
+    """``mag`` added (wrapping in INT32) to the ``freq`` elements that ``uniform_positions`` picks.
+
+    ``entries(rows, cols)`` gives the clean values there. freq == 0 or
+    mag == 0 logs nothing.
+    """
+    positions = uniform_positions([seed & MASK64], n_rows * n_cols, freq)[0]
     if freq == 0 or mag == 0:
         return []
-    priority = u64_stream(seed, n)
-    if freq < n:
-        positions = np.sort(np.argpartition(priority, freq)[:freq])
-    else:
-        positions = np.arange(n)
     rows, cols = np.divmod(positions, n_cols)
     before = entries(rows, cols).astype(np.int64)
     after = _wrap_int32(before + mag)

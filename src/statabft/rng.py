@@ -26,6 +26,17 @@ def mix64(x: int) -> int:
     return z ^ (z >> 31)
 
 
+def _mix64_array(z: np.ndarray) -> np.ndarray:
+    """``mix64`` of each value of a uint64 array of at least one dimension.
+
+    The products wrap modulo 2**64 silently only on arrays: numpy warns when
+    a 0-d operand makes them scalar products.
+    """
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
+    return z ^ (z >> np.uint64(31))
+
+
 def u64_at(seed: int, idx) -> np.ndarray:
     """Outputs ``idx`` (0-based, an index array of any shape) of SplitMix64 seeded with ``seed``.
 
@@ -35,9 +46,13 @@ def u64_at(seed: int, idx) -> np.ndarray:
     i = np.asarray(idx, dtype=np.uint64)
     # seed + (i + 1) * GAMMA, on a raveled view so a 0-d index wraps like an array
     z = np.uint64((seed + GAMMA) & MASK64) + i.ravel() * np.uint64(GAMMA)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-    return (z ^ (z >> np.uint64(31))).reshape(i.shape)
+    return _mix64_array(z).reshape(i.shape)
+
+
+def u64_rows(seeds, n: int) -> np.ndarray:
+    """Outputs 0 to n - 1 under each seed: row r of the result is ``u64_stream(seeds[r], n)``."""
+    s = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
+    return _mix64_array(s + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GAMMA))
 
 
 def u64_stream(seed: int, n: int, offset: int = 0) -> np.ndarray:
@@ -65,13 +80,31 @@ class SplitMix64:
         return mix64(self.seed + self._i * GAMMA)
 
 
-def derive_seed(root: int, *indices: int) -> int:
+def derive_seed(root: int, *indices):
     """Fold indices into a root seed, one fixed mixing round per index.
 
     Used to give every (trial, GEMM, purpose) tuple its own independent
     stream. The fold order is part of the reproducibility contract.
+
+    With Python int indices the seed is a Python int. If any index is an
+    array of nonnegative integers, the indices broadcast together and the
+    result is the uint64 array of the seeds of every index tuple, computed
+    with the same rounds in wrapping uint64 arithmetic.
     """
     s = root & MASK64
     for k in indices:
+        if isinstance(k, np.ndarray):  # checked here, as the scalar form runs once per trial
+            return _derive_seeds(root, indices)
         s = mix64(((s + GAMMA) & MASK64) ^ mix64((k + GAMMA) & MASK64))
     return s
+
+
+def _derive_seeds(root: int, indices) -> np.ndarray:
+    ks = [np.asarray(k, dtype=np.uint64) for k in indices]
+    shape = np.broadcast_shapes(*(k.shape for k in ks))
+    gamma = np.uint64(GAMMA)
+    # raveled, so even a 0-d shape folds on a 1-d array
+    s = np.full(shape, root & MASK64, dtype=np.uint64).ravel()
+    for k in ks:
+        s = _mix64_array((s + gamma) ^ _mix64_array(np.broadcast_to(k, shape).ravel() + gamma))
+    return s.reshape(shape)

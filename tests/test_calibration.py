@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from statabft import calibration
 from statabft.calibration import (
     GridCellError,
     NoBoundaryError,
@@ -15,7 +17,9 @@ from statabft.calibration import (
 )
 from statabft.config import DEFAULT_FREQ_AXIS, DEFAULT_MAG_AXIS
 from statabft.detectors import CriticalRegionParams, load_params, save_params
+from statabft.faults import FaultConfig, inject_uniform
 from statabft.gemm import AccumMatrix
+from statabft.rng import derive_seed, u64_stream
 
 
 def make_grid(freqs, mags, acceptable):
@@ -35,7 +39,6 @@ def planted_case(freq, mag_log2):
     return OracleCase(
         clean=z,
         corrupted=z,
-        events=(),
         freq=freq,
         mag=int(round(2.0**mag_log2)),
         mag_log2=mag_log2,
@@ -126,7 +129,9 @@ def test_boundary_without_frequency_extent_raises():
 
 def test_quality_grid_determinism_and_seed_sensitivity():
     def position_oracle(case):
-        return float(case.events[0].row) if case.events else 0.0
+        # the row of the first corrupted element in row-major order
+        changed = np.flatnonzero(case.corrupted.data != case.clean.data)
+        return float(changed[0] // case.clean.cols) if changed.size else 0.0
 
     kw = dict(epsilon=3.0, trials=2)
     g1 = quality_grid(position_oracle, [4.0, 5.0], [1, 2], seed=0, **kw)
@@ -188,14 +193,11 @@ def test_oracle_failures_are_annotated():
 
 def test_norm_distortion_oracle_spread_vs_confined():
     clean = AccumMatrix(np.zeros((16, 16), dtype=np.int32))
-    from statabft.faults import FaultConfig, inject_uniform
-
     cfg = FaultConfig(mode="uniform", freq=4, mag=1024, seed=3)
-    corrupted, events = inject_uniform(clean, cfg)
+    corrupted, _ = inject_uniform(clean, cfg)
     case = OracleCase(
         clean=clean,
         corrupted=corrupted,
-        events=tuple(events),
         freq=4,
         mag=1024,
         mag_log2=10.0,
@@ -226,3 +228,102 @@ def test_grid_type_validation():
             acceptable=np.ones((2, 2), bool),
             epsilon=0.5,
         )
+
+
+def noisy_factory(rows, cols):
+    """Clean matrices of values spread over all of INT32, so large injections wrap."""
+
+    def factory(seed):
+        u = u64_stream(seed, rows * cols) >> np.uint64(32)
+        return AccumMatrix(u.astype(np.uint32).view(np.int32).reshape(rows, cols))
+
+    return factory
+
+
+def hash_oracle(log):
+    """Scores a trial by a hash of its corrupted matrix, and logs the hash."""
+
+    def oracle(case):
+        digest = hashlib.sha256(case.corrupted.data.tobytes()).digest()
+        log.append(digest)
+        return int.from_bytes(digest[:4], "little") / 2**32
+
+    return oracle
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_batched_grid_equals_a_per_trial_reference(seed):
+    freqs, mags, trials, rows, cols = [1, 5, 11], [0.0, 10.5, 30.0], 3, 3, 4
+    factory = noisy_factory(rows, cols)
+    got = []
+    grid = quality_grid(
+        hash_oracle(got), mags, freqs, epsilon=0.5, trials=trials, seed=seed, clean_factory=factory
+    )
+    want, quality = [], np.zeros((len(freqs), len(mags)))
+    for i, f in enumerate(freqs):
+        for j, m in enumerate(mags):
+            cell, scores = i * len(mags) + j, []
+            for t in range(trials):
+                data = factory(derive_seed(seed, cell, t, 0)).data.ravel().astype(np.int64)
+                priority = u64_stream(derive_seed(seed, cell, t, 1), rows * cols)
+                data[np.sort(np.argpartition(priority, f)[:f])] += round(2.0**m)
+                corrupted = ((data + 2**31) % 2**32 - 2**31).astype(np.int32).reshape(rows, cols)
+                digest = hashlib.sha256(corrupted.tobytes()).digest()
+                want.append(digest)
+                scores.append(int.from_bytes(digest[:4], "little") / 2**32)
+            quality[i, j] = sum(scores) / trials
+    assert got == want
+    np.testing.assert_array_equal(grid.quality, quality)
+
+
+def test_grid_injections_equal_inject_uniform():
+    # every trial of the stock 16x16 grid, freq 256 (all elements) included
+    factory = noisy_factory(16, 16)
+    cases = []
+    quality_grid(
+        lambda case: cases.append(case) or 0.0, DEFAULT_MAG_AXIS, DEFAULT_FREQ_AXIS,
+        epsilon=0.5, trials=4, seed=5, clean_factory=factory,
+    )
+    assert len(cases) == len(DEFAULT_FREQ_AXIS) * len(DEFAULT_MAG_AXIS) * 4
+    for k, case in enumerate(cases):
+        cell, t = divmod(k, 4)
+        assert case.trial_index == t
+        assert case.clean == factory(derive_seed(5, cell, t, 0))
+        cfg = FaultConfig(mode="uniform", freq=case.freq, mag=case.mag, seed=derive_seed(5, cell, t, 1))
+        assert case.corrupted == inject_uniform(case.clean, cfg)[0]
+
+
+@pytest.mark.parametrize("block_lanes", [1, 24])
+def test_block_size_changes_no_result(monkeypatch, block_lanes):
+    # 12-element targets: 1-trial blocks, or 2-trial blocks with a ragged last one
+    kw = dict(epsilon=0.5, trials=5, seed=3, clean_factory=noisy_factory(3, 4))
+    default = []
+    g = quality_grid(hash_oracle(default), [0.0, 30.0], [1, 11], **kw)
+    blocks = []
+    real = calibration.inject_uniform_stack
+
+    def spy(clean, seeds, freq, mag):
+        blocks.append(len(clean))
+        return real(clean, seeds, freq, mag)
+
+    monkeypatch.setattr(calibration, "BLOCK_LANES", block_lanes)
+    monkeypatch.setattr(calibration, "inject_uniform_stack", spy)
+    small = []
+    g_small = quality_grid(hash_oracle(small), [0.0, 30.0], [1, 11], **kw)
+    assert blocks == ([1] * 20 if block_lanes == 1 else [2, 2, 1] * 4)
+    assert small == default
+    np.testing.assert_array_equal(g_small.quality, g.quality)
+
+
+@pytest.mark.parametrize("block_lanes", [None, 1])
+def test_clean_factory_must_return_one_shape(monkeypatch, block_lanes):
+    if block_lanes is not None:
+        monkeypatch.setattr(calibration, "BLOCK_LANES", block_lanes)
+    calls = []
+
+    def factory(seed):
+        calls.append(seed)
+        return AccumMatrix(np.zeros((4, 4 + (len(calls) > 1)), dtype=np.int32))
+
+    with pytest.raises(GridCellError, match=r"freq=2.*mag_log2=4\.0.*\(4, 5\) after \(4, 4\)"):
+        quality_grid(lambda c: 0.0, [4.0], [2], epsilon=1.0, trials=2, clean_factory=factory)

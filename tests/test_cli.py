@@ -473,6 +473,15 @@ def test_stream_over_the_lane_bound_exits_two(tmp_path, capsys, command, gemm_co
     assert not (tmp_path / "out").exists()
 
 
+def test_calibrate_target_over_the_size_bound_exits_two(tmp_path, capsys):
+    # 10**12 elements per trial: one clean matrix alone would take 4 TB
+    cfg = write_config(tmp_path, {"calibrate": {"target_rows": 10**6, "target_cols": 10**6}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "calibrate"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: calibrate.target_rows: must make target_rows * target_cols <= 1048576")
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
 def test_sweep_scores_statistical_lzc_beside_statistical(tmp_path):
     cfg = write_config(
         tmp_path,

@@ -87,7 +87,7 @@ BAD = {
         "freq_axis": _list([1], [2, 1], [0, 4], [1, HUGE], [1, 2.5], [1, "2"]),
         "mag_log2_axis": _list([1.0], [3.0, 2.0], [-1.0, 4.0], [1.0, 1e308], [1.0, None]),
         "planted": _PARAMS, "norm_kind": _str("batch_norm"),
-        "target_rows": _int(0, -HUGE), "target_cols": _int(0, -HUGE),
+        "target_rows": _int(0, -HUGE, 10**6, HUGE), "target_cols": _int(0, -HUGE, 10**6, HUGE),
     },
     "output": {"dir": _str(), "format": _str("CSV", "xml")},
 }

@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from statabft import workloads
+from statabft import energy, workloads
 from statabft.detectors import CriticalRegionParams, DetectorSpec
 from statabft.energy import (
     EnergyConfig,
@@ -176,6 +176,32 @@ def test_sweep_deterministic_and_thread_invariant(monkeypatch):
     spec = replace(SPEC, gemm_count=6)
     first = sweep_detectors(spec, DETECTORS, fault, voltages, cfg)
     assert sweep_detectors(spec, DETECTORS, fault, voltages, cfg) == first
+
+
+@pytest.mark.parametrize("block_lanes", [1, 3 * SPEC.n])
+def test_scoring_in_row_blocks_changes_no_result(monkeypatch, block_lanes):
+    # one-row blocks, and three-row blocks with a ragged last one, against one block
+    fault = FaultConfig(mode="ber", ber=4e-3, bit_window=(12, 31), seed=4)
+    spec = replace(SPEC, gemm_count=40)
+    table = VoltageBerTable(voltages=(0.9, 0.6), bers=(1e-6, 4e-3))
+    run = lambda: (
+        compare_detectors(spec, DETECTORS, fault),
+        sweep_detectors(spec, DETECTORS, fault, [0.9, 0.75, 0.6], EnergyConfig(table=table)),
+    )
+    whole = run()
+    assert 0.0 < whole[0][2].recovery_rate < 1.0 and whole[0][0].mean_msd > 0.0
+    blocks = []
+    real = energy.row_msd
+
+    def spy(diffs):
+        blocks.append(len(diffs))
+        return real(diffs)
+
+    monkeypatch.setattr(energy, "BLOCK_LANES", block_lanes)
+    monkeypatch.setattr(energy, "row_msd", spy)
+    assert run() == whole
+    per_stream = [1] * 40 if block_lanes == 1 else [3] * 13 + [1]
+    assert blocks == per_stream * 4  # compare, then the sweep's three voltages
 
 
 def test_sweep_input_validation():

@@ -18,9 +18,11 @@ from statabft.faults import (
     default_table,
     geometric_flips,
     inject_uniform,
+    inject_uniform_stack,
     output_events,
     replay_events,
     sample_bitflips,
+    uniform_positions,
 )
 from statabft.gemm import AccumMatrix, checksum, gemm, gemm_entries, predicted_output_checksum
 from statabft.workloads import random_quant_matrix
@@ -268,6 +270,34 @@ def test_uniform_position_selection_uniformity_props(seed, freq):
     assert len(events) == freq
     assert len({(e.row, e.col) for e in events}) == freq
     assert replay_events(y, events) == corrupted
+
+
+def test_uniform_positions_are_the_one_trial_draws_stacked():
+    seeds = [0, 3, 2**64 - 1]
+    positions = uniform_positions(seeds, 64, 9)
+    assert positions.shape == (3, 9)
+    y = AccumMatrix(np.zeros((8, 8), dtype=np.int32))
+    for seed, row in zip(seeds, positions):
+        _, events = inject_uniform(y, FaultConfig(mode="uniform", freq=9, mag=1, seed=seed))
+        assert row.tolist() == [e.row * 8 + e.col for e in events]
+    assert uniform_positions(seeds, 64, 0).shape == (3, 0)
+    assert np.array_equal(uniform_positions(seeds, 64, 64), np.tile(np.arange(64), (3, 1)))
+    with pytest.raises(ValueError, match="exceeds"):
+        uniform_positions(seeds, 64, 65)
+    with pytest.raises(ValueError, match=">= 0"):
+        uniform_positions(seeds, 64, -1)
+
+
+@pytest.mark.parametrize("freq, mag", [(0, 9), (4, 0), (5, 2**31 - 1), (12, 1)])
+def test_stack_injection_equals_inject_uniform_per_trial(freq, mag):
+    clean = np.stack([make_output(s).data[:3, :4] for s in range(4)])
+    clean[0, 0, 0] = 2**31 - 1
+    seeds = np.array([5, 6, 7, 8], dtype=np.uint64)
+    out = inject_uniform_stack(clean, seeds, freq, mag)
+    assert out.dtype == np.int32 and out.shape == clean.shape
+    for c, o, seed in zip(clean, out, seeds.tolist()):
+        cfg = FaultConfig(mode="uniform", freq=freq, mag=mag, seed=seed)
+        assert AccumMatrix(o) == inject_uniform(AccumMatrix(c), cfg)[0]
 
 
 # --- voltage/BER table -------------------------------------------------------

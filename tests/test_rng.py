@@ -9,6 +9,7 @@ from statabft.rng import (
     derive_seed,
     mix64,
     u64_at,
+    u64_rows,
     u64_stream,
     unit_floats,
 )
@@ -101,3 +102,44 @@ def test_u64_at_single_index_and_sequential_view():
     expected = [rng.next_u64() for _ in range(5)]
     assert [int(u64_at(99, i)) for i in range(5)] == expected
     assert u64_at(99, 4).shape == ()
+
+
+_ROOT = st.one_of(
+    st.integers(min_value=0, max_value=MASK64),
+    st.integers(min_value=MASK64 - 2**10, max_value=MASK64),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+_INDEX = st.one_of(st.integers(min_value=0, max_value=2**20), st.integers(min_value=MASK64 - 2**10, max_value=MASK64))
+
+
+@given(
+    _ROOT,
+    st.lists(_INDEX, max_size=2),
+    st.lists(_INDEX, min_size=1, max_size=6),
+    st.lists(_INDEX, max_size=2),
+)
+@settings(max_examples=200, deadline=None)
+def test_array_derive_seed_equals_the_scalar_form(root, before, column, after):
+    got = derive_seed(root, *before, np.array(column, dtype=np.uint64), *after)
+    assert got.dtype == np.uint64 and got.shape == (len(column),)
+    assert got.tolist() == [derive_seed(root, *before, k, *after) for k in column]
+
+
+@given(_ROOT, st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=3))
+@settings(max_examples=50, deadline=None)
+def test_array_derive_seed_broadcasts_its_indices(root, rows, cols):
+    # a 0-d array index folds like a 1-d one
+    got = derive_seed(root, 9, np.arange(rows)[:, np.newaxis], np.arange(cols))
+    assert got.shape == (rows, cols)
+    assert got.tolist() == [[derive_seed(root, 9, t, c) for c in range(cols)] for t in range(rows)]
+    assert derive_seed(root, np.array(rows)).shape == ()
+    assert int(derive_seed(root, np.array(rows))) == derive_seed(root, rows)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=MASK64), max_size=4), st.integers(min_value=0, max_value=40))
+@settings(max_examples=100, deadline=None)
+def test_u64_rows_gives_each_seeds_stream(seeds, n):
+    rows = u64_rows(seeds, n)
+    assert rows.shape == (len(seeds), n) and rows.dtype == np.uint64
+    for seed, row in zip(seeds, rows):
+        assert np.array_equal(row, u64_stream(seed, n))
