@@ -3,11 +3,11 @@
 A quality grid sweeps uniform injections over a (frequency, magnitude)
 lattice, scores each cell with a workload-quality oracle, and marks cells
 acceptable when mean degradation stays within an epsilon budget. A cell's
-trials are injected a block at a time, as one (trials x rows x cols) stack
-in one vectorized pass, so the grid's cost per injection is a few array
-operations plus the oracle call, and its memory is bounded by the block
-size, not by the trial count. Fitting a
-line to the acceptable/unacceptable boundary recovers critical-region
+trials are injected a block at a time, one ``faults.Corruption`` record
+applied to a (trials x rows x cols) stack in one vectorized pass, so the
+grid's cost per injection is a few array operations plus the oracle call,
+and its memory is bounded by the block size, not by the trial count. A line
+fitted to the acceptable/unacceptable boundary recovers critical-region
 parameters (a, b, theta_freq) for the statistical detector.
 
 The boundary model is theta_mag = b - (a - 1) * log2(MSD) with
@@ -31,7 +31,7 @@ from typing import Callable
 import numpy as np
 
 from .detectors import DEFAULT_PARAMS, CriticalRegionParams
-from .faults import BLOCK_LANES, inject_uniform_stack
+from .faults import BLOCK_LANES, uniform_corruption
 from .gemm import AccumMatrix
 from .resilience import NORM_KINDS
 from .rng import derive_seed
@@ -198,8 +198,8 @@ def quality_grid(
 
     A cell injects its trials in blocks of max(1, BLOCK_LANES // elements):
     the block's clean matrices are stacked and corrupted in one vectorized
-    pass (``inject_uniform_stack``), which equals ``inject_uniform`` trial
-    by trial, and the oracle then scores each trial in order. Block sizes
+    pass (``uniform_corruption(...).apply``), which equals ``inject_uniform``
+    trial by trial, and the oracle then scores each trial in order. Block sizes
     change no result. Oracle or injection failures, and a clean matrix of
     another shape, surface as GridCellError carrying the cell coordinates.
     """
@@ -231,10 +231,11 @@ def quality_grid(
                         f, m, f"clean_factory returned shape {odd.pop()} after {shape}; "
                         "it must return one shape per grid"
                     )
+                stack = np.stack([c.data for c in cleans])
                 try:
-                    corrupted = inject_uniform_stack(
-                        np.stack([c.data for c in cleans]), seeds[t0 : t0 + len(cleans), 1], f, mag
-                    )
+                    corrupted = uniform_corruption(
+                        seeds[t0 : t0 + len(cleans), 1], *shape, lambda *at: stack[at], f, mag
+                    ).apply(stack)
                 except ValueError as e:
                     raise GridCellError(f, m, str(e)) from e
                 for t, (clean, bad) in enumerate(zip(cleans, corrupted), start=t0):

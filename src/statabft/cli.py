@@ -38,7 +38,7 @@ from .energy import (
     sweep_detectors,
     trial,
 )
-from .faults import TableFormatError, checksum_diff, output_events
+from .faults import TableFormatError, corruption
 from .gemm import AccumMatrix, ChecksumVector, predicted_output_checksum
 from .workloads import workload_matrices
 
@@ -230,9 +230,10 @@ def cmd_inject(cfg: ExperimentConfig, args) -> int:
         raise ConfigError(f"--index must be in [0, {spec.gemm_count}), got {args.index}")
     w, x = workload_matrices(spec, args.index)
     # the trial compare and sweep score: clean values only at the corrupted elements
-    events = output_events(spec.m, spec.n, *trial(spec, cfg.fault, args.index))
+    record = corruption(spec.m, spec.n, *trial(spec, cfg.fault, args.index))
+    events = record.events()
     predicted = predicted_output_checksum(w, x)
-    observed = ChecksumVector(predicted.data - checksum_diff(events, x.cols))
+    observed = ChecksumVector(predicted.data - record.diff()[0])
     pair = ChecksumPair.from_vectors(predicted, observed)
     verdicts = {d.kind: d.evaluate(pair) for d in cfg.detector_specs()}
 

@@ -62,6 +62,11 @@ class ExperimentConfig:
         kinds = self.detector_set
         if not kinds or len(set(kinds)) != len(kinds) or not set(kinds) <= set(DETECTOR_KINDS):
             raise ValueError(f"detector_set must list unique kinds from {DETECTOR_KINDS}")
+        elements = self.workload.m * self.workload.n  # uniform faults hit freq distinct ones
+        if self.fault.freq > elements:
+            raise ValueError(
+                f"fault.freq must be <= workload.m * workload.n = {elements}, got {self.fault.freq}"
+            )
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"output_format must be 'csv' or 'json', got {self.output_format!r}")
         # (3 + detect_overhead) nominal GEMMs bound every energy a sweep reports
@@ -148,14 +153,14 @@ def _grouped(cfg: ExperimentConfig, section: str) -> dict:
 
 
 def _build(path, make, values: dict):
-    """``make(**values)``; a ValueError is placed at the given key it starts with."""
+    """``make(**values)``; a ValueError is placed at the given (dotted) key it starts with."""
     try:
         return make(**values)
     except ValueError as e:
         name, _, reason = str(e).partition(" ")
-        if name not in values:
+        if name.split(".")[0] not in values:
             raise _fail(path, str(e)) from None
-        raise _fail(_PATHS.get(name, [*path, name]), reason) from None
+        raise _fail(_PATHS.get(name, [*path, *name.split(".")]), reason) from None
 
 
 def _call(path, fn, arg):

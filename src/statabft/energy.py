@@ -18,17 +18,17 @@ its faults paired across voltages too (common random numbers, for variance
 reduction): each trial's bit flips are sampled once at the sweep's highest
 BER, and a voltage keeps the flips whose thinning uniform lies below the BER
 the voltage/BER table gives it. Detectors read only the checksum difference,
-which a trial's fault event log gives per column as ``-sum(after - before)``,
-so comparisons and sweeps alike compute the clean output only at corrupted
-elements and never run the dense GEMM. Nor do they draw whole operands:
-``workload_entries`` draws just the W rows and X columns that the corrupted
-elements read, so a trial costs in proportion to its faults, not to the
-GEMM's size. Every detector is scored on the same checksum evidence: a
+which a ``faults.Corruption`` record gives per column as ``-sum(after -
+before)``, so comparisons and sweeps alike compute the clean output only at
+corrupted elements and never run the dense GEMM. Nor do they draw whole
+operands: ``workload_entries`` draws just the W rows and X columns that the
+corrupted elements read, so a trial costs in proportion to its faults, not
+to the GEMM's size. Every detector is scored on the same checksum evidence: a
 sweep builds, per voltage, one int64 (trials x lanes) matrix D of checksum
-differences from the thinned flips of all its trials, and each detector
-decides the rows of D in vectorized calls (``DetectorSpec.decide``), one per
-block of ``BLOCK_LANES`` lanes, so its temporaries stay bounded; ``compare``
-stacks its trials' difference rows into D the same way, and
+differences from the record of all its trials' thinned flips, and each
+detector decides the rows of D in vectorized calls (``DetectorSpec.decide``),
+one per block of ``BLOCK_LANES`` lanes, so its temporaries stay bounded;
+``compare`` fills row t of D from trial t's own record, and
 ``WorkloadSpec`` caps D at 2**24 lanes (128 MiB). Row sums are exact in
 int64 while lanes * max|d_j| < 2**63, which every GEMM meets (|d_j| <=
 m * 2**32 <= 2**44 with at most 4096 lanes) and which is asserted.
@@ -50,9 +50,8 @@ from .faults import (
     FaultConfig,
     SparseFlips,
     VoltageBerTable,
-    checksum_diff,
+    corruption,
     default_table,
-    output_events,
 )
 from .rng import derive_seed
 from .workloads import WorkloadSpec, workload_entries
@@ -179,11 +178,10 @@ def trial(spec: WorkloadSpec, fault: FaultConfig, t: int):
 
 
 def _trial_diffs(spec: WorkloadSpec, fault: FaultConfig) -> np.ndarray:
-    """The (GEMMs x n) checksum-difference matrix of the stream: row t from trial t's fault log."""
+    """The (GEMMs x n) checksum-difference matrix of the stream: row t from trial t's corruption."""
     diffs = np.zeros((spec.gemm_count, spec.n), dtype=np.int64)
     for t in range(spec.gemm_count):
-        events = output_events(spec.m, spec.n, *trial(spec, fault, t))
-        diffs[t] = checksum_diff(events, spec.n)
+        diffs[t] = corruption(spec.m, spec.n, *trial(spec, fault, t)).diff()[0]
     return diffs
 
 
@@ -225,12 +223,11 @@ def _score_stream(diffs: np.ndarray, detectors, reference):
 def compare_detectors(spec: WorkloadSpec, detectors, fault: FaultConfig) -> list[CompareRow]:
     """Run the ``spec.gemm_count`` GEMMs of a stream at one fault level; score every detector.
 
-    Trial ``t``'s checksum difference comes from its fault event log alone
-    (``output_events`` on ``trial(spec, fault, t)``, clean values at the
-    corrupted elements only), the same sparse evidence ``sweep_detectors``
-    scores. The undetected-critical rate counts trials a detector passed
-    whose checksum evidence lies inside the statistical detector's own
-    critical region.
+    Trial ``t``'s checksum difference comes from its corrupted elements alone
+    (``corruption`` on ``trial(spec, fault, t)``, clean values at those
+    elements only), the same sparse evidence ``sweep_detectors`` scores. The
+    undetected-critical rate counts trials a detector passed whose checksum
+    evidence lies inside the statistical detector's own critical region.
     """
     ref = _proxy_params(detectors)
     n, recoveries, undetected, freq_sum, msd_sum = _score_stream(
@@ -286,7 +283,7 @@ def sweep_detectors(
 
     points = {label: [] for label in labels}
     for v, ber in zip(voltages, bers):
-        n, recoveries, undetected, _, _ = _score_stream(flips.diff(ber), detectors, ref)
+        n, recoveries, undetected, _, _ = _score_stream(flips.at(ber).diff(), detectors, ref)
         for d, label in zip(detectors, labels):
             rate = recoveries[label] / n
             points[label].append(

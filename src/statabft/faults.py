@@ -21,21 +21,18 @@ Two fault modes:
   deviation is exactly freq * mag, which is what makes this mode useful for
   planting errors of known severity.
 
-Each mode builds its ground-truth event log in one place, reading clean values
-only at the elements it touches through a callback ``entries(rows, cols)``;
-``output_events`` picks the mode's builder. Comparisons, sweeps and ``inject``
-pass ``workloads.workload_entries``, which draws only the operand rows and
-columns the corrupted elements read; the dense injectors (``sample_bitflips``,
-``inject_uniform``) read them from the matrix and return it with the log
-replayed onto it by ``replay_events``. A ``FaultConfig`` is the only source of
-a fault's seed and bit window.
-
-Uniform positions come from one sampler, ``uniform_positions``, which draws
-the positions of many trials at once, one seed per trial. The uniform event
-log is its one-trial case. ``inject_uniform_stack`` corrupts a whole
-(trials x rows x cols) stack of dense matrices with it in one vectorized
-pass and builds no event log; the calibration grid injects this way, and
-each of its trials equals ``inject_uniform`` on that trial's seed.
+Both modes record what they corrupt in one array record, ``Corruption``,
+the only source of checksum differences (``diff``), event logs (``events``)
+and corrupted dense stacks (``apply``). ``SparseFlips.at`` builds it in BER
+mode and ``uniform_corruption`` in uniform mode (positions from
+``uniform_positions``), for many trials at once; ``corruption`` builds one
+trial's in either mode. Each reads clean values only at the corrupted
+elements, through a callback: comparisons, sweeps and ``inject`` pass
+``workloads.workload_entries``, which draws only the operand rows and
+columns those elements read; the dense injectors (``sample_bitflips``,
+``inject_uniform``) read the matrix and replay the record's events onto it,
+and the calibration grid reads and corrupts a stack of trials. A
+``FaultConfig`` is the only source of a fault's seed and bit window.
 """
 
 from __future__ import annotations
@@ -170,6 +167,48 @@ def _flip_sites(seed: int, n_elements: int, bit_window: tuple[int, int], ber: fl
 
 
 @dataclass(frozen=True, eq=False)
+class Corruption:
+    """Every corrupted element of a stream of same-shaped outputs (trials).
+
+    Flat arrays with one entry per corrupted element, sorted by (trial,
+    element): the row-major ``element`` of trial ``trial``'s output goes from
+    ``before`` to ``after`` (int64 in INT32 range, never equal). ``mask`` holds
+    the flipped bits (uint32) in BER mode and is None in uniform mode.
+    """
+
+    n_trials: int
+    n_cols: int
+    trial: np.ndarray
+    element: np.ndarray
+    before: np.ndarray
+    after: np.ndarray
+    mask: np.ndarray | None = None
+
+    def diff(self) -> np.ndarray:
+        """The (n_trials x n_cols) checksum differences: ``-sum(after - before)`` per column."""
+        d = np.zeros((self.n_trials, self.n_cols), dtype=np.int64)
+        np.add.at(d, (self.trial, self.element % self.n_cols), self.before - self.after)
+        return d
+
+    def events(self) -> list[ErrorEvent]:
+        """The event log of a one-trial record, in row-major order."""
+        if self.n_trials != 1:
+            raise ValueError(f"events are per output; this record holds {self.n_trials} trials")
+        rows, cols = np.divmod(self.element, self.n_cols)
+        masks = np.zeros_like(self.element) if self.mask is None else self.mask
+        columns = (x.tolist() for x in (rows, cols, self.before, self.after, masks))
+        return [
+            ErrorEvent(r, c, b, a, tuple(bit for bit in range(32) if m >> bit & 1))
+            for r, c, b, a, m in zip(*columns)
+        ]
+
+    def apply(self, stack: np.ndarray) -> np.ndarray:
+        """Write ``after`` into an int32 (n_trials x rows x n_cols) stack in place; return it."""
+        stack[(self.trial, *np.divmod(self.element, self.n_cols))] = self.after
+        return stack
+
+
+@dataclass(frozen=True, eq=False)
 class SparseFlips:
     """The bit flips of a stream of same-shaped outputs (trials) at a top BER.
 
@@ -177,14 +216,12 @@ class SparseFlips:
     flip, sorted by (trial, element): the flip hits the row-major ``element``
     of trial ``trial``'s output with the one-bit ``mask``; ``u`` is its
     thinning uniform and ``clean`` the clean value of the element it hits.
-    ``events(ber)`` and ``diff(ber)`` thin the flips to any ``ber`` up to the
-    top one.
+    ``at(ber)`` thins the flips to any ``ber`` up to the top one.
     """
 
     n_trials: int
     n_cols: int
     ber: float
-    bit_window: tuple[int, int]
     trial: np.ndarray  # int64
     element: np.ndarray  # int64
     mask: np.ndarray  # uint32
@@ -200,18 +237,17 @@ class SparseFlips:
         elements, masks, u = _flip_sites(cfg.seed, n_rows * n_cols, cfg.bit_window, cfg.ber)
         clean = np.asarray(entries(*np.divmod(elements, n_cols)), dtype=np.int64)
         trial = np.zeros(elements.size, dtype=np.int64)
-        return cls(1, n_cols, cfg.ber, cfg.bit_window, trial, elements, masks, u, clean)
+        return cls(1, n_cols, cfg.ber, trial, elements, masks, u, clean)
 
     @classmethod
     def stack(cls, parts: list["SparseFlips"]) -> "SparseFlips":
-        """One stream of one-trial draws of one shape, ber and bit window; trial t is parts[t]."""
+        """One stream of one-trial draws of one shape and ber; trial t is parts[t]."""
         trial = np.repeat(np.arange(len(parts)), [p.u.size for p in parts])
         arrays = (np.concatenate([getattr(p, f) for p in parts]) for f in ("element", "mask", "u", "clean"))
-        first = parts[0]
-        return cls(len(parts), first.n_cols, first.ber, first.bit_window, trial, *arrays)
+        return cls(len(parts), parts[0].n_cols, parts[0].ber, trial, *arrays)
 
-    def _corrupted(self, ber: float):
-        """Trial, element, mask, clean and corrupted value of each element corrupted at ``ber``."""
+    def at(self, ber: float) -> Corruption:
+        """The elements corrupted at ``ber``, by the flips whose thinning uniform lies below it."""
         if not 0.0 <= ber <= self.ber:
             raise ValueError(f"ber must be in [0, {self.ber}], got {ber}")
         keep = self.u < ber
@@ -223,32 +259,8 @@ class SparseFlips:
         mask = np.bitwise_or.reduceat(self.mask[keep], starts)
         before = self.clean[keep][starts]
         after = _wrap_int32(before ^ mask.astype(np.int64))
-        return trial[starts], element[starts], mask, before, after
-
-    def events(self, ber: float) -> list[ErrorEvent]:
-        """The corrupted elements of a one-trial draw at ``ber``, in row-major order."""
-        if self.n_trials != 1:
-            raise ValueError(f"events are per output; these flips hold {self.n_trials} trials")
-        _, element, mask, before, after = self._corrupted(ber)
-        rows, cols = np.divmod(element, self.n_cols)
-        lo, hi = self.bit_window
-        return [
-            ErrorEvent(
-                row=r, col=c, before=b, after=a,
-                flipped_bits=tuple(bit for bit in range(lo, hi + 1) if m >> bit & 1),
-            )
-            for r, c, m, b, a in zip(*(x.tolist() for x in (rows, cols, mask, before, after)))
-        ]
-
-    def diff(self, ber: float) -> np.ndarray:
-        """The (n_trials x n_cols) checksum-difference matrix at ``ber``.
-
-        Row t is trial t's ``checksum_diff``: ``-sum(after - before)`` per column.
-        """
-        trial, element, _, before, after = self._corrupted(ber)
-        d = np.zeros((self.n_trials, self.n_cols), dtype=np.int64)
-        np.add.at(d, (trial, element % self.n_cols), before - after)
-        return d
+        trial, element = trial[starts], element[starts]
+        return Corruption(self.n_trials, self.n_cols, trial, element, before, after, mask)
 
 
 def uniform_positions(seeds, n: int, freq: int) -> np.ndarray:
@@ -270,60 +282,37 @@ def uniform_positions(seeds, n: int, freq: int) -> np.ndarray:
     return positions
 
 
-def inject_uniform_stack(clean: np.ndarray, seeds, freq: int, mag: int) -> np.ndarray:
-    """``mag`` added (wrapping in INT32) to ``freq`` uniform elements of each matrix of a stack.
+def uniform_corruption(seeds, n_rows: int, n_cols: int, entries, freq: int, mag: int) -> Corruption:
+    """``mag`` added (wrapping in INT32) to the ``freq`` elements ``uniform_positions`` picks.
 
-    ``clean`` is an int32 (trials x rows x cols) stack; trial t's elements
-    are ``uniform_positions`` on ``seeds[t]``, so it equals ``inject_uniform``
-    on ``FaultConfig(mode="uniform", freq=freq, mag=mag, seed=seeds[t])``.
-    Returns a new stack.
+    Trial t is an n_rows x n_cols output injected on ``seeds[t]``, and
+    ``entries(trials, rows, cols)`` gives the clean values at the picked
+    elements. mag == 0 corrupts nothing.
     """
-    flat = clean.reshape(len(clean), -1)
-    out = flat.copy()
-    positions = uniform_positions(seeds, flat.shape[1], freq)
-    if freq and mag:
-        before = np.take_along_axis(flat, positions, axis=1).astype(np.int64)
-        np.put_along_axis(out, positions, _wrap_int32(before + mag), axis=1)
-    return out.reshape(clean.shape)
+    # adding 0 changes no element, so mag == 0 keeps none of the positions
+    positions = uniform_positions(seeds, n_rows * n_cols, freq)[:, : freq if mag else 0]
+    trial = np.repeat(np.arange(len(positions)), positions.shape[1])
+    element = positions.ravel()
+    before = np.asarray(entries(trial, *np.divmod(element, n_cols)), dtype=np.int64)
+    return Corruption(len(positions), n_cols, trial, element, before, _wrap_int32(before + mag))
 
 
-def _uniform_events(n_rows: int, n_cols: int, entries, seed: int, freq: int, mag: int):
-    """``mag`` added (wrapping in INT32) to the ``freq`` elements that ``uniform_positions`` picks.
-
-    ``entries(rows, cols)`` gives the clean values there. freq == 0 or
-    mag == 0 logs nothing.
-    """
-    positions = uniform_positions([seed & MASK64], n_rows * n_cols, freq)[0]
-    if freq == 0 or mag == 0:
-        return []
-    rows, cols = np.divmod(positions, n_cols)
-    before = entries(rows, cols).astype(np.int64)
-    after = _wrap_int32(before + mag)
-    return [ErrorEvent(*e) for e in zip(*(a.tolist() for a in (rows, cols, before, after)))]
-
-
-def output_events(n_rows: int, n_cols: int, entries, cfg: FaultConfig) -> list[ErrorEvent]:
-    """The event log of ``cfg`` on an n_rows x n_cols output, from its mode's builder.
+def corruption(n_rows: int, n_cols: int, entries, cfg: FaultConfig) -> Corruption:
+    """The corrupted elements of ``cfg`` on one n_rows x n_cols output, in either mode.
 
     ``entries(rows, cols)`` gives the clean values at the corrupted elements.
     """
     if cfg.mode == BER_MODE:
-        return SparseFlips.draw(n_rows, n_cols, entries, cfg).events(cfg.ber)
-    return _uniform_events(n_rows, n_cols, entries, cfg.seed, cfg.freq, cfg.mag)
-
-
-def checksum_diff(events: list[ErrorEvent], n_cols: int) -> np.ndarray:
-    """Per-column checksum difference an event log leaves: ``-sum(after - before)``."""
-    d = np.zeros(n_cols, dtype=np.int64)
-    for e in events:
-        d[e.col] -= e.after - e.before
-    return d
+        return SparseFlips.draw(n_rows, n_cols, entries, cfg).at(cfg.ber)
+    return uniform_corruption(
+        [cfg.seed & MASK64], n_rows, n_cols, lambda _, r, c: entries(r, c), cfg.freq, cfg.mag
+    )
 
 
 def _replayed(y: AccumMatrix, cfg: FaultConfig, mode: str, name: str):
     if cfg.mode != mode:
         raise ValueError(f"{name} needs mode={mode!r}, got {cfg.mode!r}")
-    events = output_events(*y.data.shape, lambda rows, cols: y.data[rows, cols], cfg)
+    events = corruption(*y.data.shape, lambda rows, cols: y.data[rows, cols], cfg).events()
     return replay_events(y, events), events
 
 

@@ -5,9 +5,9 @@ first violation. These are the properties the whole methodology leans on:
 exact checksum identities, agreement between the datapath-level
 statistical unit and the vectorized statistical detectors in both log2
 modes, fault-log soundness, the MSD = freq * mag relation for uniform
-injections, voltage/BER table interpolation behavior, and the sparse
-checksum evidence that compare and sweep score, against the dense product
-in both fault modes.
+injections, voltage/BER table interpolation behavior, and the checksum
+differences of the ``faults.Corruption`` records that compare and sweep
+score, against the dense product in both fault modes.
 """
 
 from __future__ import annotations
@@ -33,10 +33,9 @@ from .faults import (
     SparseFlips,
     VoltageBerTable,
     apply_fault,
-    checksum_diff,
+    corruption,
     default_table,
     inject_uniform,
-    output_events,
     sample_bitflips,
 )
 from .gemm import (
@@ -336,7 +335,7 @@ def _sparse_evidence_failure(s: int) -> str:
     top = 10.0 ** -(1 + int(u[0] % np.uint64(3)))
     fault = FaultConfig(mode="ber", ber=top, seed=derive_seed(s, 2))
     flips = SparseFlips.draw(m, n, entries, fault)
-    if flips.events(top) != sample_bitflips(clean, fault)[1]:
+    if flips.at(top).events() != sample_bitflips(clean, fault)[1]:
         return "top-BER events differ from dense"
     # the sweep's matrix, with this GEMM as trial `index` of a two-trial stream
     other = SparseFlips.draw(
@@ -345,13 +344,13 @@ def _sparse_evidence_failure(s: int) -> str:
     stream = SparseFlips.stack([flips, other] if index == 0 else [other, flips])
     above = None
     for ber in (top, top / 3, top / 10, top / 100, 0.0):
-        kept = flips.events(ber)
-        dense = predicted - _applied(clean, kept, fault).sum(0, dtype=np.int64)
-        if not np.array_equal(checksum_diff(kept, n), dense):
+        kept = flips.at(ber)
+        dense = predicted - _applied(clean, kept.events(), fault).sum(0, dtype=np.int64)
+        if not np.array_equal(kept.diff()[0], dense):
             return f"sparse difference != dense at ber {ber:g}"
-        if not np.array_equal(stream.diff(ber)[index], dense):
+        if not np.array_equal(stream.at(ber).diff()[index], dense):
             return f"stacked difference row != dense at ber {ber:g}"
-        sites = {(e.row, e.col) for e in kept}
+        sites = set(kept.element.tolist())
         if ber == 0.0 and sites:
             return "flips kept at ber 0"
         if above is not None and not sites <= above:
@@ -360,29 +359,30 @@ def _sparse_evidence_failure(s: int) -> str:
     freq = m * n if s % 4 == 0 else int(u[1] % np.uint64(m * n + 1))
     mag = INT32_MAX if s % 3 else INT32_MIN  # adding an INT32 edge wraps often
     uniform = FaultConfig(mode="uniform", freq=freq, mag=mag, seed=derive_seed(s, 3))
-    events = output_events(m, n, entries, uniform)
+    record = corruption(m, n, entries, uniform)
+    events = record.events()
     dense = predicted - _applied(clean, events, uniform).sum(0, dtype=np.int64)
     if (
-        not np.array_equal(checksum_diff(events, n), dense)
+        not np.array_equal(record.diff()[0], dense)
         or len({(e.row, e.col) for e in events}) != freq
         or events != inject_uniform(clean, uniform)[1]
     ):
-        return "uniform log != dense"
+        return "uniform record != dense"
     return ""
 
 
 def check_sparse_evidence(cases: int, seed: int) -> CheckResult:
-    """Logs built from clean values at the touched elements give the dense difference.
+    """Records built from clean values at the touched elements give the dense difference.
 
     Each case is one GEMM of a random WorkloadSpec in either distribution.
-    Its logs read clean values through ``workload_entries``, as compare and
-    sweep do, and are held to ``gemm(*workload_matrices(...))``, and so is
-    its row of the difference matrix a sweep builds for a two-trial stream; the
-    counter-based draws that both use are held to the sequential generator.
-    BER: at the top BER the sparse events are ``sample_bitflips``'s own; as
+    Its ``Corruption`` records read clean values through ``workload_entries``,
+    as compare and sweep do, and their ``diff()``, and its row of a two-trial
+    sweep's, is held to ``gemm(*workload_matrices(...))`` corrupted by numpy;
+    the counter-based draws both use are held to the sequential generator.
+    BER: at the top BER the record's events are ``sample_bitflips``'s own; as
     the BER drops, the corrupted elements form nested sets, empty at BER 0.
     Recovery rates are not checked for monotonicity: two flips in one column
-    can cancel to d_j = 0. Uniform: the log is ``inject_uniform``'s, at
+    can cancel to d_j = 0. Uniform: the events are ``inject_uniform``'s, at
     INT32-edge magnitudes that wrap and up to every element corrupted.
     """
     for c in range(cases):

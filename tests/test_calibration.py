@@ -300,14 +300,14 @@ def test_block_size_changes_no_result(monkeypatch, block_lanes):
     default = []
     g = quality_grid(hash_oracle(default), [0.0, 30.0], [1, 11], **kw)
     blocks = []
-    real = calibration.inject_uniform_stack
+    real = calibration.uniform_corruption
 
-    def spy(clean, seeds, freq, mag):
-        blocks.append(len(clean))
-        return real(clean, seeds, freq, mag)
+    def spy(seeds, *args):
+        blocks.append(len(seeds))
+        return real(seeds, *args)
 
     monkeypatch.setattr(calibration, "BLOCK_LANES", block_lanes)
-    monkeypatch.setattr(calibration, "inject_uniform_stack", spy)
+    monkeypatch.setattr(calibration, "uniform_corruption", spy)
     small = []
     g_small = quality_grid(hash_oracle(small), [0.0, 30.0], [1, 11], **kw)
     assert blocks == ([1] * 20 if block_lanes == 1 else [2, 2, 1] * 4)

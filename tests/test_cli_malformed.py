@@ -62,7 +62,9 @@ BAD = {
     "fault": {
         "mode": _str("BER", "flip"), "ber": _float(-1e-9, 1.5, 1e308),
         "bit_window": _list([5], [1, 2, 3], [10, 5], [-1, 5], [0, 32], [0, HUGE], ["0", 31], [0.5, 31], [None, 31]),
-        "mag": _int(2**31, -(2**31) - 1, HUGE), "freq": _int(-1, -HUGE), "seed": _int(-1, -HUGE),
+        "mag": _int(2**31, -(2**31) - 1, HUGE), "seed": _int(-1, -HUGE),
+        # above the 64 x 64 default output's element count
+        "freq": _int(-1, -HUGE, 64 * 64 + 1, HUGE),
         "voltage": _float(0.0, -0.7, 0.95, 1e308),
     },
     "detector": {

@@ -305,6 +305,10 @@ def test_experiment_config_default_constructible():
         ({"energy": {"e_mac_nom": 1e304}}, "energy: e_mac_nom and detect_overhead overflow"),
         ({"fault": {"ber": math.nan}}, "fault.ber"),
         ({"sweep": {"voltages": [0.8, -math.inf]}}, "sweep.voltages"),
+        (
+            {"workload": {"m": 4, "n": 4}, "fault": {"mode": "uniform", "freq": 17}},
+            "fault.freq: must be <= workload.m * workload.n = 16, got 17",
+        ),
     ],
 )
 def test_json_types_rejected_at_their_key(doc, key):

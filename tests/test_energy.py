@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from statabft import energy, workloads
+from statabft import energy, faults, workloads
 from statabft.detectors import CriticalRegionParams, DetectorSpec
 from statabft.energy import (
     EnergyConfig,
@@ -20,7 +20,8 @@ from statabft.energy import (
     total_energy,
     trial,
 )
-from statabft.faults import FaultConfig, VoltageBerTable, checksum_diff, output_events
+from statabft.faults import FaultConfig, VoltageBerTable, corruption
+from statabft.gemm import AccumMatrix
 from statabft.systolic import run_array
 from statabft.workloads import WorkloadSpec, workload_matrices
 
@@ -272,13 +273,16 @@ def test_sweep_point_at_top_ber_equals_compare_at_that_ber():
         FaultConfig(mode="ber", ber=2e-2, bit_window=(0, 31)),
         FaultConfig(mode="uniform", freq=5, mag=70000),
         FaultConfig(mode="uniform", freq=SPEC.m * SPEC.n, mag=2**31 - 1),
+        FaultConfig(mode="uniform", freq=SPEC.m * SPEC.n, mag=-3),
+        FaultConfig(mode="uniform", freq=0, mag=70000),
+        FaultConfig(mode="uniform", freq=5, mag=0),
         CLEAN,
     ],
-    ids=["ber-16-31", "ber-0-31", "uniform", "uniform-all-wrap", "clean"],
+    ids=["ber-16-31", "ber-0-31", "uniform", "uniform-all-wrap", "uniform-all", "freq-0", "mag-0", "clean"],
 )
 def test_compare_evidence_equals_the_dense_oracle(fault):
-    # compare scores each trial from its fault log alone; the dense run_array,
-    # given the same per-trial fault seed, corrupts the whole product
+    # compare scores each trial from its corruption record alone; the dense
+    # run_array, given the same per-trial fault seed, corrupts the whole product
     fault = replace(fault, seed=3)
     diffs = _trial_diffs(SPEC, fault)
     assert diffs.shape == (SPEC.gemm_count, SPEC.n)
@@ -289,10 +293,11 @@ def test_compare_evidence_equals_the_dense_oracle(fault):
         sim = run_array(w, x, fault=seeded)
         assert np.array_equal(diff, sim.predicted.data - sim.observed.data)
         events = list(sim.events)
-        assert np.array_equal(checksum_diff(events, x.cols), diff)
+        assert corruption(SPEC.m, SPEC.n, *trial(SPEC, fault, t)).events() == events
         if seeded.mode == "uniform":
             wrapped += sum(e.after - e.before != seeded.mag for e in events)
-    assert diffs.any() == (fault != replace(CLEAN, seed=3))
+    idle = (fault.ber if fault.mode == "ber" else fault.freq * fault.mag) == 0
+    assert diffs.any() != idle
     if fault.mag == 2**31 - 1:
         assert wrapped > 0  # the INT32 wrap is exercised
 
@@ -333,11 +338,28 @@ def test_compare_draws_only_the_operand_rows_and_columns_its_faults_read(monkeyp
     touched = []
     for t in range(trials):
         # where BER flips land does not depend on the clean values
-        events = output_events(m, n, zeros, trial(spec, fault, t)[1])
-        touched.append(({e.row for e in events}, {e.col for e in events}))
+        rows, cols = np.divmod(corruption(m, n, zeros, trial(spec, fault, t)[1]).element, n)
+        touched.append((set(rows.tolist()), set(cols.tolist())))
     flipped = [(r, c) for r, c in touched if r]
     assert 0 < len(flipped) < trials  # both kinds of trial occur
     assert len(draws) == 2 * len(flipped)
     assert sum(draws) == sum(len(r) * k + k * len(c) for r, c in flipped)
     assert sum(draws) < m * k
     assert len(diffs) == trials
+
+
+def test_compare_and_sweep_build_no_error_event(monkeypatch):
+    # both score Corruption.diff() straight from arrays; an ErrorEvent per
+    # corrupted element is for inject and the dense injectors only
+    def no_events(*args, **kwargs):
+        raise AssertionError("an ErrorEvent was built")
+
+    monkeypatch.setattr(faults, "ErrorEvent", no_events)
+    zeros = AccumMatrix(np.zeros((2, 2), dtype=np.int32))
+    with pytest.raises(AssertionError, match="ErrorEvent"):
+        faults.apply_fault(zeros, FaultConfig(mode="uniform", freq=1, mag=1))
+    for fault in (FaultConfig(mode="ber", ber=2e-2), FaultConfig(mode="uniform", freq=5, mag=70000)):
+        assert compare_detectors(SPEC, DETECTORS, fault)[1].recovery_rate > 0
+    table = VoltageBerTable(voltages=(0.9, 0.6), bers=(1e-6, 4e-3))
+    res = sweep_detectors(SPEC, DETECTORS, BER, [0.9, 0.6], EnergyConfig(table=table))
+    assert res["classical"].points[-1].recovery_rate > 0

@@ -14,14 +14,13 @@ from statabft.faults import (
     TableFormatError,
     VoltageBerTable,
     apply_fault,
-    checksum_diff,
+    corruption,
     default_table,
     geometric_flips,
     inject_uniform,
-    inject_uniform_stack,
-    output_events,
     replay_events,
     sample_bitflips,
+    uniform_corruption,
     uniform_positions,
 )
 from statabft.gemm import AccumMatrix, checksum, gemm, gemm_entries, predicted_output_checksum
@@ -134,20 +133,30 @@ def test_sparse_flips_match_the_dense_sampler():
     corrupted, events = sample_bitflips(clean, cfg)
     # the clean value at each flipped element is the dense product's
     assert flips.clean.size and np.array_equal(flips.clean, clean.data.ravel()[flips.element])
-    assert flips.events(cfg.ber) == events
+    record = flips.at(cfg.ber)
+    assert record.events() == events
+    assert np.array_equal(record.apply(clean.data[np.newaxis].copy())[0], corrupted.data)
     dense = predicted_output_checksum(w, x).data - checksum(corrupted, "row").data
-    assert np.array_equal(checksum_diff(flips.events(cfg.ber), flips.n_cols), dense)
-    assert np.array_equal(flips.diff(cfg.ber), dense[np.newaxis])
-    assert not checksum_diff(flips.events(0.0), flips.n_cols).any()
+    assert np.array_equal(record.diff(), dense[np.newaxis])
+    assert not flips.at(0.0).diff().any() and flips.at(0.0).events() == []
     with pytest.raises(ValueError, match="ber"):
-        flips.events(0.06)
+        flips.at(0.06)
+
+
+def _xor_diff(clean: np.ndarray, record) -> np.ndarray:
+    """Trial 0's checksum difference with the record's bits XORed into the dense ``clean`` by numpy."""
+    out = clean.copy()
+    out[np.divmod(record.element, clean.shape[1])] ^= record.mask.view(np.int32)
+    return clean.sum(0, dtype=np.int64) - out.sum(0, dtype=np.int64)
 
 
 def test_stacked_flips_give_each_trials_difference_row():
-    # a sweep thins the flips of all its trials at once: row t of diff(ber) is
-    # trial t's own checksum_diff at that ber, bit-31 flips that wrap included
+    # a sweep thins the flips of all its trials at once: row t of at(ber).diff()
+    # is trial t's own flips at that ber XORed into the dense product, bit-31
+    # flips that wrap included
     w = random_quant_matrix(9, 30, "outlier", 2)
     x = random_quant_matrix(30, 7, "uniform", 3)
+    clean = gemm(w, x).data
     entries = partial(gemm_entries, w, x)
     cfg = FaultConfig(mode="ber", ber=0.04, bit_window=(0, 31))
     parts = [SparseFlips.draw(w.rows, x.cols, entries, replace(cfg, seed=s)) for s in range(5)]
@@ -155,20 +164,20 @@ def test_stacked_flips_give_each_trials_difference_row():
     assert stream.n_trials == 5
     assert stream.trial.tolist() == [t for t, p in enumerate(parts) for _ in p.u]
     for ber in (0.04, 0.01, 0.001, 0.0):
-        rows = [checksum_diff(p.events(ber), x.cols) for p in parts]
-        assert np.array_equal(stream.diff(ber), np.array(rows))
-    assert stream.diff(0.04).any() and not stream.diff(0.0).any()
+        rows = [_xor_diff(clean, p.at(ber)) for p in parts]
+        assert np.array_equal(stream.at(ber).diff(), np.array(rows))
+    assert stream.at(0.04).diff().any() and not stream.at(0.0).diff().any()
     # on a one-element output every trial's flips hit the element the trial
     # before it ended on: the flips of two trials never merge into one element
     one = [
         SparseFlips.draw(1, 1, lambda rows, cols: np.full(rows.shape, 7), replace(cfg, seed=s, ber=0.5))
         for s in range(4)
     ]
-    rows = [checksum_diff(p.events(0.5), 1) for p in one]
+    rows = [_xor_diff(np.full((1, 1), 7, dtype=np.int32), p.at(0.5)) for p in one]
     assert all(r.any() for r in rows)
-    assert np.array_equal(SparseFlips.stack(one).diff(0.5), np.array(rows))
+    assert np.array_equal(SparseFlips.stack(one).at(0.5).diff(), np.array(rows))
     with pytest.raises(ValueError, match="5 trials"):
-        stream.events(0.01)
+        stream.at(0.01).events()
 
 
 @pytest.mark.parametrize(
@@ -185,7 +194,7 @@ def test_fault_events_equal_the_dense_injectors_log(cfg):
     x = random_quant_matrix(24, 12, "uniform", 4)
     for s in range(6):
         seeded = replace(cfg, seed=s)
-        events = output_events(w.rows, x.cols, partial(gemm_entries, w, x), seeded)
+        events = corruption(w.rows, x.cols, partial(gemm_entries, w, x), seeded).events()
         assert events and events == apply_fault(gemm(w, x), seeded)[1]
 
 
@@ -293,8 +302,10 @@ def test_stack_injection_equals_inject_uniform_per_trial(freq, mag):
     clean = np.stack([make_output(s).data[:3, :4] for s in range(4)])
     clean[0, 0, 0] = 2**31 - 1
     seeds = np.array([5, 6, 7, 8], dtype=np.uint64)
-    out = inject_uniform_stack(clean, seeds, freq, mag)
+    record = uniform_corruption(seeds, 3, 4, lambda t, r, c: clean[t, r, c], freq, mag)
+    out = record.apply(clean.copy())
     assert out.dtype == np.int32 and out.shape == clean.shape
+    assert record.mask is None and record.trial.size == (freq if mag else 0) * len(seeds)
     for c, o, seed in zip(clean, out, seeds.tolist()):
         cfg = FaultConfig(mode="uniform", freq=freq, mag=mag, seed=seed)
         assert AccumMatrix(o) == inject_uniform(AccumMatrix(c), cfg)[0]
