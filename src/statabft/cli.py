@@ -35,8 +35,8 @@ from .energy import (
     SweepPoint,
     compare_detectors,
     energy_saving,
+    stream,
     sweep_detectors,
-    trial,
 )
 from .faults import TableFormatError, corruption
 from .gemm import AccumMatrix, ChecksumVector, predicted_output_checksum
@@ -230,7 +230,7 @@ def cmd_inject(cfg: ExperimentConfig, args) -> int:
         raise ConfigError(f"--index must be in [0, {spec.gemm_count}), got {args.index}")
     w, x = workload_matrices(spec, args.index)
     # the trial compare and sweep score: clean values only at the corrupted elements
-    record = corruption(spec.m, spec.n, *trial(spec, cfg.fault, args.index))
+    record = corruption(spec.m, spec.n, *stream(spec, cfg.fault, [args.index]), cfg.fault)
     events = record.events()
     predicted = predicted_output_checksum(w, x)
     observed = ChecksumVector(predicted.data - record.diff()[0])

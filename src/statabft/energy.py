@@ -13,8 +13,8 @@ The "none" baseline pays neither overhead nor recovery; the DMR baseline
 pays compute twice (dual execution) plus the same recovery term. Expected
 latency stretches by the recovery rate: latency_factor = 1 + recovery_rate.
 
-A voltage sweep runs the same GEMM stream at every operating point, with
-its faults paired across voltages too (common random numbers, for variance
+A voltage sweep runs the same GEMM stream at every operating point, with its
+faults paired across voltages too (common random numbers, for variance
 reduction): each trial's bit flips are sampled once at the sweep's highest
 BER, and a voltage keeps the flips whose thinning uniform lies below the BER
 the voltage/BER table gives it. Detectors read only the checksum difference,
@@ -22,24 +22,29 @@ which a ``faults.Corruption`` record gives per column as ``-sum(after -
 before)``, so comparisons and sweeps alike compute the clean output only at
 corrupted elements and never run the dense GEMM. Nor do they draw whole
 operands: ``workload_entries`` draws just the W rows and X columns that the
-corrupted elements read, so a trial costs in proportion to its faults, not
-to the GEMM's size. Every detector is scored on the same checksum evidence: a
-sweep builds, per voltage, one int64 (trials x lanes) matrix D of checksum
-differences from the record of all its trials' thinned flips, and each
-detector decides the rows of D in vectorized calls (``DetectorSpec.decide``),
-one per block of ``BLOCK_LANES`` lanes, so its temporaries stay bounded;
-``compare`` fills row t of D from trial t's own record, and
-``WorkloadSpec`` caps D at 2**24 lanes (128 MiB). Row sums are exact in
-int64 while lanes * max|d_j| < 2**63, which every GEMM meets (|d_j| <=
-m * 2**32 <= 2**44 with at most 4096 lanes) and which is asserted.
+corrupted elements read, so a trial costs in proportion to its faults, not to
+the GEMM's size. Nor do they draw trial by trial: ``stream`` gives a run of
+GEMMs its fault seeds and one clean-entry callback, and one draw samples the
+faults of all of them and reads every clean entry they need in one
+``workload_entries`` call, with its temporaries in blocks of about
+``rng.DRAW_BLOCK`` values. Every detector is scored on the same checksum
+evidence: a sweep draws its whole stream once and builds, per voltage, one
+int64 (trials x lanes) matrix D of checksum differences from the record of
+all its trials' thinned flips, and each detector decides the rows of D in
+vectorized calls (``DetectorSpec.decide``), one per block of ``BLOCK_LANES``
+lanes, so its temporaries stay bounded; ``compare`` builds D from one record
+per block of trials sized by the elements a record may hold (a sparse BER
+stream, such as the 200 default GEMMs, is one block), and ``WorkloadSpec``
+caps D at 2**24 lanes (128 MiB). Row sums are exact in int64 while lanes *
+max|d_j| < 2**63, which every GEMM meets (|d_j| <= m * 2**32 <= 2**44 with at
+most 4096 lanes) and which is asserted.
 The per-detector optimum is the sweep point with minimal energy (ties break
 toward higher voltage).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -63,6 +68,10 @@ from .workloads import workload_matrices
 
 # derivation tag for fault streams inside sweeps/comparisons
 _TAG_FAULT = 201
+
+# elements a compare block's record is sized to hold (see _stream_diffs);
+# results do not depend on it
+_RECORD_BLOCK = 2**16
 
 
 @dataclass(frozen=True)
@@ -167,21 +176,35 @@ def _unique_labels(detectors) -> list[str]:
     return labels
 
 
-def trial(spec: WorkloadSpec, fault: FaultConfig, t: int):
-    """Trial ``t`` of the stream: GEMM ``t``'s clean-entry callback and ``fault`` on its own seed.
+def stream(spec: WorkloadSpec, fault: FaultConfig, trials):
+    """GEMMs ``trials`` of the stream as the trials of one draw: an entry callback and their seeds.
 
-    Comparisons, sweeps and ``inject`` all build trial ``t`` here, so each
-    scores or dumps the same GEMM under the same faults.
+    ``entries(i, rows, cols)`` reads GEMM ``trials[i]``, one trial index per
+    entry, and ``seeds[i]`` is the fault seed ``fault.seed`` derives for it.
+    Comparisons, sweeps and ``inject`` (``trials = [t]``) all build their
+    trials here, so each scores or dumps the same GEMM under the same faults.
     """
-    seeded = replace(fault, seed=derive_seed(fault.seed, _TAG_FAULT, 0, t))
-    return partial(workload_entries, spec, t), seeded
+    trials = np.asarray(trials, dtype=np.int64)
+    seeds = derive_seed(fault.seed, _TAG_FAULT, 0, trials)
+    return (lambda i, rows, cols: workload_entries(spec, trials[i], rows, cols)), seeds
 
 
-def _trial_diffs(spec: WorkloadSpec, fault: FaultConfig) -> np.ndarray:
-    """The (GEMMs x n) checksum-difference matrix of the stream: row t from trial t's corruption."""
-    diffs = np.zeros((spec.gemm_count, spec.n), dtype=np.int64)
-    for t in range(spec.gemm_count):
-        diffs[t] = corruption(spec.m, spec.n, *trial(spec, fault, t)).diff()[0]
+def _stream_diffs(spec: WorkloadSpec, fault: FaultConfig) -> np.ndarray:
+    """The (GEMMs x n) checksum-difference matrix of the stream, one corruption record per block.
+
+    A block's differences hold at most ``BLOCK_LANES`` lanes, and its record
+    about ``_RECORD_BLOCK`` elements: m * n per trial in uniform mode (its
+    priorities), the expected flips in BER mode, where a sparse stream is one
+    record.
+    """
+    diffs = np.empty((spec.gemm_count, spec.n), dtype=np.int64)
+    per_trial = spec.m * spec.n
+    if fault.mode != UNIFORM_MODE:
+        per_trial *= (fault.bit_window[1] - fault.bit_window[0] + 1) * fault.ber
+    step = max(1, min(BLOCK_LANES // spec.n, int(_RECORD_BLOCK // max(1.0, per_trial))))
+    for start in range(0, spec.gemm_count, step):
+        block = np.arange(start, min(start + step, spec.gemm_count))
+        diffs[block] = corruption(spec.m, spec.n, *stream(spec, fault, block), fault).diff()
     return diffs
 
 
@@ -224,14 +247,14 @@ def compare_detectors(spec: WorkloadSpec, detectors, fault: FaultConfig) -> list
     """Run the ``spec.gemm_count`` GEMMs of a stream at one fault level; score every detector.
 
     Trial ``t``'s checksum difference comes from its corrupted elements alone
-    (``corruption`` on ``trial(spec, fault, t)``, clean values at those
+    (``corruption`` on the trials ``stream`` builds, clean values at those
     elements only), the same sparse evidence ``sweep_detectors`` scores. The
     undetected-critical rate counts trials a detector passed whose checksum
     evidence lies inside the statistical detector's own critical region.
     """
     ref = _proxy_params(detectors)
     n, recoveries, undetected, freq_sum, msd_sum = _score_stream(
-        _trial_diffs(spec, fault), detectors, ref
+        _stream_diffs(spec, fault), detectors, ref
     )
     return [
         CompareRow(
@@ -258,7 +281,7 @@ def sweep_detectors(
     ``fault`` gives the seed and bit window; its ``ber`` is not read, and a
     uniform-mode ``fault`` is rejected. Each of the ``spec.gemm_count``
     trials has its flips sampled once, at the sweep's highest BER with the
-    seed ``trial`` gives it, and thinned per voltage; the point at the
+    seed ``stream`` gives it, and thinned per voltage; the point at the
     highest BER therefore scores the same evidence a comparison at that BER
     does. Returns one SweepResult per detector kind with per-voltage points
     in the order given and the energy-minimal optimum (ties break toward
@@ -275,11 +298,8 @@ def sweep_detectors(
     ref = _proxy_params(detectors)
     n_mac = spec.macs_per_gemm
     bers = [energy_cfg.table.ber_at(v) for v in voltages]
-    top = replace(fault, ber=max(bers))
-
-    flips = SparseFlips.stack(
-        [SparseFlips.draw(spec.m, spec.n, *trial(spec, top, t)) for t in range(spec.gemm_count)]
-    )
+    entries, seeds = stream(spec, fault, np.arange(spec.gemm_count))
+    flips = SparseFlips.draw(spec.m, spec.n, entries, seeds, fault.bit_window, max(bers))
 
     points = {label: [] for label in labels}
     for v, ber in zip(voltages, bers):

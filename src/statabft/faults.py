@@ -10,7 +10,10 @@ Two fault modes:
   (0, 1] (Devroye, *Non-Uniform Random Variate Generation*, 1986, ch. X).
   Flip j takes SplitMix64 draws 2j (its gap) and 2j + 1 (a thinning uniform
   ``u`` in [0, ber)), so a (seed, matrix shape, window, ber) tuple fixes the
-  corruption pattern exactly, however the draws are batched. Keeping only the
+  corruption pattern exactly, however the draws are batched: a stream of
+  trials, one seed each, is sampled in one pass whose chunks span the trials
+  still drawing, in blocks of about ``rng.DRAW_BLOCK`` values, and each
+  trial's flips are the ones it would draw alone. Keeping only the
   flips with ``u < ber'`` gives an exact sample at any lower ``ber'`` from the
   same draws, and the lower-BER flips are a subset of the higher-BER ones.
   A gap goes through float64 ``log``, so patterns are bit-identical across
@@ -25,14 +28,16 @@ Both modes record what they corrupt in one array record, ``Corruption``,
 the only source of checksum differences (``diff``), event logs (``events``)
 and corrupted dense stacks (``apply``). ``SparseFlips.at`` builds it in BER
 mode and ``uniform_corruption`` in uniform mode (positions from
-``uniform_positions``), for many trials at once; ``corruption`` builds one
-trial's in either mode. Each reads clean values only at the corrupted
-elements, through a callback: comparisons, sweeps and ``inject`` pass
+``uniform_positions``), ``corruption`` in either mode, all for a stream of
+trials with one seed each. Each reads clean values only at the corrupted
+elements, through one callback call for the whole stream, ``entries(trials,
+rows, cols)``: comparisons, sweeps and ``inject`` pass
 ``workloads.workload_entries``, which draws only the operand rows and
 columns those elements read; the dense injectors (``sample_bitflips``,
-``inject_uniform``) read the matrix and replay the record's events onto it,
-and the calibration grid reads and corrupts a stack of trials. A
-``FaultConfig`` is the only source of a fault's seed and bit window.
+``inject_uniform``) pass a one-trial stream on ``FaultConfig.seed``, read the
+matrix and replay the record's events onto it, and the calibration grid
+reads and corrupts a stack of trials. A ``FaultConfig`` roots every trial
+seed and is the only source of a bit window.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gemm import AccumMatrix
-from .rng import MASK64, u64_rows, u64_stream, unit_floats
+from .rng import DRAW_BLOCK, MASK64, u64_stream, unit_floats
 
 BER_MODE = "ber"
 UNIFORM_MODE = "uniform"
@@ -126,44 +131,49 @@ def _wrap_int32(v: int) -> int:
     return ((v - INT32_MIN) % 2**32) + INT32_MIN
 
 
-def geometric_flips(seed: int, n_bits: int, ber: float) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of the candidate bits that flip, and one thinning uniform each.
+def geometric_flips(seeds, n_bits: int, ber: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidate bits that flip in each trial of a stream, and one thinning uniform each.
 
-    Each of ``n_bits`` bits flips independently with probability ``ber``.
-    Returns the flipped indices in ascending order (int64) and, per flip, a
-    uniform ``u`` in [0, ber) (float64): the flips with ``u < ber'`` are an
-    exact sample at any ``ber' <= ber``.
+    Trial t draws on ``seeds[t]`` (uint64), and each of its ``n_bits`` bits
+    flips independently with probability ``ber``. Returns the trial (int64),
+    index (int64) and thinning uniform ``u`` in [0, ber) (float64) of every
+    flip, sorted by (trial, index): the flips with ``u < ber'`` are an exact
+    sample at any ``ber' <= ber``. The trials still drawing take each chunk
+    together, in blocks of about ``DRAW_BLOCK`` values, and a trial drops out
+    once its chunk runs past its last bit.
     """
     if not 0.0 <= ber <= 1.0:
         raise ValueError(f"ber must be in [0, 1], got {ber}")
+    seeds = np.asarray(seeds, dtype=np.uint64).ravel()
     if ber == 0.0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.float64)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)
     # log(1 - ber) is -inf at ber == 1 (where math.log1p raises), and every
     # gap log(U) / -inf is then 0: all bits flip
     log_q = math.log1p(-ber) if ber < 1.0 else -math.inf
-    indices, thinning = [], []
-    last, done, chunk = -1, 0, _SKIP_CHUNK
-    while True:
-        unit = unit_floats(u64_stream(seed, 2 * chunk, 2 * done))
-        # log1p(-unit) is log(U) for U = 1 - unit in (0, 1]; a gap past the
-        # last bit ends the sample, so clip before the integer cast
-        gaps = np.minimum(np.floor(np.log1p(-unit[0::2]) / log_q), n_bits)
-        idx = last + np.cumsum(gaps.astype(np.int64) + 1)
-        k = int(np.searchsorted(idx, n_bits))
-        indices.append(idx[:k])
-        thinning.append(ber * unit[1::2][:k])
-        if k < chunk:
-            return np.concatenate(indices), np.concatenate(thinning)
-        last, done, chunk = int(idx[-1]), done + chunk, 2 * chunk
-
-
-def _flip_sites(seed: int, n_elements: int, bit_window: tuple[int, int], ber: float):
-    """Element index, bit mask and thinning uniform of every flipped bit."""
-    lo, hi = bit_window
-    width = hi - lo + 1
-    idx, u = geometric_flips(seed, n_elements * width, ber)
-    elements, bits = np.divmod(idx, width)
-    return elements, np.left_shift(np.uint32(1), (bits + lo).astype(np.uint32)), u
+    trials, indices, thinning = [], [], []
+    active, last = np.arange(seeds.size), np.full(seeds.size, -1, dtype=np.int64)
+    done, chunk = 0, _SKIP_CHUNK
+    while active.size:
+        going = []
+        step = max(1, DRAW_BLOCK // (2 * chunk))
+        for start in range(0, active.size, step):
+            rows = active[start : start + step]
+            unit = unit_floats(u64_stream(seeds[rows, np.newaxis], 2 * chunk, 2 * done))
+            # log1p(-unit) is log(U) for U = 1 - unit in (0, 1]; a gap past the
+            # last bit ends the sample, so clip before the integer cast
+            gaps = np.minimum(np.floor(np.log1p(-unit[:, 0::2]) / log_q), n_bits)
+            idx = last[rows, np.newaxis] + np.cumsum(gaps.astype(np.int64) + 1, axis=1)
+            keep = idx < n_bits
+            trials.append(np.broadcast_to(rows[:, np.newaxis], idx.shape)[keep])
+            indices.append(idx[keep])
+            thinning.append(ber * unit[:, 1::2][keep])
+            going.append(rows[keep[:, -1]])
+            last[rows] = idx[:, -1]
+        active, done, chunk = np.concatenate(going), done + chunk, 2 * chunk
+    # each chunk's flips follow the last chunk's, so a stable sort by trial sorts all
+    trial = np.concatenate(trials)
+    order = np.argsort(trial, kind="stable")
+    return trial[order], np.concatenate(indices)[order], np.concatenate(thinning)[order]
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,22 +239,23 @@ class SparseFlips:
     clean: np.ndarray  # int64
 
     @classmethod
-    def draw(cls, n_rows: int, n_cols: int, entries, cfg: FaultConfig):
-        """The flips of ``cfg``'s (seed, ber, bit_window) in one n_rows x n_cols output.
+    def draw(
+        cls, n_rows: int, n_cols: int, entries, seeds, bit_window: tuple[int, int], ber: float
+    ):
+        """The flips at ``ber`` inside ``bit_window`` of a stream of n_rows x n_cols outputs.
 
-        ``entries(rows, cols)`` gives the clean values at the flipped elements.
+        Trial t is drawn on ``seeds[t]``, all trials in one ``geometric_flips``
+        pass, and ``entries(trials, rows, cols)`` gives the clean values at
+        every flipped element of the stream in one call.
         """
-        elements, masks, u = _flip_sites(cfg.seed, n_rows * n_cols, cfg.bit_window, cfg.ber)
-        clean = np.asarray(entries(*np.divmod(elements, n_cols)), dtype=np.int64)
-        trial = np.zeros(elements.size, dtype=np.int64)
-        return cls(1, n_cols, cfg.ber, trial, elements, masks, u, clean)
-
-    @classmethod
-    def stack(cls, parts: list["SparseFlips"]) -> "SparseFlips":
-        """One stream of one-trial draws of one shape and ber; trial t is parts[t]."""
-        trial = np.repeat(np.arange(len(parts)), [p.u.size for p in parts])
-        arrays = (np.concatenate([getattr(p, f) for p in parts]) for f in ("element", "mask", "u", "clean"))
-        return cls(len(parts), parts[0].n_cols, parts[0].ber, trial, *arrays)
+        seeds = np.asarray(seeds, dtype=np.uint64).ravel()
+        lo, hi = bit_window
+        width = hi - lo + 1
+        trial, idx, u = geometric_flips(seeds, n_rows * n_cols * width, ber)
+        element, bits = np.divmod(idx, width)
+        mask = np.left_shift(np.uint32(1), (bits + lo).astype(np.uint32))
+        clean = np.asarray(entries(trial, *np.divmod(element, n_cols)), dtype=np.int64)
+        return cls(seeds.size, n_cols, ber, trial, element, mask, u, clean)
 
     def at(self, ber: float) -> Corruption:
         """The elements corrupted at ``ber``, by the flips whose thinning uniform lies below it."""
@@ -277,7 +288,8 @@ def uniform_positions(seeds, n: int, freq: int) -> np.ndarray:
         raise ValueError(f"freq must be >= 0, got {freq}")
     if freq in (0, n):
         return np.tile(np.arange(freq), (len(seeds), 1))
-    positions = np.argpartition(u64_rows(seeds, n), freq, axis=1)[:, :freq]
+    priorities = u64_stream(np.asarray(seeds, dtype=np.uint64)[:, np.newaxis], n)
+    positions = np.argpartition(priorities, freq, axis=1)[:, :freq]
     positions.sort(axis=1)
     return positions
 
@@ -297,22 +309,24 @@ def uniform_corruption(seeds, n_rows: int, n_cols: int, entries, freq: int, mag:
     return Corruption(len(positions), n_cols, trial, element, before, _wrap_int32(before + mag))
 
 
-def corruption(n_rows: int, n_cols: int, entries, cfg: FaultConfig) -> Corruption:
-    """The corrupted elements of ``cfg`` on one n_rows x n_cols output, in either mode.
+def corruption(n_rows: int, n_cols: int, entries, seeds, cfg: FaultConfig) -> Corruption:
+    """The elements ``cfg`` corrupts in a stream of n_rows x n_cols outputs, in either mode.
 
-    ``entries(rows, cols)`` gives the clean values at the corrupted elements.
+    Trial t is injected on ``seeds[t]``, so ``cfg.seed`` is not read here: a
+    one-trial caller passes ``[cfg.seed]``, a stream its trials' seeds derived
+    from it. ``entries(trials, rows, cols)`` gives the clean values at the
+    corrupted elements.
     """
     if cfg.mode == BER_MODE:
-        return SparseFlips.draw(n_rows, n_cols, entries, cfg).at(cfg.ber)
-    return uniform_corruption(
-        [cfg.seed & MASK64], n_rows, n_cols, lambda _, r, c: entries(r, c), cfg.freq, cfg.mag
-    )
+        return SparseFlips.draw(n_rows, n_cols, entries, seeds, cfg.bit_window, cfg.ber).at(cfg.ber)
+    return uniform_corruption(seeds, n_rows, n_cols, entries, cfg.freq, cfg.mag)
 
 
 def _replayed(y: AccumMatrix, cfg: FaultConfig, mode: str, name: str):
     if cfg.mode != mode:
         raise ValueError(f"{name} needs mode={mode!r}, got {cfg.mode!r}")
-    events = corruption(*y.data.shape, lambda rows, cols: y.data[rows, cols], cfg).events()
+    record = corruption(*y.data.shape, lambda _, r, c: y.data[r, c], [cfg.seed & MASK64], cfg)
+    events = record.events()
     return replay_events(y, events), events
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 MAX_INNER_DIM = 2**16
 
-# int64 values per operand block gathered by gemm_entries (2 MiB each)
+# values per (K x entries) block of products gathered by gemm_entries (512 KiB in int16)
 _ENTRY_BLOCK = 2**18
 
 ROW = "row"
@@ -169,9 +169,11 @@ def gemm_entries(w: QuantMatrix, x: QuantMatrix, rows, cols) -> np.ndarray:
     out = np.zeros(len(rows), dtype=np.int64)
     step = max(_ENTRY_BLOCK // w.cols, 1)
     for i in range(0, len(rows), step):
-        a = w.data[rows[i : i + step]].astype(np.int64)
-        b = x.data[:, cols[i : i + step]].astype(np.int64)
-        out[i : i + step] = np.einsum("ik,ki->i", a, b)
+        # gathered as (K x entries) rows, so short operand rows stay fast; an
+        # INT8 x INT8 product fits int16 (|w * x| <= 2**14), its sum int64
+        block = np.take(w.data.T, rows[i : i + step], axis=1).astype(np.int16)
+        block *= np.take(x.data, cols[i : i + step], axis=1)
+        out[i : i + step] = block.sum(axis=0, dtype=np.int64)
     return out
 
 

@@ -3,8 +3,10 @@
 All randomness flows through SplitMix64 so runs reproduce bit-for-bit on any
 platform and trial seeds can be derived independently (no shared RNG state
 between concurrent trials). The k-th draw from a seed is a pure function of
-(seed, k), which makes bulk sampling vectorizable and lets ``u64_at`` draw
-any subset of a stream alone.
+(seed, k), which makes bulk sampling vectorizable: ``u64_at`` draws any
+subset of a stream alone, and of many streams at once when given an array of
+seeds. Stream-wide draws hold their temporaries to blocks of about
+``DRAW_BLOCK`` values.
 """
 
 from __future__ import annotations
@@ -13,6 +15,11 @@ import numpy as np
 
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
+
+# uint64 values per temporary of a stream-wide draw (32 KiB): the fault
+# sampler's first chunk over a block of trials, a block of operand rows and a
+# block of entry dot products. Results do not depend on it.
+DRAW_BLOCK = 2**12
 
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
@@ -37,28 +44,30 @@ def _mix64_array(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def u64_at(seed: int, idx) -> np.ndarray:
+def u64_at(seed, idx) -> np.ndarray:
     """Outputs ``idx`` (0-based, an index array of any shape) of SplitMix64 seeded with ``seed``.
 
     Output i equals mix64(seed + (i + 1) * GAMMA), the classic sequential
     generator unrolled, so any output is drawn without the ones before it.
+    ``seed`` is an int, or a uint64 array that broadcasts against ``idx``:
+    element i is then output idx[i] of the stream seeded with seed[i].
     """
     i = np.asarray(idx, dtype=np.uint64)
-    # seed + (i + 1) * GAMMA, on a raveled view so a 0-d index wraps like an array
-    z = np.uint64((seed + GAMMA) & MASK64) + i.ravel() * np.uint64(GAMMA)
-    return _mix64_array(z).reshape(i.shape)
+    shape = i.shape
+    if isinstance(seed, np.ndarray):
+        shape = np.broadcast_shapes(seed.shape, shape)
+        base = np.atleast_1d(seed).astype(np.uint64, copy=False) + np.uint64(GAMMA)
+    else:
+        base = np.uint64((int(seed) + GAMMA) & MASK64)
+    # seed + (i + 1) * GAMMA, on at least 1-d arrays so a 0-d operand wraps like an array
+    return _mix64_array(base + np.atleast_1d(i) * np.uint64(GAMMA)).reshape(shape)
 
 
-def u64_rows(seeds, n: int) -> np.ndarray:
-    """Outputs 0 to n - 1 under each seed: row r of the result is ``u64_stream(seeds[r], n)``."""
-    s = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
-    return _mix64_array(s + np.arange(1, n + 1, dtype=np.uint64) * np.uint64(GAMMA))
-
-
-def u64_stream(seed: int, n: int, offset: int = 0) -> np.ndarray:
+def u64_stream(seed, n: int, offset: int = 0) -> np.ndarray:
     """Outputs ``offset`` to ``offset + n - 1`` of SplitMix64 seeded with ``seed``.
 
-    ``SplitMix64`` produces the same values one at a time.
+    ``SplitMix64`` produces the same values one at a time. A column of seeds
+    (a (trials x 1) uint64 array) gives one row of outputs per seed.
     """
     return u64_at(seed, np.arange(offset, offset + n, dtype=np.uint64))
 
@@ -86,16 +95,18 @@ def derive_seed(root: int, *indices):
     Used to give every (trial, GEMM, purpose) tuple its own independent
     stream. The fold order is part of the reproducibility contract.
 
-    With Python int indices the seed is a Python int. If any index is an
-    array of nonnegative integers, the indices broadcast together and the
-    result is the uint64 array of the seeds of every index tuple, computed
-    with the same rounds in wrapping uint64 arithmetic.
+    With integer indices (Python ints or numpy integer scalars) the seed is a
+    Python int. If any index is an array of nonnegative integers, the indices
+    broadcast together and the result is the uint64 array of the seeds of
+    every index tuple, computed with the same rounds in wrapping uint64
+    arithmetic.
     """
     s = root & MASK64
     for k in indices:
-        if isinstance(k, np.ndarray):  # checked here, as the scalar form runs once per trial
+        if isinstance(k, np.ndarray):
             return _derive_seeds(root, indices)
-        s = mix64(((s + GAMMA) & MASK64) ^ mix64((k + GAMMA) & MASK64))
+        # an np.integer index is the Python int it holds (numpy's own addition would overflow)
+        s = mix64(((s + GAMMA) & MASK64) ^ mix64((int(k) + GAMMA) & MASK64))
     return s
 
 

@@ -27,6 +27,7 @@ from .detectors import (
     log2_fixed,
 )
 from .faults import (
+    _SKIP_CHUNK,
     INT32_MAX,
     INT32_MIN,
     FaultConfig,
@@ -35,6 +36,7 @@ from .faults import (
     apply_fault,
     corruption,
     default_table,
+    geometric_flips,
     inject_uniform,
     sample_bitflips,
 )
@@ -317,6 +319,11 @@ def check_lzc_band(cases: int, seed: int) -> CheckResult:
     return CheckResult("lzc-agreement-band", cases, True)
 
 
+def _one_gemm(spec: WorkloadSpec, index: int):
+    """The clean-entry callback of a one-trial record of GEMM ``index``."""
+    return lambda _, rows, cols: workload_entries(spec, index, rows, cols)
+
+
 def _sparse_evidence_failure(s: int) -> str:
     """How case ``s`` breaks the sparse evidence (see below), or '' if it holds."""
     m, k, n = _dims(s)
@@ -331,25 +338,37 @@ def _sparse_evidence_failure(s: int) -> str:
     w, x = workload_matrices(spec, index)
     clean = gemm(w, x)
     predicted = predicted_output_checksum(w, x).data
-    entries = partial(workload_entries, spec, index)
-    top = 10.0 ** -(1 + int(u[0] % np.uint64(3)))
-    fault = FaultConfig(mode="ber", ber=top, seed=derive_seed(s, 2))
-    flips = SparseFlips.draw(m, n, entries, fault)
+    choice, n_bits = int(u[0] % np.uint64(4)), m * n * 16  # candidate bits of the default window
+    # choice 3 straddles the first chunk: this trial draws past it, the other ends inside it
+    straddle = choice == 3 and n_bits >= 2 * _SKIP_CHUNK
+    top = _SKIP_CHUNK / n_bits if straddle else 10.0 ** -(1 + choice % 3)
+    pair = [derive_seed(s, 2), derive_seed(s, 4)]  # this trial's seed, the other's
+    if straddle:
+        candidates = derive_seed(s, 4, np.arange(64))
+        counts = np.bincount(geometric_flips(candidates, n_bits, top)[0], minlength=64)
+        if not counts.max() >= _SKIP_CHUNK > counts.min():
+            return "no candidate pair straddles the first chunk"
+        pair = [int(candidates[counts.argmax()]), int(candidates[counts.argmin()])]
+    fault = FaultConfig(mode="ber", ber=top, seed=pair[0])
+    flips = SparseFlips.draw(m, n, _one_gemm(spec, index), pair[:1], fault.bit_window, top)
+    other = SparseFlips.draw(m, n, _one_gemm(spec, 1 - index), pair[1:], fault.bit_window, top)
     if flips.at(top).events() != sample_bitflips(clean, fault)[1]:
         return "top-BER events differ from dense"
-    # the sweep's matrix, with this GEMM as trial `index` of a two-trial stream
-    other = SparseFlips.draw(
-        m, n, partial(workload_entries, spec, 1 - index), replace(fault, seed=derive_seed(s, 4))
-    )
-    stream = SparseFlips.stack([flips, other] if index == 0 else [other, flips])
+    # the sweep's draw, with this GEMM as trial `index` of a two-trial stream
+    seeds = pair if index == 0 else pair[::-1]
+    stream = SparseFlips.draw(m, n, partial(workload_entries, spec), seeds, fault.bit_window, top)
     above = None
     for ber in (top, top / 3, top / 10, top / 100, 0.0):
         kept = flips.at(ber)
         dense = predicted - _applied(clean, kept.events(), fault).sum(0, dtype=np.int64)
         if not np.array_equal(kept.diff()[0], dense):
             return f"sparse difference != dense at ber {ber:g}"
-        if not np.array_equal(stream.at(ber).diff()[index], dense):
-            return f"stacked difference row != dense at ber {ber:g}"
+        rows = stream.at(ber).diff()
+        if not (
+            np.array_equal(rows[index], dense)
+            and np.array_equal(rows[1 - index], other.at(ber).diff()[0])
+        ):
+            return f"stream difference rows != per-trial rows at ber {ber:g}"
         sites = set(kept.element.tolist())
         if ber == 0.0 and sites:
             return "flips kept at ber 0"
@@ -359,7 +378,7 @@ def _sparse_evidence_failure(s: int) -> str:
     freq = m * n if s % 4 == 0 else int(u[1] % np.uint64(m * n + 1))
     mag = INT32_MAX if s % 3 else INT32_MIN  # adding an INT32 edge wraps often
     uniform = FaultConfig(mode="uniform", freq=freq, mag=mag, seed=derive_seed(s, 3))
-    record = corruption(m, n, entries, uniform)
+    record = corruption(m, n, _one_gemm(spec, index), [uniform.seed], uniform)
     events = record.events()
     dense = predicted - _applied(clean, events, uniform).sum(0, dtype=np.int64)
     if (
@@ -376,9 +395,13 @@ def check_sparse_evidence(cases: int, seed: int) -> CheckResult:
 
     Each case is one GEMM of a random WorkloadSpec in either distribution.
     Its ``Corruption`` records read clean values through ``workload_entries``,
-    as compare and sweep do, and their ``diff()``, and its row of a two-trial
-    sweep's, is held to ``gemm(*workload_matrices(...))`` corrupted by numpy;
-    the counter-based draws both use are held to the sequential generator.
+    as compare and sweep do, and their ``diff()`` is held to
+    ``gemm(*workload_matrices(...))`` corrupted by numpy; the counter-based
+    draws both use are held to the sequential generator. The sweep's own
+    draw of a two-trial stream gives each trial the difference row of its
+    one-trial draw; on a quarter of the cases the BER puts about 64 flips in
+    a trial, and the stream pairs a trial that draws past the first 64-flip
+    chunk with one that ends inside it.
     BER: at the top BER the record's events are ``sample_bitflips``'s own; as
     the BER drops, the corrupted elements form nested sets, empty at BER 0.
     Recovery rates are not checked for monotonicity: two flips in one column

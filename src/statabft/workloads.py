@@ -10,8 +10,10 @@ Two input distributions:
 All draws are SplitMix64-derived, one u64 per element in row-major order,
 bit-sliced into the element's value. The stream is counter-based, so each
 element can be drawn alone: ``workload_entries`` gives clean output entries
-of a GEMM from just the W rows and X columns they read, equal to the dense
-product's.
+of any GEMMs of a stream from just the W rows and X columns they read, equal
+to the dense products'. One call serves a whole stream of trials: each
+(GEMM, row) and (GEMM, column) is drawn once, on seeds derived in one array
+pass, over blocks of the inner dimension of about ``rng.DRAW_BLOCK`` values.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gemm import MAX_INNER_DIM, QuantMatrix, gemm_entries
-from .rng import derive_seed, u64_at, u64_stream
+from .rng import DRAW_BLOCK, derive_seed, u64_at, u64_stream
 
 DISTRIBUTIONS = ("uniform", "outlier")
 
@@ -99,14 +101,10 @@ def random_quant_matrix(
     return QuantMatrix(_int8_values(u, distribution).reshape(rows, cols), scale=scale)
 
 
-def _check_index(spec: WorkloadSpec, index: int) -> None:
-    if not (0 <= index < spec.gemm_count):
-        raise ValueError(f"index {index} outside [0, {spec.gemm_count})")
-
-
 def workload_matrices(spec: WorkloadSpec, index: int) -> tuple[QuantMatrix, QuantMatrix]:
     """The ``index``-th (W, X) pair of the stream, independent of all others."""
-    _check_index(spec, index)
+    if not (0 <= index < spec.gemm_count):
+        raise ValueError(f"index {index} outside [0, {spec.gemm_count})")
     w = random_quant_matrix(
         spec.m, spec.k, spec.distribution, derive_seed(spec.seed, TAG_WEIGHTS, index)
     )
@@ -116,33 +114,50 @@ def workload_matrices(spec: WorkloadSpec, index: int) -> tuple[QuantMatrix, Quan
     return w, x
 
 
-def _operand(spec: WorkloadSpec, tag: int, index: int, idx: np.ndarray) -> QuantMatrix:
-    """The elements at row-major positions ``idx`` of one operand of GEMM ``index``."""
-    u = u64_at(derive_seed(spec.seed, tag, index), idx)
-    return QuantMatrix(_int8_values(u, spec.distribution))
+def _operand(spec: WorkloadSpec, seeds: np.ndarray, idx: np.ndarray) -> QuantMatrix:
+    """The elements at row-major positions ``idx`` of the operand streams ``seeds`` (broadcast)."""
+    return QuantMatrix(_int8_values(u64_at(seeds, idx), spec.distribution))
 
 
-def workload_entries(spec: WorkloadSpec, index: int, rows, cols) -> np.ndarray:
-    """Entries (rows[i], cols[i]) of the ``index``-th GEMM's clean output W @ X.
+def workload_entries(spec: WorkloadSpec, index, rows, cols) -> np.ndarray:
+    """Entries (rows[i], cols[i]) of GEMM index[i]'s clean output W @ X.
 
-    Equal to ``gemm(*workload_matrices(spec, index)).data[rows, cols]``, but
-    draws only the operand elements those entries read: W row r is draws
-    r*k ... r*k + k - 1 of the W stream, X column c is draws c, c + n, ...,
-    c + (k - 1)*n of the X stream. Each row and column is drawn once however
-    often it is read, and no entries draw nothing.
+    ``index`` holds one GEMM index per entry, or one for all of them. Entry i
+    equals ``gemm(*workload_matrices(spec, index[i])).data[rows[i], cols[i]]``,
+    but only the operand elements the entries read are drawn: W row r is
+    draws r*k ... r*k + k - 1 of its GEMM's W stream, X column c is draws c,
+    c + n, ..., c + (k - 1)*n of its X stream. Each (GEMM, W row) and (GEMM,
+    X column) is drawn once however often it is read, and no entries draw
+    nothing. The draws run over blocks of the inner dimension of about
+    ``DRAW_BLOCK`` values (one inner index per block when more rows or
+    columns are read), and ``gemm_entries`` takes each block's products in
+    blocks of its own.
     """
-    _check_index(spec, index)
+    index = np.asarray(index, dtype=np.int64)
+    outside = index[(index < 0) | (index >= spec.gemm_count)]
+    if outside.size:
+        raise ValueError(f"index {outside[0]} outside [0, {spec.gemm_count})")
     rows = np.asarray(rows, dtype=np.int64).ravel()
     cols = np.asarray(cols, dtype=np.int64).ravel()
     if rows.size != cols.size:
         raise ValueError(f"{rows.size} rows but {cols.size} cols")
+    trial = np.broadcast_to(index, rows.shape) if index.ndim == 0 else index.ravel()
+    if trial.size != rows.size:
+        raise ValueError(f"{trial.size} GEMM indices but {rows.size} entries")
     if rows.size == 0:
         return np.zeros(0, dtype=np.int64)
-    w_rows, rows = np.unique(rows, return_inverse=True)
-    x_cols, cols = np.unique(cols, return_inverse=True)
-    if w_rows[0] < 0 or w_rows[-1] >= spec.m or x_cols[0] < 0 or x_cols[-1] >= spec.n:
+    if rows.min() < 0 or rows.max() >= spec.m or cols.min() < 0 or cols.max() >= spec.n:
         raise ValueError(f"entries outside the {spec.m}x{spec.n} output")
-    inner = np.arange(spec.k, dtype=np.int64)
-    w = _operand(spec, TAG_WEIGHTS, index, w_rows[:, None] * spec.k + inner)
-    x = _operand(spec, TAG_ACTIVATIONS, index, inner[:, None] * spec.n + x_cols)
-    return gemm_entries(w, x, rows, cols)
+    w_keys, w_at = np.unique(trial * spec.m + rows, return_inverse=True)
+    x_keys, x_at = np.unique(trial * spec.n + cols, return_inverse=True)
+    w_seeds = derive_seed(spec.seed, TAG_WEIGHTS, w_keys // spec.m)[:, np.newaxis]
+    x_seeds = derive_seed(spec.seed, TAG_ACTIVATIONS, x_keys // spec.n)
+    w_first, x_cols = (w_keys % spec.m)[:, np.newaxis] * spec.k, x_keys % spec.n
+    out = np.zeros(rows.size, dtype=np.int64)
+    step = max(1, DRAW_BLOCK // max(w_keys.size, x_keys.size))
+    for start in range(0, spec.k, step):
+        inner = np.arange(start, min(start + step, spec.k))
+        w = _operand(spec, w_seeds, w_first + inner)
+        x = _operand(spec, x_seeds, inner[:, np.newaxis] * spec.n + x_cols)
+        out += gemm_entries(w, x, w_at, x_at)
+    return out

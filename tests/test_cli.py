@@ -5,7 +5,9 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from statabft.cli import main
@@ -359,7 +361,7 @@ def test_cli_import_does_not_load_concurrent_futures():
 
 
 def test_inject_runs_no_dense_gemm_and_matches_the_dense_oracle(tmp_path, capsys, monkeypatch):
-    from statabft.energy import trial
+    from statabft.energy import stream
     from statabft.faults import FaultConfig
     from statabft.systolic import run_array
     from statabft.workloads import WorkloadSpec, workload_matrices
@@ -385,7 +387,7 @@ def test_inject_runs_no_dense_gemm_and_matches_the_dense_oracle(tmp_path, capsys
             assert main(["--config", cfg, "inject", "--index", "3"]) == 0
         got = json.loads(capsys.readouterr().out)
         w, x = workload_matrices(spec, 3)
-        sim = run_array(w, x, fault=trial(spec, fault, 3)[1])
+        sim = run_array(w, x, fault=replace(fault, seed=int(stream(spec, fault, [3])[1][0])))
         assert got["events"] and len(got["events"]) == len(sim.events)
         assert got["observed_checksum"] == sim.observed.data.tolist()
         assert got["predicted_checksum"] == sim.predicted.data.tolist()
@@ -395,7 +397,7 @@ def test_inject_runs_no_dense_gemm_and_matches_the_dense_oracle(tmp_path, capsys
 def test_inject_index_t_is_compares_trial_t(tmp_path, capsys):
     from statabft.config import load_config
     from statabft.detectors import ChecksumPair
-    from statabft.energy import _trial_diffs
+    from statabft.energy import _stream_diffs
 
     kinds = ["none", "classical", "statistical", "statistical_lzc", "dmr"]
     path = write_config(tmp_path, {
@@ -406,7 +408,7 @@ def test_inject_index_t_is_compares_trial_t(tmp_path, capsys):
     cfg = load_config(path)
     n = cfg.workload.gemm_count
     recoveries = dict.fromkeys(kinds, 0)
-    for t, diff in enumerate(_trial_diffs(cfg.workload, cfg.fault)):
+    for t, diff in enumerate(_stream_diffs(cfg.workload, cfg.fault)):
         pair = ChecksumPair.from_diff(diff)
         assert main(["--config", path, "inject", "--index", str(t)]) == 0
         got = json.loads(capsys.readouterr().out)
@@ -431,12 +433,12 @@ def test_inject_index_t_is_compares_trial_t(tmp_path, capsys):
 def test_inject_takes_every_trial_the_default_sweep_scores(capsys):
     # the default sweep scores GEMMs 0..199; inject --index 150 is trial 150 of compare
     from statabft.config import ExperimentConfig
-    from statabft.energy import _trial_diffs
+    from statabft.energy import _stream_diffs
 
     assert main(["inject", "--index", "150"]) == 0
     got = json.loads(capsys.readouterr().out)
     cfg = ExperimentConfig()
-    assert got["diff"] == _trial_diffs(cfg.workload, cfg.fault)[150].tolist()
+    assert got["diff"] == _stream_diffs(cfg.workload, cfg.fault)[150].tolist()
     assert main(["inject", "--index", "200"]) == 2
     assert "--index must be in [0, 200)" in capsys.readouterr().err
 
@@ -445,14 +447,14 @@ def test_compare_sweep_and_inject_build_trials_through_one_builder(tmp_path, mon
     from statabft import cli, energy
 
     built = []
-    real = energy.trial
+    real = energy.stream
 
-    def spy(spec, fault, t):
-        built.append(t)
-        return real(spec, fault, t)
+    def spy(spec, fault, trials):
+        built.extend(np.asarray(trials).tolist())
+        return real(spec, fault, trials)
 
-    monkeypatch.setattr(energy, "trial", spy)
-    monkeypatch.setattr(cli, "trial", spy)
+    monkeypatch.setattr(energy, "stream", spy)
+    monkeypatch.setattr(cli, "stream", spy)
     cfg = write_config(tmp_path, {"workload": SMALL_WORKLOAD, "sweep": {"voltages": [0.9, 0.7]}})
     n = SMALL_WORKLOAD["gemm_count"]
     for command, indices in (("compare", range(n)), ("sweep", range(n)), ("inject", [5])):

@@ -6,19 +6,19 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from statabft import energy, faults, workloads
+from statabft import energy, faults, rng, workloads
 from statabft.detectors import CriticalRegionParams, DetectorSpec
 from statabft.energy import (
+    _stream_diffs,
     EnergyConfig,
     SweepPoint,
-    _trial_diffs,
     compare_detectors,
     compute_energy,
     energy_saving,
     latency_factor,
+    stream,
     sweep_detectors,
     total_energy,
-    trial,
 )
 from statabft.faults import FaultConfig, VoltageBerTable, corruption
 from statabft.gemm import AccumMatrix
@@ -37,6 +37,11 @@ SPEC = WorkloadSpec(m=8, k=16, n=8, gemm_count=16, seed=7)
 BER = FaultConfig(mode="ber")
 # a clean stream: BER 0 flips no bit
 CLEAN = FaultConfig(mode="ber", ber=0.0)
+
+
+def _seeded(spec, fault, t):
+    """``fault`` on trial t's own seed, as the dense oracle ``run_array`` takes it."""
+    return replace(fault, seed=int(stream(spec, fault, [t])[1][0]))
 
 
 def test_compute_energy_quadratic():
@@ -284,16 +289,16 @@ def test_compare_evidence_equals_the_dense_oracle(fault):
     # compare scores each trial from its corruption record alone; the dense
     # run_array, given the same per-trial fault seed, corrupts the whole product
     fault = replace(fault, seed=3)
-    diffs = _trial_diffs(SPEC, fault)
+    diffs = _stream_diffs(SPEC, fault)
     assert diffs.shape == (SPEC.gemm_count, SPEC.n)
     wrapped = 0
     for t, diff in enumerate(diffs):
         w, x = workload_matrices(SPEC, t)
-        _, seeded = trial(SPEC, fault, t)
+        seeded = _seeded(SPEC, fault, t)
         sim = run_array(w, x, fault=seeded)
         assert np.array_equal(diff, sim.predicted.data - sim.observed.data)
         events = list(sim.events)
-        assert corruption(SPEC.m, SPEC.n, *trial(SPEC, fault, t)).events() == events
+        assert corruption(SPEC.m, SPEC.n, *stream(SPEC, fault, [t]), fault).events() == events
         if seeded.mode == "uniform":
             wrapped += sum(e.after - e.before != seeded.mag for e in events)
     idle = (fault.ber if fault.mode == "ber" else fault.freq * fault.mag) == 0
@@ -330,21 +335,22 @@ def test_compare_draws_only_the_operand_rows_and_columns_its_faults_read(monkeyp
         draws.append(idx.size)
         return real(seed, idx)
 
-    def zeros(rows, cols):
+    def zeros(trials, rows, cols):
         return np.zeros(len(rows), dtype=np.int64)
 
     monkeypatch.setattr(workloads, "u64_at", spy)
-    diffs = _trial_diffs(spec, fault)
+    diffs = _stream_diffs(spec, fault)
+    # where BER flips land does not depend on the clean values
+    record = corruption(m, n, zeros, stream(spec, fault, range(trials))[1], fault)
     touched = []
     for t in range(trials):
-        # where BER flips land does not depend on the clean values
-        rows, cols = np.divmod(corruption(m, n, zeros, trial(spec, fault, t)[1]).element, n)
+        rows, cols = np.divmod(record.element[record.trial == t], n)
         touched.append((set(rows.tolist()), set(cols.tolist())))
     flipped = [(r, c) for r, c in touched if r]
     assert 0 < len(flipped) < trials  # both kinds of trial occur
-    assert len(draws) == 2 * len(flipped)
+    # each (trial, row) and (trial, column) drawn once, in blocks of at most DRAW_BLOCK values
     assert sum(draws) == sum(len(r) * k + k * len(c) for r, c in flipped)
-    assert sum(draws) < m * k
+    assert sum(draws) < m * k and max(draws) <= rng.DRAW_BLOCK
     assert len(diffs) == trials
 
 
@@ -363,3 +369,59 @@ def test_compare_and_sweep_build_no_error_event(monkeypatch):
     table = VoltageBerTable(voltages=(0.9, 0.6), bers=(1e-6, 4e-3))
     res = sweep_detectors(SPEC, DETECTORS, BER, [0.9, 0.6], EnergyConfig(table=table))
     assert res["classical"].points[-1].recovery_rate > 0
+
+
+# a stream whose trials draw past the first 64-flip chunk: 8 * 8 * 32 bits at 0.05
+DEEP = FaultConfig(mode="ber", ber=0.05, bit_window=(0, 31), seed=6)
+UNIFORM = FaultConfig(mode="uniform", freq=9, mag=2**31 - 1, seed=6)
+STEEP = EnergyConfig(table=VoltageBerTable(voltages=(0.9, 0.6), bers=(1e-6, 0.05)))
+
+
+def _stream_results(spec):
+    return (
+        sweep_detectors(spec, DETECTORS, DEEP, [0.9, 0.7, 0.6], STEEP),
+        compare_detectors(spec, DETECTORS, DEEP),
+        compare_detectors(spec, DETECTORS, UNIFORM),
+        faults.SparseFlips.draw(
+            spec.m, spec.n, *stream(spec, DEEP, range(spec.gemm_count)), DEEP.bit_window, DEEP.ber
+        ),
+    )
+
+
+@pytest.mark.parametrize("block", [1, 2**40])
+def test_draw_block_size_changes_no_result(monkeypatch, block):
+    # one-row blocks (one trial per compare record), and one block for the
+    # whole stream, give the same flips and scores
+    *scores, flips = _stream_results(SPEC)
+    assert np.bincount(flips.trial).max() > faults._SKIP_CHUNK  # some trial draws a second chunk
+    monkeypatch.setattr(faults, "DRAW_BLOCK", block)
+    monkeypatch.setattr(workloads, "DRAW_BLOCK", block)
+    monkeypatch.setattr(energy, "_RECORD_BLOCK", block)
+    *got, got_flips = _stream_results(SPEC)
+    assert got == scores
+    for name in ("trial", "element", "mask", "u", "clean"):
+        assert np.array_equal(getattr(got_flips, name), getattr(flips, name)), name
+
+
+def test_draw_calls_do_not_grow_with_the_stream(monkeypatch):
+    # the stream is drawn in whole-stream calls: no per-GEMM workload_entries
+    # or scalar derive_seed call can come back
+    calls = {"entries": 0, "scalar seeds": 0}
+
+    def counting(real, key, scalar_only=False):
+        def spy(*args):
+            if not scalar_only or not any(isinstance(a, np.ndarray) for a in args):
+                calls[key] += 1
+            return real(*args)
+
+        return spy
+
+    monkeypatch.setattr(energy, "workload_entries", counting(workloads.workload_entries, "entries"))
+    for module in (energy, workloads):
+        monkeypatch.setattr(module, "derive_seed", counting(rng.derive_seed, "scalar seeds", True))
+    counts = []
+    for gemm_count in (4, 64):
+        calls.update(dict.fromkeys(calls, 0))
+        _stream_results(replace(SPEC, gemm_count=gemm_count))
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] and counts[0]["entries"] > 0

@@ -24,7 +24,13 @@ from statabft.faults import (
     uniform_positions,
 )
 from statabft.gemm import AccumMatrix, checksum, gemm, gemm_entries, predicted_output_checksum
-from statabft.workloads import random_quant_matrix
+from statabft.rng import derive_seed
+from statabft.workloads import DISTRIBUTIONS, WorkloadSpec, random_quant_matrix, workload_entries
+
+
+def _entries(w, x):
+    """A one-GEMM record's clean-entry callback: every trial reads W @ X."""
+    return lambda trials, rows, cols: gemm_entries(w, x, rows, cols)
 
 
 def make_output(seed, m=8, n=8, k=8):
@@ -93,28 +99,30 @@ def test_bitflip_rate_statistics():
 
 @pytest.mark.parametrize("n_bits, ber", [(1, 0.5), (500, 0.02), (4096, 0.3), (65536, 1e-4)])
 def test_geometric_flips_do_not_depend_on_chunk_size(monkeypatch, n_bits, ber):
-    idx, u = geometric_flips(17, n_bits, ber)
+    trial, idx, u = geometric_flips([17], n_bits, ber)
     monkeypatch.setattr(faults, "_SKIP_CHUNK", 1)
-    idx1, u1 = geometric_flips(17, n_bits, ber)
-    assert np.array_equal(idx, idx1) and np.array_equal(u, u1)
+    _, idx1, u1 = geometric_flips([17], n_bits, ber)
+    assert np.array_equal(idx, idx1) and np.array_equal(u, u1) and not trial.any()
     assert np.all(np.diff(idx) > 0) and (idx.size == 0 or 0 <= idx[0] <= idx[-1] < n_bits)
     assert np.all((0.0 <= u) & (u < ber))
 
 
 def test_geometric_flips_at_ber_zero_and_one():
-    idx, u = geometric_flips(3, 1000, 0.0)
-    assert idx.size == 0 and u.size == 0
-    idx, u = geometric_flips(3, 1000, 1.0)
-    assert np.array_equal(idx, np.arange(1000))
+    trial, idx, u = geometric_flips([3, 4], 1000, 0.0)
+    assert trial.size == idx.size == u.size == 0
+    assert trial.dtype == idx.dtype == np.int64 and u.dtype == np.float64
+    trial, idx, u = geometric_flips([3, 4], 1000, 1.0)
+    assert np.array_equal(trial, np.repeat([0, 1], 1000))
+    assert np.array_equal(idx, np.tile(np.arange(1000), 2))
     assert np.all((0.0 <= u) & (u < 1.0))
     with pytest.raises(ValueError, match="ber"):
-        geometric_flips(3, 1000, 1.5)
+        geometric_flips([3], 1000, 1.5)
 
 
 def test_geometric_flips_are_bernoulli_per_bit():
     # a flip count and its thinned share each within 5 standard deviations
     n_bits, ber = 200_000, 0.25
-    idx, u = geometric_flips(29, n_bits, ber)
+    _, idx, u = geometric_flips([29], n_bits, ber)
     sd = (n_bits * ber * (1 - ber)) ** 0.5
     assert abs(idx.size - n_bits * ber) < 5 * sd
     # bits are alike: every residue class of the index flips at the same rate
@@ -129,7 +137,7 @@ def test_sparse_flips_match_the_dense_sampler():
     x = random_quant_matrix(40, 9, "outlier", 6)
     clean = gemm(w, x)
     cfg = FaultConfig(mode="ber", ber=0.05, bit_window=(8, 31), seed=8)
-    flips = SparseFlips.draw(w.rows, x.cols, partial(gemm_entries, w, x), cfg)
+    flips = SparseFlips.draw(w.rows, x.cols, _entries(w, x), [cfg.seed], cfg.bit_window, cfg.ber)
     corrupted, events = sample_bitflips(clean, cfg)
     # the clean value at each flipped element is the dense product's
     assert flips.clean.size and np.array_equal(flips.clean, clean.data.ravel()[flips.element])
@@ -157,10 +165,9 @@ def test_stacked_flips_give_each_trials_difference_row():
     w = random_quant_matrix(9, 30, "outlier", 2)
     x = random_quant_matrix(30, 7, "uniform", 3)
     clean = gemm(w, x).data
-    entries = partial(gemm_entries, w, x)
-    cfg = FaultConfig(mode="ber", ber=0.04, bit_window=(0, 31))
-    parts = [SparseFlips.draw(w.rows, x.cols, entries, replace(cfg, seed=s)) for s in range(5)]
-    stream = SparseFlips.stack(parts)
+    window = (0, 31)
+    parts = [SparseFlips.draw(w.rows, x.cols, _entries(w, x), [s], window, 0.04) for s in range(5)]
+    stream = SparseFlips.draw(w.rows, x.cols, _entries(w, x), range(5), window, 0.04)
     assert stream.n_trials == 5
     assert stream.trial.tolist() == [t for t, p in enumerate(parts) for _ in p.u]
     for ber in (0.04, 0.01, 0.001, 0.0):
@@ -169,15 +176,49 @@ def test_stacked_flips_give_each_trials_difference_row():
     assert stream.at(0.04).diff().any() and not stream.at(0.0).diff().any()
     # on a one-element output every trial's flips hit the element the trial
     # before it ended on: the flips of two trials never merge into one element
-    one = [
-        SparseFlips.draw(1, 1, lambda rows, cols: np.full(rows.shape, 7), replace(cfg, seed=s, ber=0.5))
-        for s in range(4)
-    ]
+    sevens = lambda trials, rows, cols: np.full(rows.shape, 7)  # noqa: E731
+    one = [SparseFlips.draw(1, 1, sevens, [s], window, 0.5) for s in range(4)]
     rows = [_xor_diff(np.full((1, 1), 7, dtype=np.int32), p.at(0.5)) for p in one]
     assert all(r.any() for r in rows)
-    assert np.array_equal(SparseFlips.stack(one).at(0.5).diff(), np.array(rows))
+    assert np.array_equal(SparseFlips.draw(1, 1, sevens, range(4), window, 0.5).at(0.5).diff(), np.array(rows))
     with pytest.raises(ValueError, match="5 trials"):
         stream.at(0.01).events()
+
+
+_SEVERAL_CHUNKS = st.floats(min_value=0.05, max_value=1.0)  # >= 64 flips on >= 1280 bits
+
+
+@given(
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=1, max_value=6),
+    st.sampled_from(DISTRIBUTIONS),
+    st.sampled_from([(0, 31), (16, 31)]),
+    st.one_of(st.sampled_from([0.0, 1.0]), _SEVERAL_CHUNKS, st.floats(min_value=1e-4, max_value=0.05)),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_stream_draw_equals_the_per_trial_draws_joined(m, k, n, trials, distribution, window, ber, seed):
+    # trial t of a stream is GEMM t drawn on seeds[t]; drawn alone, it gives the same flips
+    spec = WorkloadSpec(m=m, k=k, n=n, gemm_count=trials, distribution=distribution, seed=seed)
+    seeds = derive_seed(seed, np.arange(trials))
+    stream = SparseFlips.draw(m, n, partial(workload_entries, spec), seeds, window, ber)
+    parts = [
+        SparseFlips.draw(m, n, lambda _, rows, cols, t=t: workload_entries(spec, t, rows, cols), [s], window, ber)
+        for t, s in enumerate(seeds.tolist())
+    ]
+    assert stream.n_trials == trials and stream.ber == ber
+    assert np.array_equal(stream.trial, np.repeat(np.arange(trials), [p.u.size for p in parts]))
+    for name in ("element", "mask", "u", "clean"):
+        joined = np.concatenate([getattr(p, name) for p in parts])
+        got = getattr(stream, name)
+        assert got.dtype == joined.dtype and np.array_equal(got, joined), name
+    for thinned in (ber, ber / 3, 0.0):
+        rows = np.concatenate([p.at(thinned).diff() for p in parts])
+        assert np.array_equal(stream.at(thinned).diff(), rows)
+    if ber == 1.0:
+        assert stream.u.size == trials * m * n * (window[1] - window[0] + 1)
 
 
 @pytest.mark.parametrize(
@@ -194,7 +235,7 @@ def test_fault_events_equal_the_dense_injectors_log(cfg):
     x = random_quant_matrix(24, 12, "uniform", 4)
     for s in range(6):
         seeded = replace(cfg, seed=s)
-        events = corruption(w.rows, x.cols, partial(gemm_entries, w, x), seeded).events()
+        events = corruption(w.rows, x.cols, _entries(w, x), [s], seeded).events()
         assert events and events == apply_fault(gemm(w, x), seeded)[1]
 
 

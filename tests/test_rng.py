@@ -9,7 +9,6 @@ from statabft.rng import (
     derive_seed,
     mix64,
     u64_at,
-    u64_rows,
     u64_stream,
     unit_floats,
 )
@@ -136,10 +135,45 @@ def test_array_derive_seed_broadcasts_its_indices(root, rows, cols):
     assert int(derive_seed(root, np.array(rows))) == derive_seed(root, rows)
 
 
-@given(st.lists(st.integers(min_value=0, max_value=MASK64), max_size=4), st.integers(min_value=0, max_value=40))
+@given(
+    st.lists(st.integers(min_value=0, max_value=MASK64), max_size=4),
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=2**40),
+)
 @settings(max_examples=100, deadline=None)
-def test_u64_rows_gives_each_seeds_stream(seeds, n):
-    rows = u64_rows(seeds, n)
+def test_u64_stream_gives_each_seed_of_a_column_its_stream(seeds, n, offset):
+    rows = u64_stream(np.array(seeds, dtype=np.uint64)[:, np.newaxis], n, offset)
     assert rows.shape == (len(seeds), n) and rows.dtype == np.uint64
     for seed, row in zip(seeds, rows):
-        assert np.array_equal(row, u64_stream(seed, n))
+        assert np.array_equal(row, u64_stream(seed, n, offset))
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=MASK64), min_size=1, max_size=6),
+    st.lists(st.integers(min_value=0, max_value=2**62), min_size=1, max_size=6),
+)
+@settings(max_examples=100, deadline=None)
+def test_u64_at_broadcasts_an_array_of_seeds(seeds, picks):
+    # element i is output idx[i] of the stream seeded with seed[i], flat or broadcast
+    seeds, idx = np.array(seeds, dtype=np.uint64), np.array(picks, dtype=np.int64)
+    grid = u64_at(seeds[:, np.newaxis], idx)
+    assert grid.shape == (seeds.size, idx.size)
+    assert grid.tolist() == [[int(u64_at(int(s), i)) for i in picks] for s in seeds.tolist()]
+    paired = np.resize(idx, seeds.size)
+    assert u64_at(seeds, paired).tolist() == [int(u64_at(int(s), i)) for s, i in zip(seeds.tolist(), paired)]
+    assert u64_at(seeds[:1].reshape(()), 3).shape == ()
+
+
+@given(_ROOT, st.lists(_INDEX, max_size=2), _INDEX)
+@settings(max_examples=100, deadline=None)
+def test_derive_seed_takes_numpy_integer_indices(root, before, k):
+    # an np.integer index is the Python int it holds, and the array form's element
+    got = derive_seed(root, *before, np.uint64(k))
+    assert type(got) is int and got == derive_seed(root, *before, k)
+    assert got == int(derive_seed(root, *before, np.array([k], dtype=np.uint64))[0])
+    if k < 2**63:
+        assert derive_seed(root, *before, np.int64(k)) == got
+
+
+def test_derive_seed_on_an_int64_scalar_does_not_overflow():
+    assert derive_seed(0, np.int64(3)) == derive_seed(0, 3) == int(derive_seed(0, np.arange(4))[3])
