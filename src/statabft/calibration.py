@@ -3,12 +3,14 @@
 A quality grid sweeps uniform injections over a (frequency, magnitude)
 lattice, scores each cell with a workload-quality oracle, and marks cells
 acceptable when mean degradation stays within an epsilon budget. A cell's
-trials are injected a block at a time, one ``faults.Corruption`` record
-applied to a (trials x rows x cols) stack in one vectorized pass, so the
-grid's cost per injection is a few array operations plus the oracle call,
-and its memory is bounded by the block size, not by the trial count. A line
-fitted to the acceptable/unacceptable boundary recovers critical-region
-parameters (a, b, theta_freq) for the statistical detector.
+trials go a block at a time, with one call each: a clean factory builds the
+block's (trials x rows x cols) stack from its seeds, one
+``faults.Corruption`` record corrupts a copy in one vectorized pass, and the
+oracle scores the ``OracleBlock`` into one array of per-trial scores. No
+Python object is built per trial, so the grid's cost per injection is a few
+array operations, and its memory is bounded by the block size, not by the
+trial count. A line fitted to the acceptable/unacceptable boundary recovers
+critical-region parameters (a, b, theta_freq) for the statistical detector.
 
 The boundary model is theta_mag = b - (a - 1) * log2(MSD) with
 MSD = freq * mag for uniform injections, i.e. in (t, m) = (log2 freq,
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -31,8 +34,7 @@ from typing import Callable
 import numpy as np
 
 from .detectors import DEFAULT_PARAMS, CriticalRegionParams
-from .faults import BLOCK_LANES, uniform_corruption
-from .gemm import AccumMatrix
+from .faults import BLOCK_LANES, INT32_MAX, INT32_MIN, uniform_corruption
 from .resilience import NORM_KINDS
 from .rng import derive_seed
 # not called: the benchmark's tracer (perfbench/tracing.py) looks inject_uniform up in this module
@@ -66,19 +68,33 @@ class GridCellError(RuntimeError):
         self.mag_log2 = mag_log2
 
 
-@dataclass(frozen=True)
-class OracleCase:
-    """One injected trial handed to a quality oracle."""
+@dataclass(frozen=True, eq=False)
+class OracleBlock:
+    """A block of one grid cell's injected trials, handed to a quality oracle in one call.
 
-    clean: AccumMatrix
-    corrupted: AccumMatrix
+    ``clean`` and ``corrupted`` are read-only int32 (len(trials) x rows x
+    cols) stacks, row i holding trial ``trials[i]`` (its index within the
+    cell) before and after injection.
+    """
+
+    clean: np.ndarray
+    corrupted: np.ndarray
     freq: int
     mag: int
     mag_log2: float
-    trial_index: int
+    trials: np.ndarray
+
+    def __post_init__(self):
+        for name in ("clean", "corrupted", "trials"):
+            view = np.asarray(getattr(self, name)).view()
+            view.setflags(write=False)
+            object.__setattr__(self, name, view)
 
 
-QualityOracle = Callable[[OracleCase], float]
+# maps a block to a float array of one degradation score >= 0 per trial
+QualityOracle = Callable[[OracleBlock], np.ndarray]
+# maps the uint64 seeds of a block of trials to their (seeds x rows x cols) clean stack
+CleanFactory = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,22 +176,48 @@ class CalibrationSettings:
             )
 
 
-def _default_factory(seed: int) -> AccumMatrix:
-    return AccumMatrix(np.zeros((16, 16), dtype=np.int32))
+def _default_factory(seeds: np.ndarray) -> np.ndarray:
+    return np.zeros((len(seeds), 16, 16), dtype=np.int32)
 
 
-def _clean_blocks(clean_factory, seeds: list[int]):
-    """(first trial, clean matrices) of each block of consecutive trials.
+def _clean_stack(clean_factory: CleanFactory, seeds, shape, f: int, m: float) -> np.ndarray:
+    """The factory's int32 (len(seeds) x rows x cols) stack for ``seeds``, checked.
 
-    A block holds max(1, BLOCK_LANES // elements) trials, sized by its first matrix.
+    ``shape`` is the grid's (rows, cols), or None for the probe that finds it.
     """
-    t = 0
-    while t < len(seeds):
-        block = [clean_factory(seeds[t])]
-        end = t + max(1, BLOCK_LANES // block[0].data.size)
-        block += [clean_factory(s) for s in seeds[t + 1 : end]]
-        yield t, block
-        t += len(block)
+    stack = np.asarray(clean_factory(seeds))
+    problem = None
+    if stack.ndim != 3 or len(stack) != len(seeds) or stack.size == 0:
+        problem = (
+            f"shape {stack.shape} for {len(seeds)} seeds; "
+            "it must be a non-empty (seeds x rows x cols) stack"
+        )
+    elif shape is not None and stack.shape[1:] != shape:
+        problem = f"shape {stack.shape[1:]} after {shape}; it must return one shape per grid"
+    elif stack.dtype != np.int32:
+        if not np.issubdtype(stack.dtype, np.integer):
+            problem = f"{stack.dtype} values; they must be integers"
+        elif stack.min() < INT32_MIN or stack.max() > INT32_MAX:
+            problem = f"values spanning [{stack.min()}, {stack.max()}], outside INT32"
+    if problem:
+        raise GridCellError(f, m, f"clean_factory returned {problem}")
+    return np.ascontiguousarray(stack, dtype=np.int32)
+
+
+def _scores(oracle: QualityOracle, block: OracleBlock, f: int, m: float) -> np.ndarray:
+    """The oracle's float64 score of each trial of ``block``, checked."""
+    try:
+        scores = np.asarray(oracle(block), dtype=np.float64)
+    except Exception as e:
+        raise GridCellError(f, m, str(e)) from e
+    if scores.shape != block.trials.shape:
+        raise GridCellError(
+            f, m, f"oracle returned shape {scores.shape} for {len(block.trials)} trials"
+        )
+    bad = ~(np.isfinite(scores) & (scores >= 0.0))
+    if bad.any():
+        raise GridCellError(f, m, f"oracle returned {float(scores[bad][0])!r}")
+    return scores
 
 
 def quality_grid(
@@ -186,22 +228,27 @@ def quality_grid(
     epsilon: float,
     trials: int = 32,
     seed: int = 0,
-    clean_factory: Callable[[int], AccumMatrix] | None = None,
+    clean_factory: CleanFactory | None = None,
 ) -> QualityGrid:
     """Score every (freq, mag) cell with ``trials`` uniform injections.
 
-    Per trial the clean matrix comes from ``clean_factory`` (all-zero 16x16
-    by default), which must return one shape per grid, and exactly ``freq``
-    elements get ``round(2**mag_log2)`` added; the oracle maps the injected
-    case to a degradation score >= 0. Seeds are derived per (cell, trial), so
-    cells are independent and the whole grid is reproducible from ``seed``.
+    Trial t of cell c has seeds ``derive_seed(seed, c, t, 0)`` for its clean
+    matrix and ``derive_seed(seed, c, t, 1)`` for its injection, so cells are
+    independent and the whole grid is reproducible from ``seed``. In each
+    trial exactly ``freq`` elements get ``round(2**mag_log2)`` added.
 
-    A cell injects its trials in blocks of max(1, BLOCK_LANES // elements):
-    the block's clean matrices are stacked and corrupted in one vectorized
-    pass (``uniform_corruption(...).apply``), which equals ``inject_uniform``
-    trial by trial, and the oracle then scores each trial in order. Block sizes
-    change no result. Oracle or injection failures, and a clean matrix of
-    another shape, surface as GridCellError carrying the cell coordinates.
+    A cell's trials go in blocks of max(1, BLOCK_LANES // elements), sized
+    by one probe call of ``clean_factory`` per grid. Per block,
+    ``clean_factory(seeds)`` maps the block's uint64 clean seeds to an
+    integer (len(seeds) x rows x cols) stack (all-zero 16x16 matrices by
+    default), with values inside INT32 and one (rows, cols) for the whole
+    grid; ``uniform_corruption(...).apply`` corrupts a copy in one vectorized
+    pass, which equals ``inject_uniform`` trial by trial; and one oracle call
+    maps the ``OracleBlock`` to a float array of one degradation score >= 0
+    per trial. A cell's quality is the mean of its scores, summed in trial
+    order, so block sizes change no result. A malformed stack, an injection
+    or oracle failure, and a score array of another shape or with a negative
+    or non-finite score raise GridCellError carrying the cell coordinates.
     """
     mag_axis = np.asarray(mag_log2_axis, dtype=np.float64)
     freqs = np.asarray(freq_axis, dtype=np.int64)
@@ -214,44 +261,38 @@ def quality_grid(
     if clean_factory is None:
         clean_factory = _default_factory
 
-    quality = np.zeros((freqs.size, mag_axis.size))
-    shape = None
-    for i, f in enumerate(freqs.tolist()):
-        for j, m in enumerate(mag_axis.tolist()):
-            mag = int(round(2.0**m))
-            cell = i * mag_axis.size + j
-            # column 0 seeds trial t's clean matrix, column 1 its injection
-            seeds = derive_seed(seed, cell, np.arange(trials)[:, np.newaxis], np.arange(2))
-            total = 0.0
-            for t0, cleans in _clean_blocks(clean_factory, seeds[:, 0].tolist()):
-                shape = shape or cleans[0].data.shape
-                odd = {c.data.shape for c in cleans} - {shape}
-                if odd:
-                    raise GridCellError(
-                        f, m, f"clean_factory returned shape {odd.pop()} after {shape}; "
-                        "it must return one shape per grid"
-                    )
-                stack = np.stack([c.data for c in cleans])
-                try:
-                    corrupted = uniform_corruption(
-                        seeds[t0 : t0 + len(cleans), 1], *shape, lambda *at: stack[at], f, mag
-                    ).apply(stack)
-                except ValueError as e:
-                    raise GridCellError(f, m, str(e)) from e
-                for t, (clean, bad) in enumerate(zip(cleans, corrupted), start=t0):
-                    case = OracleCase(
-                        clean=clean, corrupted=AccumMatrix(bad),
-                        freq=f, mag=mag, mag_log2=m, trial_index=t,
-                    )
-                    try:
-                        score = float(oracle(case))
-                    except Exception as e:
-                        raise GridCellError(f, m, str(e)) from e
-                    if not (score >= 0.0 and math.isfinite(score)):
-                        raise GridCellError(f, m, f"oracle returned {score!r}")
-                    total += score
-            quality[i, j] = total / trials
+    n_cells = freqs.size * mag_axis.size
+    # seeds[c, t]: column 0 seeds trial t's clean matrix in cell c, column 1 its injection
+    seeds = derive_seed(
+        seed, np.arange(n_cells)[:, np.newaxis, np.newaxis],
+        np.arange(trials)[:, np.newaxis], np.arange(2),
+    )
+    probe = _clean_stack(clean_factory, seeds[0, :1, 0], None, int(freqs[0]), float(mag_axis[0]))
+    shape = probe.shape[1:]
+    step = max(1, BLOCK_LANES // (shape[0] * shape[1]))
+    quality = np.zeros(n_cells)
+    # scores[0] stays 0.0: each cell's sum starts from 0.0, as a Python sum does
+    scores = np.zeros(trials + 1)
+    for cell, (f, m) in enumerate(itertools.product(freqs.tolist(), mag_axis.tolist())):
+        mag = int(round(2.0**m))
+        for t0 in range(0, trials, step):
+            block_seeds = seeds[cell, t0 : t0 + step]
+            clean = _clean_stack(clean_factory, block_seeds[:, 0], shape, f, m)
+            try:
+                corrupted = uniform_corruption(
+                    block_seeds[:, 1], *shape, lambda *at: clean[at], f, mag
+                ).apply(clean.copy())
+            except ValueError as e:
+                raise GridCellError(f, m, str(e)) from e
+            block = OracleBlock(
+                clean=clean, corrupted=corrupted, freq=f, mag=mag, mag_log2=m,
+                trials=np.arange(t0, t0 + len(block_seeds)),
+            )
+            scores[1 + t0 : 1 + t0 + len(block_seeds)] = _scores(oracle, block, f, m)
+        # summed one after another in trial order, as np.sum would not
+        quality[cell] = np.add.accumulate(scores)[-1] / trials
 
+    quality = quality.reshape(freqs.size, mag_axis.size)
     return QualityGrid(
         freq_axis=freqs,
         mag_log2_axis=mag_axis,
@@ -266,14 +307,18 @@ def planted_step_oracle(params: CriticalRegionParams) -> QualityOracle:
 
     The region test uses the axis coordinates (freq, log2 mag) directly with
     MSD = freq * mag, so the planted boundary is sharp: freq > theta_freq
-    and log2(mag) > b - (a - 1) * (log2(freq) + log2(mag)).
+    and log2(mag) > b - (a - 1) * (log2(freq) + log2(mag)). Every trial of a
+    block shares its cell's score.
     """
 
-    def oracle(case: OracleCase) -> float:
-        if case.freq <= params.theta_freq or case.freq < 1:
+    def score(freq: int, mag_log2: float) -> float:
+        if freq <= params.theta_freq or freq < 1:
             return 0.0
-        bound = params.b - (params.a - 1.0) * (math.log2(case.freq) + case.mag_log2)
-        return 1.0 if case.mag_log2 > bound else 0.0
+        bound = params.b - (params.a - 1.0) * (math.log2(freq) + mag_log2)
+        return 1.0 if mag_log2 > bound else 0.0
+
+    def oracle(block: OracleBlock) -> np.ndarray:
+        return np.full(len(block.trials), score(block.freq, block.mag_log2))
 
     return oracle
 
@@ -281,16 +326,17 @@ def planted_step_oracle(params: CriticalRegionParams) -> QualityOracle:
 def norm_distortion_oracle(norm_kind: str = "layer_norm") -> QualityOracle:
     """Degradation = fraction of normalized outputs moved > 1% by the fault.
 
-    The injected matrix is treated as one hidden-state vector (flattened,
-    dequantized by a float cast) feeding a normalization layer.
+    Each trial's injected matrix is treated as one hidden-state vector
+    (flattened, dequantized by a float cast) feeding a normalization layer;
+    a block's vectors are normalized row by row in one call.
     """
-    from .resilience import apply_norm, measure_change
+    from .resilience import apply_norm, changed_fraction
 
-    def oracle(case: OracleCase) -> float:
-        before = case.clean.data.astype(np.float64).ravel()
-        after = case.corrupted.data.astype(np.float64).ravel()
-        res = measure_change(apply_norm(before, norm_kind), apply_norm(after, norm_kind))
-        return res.changed_fraction
+    def oracle(block: OracleBlock) -> np.ndarray:
+        n = len(block.trials)
+        before = block.clean.reshape(n, -1).astype(np.float64)
+        after = block.corrupted.reshape(n, -1).astype(np.float64)
+        return changed_fraction(apply_norm(before, norm_kind), apply_norm(after, norm_kind))
 
     return oracle
 

@@ -39,7 +39,7 @@ from .energy import (
     sweep_detectors,
 )
 from .faults import TableFormatError, corruption
-from .gemm import AccumMatrix, ChecksumVector, predicted_output_checksum
+from .gemm import ChecksumVector, predicted_output_checksum
 from .workloads import workload_matrices
 
 
@@ -141,8 +141,8 @@ def cmd_calibrate(cfg: ExperimentConfig, args) -> int:
     cal = cfg.calibrate
     rows, cols = cal.target_rows, cal.target_cols
 
-    def factory(seed: int) -> AccumMatrix:
-        return AccumMatrix(np.zeros((rows, cols), dtype=np.int32))
+    def factory(seeds: np.ndarray) -> np.ndarray:
+        return np.zeros((len(seeds), rows, cols), dtype=np.int32)
 
     grid = quality_grid(
         _make_oracle(cfg),

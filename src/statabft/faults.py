@@ -71,6 +71,12 @@ ROW_TOLERANCE = 2.5e-11
 # however many trials there are. Results do not depend on it.
 BLOCK_LANES = 2**20
 
+# flips whose clean entries SparseFlips.draw reads in one entries call, so the
+# callback's temporaries stay bounded however many flips a stream draws; a run
+# of whole trials holds at most this many (a trial with more is a run alone).
+# Results do not depend on it.
+ENTRY_BLOCK = 2**14
+
 # flips drawn by the first batch of geometric_flips; each later batch doubles.
 # Results do not depend on it: the k-th draw is a pure function of (seed, k).
 _SKIP_CHUNK = 64
@@ -176,6 +182,22 @@ def geometric_flips(seeds, n_bits: int, ber: float) -> tuple[np.ndarray, np.ndar
     return trial[order], np.concatenate(indices)[order], np.concatenate(thinning)[order]
 
 
+def _trial_runs(trial: np.ndarray, limit: int):
+    """(start, end) of consecutive runs of whole trials of a sorted trial column.
+
+    Each run holds at most ``limit`` entries, or is one trial that alone holds more.
+    """
+    # bounds: the offset of each trial's first entry, and the end
+    bounds = np.append(np.flatnonzero(np.diff(trial, prepend=-1)), trial.size)
+    start = 0
+    while start < trial.size:
+        end = bounds[np.searchsorted(bounds, start + limit, side="right") - 1]
+        if end <= start:
+            end = bounds[np.searchsorted(bounds, start, side="right")]
+        yield start, int(end)
+        start = int(end)
+
+
 @dataclass(frozen=True, eq=False)
 class Corruption:
     """Every corrupted element of a stream of same-shaped outputs (trials).
@@ -246,7 +268,8 @@ class SparseFlips:
 
         Trial t is drawn on ``seeds[t]``, all trials in one ``geometric_flips``
         pass, and ``entries(trials, rows, cols)`` gives the clean values at
-        every flipped element of the stream in one call.
+        the flipped elements of a run of whole trials holding at most
+        ``ENTRY_BLOCK`` flips per call (one call for a sparse stream).
         """
         seeds = np.asarray(seeds, dtype=np.uint64).ravel()
         lo, hi = bit_window
@@ -254,7 +277,10 @@ class SparseFlips:
         trial, idx, u = geometric_flips(seeds, n_rows * n_cols * width, ber)
         element, bits = np.divmod(idx, width)
         mask = np.left_shift(np.uint32(1), (bits + lo).astype(np.uint32))
-        clean = np.asarray(entries(trial, *np.divmod(element, n_cols)), dtype=np.int64)
+        rows, cols = np.divmod(element, n_cols)
+        clean = np.empty(trial.size, dtype=np.int64)
+        for start, end in _trial_runs(trial, ENTRY_BLOCK):
+            clean[start:end] = entries(trial[start:end], rows[start:end], cols[start:end])
         return cls(seeds.size, n_cols, ber, trial, element, mask, u, clean)
 
     def at(self, ber: float) -> Corruption:

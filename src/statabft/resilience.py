@@ -73,15 +73,15 @@ def synthetic_hidden_state(cfg: NormPipelineConfig) -> np.ndarray:
 
 
 def layer_norm(v: np.ndarray, eps: float = _EPS) -> np.ndarray:
-    """Zero-mean unit-variance normalization over the whole vector."""
-    mu = v.mean()
-    var = v.var()
+    """Zero-mean unit-variance normalization over the last axis (each row of a stack)."""
+    mu = v.mean(axis=-1, keepdims=True)
+    var = v.var(axis=-1, keepdims=True)
     return (v - mu) / np.sqrt(var + eps)
 
 
 def rms_norm(v: np.ndarray, eps: float = _EPS) -> np.ndarray:
-    """Scale by the root-mean-square of the vector."""
-    rms = np.sqrt(np.mean(v * v) + eps)
+    """Scale by the root-mean-square over the last axis (each row of a stack)."""
+    rms = np.sqrt(np.mean(v * v, axis=-1, keepdims=True) + eps)
     return v / rms
 
 
@@ -101,13 +101,18 @@ class AmplificationResult:
     max_rel_change: float
 
 
+def changed_fraction(before: np.ndarray, after: np.ndarray) -> np.ndarray:
+    """Fraction of elements moved > 1% relative, over the last axis (each row of a stack)."""
+    changed = np.abs(after - before) > CHANGE_TOL * np.abs(before)
+    return np.count_nonzero(changed, axis=-1) / before.shape[-1]
+
+
 def measure_change(before: np.ndarray, after: np.ndarray) -> AmplificationResult:
     """Fraction of elements moved > 1% relative, and the largest relative move."""
     delta = np.abs(after - before)
-    changed = delta > CHANGE_TOL * np.abs(before)
     max_rel = float(np.max(delta / np.maximum(np.abs(before), _DENOM_FLOOR)))
     return AmplificationResult(
-        changed_fraction=float(np.count_nonzero(changed)) / before.size,
+        changed_fraction=float(changed_fraction(before, after)),
         max_rel_change=max_rel,
     )
 

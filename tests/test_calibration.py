@@ -8,7 +8,7 @@ from statabft import calibration
 from statabft.calibration import (
     GridCellError,
     NoBoundaryError,
-    OracleCase,
+    OracleBlock,
     QualityGrid,
     fit_critical_region,
     norm_distortion_oracle,
@@ -19,6 +19,7 @@ from statabft.config import DEFAULT_FREQ_AXIS, DEFAULT_MAG_AXIS
 from statabft.detectors import CriticalRegionParams, load_params, save_params
 from statabft.faults import FaultConfig, inject_uniform
 from statabft.gemm import AccumMatrix
+from statabft.resilience import NORM_KINDS, apply_norm, measure_change
 from statabft.rng import derive_seed, u64_stream
 
 
@@ -34,25 +35,25 @@ def make_grid(freqs, mags, acceptable):
     )
 
 
-def planted_case(freq, mag_log2):
-    z = AccumMatrix(np.zeros((1, 1), dtype=np.int32))
-    return OracleCase(
+def planted_case(freq, mag_log2, trials=3):
+    z = np.zeros((trials, 1, 1), dtype=np.int32)
+    return OracleBlock(
         clean=z,
         corrupted=z,
         freq=freq,
         mag=int(round(2.0**mag_log2)),
         mag_log2=mag_log2,
-        trial_index=0,
+        trials=np.arange(trials),
     )
 
 
 def test_planted_oracle_region_membership():
     oracle = planted_step_oracle(CriticalRegionParams(a=2.0, b=40.0, theta_freq=4))
     # below the frequency floor nothing degrades no matter the magnitude
-    assert oracle(planted_case(4, 25.0)) == 0.0
+    assert oracle(planted_case(4, 25.0)).tolist() == [0.0] * 3
     # boundary at freq 32 (t=5): m = (40 - 5) / 2 = 17.5
-    assert oracle(planted_case(32, 18.0)) == 1.0
-    assert oracle(planted_case(32, 17.0)) == 0.0
+    assert oracle(planted_case(32, 18.0)).tolist() == [1.0] * 3
+    assert oracle(planted_case(32, 17.0, trials=1)).tolist() == [0.0]
 
 
 def test_planted_fit_recovers_parameters():
@@ -128,10 +129,11 @@ def test_boundary_without_frequency_extent_raises():
 
 
 def test_quality_grid_determinism_and_seed_sensitivity():
-    def position_oracle(case):
-        # the row of the first corrupted element in row-major order
-        changed = np.flatnonzero(case.corrupted.data != case.clean.data)
-        return float(changed[0] // case.clean.cols) if changed.size else 0.0
+    def position_oracle(block):
+        # per trial, the row of the first corrupted element in row-major order
+        changed = (block.corrupted != block.clean).reshape(len(block.trials), -1)
+        first = np.where(changed.any(axis=1), changed.argmax(axis=1), 0)
+        return (first // block.clean.shape[2]).astype(float)
 
     kw = dict(epsilon=3.0, trials=2)
     g1 = quality_grid(position_oracle, [4.0, 5.0], [1, 2], seed=0, **kw)
@@ -144,9 +146,9 @@ def test_quality_grid_determinism_and_seed_sensitivity():
 def test_quality_grid_mean_over_trials():
     seen = []
 
-    def counting_oracle(case):
-        seen.append((case.freq, case.mag, case.trial_index))
-        return float(case.trial_index)
+    def counting_oracle(block):
+        seen.extend((block.freq, block.mag, t) for t in block.trials.tolist())
+        return block.trials.astype(float)
 
     g = quality_grid(counting_oracle, [3.0, 4.0], [2, 5], epsilon=10.0, trials=4)
     # mean of 0..3 in every cell
@@ -158,7 +160,7 @@ def test_quality_grid_mean_over_trials():
 
 
 def test_quality_grid_validation():
-    ok = lambda case: 0.0
+    ok = lambda block: np.zeros(len(block.trials))
     with pytest.raises(ValueError, match="trials"):
         quality_grid(ok, [4.0], [1], epsilon=1.0, trials=0)
     with pytest.raises(ValueError, match="epsilon"):
@@ -168,43 +170,64 @@ def test_quality_grid_validation():
 
 
 def test_oracle_failures_are_annotated():
-    def broken(case):
+    def broken(block):
         raise RuntimeError("synthetic oracle crash")
 
     with pytest.raises(GridCellError, match=r"freq=2.*mag_log2=4\.0"):
         quality_grid(broken, [4.0], [2], epsilon=1.0, trials=1)
 
-    def negative(case):
-        return -1.0
+    def negative(block):
+        # one bad score among good ones fails the cell
+        return np.where(block.trials == 2, -1.0, 0.5)
 
-    with pytest.raises(GridCellError, match="returned"):
-        quality_grid(negative, [4.0], [2], epsilon=1.0, trials=1)
+    with pytest.raises(GridCellError, match=r"returned -1\.0"):
+        quality_grid(negative, [4.0], [2], epsilon=1.0, trials=3)
 
-    def nan_oracle(case):
-        return math.nan
+    def nan_oracle(block):
+        return np.full(len(block.trials), math.nan)
 
-    with pytest.raises(GridCellError, match="returned"):
+    with pytest.raises(GridCellError, match="returned nan"):
         quality_grid(nan_oracle, [4.0], [2], epsilon=1.0, trials=1)
 
     # injection failure (freq exceeds the 16x16 default clean matrix)
     with pytest.raises(GridCellError, match="freq=300"):
-        quality_grid(lambda c: 0.0, [4.0], [300], epsilon=1.0, trials=1)
+        quality_grid(lambda b: np.zeros(len(b.trials)), [4.0], [300], epsilon=1.0, trials=1)
+
+
+@pytest.mark.parametrize(
+    "scores",
+    [lambda n: 0.0, lambda n: np.zeros(n + 1), lambda n: np.zeros((n, 1)), lambda n: []],
+    ids=["scalar", "one-too-many", "column", "empty"],
+)
+def test_oracle_must_return_one_score_per_trial(scores):
+    with pytest.raises(GridCellError, match=r"freq=2.*returned shape .* for 3 trials"):
+        quality_grid(lambda b: scores(len(b.trials)), [4.0], [2], epsilon=1.0, trials=3)
 
 
 def test_norm_distortion_oracle_spread_vs_confined():
     clean = AccumMatrix(np.zeros((16, 16), dtype=np.int32))
     cfg = FaultConfig(mode="uniform", freq=4, mag=1024, seed=3)
     corrupted, _ = inject_uniform(clean, cfg)
-    case = OracleCase(
-        clean=clean,
-        corrupted=corrupted,
+    block = OracleBlock(
+        clean=clean.data[np.newaxis],
+        corrupted=corrupted.data[np.newaxis],
         freq=4,
         mag=1024,
         mag_log2=10.0,
-        trial_index=0,
+        trials=np.arange(1),
     )
-    assert norm_distortion_oracle("layer_norm")(case) == 1.0
-    assert norm_distortion_oracle("none")(case) == 4.0 / 256.0
+    assert norm_distortion_oracle("layer_norm")(block).tolist() == [1.0]
+    assert norm_distortion_oracle("none")(block).tolist() == [4.0 / 256.0]
+
+
+def test_oracle_block_stacks_are_read_only():
+    stack = np.zeros((2, 3, 4), dtype=np.int32)
+    block = OracleBlock(stack, stack, freq=1, mag=2, mag_log2=1.0, trials=np.arange(2))
+    for arr in (block.clean, block.corrupted, block.trials):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    # the caller's own arrays stay writable
+    stack[0] = 1
 
 
 def test_grid_type_validation():
@@ -231,24 +254,31 @@ def test_grid_type_validation():
 
 
 def noisy_factory(rows, cols):
-    """Clean matrices of values spread over all of INT32, so large injections wrap."""
+    """Clean stacks of values spread over all of INT32, so large injections wrap."""
 
-    def factory(seed):
-        u = u64_stream(seed, rows * cols) >> np.uint64(32)
-        return AccumMatrix(u.astype(np.uint32).view(np.int32).reshape(rows, cols))
+    def factory(seeds):
+        u = u64_stream(np.asarray(seeds, dtype=np.uint64)[:, np.newaxis], rows * cols)
+        return (u >> np.uint64(32)).astype(np.uint32).view(np.int32).reshape(-1, rows, cols)
 
     return factory
 
 
 def hash_oracle(log):
-    """Scores a trial by a hash of its corrupted matrix, and logs the hash."""
+    """Scores each trial of a block by a hash of its corrupted matrix, and logs the hash."""
 
-    def oracle(case):
-        digest = hashlib.sha256(case.corrupted.data.tobytes()).digest()
-        log.append(digest)
-        return int.from_bytes(digest[:4], "little") / 2**32
+    def oracle(block):
+        scores = []
+        for corrupted in block.corrupted:
+            digest = hashlib.sha256(corrupted.tobytes()).digest()
+            log.append(digest)
+            scores.append(int.from_bytes(digest[:4], "little") / 2**32)
+        return scores
 
     return oracle
+
+
+def one_clean(factory, seed):
+    return factory(np.array([seed], dtype=np.uint64))[0]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 7])
@@ -264,7 +294,7 @@ def test_batched_grid_equals_a_per_trial_reference(seed):
         for j, m in enumerate(mags):
             cell, scores = i * len(mags) + j, []
             for t in range(trials):
-                data = factory(derive_seed(seed, cell, t, 0)).data.ravel().astype(np.int64)
+                data = one_clean(factory, derive_seed(seed, cell, t, 0)).ravel().astype(np.int64)
                 priority = u64_stream(derive_seed(seed, cell, t, 1), rows * cols)
                 data[np.sort(np.argpartition(priority, f)[:f])] += round(2.0**m)
                 corrupted = ((data + 2**31) % 2**32 - 2**31).astype(np.int32).reshape(rows, cols)
@@ -279,51 +309,156 @@ def test_batched_grid_equals_a_per_trial_reference(seed):
 def test_grid_injections_equal_inject_uniform():
     # every trial of the stock 16x16 grid, freq 256 (all elements) included
     factory = noisy_factory(16, 16)
-    cases = []
+    blocks = []
     quality_grid(
-        lambda case: cases.append(case) or 0.0, DEFAULT_MAG_AXIS, DEFAULT_FREQ_AXIS,
+        lambda block: blocks.append(block) or np.zeros(len(block.trials)),
+        DEFAULT_MAG_AXIS, DEFAULT_FREQ_AXIS,
         epsilon=0.5, trials=4, seed=5, clean_factory=factory,
     )
-    assert len(cases) == len(DEFAULT_FREQ_AXIS) * len(DEFAULT_MAG_AXIS) * 4
-    for k, case in enumerate(cases):
-        cell, t = divmod(k, 4)
-        assert case.trial_index == t
-        assert case.clean == factory(derive_seed(5, cell, t, 0))
-        cfg = FaultConfig(mode="uniform", freq=case.freq, mag=case.mag, seed=derive_seed(5, cell, t, 1))
-        assert case.corrupted == inject_uniform(case.clean, cfg)[0]
+    # 4 trials of 256 elements make one block per cell
+    assert len(blocks) == len(DEFAULT_FREQ_AXIS) * len(DEFAULT_MAG_AXIS)
+    for cell, block in enumerate(blocks):
+        assert block.trials.tolist() == [0, 1, 2, 3]
+        for t, (clean, corrupted) in enumerate(zip(block.clean, block.corrupted)):
+            assert np.array_equal(clean, one_clean(factory, derive_seed(5, cell, t, 0)))
+            cfg = FaultConfig(
+                mode="uniform", freq=block.freq, mag=block.mag, seed=derive_seed(5, cell, t, 1)
+            )
+            assert np.array_equal(corrupted, inject_uniform(AccumMatrix(clean), cfg)[0].data)
+
+
+def counted(real, calls):
+    def spy(seeds, *args):
+        calls.append(len(seeds))
+        return real(seeds, *args)
+
+    return spy
 
 
 @pytest.mark.parametrize("block_lanes", [1, 24])
 def test_block_size_changes_no_result(monkeypatch, block_lanes):
     # 12-element targets: 1-trial blocks, or 2-trial blocks with a ragged last one
-    kw = dict(epsilon=0.5, trials=5, seed=3, clean_factory=noisy_factory(3, 4))
+    made = []
+    kw = dict(epsilon=0.5, trials=5, seed=3, clean_factory=counted(noisy_factory(3, 4), made))
     default = []
     g = quality_grid(hash_oracle(default), [0.0, 30.0], [1, 11], **kw)
+    assert made == [1] + [5] * 4
     blocks = []
-    real = calibration.uniform_corruption
-
-    def spy(seeds, *args):
-        blocks.append(len(seeds))
-        return real(seeds, *args)
-
     monkeypatch.setattr(calibration, "BLOCK_LANES", block_lanes)
-    monkeypatch.setattr(calibration, "uniform_corruption", spy)
+    injected = counted(calibration.uniform_corruption, blocks)
+    monkeypatch.setattr(calibration, "uniform_corruption", injected)
+    made.clear()
     small = []
     g_small = quality_grid(hash_oracle(small), [0.0, 30.0], [1, 11], **kw)
     assert blocks == ([1] * 20 if block_lanes == 1 else [2, 2, 1] * 4)
+    # one probe of the target shape, then one stack per block
+    assert made == [1] + blocks
     assert small == default
     np.testing.assert_array_equal(g_small.quality, g.quality)
 
 
-@pytest.mark.parametrize("block_lanes", [None, 1])
+def test_stock_grid_calls_the_oracle_once_per_block():
+    oracle_calls, made = [], []
+
+    def oracle(block):
+        oracle_calls.append(block.trials.tolist())
+        return np.zeros(len(block.trials))
+
+    quality_grid(
+        oracle, DEFAULT_MAG_AXIS, DEFAULT_FREQ_AXIS, epsilon=0.5, trials=64,
+        clean_factory=counted(calibration._default_factory, made),
+    )
+    assert oracle_calls == [list(range(64))] * 256
+    assert made == [1] + [64] * 256
+
+
+@pytest.mark.parametrize("block_lanes", [None, 1, 32])
 def test_clean_factory_must_return_one_shape(monkeypatch, block_lanes):
+    # the third call changes shape: the second cell's one block, the first
+    # cell's second 1-trial block, or its ragged last block (2 + 1 trials)
     if block_lanes is not None:
         monkeypatch.setattr(calibration, "BLOCK_LANES", block_lanes)
     calls = []
 
-    def factory(seed):
-        calls.append(seed)
-        return AccumMatrix(np.zeros((4, 4 + (len(calls) > 1)), dtype=np.int32))
+    def factory(seeds):
+        calls.append(len(seeds))
+        return np.zeros((len(seeds), 4, 4 + (len(calls) > 2)), dtype=np.int32)
 
-    with pytest.raises(GridCellError, match=r"freq=2.*mag_log2=4\.0.*\(4, 5\) after \(4, 4\)"):
-        quality_grid(lambda c: 0.0, [4.0], [2], epsilon=1.0, trials=2, clean_factory=factory)
+    freq = 3 if block_lanes is None else 2
+    match = rf"freq={freq}.*mag_log2=4\.0.*\(4, 5\) after \(4, 4\)"
+    with pytest.raises(GridCellError, match=match):
+        quality_grid(
+            lambda b: np.zeros(len(b.trials)), [4.0], [2, 3], epsilon=1.0, trials=3,
+            clean_factory=factory,
+        )
+    assert calls[-1] == (3 if block_lanes is None else 1)
+
+
+@pytest.mark.parametrize(
+    "stack, problem",
+    [
+        (
+            lambda n: np.full((n, 4, 4), 2**31, dtype=np.int64),
+            r"\[2147483648, 2147483648\], outside INT32",
+        ),
+        (lambda n: np.full((n, 4, 4), -(2**31) - 1), "outside INT32"),
+        (lambda n: np.zeros((n, 16)), r"shape \(\d+, 16\)"),
+        (lambda n: np.zeros((n + 1, 4, 4), dtype=np.int32), r"shape \(\d+, 4, 4\) for \d+ seeds"),
+        (lambda n: np.zeros((n, 0, 4), dtype=np.int32), "non-empty"),
+        (lambda n: np.zeros((n, 4, 4)), "float64 values"),
+    ],
+    ids=["above-int32", "below-int32", "2-d", "too-many", "empty", "floats"],
+)
+@pytest.mark.parametrize("probe", [True, False], ids=["probe", "block"])
+def test_clean_factory_stacks_are_checked(stack, problem, probe):
+    # a malformed stack fails the probe, or the first block after a good probe
+    calls = []
+
+    def factory(seeds):
+        calls.append(len(seeds))
+        if len(calls) == 1 and not probe:
+            return np.zeros((len(seeds), 4, 4), dtype=np.int32)
+        return stack(len(seeds))
+
+    match = rf"freq=2.*mag_log2=4\.0.*clean_factory returned .*{problem}"
+    with pytest.raises(GridCellError, match=match):
+        quality_grid(
+            lambda b: np.zeros(len(b.trials)), [4.0], [2], epsilon=1.0, trials=2,
+            clean_factory=factory,
+        )
+
+
+def test_in_range_integer_stacks_of_any_dtype_are_taken_as_int32():
+    wide = lambda seeds: noisy_factory(3, 4)(seeds).astype(np.int64)
+    grids = [
+        quality_grid(hash_oracle([]), [0.0, 30.0], [1, 11], epsilon=0.5, trials=3, clean_factory=f)
+        for f in (noisy_factory(3, 4), wide)
+    ]
+    np.testing.assert_array_equal(grids[0].quality, grids[1].quality)
+
+
+@pytest.mark.parametrize("kind", NORM_KINDS)
+def test_norm_distortion_oracle_equals_the_per_trial_measure(kind):
+    # a noisy 16x16 grid: each trial's score is measure_change of its own normalized vectors
+    blocks, scores = [], []
+    oracle = norm_distortion_oracle(kind)
+
+    def spy(block):
+        blocks.append(block)
+        scores.append(oracle(block))
+        return scores[-1]
+
+    quality_grid(
+        spy, [0.0, 8.0, 16.0, 24.0, 30.0], [1, 4, 16, 64, 256], epsilon=0.5, trials=4, seed=2,
+        clean_factory=noisy_factory(16, 16),
+    )
+    for block, got in zip(blocks, scores):
+        want = [
+            measure_change(
+                apply_norm(clean.astype(np.float64).ravel(), kind),
+                apply_norm(corrupted.astype(np.float64).ravel(), kind),
+            ).changed_fraction
+            for clean, corrupted in zip(block.clean, block.corrupted)
+        ]
+        assert got.tolist() == want
+    assert len({s for got in scores for s in got.tolist()}) > 5

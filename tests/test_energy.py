@@ -403,6 +403,30 @@ def test_draw_block_size_changes_no_result(monkeypatch, block):
         assert np.array_equal(getattr(got_flips, name), getattr(flips, name)), name
 
 
+@pytest.mark.parametrize("bound", [1, 2**40])
+def test_entry_block_changes_no_result(monkeypatch, bound):
+    # clean entries read one trial per call, or the whole stream in one call,
+    # give the same flips, records and scores
+    *scores, flips = _stream_results(SPEC)
+    monkeypatch.setattr(faults, "ENTRY_BLOCK", bound)
+    *got, got_flips = _stream_results(SPEC)
+    assert got == scores
+    for name in ("trial", "element", "mask", "u", "clean"):
+        assert np.array_equal(getattr(got_flips, name), getattr(flips, name)), name
+    for ber in (DEEP.ber, DEEP.ber / 3, 0.0):
+        assert np.array_equal(got_flips.at(ber).diff(), flips.at(ber).diff())
+    runs = []
+    entries, seeds = stream(SPEC, DEEP, range(SPEC.gemm_count))
+
+    def spy(trials, rows, cols):
+        runs.append(np.unique(trials).tolist())
+        return entries(trials, rows, cols)
+
+    faults.SparseFlips.draw(SPEC.m, SPEC.n, spy, seeds, DEEP.bit_window, DEEP.ber)
+    hit = np.unique(flips.trial).tolist()
+    assert runs == ([[t] for t in hit] if bound == 1 else [hit])
+
+
 def test_draw_calls_do_not_grow_with_the_stream(monkeypatch):
     # the stream is drawn in whole-stream calls: no per-GEMM workload_entries
     # or scalar derive_seed call can come back
