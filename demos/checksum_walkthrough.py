@@ -3,8 +3,8 @@
 Runs a small int8 matrix product on the simulated array, flips a few bits
 in the accumulator outputs, and prints everything the detector sees: the
 predicted column checksum, the observed one, the per-column differences,
-the magnitude-sum discriminant, and the resulting verdict for each detector
-in the family. Run it twice with different seeds to watch the verdicts
+the magnitude-sum discriminant, and the resulting decision for each detector
+in the family. Run it twice with different seeds to watch the decisions
 change with the fault pattern.
 
     python3 demos/checksum_walkthrough.py
@@ -55,9 +55,10 @@ def main() -> None:
         ("statistical", DetectorSpec(kind="statistical", params=params)),
         ("statistical_lzc", DetectorSpec(kind="statistical_lzc", params=params)),
     ):
-        verdict = spec.evaluate(pair)
+        decision = spec.evaluate(pair)
         print(
-            f"{name:<15} freq_eff={verdict.freq_eff}  decision={verdict.decision}"
+            f"{name:<15} freq_eff={decision.freq_eff}  "
+            f"decision={'recover' if decision.recovers else 'pass'}"
         )
 
 

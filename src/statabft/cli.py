@@ -29,7 +29,7 @@ from .calibration import (
     quality_grid,
 )
 from .config import ConfigError, ExperimentConfig, load_config, override_seed, resolved_dict
-from .detectors import ChecksumPair, save_params
+from .detectors import ChecksumPair, RowDecisions, save_params
 from .energy import (
     CompareRow,
     SweepPoint,
@@ -224,6 +224,10 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
+def _decision(v: RowDecisions) -> str:
+    return "recover" if v.recovers else "pass"
+
+
 def cmd_inject(cfg: ExperimentConfig, args) -> int:
     spec = cfg.workload
     if not (0 <= args.index < spec.gemm_count):
@@ -246,9 +250,9 @@ def cmd_inject(cfg: ExperimentConfig, args) -> int:
         "predicted_checksum": predicted.data,
         "observed_checksum": observed.data,
         "diff": pair.diff,
-        # keyed by kind, so each verdict's own detector name is left out
         "verdicts": {
-            kind: {k: x for k, x in asdict(v).items() if k != "detector"}
+            kind: {"msd": v.msd, "theta_mag": v.theta_mag, "freq_eff": v.freq_eff,
+                   "decision": _decision(v)}
             for kind, v in verdicts.items()
         },
     }
@@ -257,7 +261,7 @@ def cmd_inject(cfg: ExperimentConfig, args) -> int:
         out = _prepare_out(cfg, "inject", args.out_dir)
         path = os.path.join(out, "inject.json")
         _write_text(path, text)
-        decisions = ", ".join(f"{kind} {v.decision}" for kind, v in verdicts.items())
+        decisions = ", ".join(f"{kind} {_decision(v)}" for kind, v in verdicts.items())
         print(f"{len(events)} events, verdicts {decisions}; wrote {path}")
     else:
         print(text, end="")
@@ -307,8 +311,8 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be >= 0")
+            if not 0 <= args.seed < 2**64:
+                raise ConfigError(f"--seed must be in [0, 2**64), got {args.seed}")
             cfg = override_seed(cfg, args.seed)
         if args.format:
             cfg = replace(cfg, output_format=args.format)

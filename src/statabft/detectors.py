@@ -39,8 +39,11 @@ sum, exact while lanes * max|d_j| < 2**63 (asserted; a GEMM has |d_j| <=
 m * 2**32 <= 2**44 and at most 4096 lanes, so it stays below 2**56). The
 exact bound theta takes math.log2 of each row's nonzero MSD, as one GEMM's
 does; the LZC bound runs the integer log2 and float steps of ``_theta_fixed``
-over all rows at once. ``DetectorSpec.evaluate`` is the one-row case;
-``systolic.statistical_unit`` is the independent scalar oracle.
+over all rows at once. One GEMM is the one-row case: ``ChecksumPair.msd``
+is ``row_msd`` of its difference, under the same bound, and
+``DetectorSpec.evaluate`` is ``decide``'s one row, a ``RowDecisions`` of
+Python scalars; ``systolic.statistical_unit`` is the independent scalar
+oracle, and returns the same.
 """
 
 from __future__ import annotations
@@ -53,9 +56,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .gemm import ChecksumVector
-
-PASS = "pass"
-RECOVER = "recover"
 
 DETECTOR_KINDS = ("none", "classical", "msd", "statistical", "statistical_lzc", "dmr")
 # the kinds that decide by a critical region and so need CriticalRegionParams
@@ -111,10 +111,6 @@ class ChecksumPair:
     observed: ChecksumVector
     diff: np.ndarray
 
-    def __post_init__(self):
-        # outside the bound (no GEMM gets there) msd() falls back to Python ints
-        object.__setattr__(self, "_int64_sum", self.diff.size * _peak(self.diff) < _INT64_SUM_LIMIT)
-
     @classmethod
     def from_vectors(cls, predicted: ChecksumVector, observed: ChecksumVector) -> "ChecksumPair":
         if len(predicted) != len(observed):
@@ -138,33 +134,8 @@ class ChecksumPair:
         )
 
     def msd(self) -> int:
-        """|sum of differences|, exact: int64 within the bound, else Python ints."""
-        if self._int64_sum:
-            return abs(int(self.diff.sum()))
-        return abs(sum(int(v) for v in self.diff))
-
-
-@dataclass(frozen=True)
-class DetectionVerdict:
-    """What a detector saw and what it decided for one GEMM."""
-
-    detector: str
-    msd: int
-    theta_mag: float
-    freq_eff: int
-    decision: str
-
-    def __post_init__(self):
-        if self.decision not in (PASS, RECOVER):
-            raise ValueError(f"decision must be pass/recover, got {self.decision!r}")
-        if self.msd < 0:
-            raise ValueError("msd is an absolute value, must be >= 0")
-        if self.freq_eff < 0:
-            raise ValueError("freq_eff must be >= 0")
-
-    @property
-    def recovers(self) -> bool:
-        return self.decision == RECOVER
+        """|sum of differences|: ``row_msd`` of the one-row matrix, under the same bound."""
+        return int(row_msd(self.diff[np.newaxis])[0])
 
 
 def theta_mag(msd: int, params: CriticalRegionParams) -> float:
@@ -219,14 +190,20 @@ class RowDecisions(NamedTuple):
     """One detector's statistics and decision for each row of a difference matrix.
 
     Row i is one GEMM's checksum difference; every field holds one value per
-    row. ``theta_mag`` is the magnitude bound (+inf where MSD == 0) for the
-    statistical kinds and 0.0 for the others.
+    row. ``row(i)`` holds row i's values as Python scalars, which is what a
+    one-GEMM decision (``DetectorSpec.evaluate``) is. ``theta_mag`` is the
+    magnitude bound (+inf where MSD == 0) for the statistical kinds and 0.0
+    for the others.
     """
 
     msd: np.ndarray  # int64
     theta_mag: np.ndarray  # float64
     freq_eff: np.ndarray  # int64
     recovers: np.ndarray  # bool
+
+    def row(self, i: int) -> "RowDecisions":
+        """Row i's decision, with int, float, int and bool fields."""
+        return RowDecisions(*(field[i].item() for field in self))
 
 
 def row_msd(diffs: np.ndarray) -> np.ndarray:
@@ -321,20 +298,12 @@ class DetectorSpec:
                 recovers = np.zeros(len(diffs), dtype=bool)
         return RowDecisions(msd=msd, theta_mag=theta, freq_eff=freq_eff, recovers=recovers)
 
-    def evaluate(self, pair: ChecksumPair) -> DetectionVerdict:
-        """The verdict on one GEMM: ``decide`` on the one-row matrix of its difference."""
-        rows = self.decide(pair.diff[np.newaxis])
-        return DetectionVerdict(
-            # a dmr verdict is classical's: the kinds differ only in energy
-            detector="classical" if self.kind == "dmr" else self.kind,
-            msd=int(rows.msd[0]),
-            theta_mag=float(rows.theta_mag[0]),
-            freq_eff=int(rows.freq_eff[0]),
-            decision=RECOVER if rows.recovers[0] else PASS,
-        )
+    def evaluate(self, pair: ChecksumPair) -> RowDecisions:
+        """The decision on one GEMM: row 0 of ``decide`` on the one-row matrix of its difference."""
+        return self.decide(pair.diff[np.newaxis]).row(0)
 
 
-def detect_statistical(pair: ChecksumPair, params: CriticalRegionParams) -> DetectionVerdict:
+def detect_statistical(pair: ChecksumPair, params: CriticalRegionParams) -> RowDecisions:
     """Recover iff freq_eff strictly exceeds theta_freq.
 
     Both comparisons are strict: lanes count toward freq_eff only when

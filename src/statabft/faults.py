@@ -35,7 +35,7 @@ rows, cols)``: comparisons, sweeps and ``inject`` pass
 ``workloads.workload_entries``, which draws only the operand rows and
 columns those elements read; the dense injectors (``sample_bitflips``,
 ``inject_uniform``) pass a one-trial stream on ``FaultConfig.seed``, read the
-matrix and replay the record's events onto it, and the calibration grid
+matrix and ``apply`` the record to a copy of it, and the calibration grid
 reads and corrupts a stack of trials. A ``FaultConfig`` roots every trial
 seed and is the only source of a bit window.
 """
@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gemm import AccumMatrix
-from .rng import DRAW_BLOCK, MASK64, u64_stream, unit_floats
+from .rng import DRAW_BLOCK, u64_stream, unit_floats
 
 BER_MODE = "ber"
 UNIFORM_MODE = "uniform"
@@ -113,8 +113,8 @@ class FaultConfig:
             raise ValueError(f"freq must be >= 0, got {self.freq}")
         if not (INT32_MIN <= self.mag <= INT32_MAX):
             raise ValueError(f"mag must fit INT32, got {self.mag}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -348,17 +348,16 @@ def corruption(n_rows: int, n_cols: int, entries, seeds, cfg: FaultConfig) -> Co
     return uniform_corruption(seeds, n_rows, n_cols, entries, cfg.freq, cfg.mag)
 
 
-def _replayed(y: AccumMatrix, cfg: FaultConfig, mode: str, name: str):
+def _dense_injection(y: AccumMatrix, cfg: FaultConfig, mode: str, name: str):
     if cfg.mode != mode:
         raise ValueError(f"{name} needs mode={mode!r}, got {cfg.mode!r}")
-    record = corruption(*y.data.shape, lambda _, r, c: y.data[r, c], [cfg.seed & MASK64], cfg)
-    events = record.events()
-    return replay_events(y, events), events
+    record = corruption(*y.data.shape, lambda _, r, c: y.data[r, c], [cfg.seed], cfg)
+    return AccumMatrix(record.apply(y.data[np.newaxis].copy())[0]), record.events()
 
 
 def sample_bitflips(y: AccumMatrix, cfg: FaultConfig) -> tuple[AccumMatrix, list[ErrorEvent]]:
     """Apply per-bit Bernoulli flips inside cfg.bit_window to every element."""
-    return _replayed(y, cfg, BER_MODE, "sample_bitflips")
+    return _dense_injection(y, cfg, BER_MODE, "sample_bitflips")
 
 
 def inject_uniform(y: AccumMatrix, cfg: FaultConfig) -> tuple[AccumMatrix, list[ErrorEvent]]:
@@ -366,7 +365,7 @@ def inject_uniform(y: AccumMatrix, cfg: FaultConfig) -> tuple[AccumMatrix, list[
 
     mag == 0 or freq == 0 yields an untouched copy and an empty log.
     """
-    return _replayed(y, cfg, UNIFORM_MODE, "inject_uniform")
+    return _dense_injection(y, cfg, UNIFORM_MODE, "inject_uniform")
 
 
 def apply_fault(y: AccumMatrix, cfg: FaultConfig) -> tuple[AccumMatrix, list[ErrorEvent]]:
@@ -374,23 +373,6 @@ def apply_fault(y: AccumMatrix, cfg: FaultConfig) -> tuple[AccumMatrix, list[Err
     if cfg.mode == BER_MODE:
         return sample_bitflips(y, cfg)
     return inject_uniform(y, cfg)
-
-
-def replay_events(y: AccumMatrix, events: list[ErrorEvent]) -> AccumMatrix:
-    """Re-apply an event log onto the clean matrix it was recorded against.
-
-    Raises if any event's ``before`` does not match the matrix, which would
-    mean the log and matrix are from different runs.
-    """
-    out = y.data.copy()
-    for e in events:
-        if int(out[e.row, e.col]) != e.before:
-            raise ValueError(
-                f"event at ({e.row}, {e.col}) expects before={e.before}, "
-                f"matrix has {int(out[e.row, e.col])}"
-            )
-        out[e.row, e.col] = e.after
-    return AccumMatrix(out)
 
 
 class TableFormatError(ValueError):

@@ -56,19 +56,12 @@ def _frozen_2d(data, dtype) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class QuantMatrix:
-    """Row-major INT8 matrix plus its quantization scale.
-
-    The scale is metadata carried through for dequantization; all checksum
-    arithmetic is done on the raw integers.
-    """
+    """Row-major INT8 matrix; all checksum arithmetic is done on the raw integers."""
 
     data: np.ndarray
-    scale: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "data", _frozen_2d(self.data, np.int8))
-        if not (self.scale > 0.0 and np.isfinite(self.scale)):
-            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
 
     @property
     def rows(self) -> int:
@@ -81,7 +74,7 @@ class QuantMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuantMatrix):
             return NotImplemented
-        return self.scale == other.scale and np.array_equal(self.data, other.data)
+        return np.array_equal(self.data, other.data)
 
 
 @dataclass(frozen=True, eq=False)

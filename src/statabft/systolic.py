@@ -9,7 +9,9 @@ a fault, and reduces the observed checksum from the corrupted output.
 subtractor, a deviation accumulator, a log2 stage and a comparator-based
 countif) in plain Python integers. It is the independent oracle that
 ``statabft verify`` holds the vectorized ``statistical`` ("exact" log2) and
-``statistical_lzc`` ("lzc" log2) detectors to, verdict for verdict.
+``statistical_lzc`` ("lzc" log2) detectors to, decision for decision: it
+returns the ``RowDecisions`` of Python scalars that ``DetectorSpec.evaluate``
+returns.
 """
 
 from __future__ import annotations
@@ -19,10 +21,8 @@ from dataclasses import dataclass
 
 from .detectors import (
     LZC_FRAC_BITS,
-    PASS,
-    RECOVER,
     CriticalRegionParams,
-    DetectionVerdict,
+    RowDecisions,
     _theta_fixed,
     floor_log2,
 )
@@ -55,7 +55,7 @@ def statistical_unit(
     observed: ChecksumVector,
     params: CriticalRegionParams,
     log2_mode: str = EXACT,
-) -> DetectionVerdict:
+) -> RowDecisions:
     """Run the detection datapath over one checksum pair.
 
     "exact" takes float64 log2s. "lzc" floors each lane's log2 to its bit
@@ -77,13 +77,7 @@ def statistical_unit(
         theta_fp = _theta_fixed(msd, params)
         theta = theta_fp / (1 << LZC_FRAC_BITS)
         over = [d for d in lanes if (floor_log2(abs(d)) << LZC_FRAC_BITS) > theta_fp]
-    return DetectionVerdict(
-        detector=f"stat-unit-{log2_mode}",
-        msd=msd,
-        theta_mag=theta,
-        freq_eff=len(over),
-        decision=RECOVER if len(over) > params.theta_freq else PASS,
-    )
+    return RowDecisions(msd, theta, len(over), len(over) > params.theta_freq)
 
 
 def run_array(w: QuantMatrix, x: QuantMatrix, fault: FaultConfig | None = None) -> SimResult:

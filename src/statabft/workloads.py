@@ -70,8 +70,8 @@ class WorkloadSpec:
             )
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
     @property
     def macs_per_gemm(self) -> int:
@@ -94,11 +94,9 @@ def _int8_values(u: np.ndarray, distribution: str) -> np.ndarray:
     return vals.astype(np.int8)
 
 
-def random_quant_matrix(
-    rows: int, cols: int, distribution: str, seed: int, scale: float = 1.0
-) -> QuantMatrix:
+def random_quant_matrix(rows: int, cols: int, distribution: str, seed: int) -> QuantMatrix:
     u = u64_stream(seed, rows * cols)
-    return QuantMatrix(_int8_values(u, distribution).reshape(rows, cols), scale=scale)
+    return QuantMatrix(_int8_values(u, distribution).reshape(rows, cols))
 
 
 def workload_matrices(spec: WorkloadSpec, index: int) -> tuple[QuantMatrix, QuantMatrix]:

@@ -1,6 +1,7 @@
 import csv
 import errno
 import json
+import math
 import os
 import subprocess
 import sys
@@ -399,7 +400,7 @@ def test_inject_index_t_is_compares_trial_t(tmp_path, capsys):
     from statabft.detectors import ChecksumPair
     from statabft.energy import _stream_diffs
 
-    kinds = ["none", "classical", "statistical", "statistical_lzc", "dmr"]
+    kinds = ["none", "classical", "msd", "statistical", "statistical_lzc", "dmr"]
     path = write_config(tmp_path, {
         "workload": SMALL_WORKLOAD,
         "fault": {"ber": 0.003, "seed": 3},
@@ -416,8 +417,10 @@ def test_inject_index_t_is_compares_trial_t(tmp_path, capsys):
         for spec in cfg.detector_specs():
             v = spec.evaluate(pair)
             seen = got["verdicts"][spec.kind]
-            assert (seen["decision"], seen["msd"], seen["freq_eff"]) == (
-                v.decision, v.msd, v.freq_eff
+            assert list(seen) == ["msd", "theta_mag", "freq_eff", "decision"]
+            theta = math.inf if seen["theta_mag"] == "inf" else seen["theta_mag"]
+            assert (seen["msd"], theta, seen["freq_eff"], seen["decision"]) == (
+                v.msd, v.theta_mag, v.freq_eff, "recover" if v.recovers else "pass"
             )
             recoveries[spec.kind] += seen["decision"] == "recover"
     out_dir = str(tmp_path / "cmp")

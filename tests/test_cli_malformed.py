@@ -56,13 +56,13 @@ HUGE = 10**30
 BAD = {
     "workload": {
         "m": _int(0, -HUGE, HUGE), "k": _int(0, HUGE), "n": _int(-1, HUGE),
-        "gemm_count": _int(0, -HUGE, 10**8, HUGE), "seed": _int(-1, -HUGE),
+        "gemm_count": _int(0, -HUGE, 10**8, HUGE), "seed": _int(-1, -HUGE, 2**64, HUGE),
         "distribution": _str("", "gaussian"),
     },
     "fault": {
         "mode": _str("BER", "flip"), "ber": _float(-1e-9, 1.5, 1e308),
         "bit_window": _list([5], [1, 2, 3], [10, 5], [-1, 5], [0, 32], [0, HUGE], ["0", 31], [0.5, 31], [None, 31]),
-        "mag": _int(2**31, -(2**31) - 1, HUGE), "seed": _int(-1, -HUGE),
+        "mag": _int(2**31, -(2**31) - 1, HUGE), "seed": _int(-1, -HUGE, 2**64, HUGE),
         # above the 64 x 64 default output's element count
         "freq": _int(-1, -HUGE, 64 * 64 + 1, HUGE),
         "voltage": _float(0.0, -0.7, 0.95, 1e308),
@@ -156,3 +156,29 @@ def test_unparsable_config_exits_two_with_an_error_line(files, text, capsys):
     path.write_text(text, encoding="latin-1")
     assert main(["--config", str(path), "sweep"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (["--seed", str(2**64)], "--seed"),
+        (["--seed", str(10**30)], "--seed"),
+        (["--config", "{workload}"], "workload.seed"),
+        (["--config", "{fault}"], "fault.seed"),
+    ],
+)
+def test_seeds_of_2_64_or_more_exit_two_at_their_key(files, capsys, args, key):
+    # derive_seed keeps 64 bits, so 2**64 would run as seed 0
+    (files / "workload.json").write_text(json.dumps({"workload": {"seed": 2**64}}))
+    (files / "fault.json").write_text(json.dumps({"fault": {"seed": 2**64}}))
+    args = [a.format(workload=files / "workload.json", fault=files / "fault.json") for a in args]
+    assert main([*args, "inject"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key}")
+
+
+def test_the_largest_seed_runs(files, capsys):
+    top = 2**64 - 1
+    (files / "top.json").write_text(json.dumps({"workload": {"seed": top}, "fault": {"seed": top}}))
+    for args in (["--config", str(files / "top.json")], ["--seed", str(top)]):
+        assert main([*args, "inject"]) == 0
+        assert json.loads(capsys.readouterr().out)["fault"]["seed"] == top

@@ -242,6 +242,16 @@ def test_override_seed_touches_both_streams():
     assert out.detector == cfg.detector
 
 
+@pytest.mark.parametrize("section", ["workload", "fault"])
+def test_seeds_are_bounded_to_64_bits(section):
+    # derive_seed keeps 64 bits, so a larger seed would alias a smaller one
+    for bad in (2**64, 2**64 + 5, -1):
+        with pytest.raises(ConfigError, match=rf"^{section}\.seed: must be in \[0, 2\*\*64\)"):
+            parse_config({section: {"seed": bad}})
+    cfg = parse_config({section: {"seed": 2**64 - 1}})
+    assert getattr(cfg, section).seed == 2**64 - 1
+
+
 def test_resolved_dict_round_trips_through_parse():
     doc = {
         "workload": {"m": 16, "k": 32, "n": 8, "gemm_count": 12, "seed": 5},

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from statabft.detectors import (
     ChecksumPair,
     CriticalRegionParams,
-    DetectionVerdict,
     DetectorSpec,
+    RowDecisions,
     detect_statistical,
     load_params,
     save_params,
@@ -20,6 +20,7 @@ from statabft.gemm import ChecksumVector
 
 P = CriticalRegionParams(a=2.0, b=40.0, theta_freq=4)
 CLASSICAL = DetectorSpec(kind="classical")
+MSD_0 = DetectorSpec(kind="msd")
 
 
 def msd_at(threshold):
@@ -68,10 +69,17 @@ def test_checksum_pair_construction():
 
 
 def test_msd_is_exact_for_huge_values():
-    # values whose float64 sum would lose precision
-    big = 2**62 - 1
+    # values whose float64 sum would lose precision, inside lanes * max|d_j| < 2**63
+    big = 2**60 - 1
     pair = pair_of([big, big, -big, 3])
     assert pair.msd() == big + 3
+    assert pair.msd() == DetectorSpec(kind="none").evaluate(pair).msd
+    # past the bound msd() raises, as decide does, instead of summing in Python ints
+    for diff in ([2**62 - 1, 2**62 - 1, -(2**62 - 1), 3], [-(2**63)], [2**62, 2**62]):
+        with pytest.raises(ValueError, match="int64 bound"):
+            pair_of(diff).msd()
+        with pytest.raises(ValueError, match="int64 bound"):
+            CLASSICAL.decide(np.array([diff], dtype=np.int64))
 
 
 @given(st.integers(min_value=1, max_value=64).flatmap(
@@ -85,22 +93,30 @@ def test_msd_is_exact_for_huge_values():
 ))
 @settings(max_examples=300, deadline=None)
 def test_msd_equals_the_python_int_sum_at_the_int64_bound(diff):
-    # values straddle (2**63 - 1) / len(d): the int64 sum on one side, Python ints on the other
-    assert pair_of(diff).msd() == abs(sum(diff))
+    # values straddle (2**63 - 1) / len(d): exact on one side, ValueError on the other
+    pair = pair_of(diff)
+    if len(diff) * max(abs(v) for v in diff) < 2**63:
+        assert pair.msd() == abs(sum(diff))
+        assert pair.msd() == MSD_0.decide(pair.diff[np.newaxis]).msd[0]
+    else:
+        with pytest.raises(ValueError, match="int64 bound"):
+            pair.msd()
 
 
 def test_classical_fires_on_any_nonzero():
-    assert CLASSICAL.evaluate(pair_of([0, 0, 0])).decision == "pass"
+    assert not CLASSICAL.evaluate(pair_of([0, 0, 0])).recovers
     v = CLASSICAL.evaluate(pair_of([0, 1, 0]))
-    assert v.decision == "recover" and v.freq_eff == 1 and v.detector == "classical"
+    assert v == RowDecisions(msd=1, theta_mag=0.0, freq_eff=1, recovers=True)
+    # one GEMM's decision holds Python scalars, not numpy ones
+    assert [type(x) for x in v] == [int, float, int, bool]
 
 
 def test_msd_detector_strict_threshold():
     pair = pair_of([64, 0, 0])
-    assert msd_at(64).evaluate(pair).decision == "pass"  # strict >
-    assert msd_at(63).evaluate(pair).decision == "recover"
+    assert not msd_at(64).evaluate(pair).recovers  # strict >
+    assert msd_at(63).evaluate(pair).recovers
     # cancellation hides from MSD thresholding
-    assert msd_at(0).evaluate(pair_of([2**30, -(2**30)])).decision == "pass"
+    assert not msd_at(0).evaluate(pair_of([2**30, -(2**30)])).recovers
     with pytest.raises(ValueError):
         msd_at(-1)
 
@@ -110,66 +126,61 @@ def test_statistical_strict_inequalities():
     params = CriticalRegionParams(a=2.0, b=0.0, theta_freq=2)
     # three lanes at 2**10: msd = 3*2**10, theta = -(log2 msd) < 0, all count
     v = detect_statistical(pair_of([1 << 10, 1 << 10, 1 << 10]), params)
-    assert v.freq_eff == 3 and v.decision == "recover"
+    assert v.freq_eff == 3 and v.recovers
     v = detect_statistical(pair_of([1 << 10, 1 << 10, 0]), params)
-    assert v.freq_eff == 2 and v.decision == "pass"
+    assert v.freq_eff == 2 and not v.recovers
 
 
 def test_statistical_magnitude_cut_is_strict():
     # msd = 2**20 -> theta = 20; a lane at exactly 2**20 must NOT count
     v = detect_statistical(pair_of([1 << 20]), P)
     assert v.theta_mag == 20.0
-    assert v.freq_eff == 0 and v.decision == "pass"
+    assert v.freq_eff == 0 and not v.recovers
     # just above the bound counts
     params = CriticalRegionParams(a=2.0, b=10.0, theta_freq=0)
     v = detect_statistical(pair_of([1 << 9]), params)  # theta = 10 - 9 = 1, log2|d| = 9
-    assert v.freq_eff == 1 and v.decision == "recover"
+    assert v.freq_eff == 1 and v.recovers
 
 
 def test_statistical_cancellation_passes():
     # perfectly cancelling large errors: msd == 0, theta = +inf, nothing counts
     v = detect_statistical(pair_of([2**40, -(2**40)]), P)
     assert v.msd == 0 and math.isinf(v.theta_mag)
-    assert v.freq_eff == 0 and v.decision == "pass"
+    assert v.freq_eff == 0 and not v.recovers
 
 
 def test_single_large_error_passes_low_freq():
     # one huge deviation: freq_eff <= 1 <= theta_freq -> pass
     v = detect_statistical(pair_of([2**35]), P)
-    assert v.decision == "pass" and v.freq_eff == 1
+    assert not v.recovers and v.freq_eff == 1
 
 
 def test_many_small_errors_recover():
     # six lanes of 2**18, msd = 6 * 2**18 ~ 2**20.58, theta ~ 19.4 < 18? no:
     # theta = 40 - log2(6*2**18) = 40 - 20.58 = 19.4, log2|d| = 18 < theta -> no count
     v = detect_statistical(pair_of([1 << 18] * 6), P)
-    assert v.decision == "pass"
+    assert not v.recovers
     # raise magnitudes so lanes clear the bound: log2|d|=22 > 40-log2(6*2**22)=15.4
     v = detect_statistical(pair_of([1 << 22] * 6), P)
-    assert v.freq_eff == 6 and v.decision == "recover"
+    assert v.freq_eff == 6 and v.recovers
 
 
 def test_none_detector_never_recovers():
     v = DetectorSpec(kind="none").evaluate(pair_of([1 << 30] * 8))
-    assert v.decision == "pass" and v.detector == "none"
+    assert v == (8 << 30, 0.0, 8, False)
 
 
 def test_detector_spec_dispatch():
     pair = pair_of([1 << 22] * 6)
-    assert DetectorSpec(kind="classical").evaluate(pair).decision == "recover"
-    assert DetectorSpec(kind="none").evaluate(pair).decision == "pass"
-    assert DetectorSpec(kind="msd", msd_threshold=2**40).evaluate(pair).decision == "pass"
-    assert DetectorSpec(kind="statistical", params=P).evaluate(pair).decision == "recover"
+    assert DetectorSpec(kind="classical").evaluate(pair).recovers
+    assert not DetectorSpec(kind="none").evaluate(pair).recovers
+    assert not DetectorSpec(kind="msd", msd_threshold=2**40).evaluate(pair).recovers
+    assert DetectorSpec(kind="statistical", params=P).evaluate(pair).recovers
     assert DetectorSpec(kind="dmr").evaluate(pair) == CLASSICAL.evaluate(pair)
     with pytest.raises(ValueError, match="kind"):
         DetectorSpec(kind="quantum")
     with pytest.raises(ValueError, match="needs CriticalRegionParams"):
         DetectorSpec(kind="statistical")
-
-
-def test_verdict_validation():
-    with pytest.raises(ValueError, match="decision"):
-        DetectionVerdict(detector="x", msd=0, theta_mag=0.0, freq_eff=0, decision="maybe")
 
 
 @st.composite
@@ -189,8 +200,8 @@ def test_statistical_implies_classical(d):
     pair = pair_of(d)
     stat = detect_statistical(pair, P)
     classical = CLASSICAL.evaluate(pair)
-    if stat.decision == "recover":
-        assert classical.decision == "recover"
+    if stat.recovers:
+        assert classical.recovers
 
 
 @given(diffs(), st.integers(min_value=0, max_value=2**32))
@@ -200,7 +211,7 @@ def test_detectors_invariant_under_permutation(d, perm_seed):
     shuffled = list(np.array(d)[rng.permutation(len(d))])
     for fn in (CLASSICAL.evaluate, msd_at(100).evaluate, lambda p: detect_statistical(p, P)):
         a, b = fn(pair_of(d)), fn(pair_of(shuffled))
-        assert (a.msd, a.freq_eff, a.decision) == (b.msd, b.freq_eff, b.decision)
+        assert a == b
 
 
 def test_params_file_round_trip(tmp_path):
@@ -238,10 +249,8 @@ def test_statistical_lzc_floors_lane_logs_and_uses_the_mitchell_bound():
     params = CriticalRegionParams(a=2.0, b=40.0, theta_freq=1)
     exact = DetectorSpec(kind="statistical", params=params).evaluate(pair)
     lzc = DetectorSpec(kind="statistical_lzc", params=params).evaluate(pair)
-    assert (exact.freq_eff, exact.decision) == (2, "recover")
-    assert (lzc.detector, lzc.theta_mag, lzc.freq_eff, lzc.decision) == (
-        "statistical_lzc", 18.5, 1, "pass"
-    )
+    assert (exact.freq_eff, exact.recovers) == (2, True)
+    assert lzc == (3 * 2**20, 18.5, 1, False)
     cancelled = DetectorSpec(kind="statistical_lzc", params=params).evaluate(pair_of([5, -5]))
     assert math.isinf(cancelled.theta_mag) and cancelled.freq_eff == 0
     with pytest.raises(ValueError, match="statistical_lzc detector needs CriticalRegionParams"):

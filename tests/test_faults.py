@@ -18,7 +18,6 @@ from statabft.faults import (
     default_table,
     geometric_flips,
     inject_uniform,
-    replay_events,
     sample_bitflips,
     uniform_corruption,
     uniform_positions,
@@ -247,7 +246,7 @@ def test_event_log_replays_exactly():
         FaultConfig(mode="uniform", freq=64, mag=2**31 - 1, seed=3),
     ):
         corrupted, events = apply_fault(y, cfg)
-        # the injectors replay their own log, so check it against numpy's XOR
+        # the injectors write their own record, so check its log against numpy's XOR
         # of the logged bits, or its wrapping INT32 addition of mag, instead
         expected = y.data.copy()
         at = ([e.row for e in events], [e.col for e in events])
@@ -259,15 +258,6 @@ def test_event_log_replays_exactly():
         assert events and np.array_equal(corrupted.data, expected)
         changed = int(np.count_nonzero(corrupted.data != y.data))
         assert changed == len(events)
-
-
-def test_replay_rejects_mismatched_base():
-    y = make_output(13)
-    corrupted, events = inject_uniform(y, FaultConfig(mode="uniform", freq=3, mag=7, seed=1))
-    other = AccumMatrix(y.data + 1)
-    if events:
-        with pytest.raises(ValueError, match="expects before"):
-            replay_events(other, events)
 
 
 def test_uniform_injects_exact_count_at_distinct_positions():
@@ -301,7 +291,7 @@ def test_uniform_wraps_int32():
     e = events[0]
     assert e.after == -(2**31)
     assert int(corrupted.data[e.row, e.col]) == -(2**31)
-    assert replay_events(y, events) == corrupted
+    assert int(np.count_nonzero(corrupted.data != y.data)) == 1
 
 
 def test_mode_dispatch_guards():
@@ -319,7 +309,9 @@ def test_uniform_position_selection_uniformity_props(seed, freq):
     corrupted, events = inject_uniform(y, FaultConfig(mode="uniform", freq=freq, mag=3, seed=seed))
     assert len(events) == freq
     assert len({(e.row, e.col) for e in events}) == freq
-    assert replay_events(y, events) == corrupted
+    expected = y.data.copy()
+    expected[[e.row for e in events], [e.col for e in events]] = 3
+    assert np.array_equal(corrupted.data, expected)
 
 
 def test_uniform_positions_are_the_one_trial_draws_stacked():

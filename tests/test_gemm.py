@@ -106,13 +106,11 @@ def test_quantmatrix_validation():
         QuantMatrix(np.zeros(4, dtype=np.int8))
     with pytest.raises(ValueError, match="out of range"):
         QuantMatrix(np.array([[300]]))
-    with pytest.raises(ValueError, match="scale"):
-        QuantMatrix(np.zeros((2, 2), dtype=np.int8), scale=0.0)
     with pytest.raises(ValueError, match="integers"):
         QuantMatrix(np.zeros((2, 2), dtype=np.float64))
     # exact integer input in a wider dtype is accepted
-    q = QuantMatrix(np.array([[1, -2], [3, 4]], dtype=np.int64), scale=0.5)
-    assert q.data.dtype == np.int8 and q.scale == 0.5
+    q = QuantMatrix(np.array([[1, -2], [3, 4]], dtype=np.int64))
+    assert q.data.dtype == np.int8 and q.data.tolist() == [[1, -2], [3, 4]]
 
 
 def test_matrices_are_immutable():
@@ -122,9 +120,9 @@ def test_matrices_are_immutable():
 
 
 def test_equality_semantics():
-    a = QuantMatrix(np.array([[1, 2]], dtype=np.int8), scale=1.0)
-    b = QuantMatrix(np.array([[1, 2]], dtype=np.int8), scale=1.0)
-    c = QuantMatrix(np.array([[1, 2]], dtype=np.int8), scale=2.0)
+    a = QuantMatrix(np.array([[1, 2]], dtype=np.int8))
+    b = QuantMatrix(np.array([[1, 2]], dtype=np.int64))
+    c = QuantMatrix(np.array([[1, 3]], dtype=np.int8))
     assert a == b and a != c
     assert AccumMatrix([[5]]) == AccumMatrix([[5]])
     assert ChecksumVector([1, 2], side="row") != ChecksumVector([1, 2], side="column")

@@ -107,7 +107,7 @@ def test_exact_unit_agrees_with_reference_detector(pair):
     unit = statistical_unit(pair.predicted, pair.observed, P)
     assert unit.msd == ref.msd
     assert unit.freq_eff == ref.freq_eff
-    assert unit.decision == ref.decision
+    assert unit.recovers == ref.recovers
 
 
 @given(checksum_pairs())
@@ -115,7 +115,7 @@ def test_exact_unit_agrees_with_reference_detector(pair):
 def test_lzc_unit_disagrees_only_near_quantization_edges(pair):
     exact = statistical_unit(pair.predicted, pair.observed, P, "exact")
     lzc = statistical_unit(pair.predicted, pair.observed, P, "lzc")
-    if lzc.decision == exact.decision:
+    if lzc.recovers == exact.recovers:
         return
     msd = pair.msd()
     assert msd > 0
@@ -178,7 +178,7 @@ def test_vectorized_detectors_match_the_scalar_unit(d, params):
     for kind, mode in MODES:
         ref = DetectorSpec(kind=kind, params=params).evaluate(pair)
         unit = statistical_unit(pair.predicted, pair.observed, params, mode)
-        assert (ref.msd, ref.freq_eff, ref.decision) == (unit.msd, unit.freq_eff, unit.decision)
+        assert (ref.msd, ref.freq_eff, ref.recovers) == (unit.msd, unit.freq_eff, unit.recovers)
         if mode == "lzc":
             assert ref.theta_mag == unit.theta_mag
 
@@ -217,14 +217,10 @@ def test_deciding_all_rows_at_once_equals_each_row_alone(case, threshold):
         for i, d in enumerate(diffs):
             pair = ChecksumPair.from_diff(d)
             alone = spec.evaluate(pair)
-            assert (alone.msd, alone.theta_mag, alone.freq_eff, alone.recovers) == (
-                rows.msd[i], rows.theta_mag[i], rows.freq_eff[i], rows.recovers[i]
-            )
+            assert alone == rows.row(i)
             if kind in units:
                 unit = statistical_unit(pair.predicted, pair.observed, params, units[kind])
-                assert (unit.msd, unit.theta_mag, unit.freq_eff, unit.decision) == (
-                    alone.msd, alone.theta_mag, alone.freq_eff, alone.decision
-                )
+                assert unit == alone
 
 
 def test_decide_asserts_the_int64_bound():
