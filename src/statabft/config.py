@@ -74,7 +74,9 @@ class ExperimentConfig:
         if not math.isfinite(nominal * (3 + self.energy.detect_overhead)):
             raise ValueError("energy e_mac_nom and detect_overhead overflow the per-GEMM energy")
         # every sweep energy is at least the compute at the lowest voltage; savings divide by one
-        if not nominal * (min(self.voltages()) / self.energy.v_nom) ** 2 > 0:
+        # float * overflows to inf where ** raises, so a huge voltage is left to the table check
+        ratio = min(self.voltages()) / self.energy.v_nom
+        if not nominal * ratio * ratio > 0:
             raise ValueError("energy per-GEMM energy at the lowest sweep voltage underflows to 0")
 
     @property

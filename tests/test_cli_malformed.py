@@ -5,7 +5,7 @@ import io
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from statabft.cli import main
@@ -143,6 +143,8 @@ def _run(files, doc):
 
 
 @given(doc=MALFORMED)
+# the lowest voltage's energy ratio overflowed a float ** and raised OverflowError
+@example(doc={"sweep": {"voltages": [1e308]}})
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_malformed_config_exits_two_with_an_error_line(files, doc):
     rc, err = _run(files, doc)
