@@ -28,16 +28,17 @@ GEMMs its fault seeds and one clean-entry callback, and one draw samples the
 faults of all of them and reads every clean entry they need in one
 ``workload_entries`` call, with its temporaries in blocks of about
 ``rng.DRAW_BLOCK`` values. Every detector is scored on the same checksum
-evidence: a sweep draws its whole stream once and builds, per voltage, one
-int64 (trials x lanes) matrix D of checksum differences from the record of
-all its trials' thinned flips, and each detector decides the rows of D in
-vectorized calls (``DetectorSpec.decide``), one per block of ``BLOCK_LANES``
-lanes, so its temporaries stay bounded; ``compare`` builds D from one record
-per block of trials sized by the elements a record may hold (a sparse BER
-stream, such as the 200 default GEMMs, is one block), and ``WorkloadSpec``
-caps D at 2**24 lanes (128 MiB). Row sums are exact in int64 while lanes *
-max|d_j| < 2**63, which every GEMM meets (|d_j| <= m * 2**32 <= 2**44 with at
-most 4096 lanes) and which is asserted.
+evidence, by one scorer (``_score_stream``) that ``compare`` calls at one BER
+and a sweep at each of its voltages' BERs: it walks the stream in blocks of
+trials whose checksum differences hold at most ``BLOCK_LANES`` lanes and
+whose records about ``_RECORD_BLOCK`` elements, so memory stays bounded
+however long the stream (the 200 default GEMMs at the default table's BERs
+are one block). A block draws its flips once, at the top BER, thins them to
+each BER, builds one int64 (trials x lanes) matrix D of checksum differences
+per BER from the record of the kept flips, and each detector decides the rows
+of D in one vectorized call (``DetectorSpec.decide``). Row sums are exact in
+int64 while lanes * max|d_j| < 2**63, which every GEMM meets (|d_j| <= m *
+2**32 <= 2**44 with at most 4096 lanes) and which is asserted.
 The per-detector optimum is the sweep point with minimal energy (ties break
 toward higher voltage).
 """
@@ -55,8 +56,8 @@ from .faults import (
     FaultConfig,
     SparseFlips,
     VoltageBerTable,
-    corruption,
     default_table,
+    uniform_corruption,
 )
 from .rng import derive_seed
 from .workloads import WorkloadSpec, workload_entries
@@ -69,9 +70,9 @@ from .workloads import workload_matrices
 # derivation tag for fault streams inside sweeps/comparisons
 _TAG_FAULT = 201
 
-# elements a compare block's record is sized to hold (see _stream_diffs);
-# results do not depend on it
-_RECORD_BLOCK = 2**16
+# elements a scoring block's record is sized to hold (see _score_stream), and
+# so the clean entries it reads in one call; results do not depend on it
+_RECORD_BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -189,25 +190,6 @@ def stream(spec: WorkloadSpec, fault: FaultConfig, trials):
     return (lambda i, rows, cols: workload_entries(spec, trials[i], rows, cols)), seeds
 
 
-def _stream_diffs(spec: WorkloadSpec, fault: FaultConfig) -> np.ndarray:
-    """The (GEMMs x n) checksum-difference matrix of the stream, one corruption record per block.
-
-    A block's differences hold at most ``BLOCK_LANES`` lanes, and its record
-    about ``_RECORD_BLOCK`` elements: m * n per trial in uniform mode (its
-    priorities), the expected flips in BER mode, where a sparse stream is one
-    record.
-    """
-    diffs = np.empty((spec.gemm_count, spec.n), dtype=np.int64)
-    per_trial = spec.m * spec.n
-    if fault.mode != UNIFORM_MODE:
-        per_trial *= (fault.bit_window[1] - fault.bit_window[0] + 1) * fault.ber
-    step = max(1, min(BLOCK_LANES // spec.n, int(_RECORD_BLOCK // max(1.0, per_trial))))
-    for start in range(0, spec.gemm_count, step):
-        block = np.arange(start, min(start + step, spec.gemm_count))
-        diffs[block] = corruption(spec.m, spec.n, *stream(spec, fault, block), fault).diff()
-    return diffs
-
-
 def _proxy_params(detectors):
     for d in detectors:
         if d.kind in STATISTICAL_KINDS:
@@ -215,58 +197,71 @@ def _proxy_params(detectors):
     return None
 
 
-def _score_stream(diffs: np.ndarray, detectors, reference):
-    """Aggregate detector decisions over a (trials x lanes) checksum-difference matrix.
+def _score_stream(
+    spec: WorkloadSpec, detectors, fault: FaultConfig, bers
+) -> list[list[CompareRow]]:
+    """Score every detector on the ``spec.gemm_count`` GEMMs of a stream at each of ``bers``.
 
-    Each detector, and the statistical rule under ``reference`` that marks a
-    trial critical, decides a block of max(1, BLOCK_LANES // lanes) rows per
-    call, so the deciders' temporaries stay bounded however long the stream;
-    counts and the MSD sum carry across blocks, giving one block's results.
+    Returns one ``CompareRow`` per detector for each BER, in the orders given.
+    The trials go in blocks whose differences hold at most ``BLOCK_LANES``
+    lanes and whose records about ``_RECORD_BLOCK`` elements: m * n per trial
+    in uniform mode (its priorities), the expected flips at the top BER in BER
+    mode. A block draws its flips once, at ``max(bers)``, and each BER keeps
+    those whose thinning uniform lies below it; a uniform fault corrupts the
+    same elements at every BER. Each detector, and the statistical rule that
+    marks a trial critical under the first statistical detector's params,
+    decides a block's rows in one call. Counts and the MSD sum carry across
+    blocks, so results do not depend on the block size.
     """
     labels = _unique_labels(detectors)
-    n = len(diffs)
+    reference = _proxy_params(detectors)
     rule = None if reference is None else DetectorSpec(kind="statistical", params=reference)
-    recoveries, undetected, freq_sum = (dict.fromkeys(labels, 0) for _ in range(3))
-    msd_sum = 0.0
-    step = max(1, BLOCK_LANES // diffs.shape[1])
-    for start in range(0, n, step):
-        block = diffs[start : start + step]
-        critical = np.zeros(len(block), dtype=bool) if rule is None else rule.decide(block).recovers
-        for d, label in zip(detectors, labels):
-            rows = d.decide(block)
-            recoveries[label] += int(np.count_nonzero(rows.recovers))
-            undetected[label] += int(np.count_nonzero(critical & ~rows.recovers))
-            freq_sum[label] += int(rows.freq_eff.sum())
-        # float MSDs summed one after another in trial order (np.sum would sum pairwise)
-        msd = np.append(msd_sum, row_msd(block).astype(np.float64))
-        msd_sum = float(np.add.accumulate(msd)[-1])
-    return n, recoveries, undetected, freq_sum, msd_sum
+    top = max(bers)
+    per_trial = spec.m * spec.n
+    if fault.mode != UNIFORM_MODE:
+        per_trial *= (fault.bit_window[1] - fault.bit_window[0] + 1) * top
+    step = max(1, min(BLOCK_LANES // spec.n, int(_RECORD_BLOCK // max(1.0, per_trial))))
+    # per BER and detector: recoveries, undetected critical trials and the freq_eff sum
+    counts = np.zeros((len(bers), len(detectors), 3), dtype=np.int64)
+    msd_sums = [0.0] * len(bers)
+    for start in range(0, spec.gemm_count, step):
+        entries, seeds = stream(spec, fault, np.arange(start, min(start + step, spec.gemm_count)))
+        if fault.mode == UNIFORM_MODE:
+            record = uniform_corruption(seeds, spec.m, spec.n, entries, fault.freq, fault.mag)
+            records = (record for _ in bers)
+        else:
+            flips = SparseFlips.draw(spec.m, spec.n, entries, seeds, fault.bit_window, top)
+            records = (flips.at(ber) for ber in bers)
+        for i, record in enumerate(records):
+            diffs = record.diff()
+            critical = np.zeros(len(diffs), bool) if rule is None else rule.decide(diffs).recovers
+            for j, d in enumerate(detectors):
+                rows = d.decide(diffs)
+                missed = critical & ~rows.recovers
+                counts[i, j] += (rows.recovers.sum(), missed.sum(), rows.freq_eff.sum())
+            # float MSDs summed one after another in trial order (np.sum would sum pairwise)
+            msd = np.append(msd_sums[i], row_msd(diffs).astype(np.float64))
+            msd_sums[i] = float(np.add.accumulate(msd)[-1])
+    n = spec.gemm_count
+    return [
+        [
+            CompareRow(label, n, recovered / n, missed / n, freq_sum / n, msd_sum / n)
+            for label, (recovered, missed, freq_sum) in zip(labels, per_ber.tolist())
+        ]
+        for per_ber, msd_sum in zip(counts, msd_sums)
+    ]
 
 
 def compare_detectors(spec: WorkloadSpec, detectors, fault: FaultConfig) -> list[CompareRow]:
     """Run the ``spec.gemm_count`` GEMMs of a stream at one fault level; score every detector.
 
     Trial ``t``'s checksum difference comes from its corrupted elements alone
-    (``corruption`` on the trials ``stream`` builds, clean values at those
-    elements only), the same sparse evidence ``sweep_detectors`` scores. The
-    undetected-critical rate counts trials a detector passed whose checksum
-    evidence lies inside the statistical detector's own critical region.
+    (the trials ``stream`` builds, clean values at those elements only), the
+    same sparse evidence ``sweep_detectors`` scores. The undetected-critical
+    rate counts trials a detector passed whose checksum evidence lies inside
+    the statistical detector's own critical region.
     """
-    ref = _proxy_params(detectors)
-    n, recoveries, undetected, freq_sum, msd_sum = _score_stream(
-        _stream_diffs(spec, fault), detectors, ref
-    )
-    return [
-        CompareRow(
-            detector=label,
-            trials=n,
-            recovery_rate=recoveries[label] / n,
-            undetected_critical_rate=undetected[label] / n,
-            mean_freq_eff=freq_sum[label] / n,
-            mean_msd=msd_sum / n,
-        )
-        for label in _unique_labels(detectors)
-    ]
+    return _score_stream(spec, detectors, fault, [fault.ber])[0]
 
 
 def sweep_detectors(
@@ -294,34 +289,25 @@ def sweep_detectors(
     voltages = [float(v) for v in voltages]
     if not voltages:
         raise ValueError("sweep needs at least one voltage")
-    labels = _unique_labels(detectors)
-    ref = _proxy_params(detectors)
     n_mac = spec.macs_per_gemm
     bers = [energy_cfg.table.ber_at(v) for v in voltages]
-    entries, seeds = stream(spec, fault, np.arange(spec.gemm_count))
-    flips = SparseFlips.draw(spec.m, spec.n, entries, seeds, fault.bit_window, max(bers))
-
-    points = {label: [] for label in labels}
-    for v, ber in zip(voltages, bers):
-        n, recoveries, undetected, _, _ = _score_stream(flips.at(ber).diff(), detectors, ref)
-        for d, label in zip(detectors, labels):
-            rate = recoveries[label] / n
-            points[label].append(
-                SweepPoint(
-                    voltage=v,
-                    ber=ber,
-                    recovery_rate=rate,
-                    energy_total=total_energy(v, rate, n_mac, energy_cfg, d.kind),
-                    latency_factor=latency_factor(rate),
-                    quality_proxy=undetected[label] / n,
-                    detector=label,
-                )
-            )
-
+    rows = _score_stream(spec, detectors, fault, bers)
     results = {}
-    for label, pts in points.items():
-        optimum = min(pts, key=lambda p: (p.energy_total, -p.voltage))
-        results[label] = SweepResult(detector=label, points=tuple(pts), optimum=optimum)
+    for d, by_voltage in zip(detectors, zip(*rows)):
+        points = tuple(
+            SweepPoint(
+                voltage=v,
+                ber=ber,
+                recovery_rate=row.recovery_rate,
+                energy_total=total_energy(v, row.recovery_rate, n_mac, energy_cfg, d.kind),
+                latency_factor=latency_factor(row.recovery_rate),
+                quality_proxy=row.undetected_critical_rate,
+                detector=row.detector,
+            )
+            for v, ber, row in zip(voltages, bers, by_voltage)
+        )
+        optimum = min(points, key=lambda p: (p.energy_total, -p.voltage))
+        results[d.kind] = SweepResult(detector=d.kind, points=points, optimum=optimum)
     return results
 
 

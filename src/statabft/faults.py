@@ -30,10 +30,11 @@ and corrupted dense stacks (``apply``). ``SparseFlips.at`` builds it in BER
 mode and ``uniform_corruption`` in uniform mode (positions from
 ``uniform_positions``), ``corruption`` in either mode, all for a stream of
 trials with one seed each. Each reads clean values only at the corrupted
-elements, through one callback call for the whole stream, ``entries(trials,
-rows, cols)``: comparisons, sweeps and ``inject`` pass
-``workloads.workload_entries``, which draws only the operand rows and
-columns those elements read; the dense injectors (``sample_bitflips``,
+elements, through one callback call for all the trials it is given,
+``entries(trials, rows, cols)``, so its caller bounds that call by the
+trials it passes: comparisons and sweeps pass a block of trials at a time
+and ``inject`` one, all with ``workloads.workload_entries``, which draws only
+the operand rows and columns those elements read; the dense injectors (``sample_bitflips``,
 ``inject_uniform``) pass a one-trial stream on ``FaultConfig.seed``, read the
 matrix and ``apply`` the record to a copy of it, and the calibration grid
 reads and corrupts a stack of trials. A ``FaultConfig`` roots every trial
@@ -70,12 +71,6 @@ ROW_TOLERANCE = 2.5e-11
 # in blocks of max(1, BLOCK_LANES // lanes) rows, so memory stays bounded
 # however many trials there are. Results do not depend on it.
 BLOCK_LANES = 2**20
-
-# flips whose clean entries SparseFlips.draw reads in one entries call, so the
-# callback's temporaries stay bounded however many flips a stream draws; a run
-# of whole trials holds at most this many (a trial with more is a run alone).
-# Results do not depend on it.
-ENTRY_BLOCK = 2**14
 
 # flips drawn by the first batch of geometric_flips; each later batch doubles.
 # Results do not depend on it: the k-th draw is a pure function of (seed, k).
@@ -182,22 +177,6 @@ def geometric_flips(seeds, n_bits: int, ber: float) -> tuple[np.ndarray, np.ndar
     return trial[order], np.concatenate(indices)[order], np.concatenate(thinning)[order]
 
 
-def _trial_runs(trial: np.ndarray, limit: int):
-    """(start, end) of consecutive runs of whole trials of a sorted trial column.
-
-    Each run holds at most ``limit`` entries, or is one trial that alone holds more.
-    """
-    # bounds: the offset of each trial's first entry, and the end
-    bounds = np.append(np.flatnonzero(np.diff(trial, prepend=-1)), trial.size)
-    start = 0
-    while start < trial.size:
-        end = bounds[np.searchsorted(bounds, start + limit, side="right") - 1]
-        if end <= start:
-            end = bounds[np.searchsorted(bounds, start, side="right")]
-        yield start, int(end)
-        start = int(end)
-
-
 @dataclass(frozen=True, eq=False)
 class Corruption:
     """Every corrupted element of a stream of same-shaped outputs (trials).
@@ -267,9 +246,9 @@ class SparseFlips:
         """The flips at ``ber`` inside ``bit_window`` of a stream of n_rows x n_cols outputs.
 
         Trial t is drawn on ``seeds[t]``, all trials in one ``geometric_flips``
-        pass, and ``entries(trials, rows, cols)`` gives the clean values at
-        the flipped elements of a run of whole trials holding at most
-        ``ENTRY_BLOCK`` flips per call (one call for a sparse stream).
+        pass, and one ``entries(trials, rows, cols)`` call gives the clean
+        values at every flipped element, so a caller bounds the entries read
+        at once by the trials it passes (the scorer passes a block of them).
         """
         seeds = np.asarray(seeds, dtype=np.uint64).ravel()
         lo, hi = bit_window
@@ -278,9 +257,7 @@ class SparseFlips:
         element, bits = np.divmod(idx, width)
         mask = np.left_shift(np.uint32(1), (bits + lo).astype(np.uint32))
         rows, cols = np.divmod(element, n_cols)
-        clean = np.empty(trial.size, dtype=np.int64)
-        for start, end in _trial_runs(trial, ENTRY_BLOCK):
-            clean[start:end] = entries(trial[start:end], rows[start:end], cols[start:end])
+        clean = np.asarray(entries(trial, rows, cols), dtype=np.int64)
         return cls(seeds.size, n_cols, ber, trial, element, mask, u, clean)
 
     def at(self, ber: float) -> Corruption:

@@ -17,12 +17,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .faults import uniform_positions
+from .rng import derive_seed, u64_stream, unit_floats
+
 NORM_KINDS = ("layer_norm", "rms_norm", "none")
 
 # relative-change threshold for counting an element as disturbed
 CHANGE_TOL = 0.01
 _EPS = 1e-6
 _DENOM_FLOOR = 1e-12
+
+# derivation tags of a hidden state's two streams under its seed
+_TAG_NOISE = 301
+_TAG_OUTLIERS = 302
 
 
 @dataclass(frozen=True)
@@ -61,14 +68,19 @@ class NormPipelineConfig:
 def synthetic_hidden_state(cfg: NormPipelineConfig) -> np.ndarray:
     """Gaussian noise with ``outlier_count`` entries forced to outlier_value.
 
-    Deterministic in cfg.seed: noise is drawn first, then outlier positions,
-    both from one numpy Generator.
+    Deterministic in cfg.seed, which roots two SplitMix64 streams. The noise
+    is Box-Muller pairs (Box & Muller, Ann. Math. Stat., 1958) from unit
+    floats of the first: draws 2i and 2i + 1 give elements 2i and 2i + 1. The outliers sit at the ``outlier_count`` smallest
+    priorities of the second, the rule ``faults.uniform_positions`` follows.
     """
-    rng = np.random.default_rng(cfg.seed)
-    v = rng.normal(0.0, cfg.base_noise_scale, cfg.dim)
-    if cfg.outlier_count:
-        pos = rng.choice(cfg.dim, size=cfg.outlier_count, replace=False)
-        v[pos] = cfg.outlier_value
+    unit = unit_floats(u64_stream(derive_seed(cfg.seed, _TAG_NOISE), 2 * ((cfg.dim + 1) // 2)))
+    # 1 - unit lies in (0, 1], so the radius is finite
+    radius = np.sqrt(-2.0 * np.log1p(-unit[0::2]))
+    angle = 2.0 * np.pi * unit[1::2]
+    pairs = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=1)
+    v = cfg.base_noise_scale * pairs.ravel()[: cfg.dim]
+    outliers = uniform_positions([derive_seed(cfg.seed, _TAG_OUTLIERS)], cfg.dim, cfg.outlier_count)
+    v[outliers[0]] = cfg.outlier_value
     return v
 
 

@@ -31,8 +31,8 @@ DISTRIBUTIONS = ("uniform", "outlier")
 # stays exact in int64; K is capped where INT32 accumulation stays exact
 MAX_OUTER_DIM = 4096
 
-# compare and the sweep each hold the stream's checksum differences as one int64
-# (gemm_count x n) matrix; 2**24 lanes keep it at 128 MiB
+# checksum lanes (gemm_count x n) a stream may hold; compare and the sweep score
+# it in bounded blocks, so this bounds a run's length, not its memory
 MAX_STREAM_LANES = 2**24
 
 # disjoint derivation tags so workload and fault streams never collide even

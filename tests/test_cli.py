@@ -398,7 +398,8 @@ def test_inject_runs_no_dense_gemm_and_matches_the_dense_oracle(tmp_path, capsys
 def test_inject_index_t_is_compares_trial_t(tmp_path, capsys):
     from statabft.config import load_config
     from statabft.detectors import ChecksumPair
-    from statabft.energy import _stream_diffs
+    from statabft.energy import stream
+    from statabft.faults import corruption
 
     kinds = ["none", "classical", "msd", "statistical", "statistical_lzc", "dmr"]
     path = write_config(tmp_path, {
@@ -409,7 +410,9 @@ def test_inject_index_t_is_compares_trial_t(tmp_path, capsys):
     cfg = load_config(path)
     n = cfg.workload.gemm_count
     recoveries = dict.fromkeys(kinds, 0)
-    for t, diff in enumerate(_stream_diffs(cfg.workload, cfg.fault)):
+    trials = stream(cfg.workload, cfg.fault, range(n))
+    diffs = corruption(cfg.workload.m, cfg.workload.n, *trials, cfg.fault).diff()
+    for t, diff in enumerate(diffs):
         pair = ChecksumPair.from_diff(diff)
         assert main(["--config", path, "inject", "--index", str(t)]) == 0
         got = json.loads(capsys.readouterr().out)
@@ -436,12 +439,15 @@ def test_inject_index_t_is_compares_trial_t(tmp_path, capsys):
 def test_inject_takes_every_trial_the_default_sweep_scores(capsys):
     # the default sweep scores GEMMs 0..199; inject --index 150 is trial 150 of compare
     from statabft.config import ExperimentConfig
-    from statabft.energy import _stream_diffs
+    from statabft.energy import stream
+    from statabft.faults import corruption
 
     assert main(["inject", "--index", "150"]) == 0
     got = json.loads(capsys.readouterr().out)
     cfg = ExperimentConfig()
-    assert got["diff"] == _stream_diffs(cfg.workload, cfg.fault)[150].tolist()
+    spec, fault = cfg.workload, cfg.fault
+    diffs = corruption(spec.m, spec.n, *stream(spec, fault, range(spec.gemm_count)), fault).diff()
+    assert got["diff"] == diffs[150].tolist()
     assert main(["inject", "--index", "200"]) == 2
     assert "--index must be in [0, 200)" in capsys.readouterr().err
 
@@ -470,7 +476,7 @@ def test_compare_sweep_and_inject_build_trials_through_one_builder(tmp_path, mon
 @pytest.mark.parametrize("command", ["compare", "sweep"])
 @pytest.mark.parametrize("gemm_count", [10**8, 2**62])
 def test_stream_over_the_lane_bound_exits_two(tmp_path, capsys, command, gemm_count):
-    # one int64 (gemm_count x n) difference matrix; 10**8 x 64 lanes would take 47.7 GiB
+    # 10**8 x 64 lanes are over the 2**24-lane cap: exit 2 before any trial is scored
     cfg = write_config(tmp_path, {"workload": {"gemm_count": gemm_count}})
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), command]) == 2
     err = capsys.readouterr().err

@@ -9,7 +9,6 @@ import pytest
 from statabft import energy, faults, rng, workloads
 from statabft.detectors import CriticalRegionParams, DetectorSpec
 from statabft.energy import (
-    _stream_diffs,
     EnergyConfig,
     SweepPoint,
     compare_detectors,
@@ -207,7 +206,8 @@ def test_scoring_in_row_blocks_changes_no_result(monkeypatch, block_lanes):
     monkeypatch.setattr(energy, "row_msd", spy)
     assert run() == whole
     per_stream = [1] * 40 if block_lanes == 1 else [3] * 13 + [1]
-    assert blocks == per_stream * 4  # compare, then the sweep's three voltages
+    # compare's blocks, then each sweep block once per voltage
+    assert blocks == per_stream + [size for size in per_stream for _ in range(3)]
 
 
 def test_sweep_input_validation():
@@ -289,7 +289,7 @@ def test_compare_evidence_equals_the_dense_oracle(fault):
     # compare scores each trial from its corruption record alone; the dense
     # run_array, given the same per-trial fault seed, corrupts the whole product
     fault = replace(fault, seed=3)
-    diffs = _stream_diffs(SPEC, fault)
+    diffs = corruption(SPEC.m, SPEC.n, *stream(SPEC, fault, range(SPEC.gemm_count)), fault).diff()
     assert diffs.shape == (SPEC.gemm_count, SPEC.n)
     wrapped = 0
     for t, diff in enumerate(diffs):
@@ -322,6 +322,21 @@ def test_compare_with_every_element_corrupted_runs_in_bounded_memory():
     assert rows[0].mean_msd == m * n * 3 and rows[1].recovery_rate == 1.0
 
 
+def test_sweep_memory_does_not_grow_with_the_stream():
+    # a steep table flips about 1,300 bits per default GEMM at its top BER; the
+    # sweep draws and scores them one bounded block of trials at a time
+    steep = EnergyConfig(table=VoltageBerTable(voltages=(0.9, 0.6), bers=(1e-9, 0.02)))
+    peaks = []
+    for gemm_count in (200, 1000):
+        tracemalloc.start()
+        try:
+            sweep_detectors(WorkloadSpec(gemm_count=gemm_count), DETECTORS, BER, [0.9, 0.6], steep)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
 def test_compare_draws_only_the_operand_rows_and_columns_its_faults_read(monkeypatch):
     # compare_deep's shape and BER: a trial draws k values per W row and per X
     # column that its corrupted elements read, and a trial without flips none
@@ -339,7 +354,7 @@ def test_compare_draws_only_the_operand_rows_and_columns_its_faults_read(monkeyp
         return np.zeros(len(rows), dtype=np.int64)
 
     monkeypatch.setattr(workloads, "u64_at", spy)
-    diffs = _stream_diffs(spec, fault)
+    diffs = corruption(m, n, *stream(spec, fault, range(trials)), fault).diff()
     # where BER flips land does not depend on the clean values
     record = corruption(m, n, zeros, stream(spec, fault, range(trials))[1], fault)
     touched = []
@@ -390,7 +405,7 @@ def _stream_results(spec):
 
 @pytest.mark.parametrize("block", [1, 2**40])
 def test_draw_block_size_changes_no_result(monkeypatch, block):
-    # one-row blocks (one trial per compare record), and one block for the
+    # one-row blocks (one trial per scoring block), and one block for the
     # whole stream, give the same flips and scores
     *scores, flips = _stream_results(SPEC)
     assert np.bincount(flips.trial).max() > faults._SKIP_CHUNK  # some trial draws a second chunk
@@ -401,35 +416,22 @@ def test_draw_block_size_changes_no_result(monkeypatch, block):
     assert got == scores
     for name in ("trial", "element", "mask", "u", "clean"):
         assert np.array_equal(getattr(got_flips, name), getattr(flips, name)), name
+    # a sweep draws one SparseFlips per block: one per trial at one-element records
+    draws = []
+    real = faults.SparseFlips.draw.__func__
 
+    def spy(cls, n_rows, n_cols, entries, seeds, *args):
+        draws.append(len(seeds))
+        return real(cls, n_rows, n_cols, entries, seeds, *args)
 
-@pytest.mark.parametrize("bound", [1, 2**40])
-def test_entry_block_changes_no_result(monkeypatch, bound):
-    # clean entries read one trial per call, or the whole stream in one call,
-    # give the same flips, records and scores
-    *scores, flips = _stream_results(SPEC)
-    monkeypatch.setattr(faults, "ENTRY_BLOCK", bound)
-    *got, got_flips = _stream_results(SPEC)
-    assert got == scores
-    for name in ("trial", "element", "mask", "u", "clean"):
-        assert np.array_equal(getattr(got_flips, name), getattr(flips, name)), name
-    for ber in (DEEP.ber, DEEP.ber / 3, 0.0):
-        assert np.array_equal(got_flips.at(ber).diff(), flips.at(ber).diff())
-    runs = []
-    entries, seeds = stream(SPEC, DEEP, range(SPEC.gemm_count))
-
-    def spy(trials, rows, cols):
-        runs.append(np.unique(trials).tolist())
-        return entries(trials, rows, cols)
-
-    faults.SparseFlips.draw(SPEC.m, SPEC.n, spy, seeds, DEEP.bit_window, DEEP.ber)
-    hit = np.unique(flips.trial).tolist()
-    assert runs == ([[t] for t in hit] if bound == 1 else [hit])
+    monkeypatch.setattr(faults.SparseFlips, "draw", classmethod(spy))
+    assert sweep_detectors(SPEC, DETECTORS, DEEP, [0.9, 0.7, 0.6], STEEP) == scores[0]
+    assert draws == ([1] * SPEC.gemm_count if block == 1 else [SPEC.gemm_count])
 
 
 def test_draw_calls_do_not_grow_with_the_stream(monkeypatch):
-    # the stream is drawn in whole-stream calls: no per-GEMM workload_entries
-    # or scalar derive_seed call can come back
+    # a block of trials is drawn in one call, and a short stream is one block:
+    # no per-GEMM workload_entries or scalar derive_seed call can come back
     calls = {"entries": 0, "scalar seeds": 0}
 
     def counting(real, key, scalar_only=False):

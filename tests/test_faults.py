@@ -433,12 +433,3 @@ def test_table_csv_errors_carry_line_numbers(tmp_path):
         with pytest.raises(TableFormatError, match=match):
             VoltageBerTable.from_csv(str(p))
 
-
-def test_trial_runs_split_a_sorted_trial_column_at_trial_boundaries():
-    trial = np.array([0, 0, 0, 1, 2, 2, 2, 2, 2, 3, 3, 5])
-    runs = lambda limit: list(faults._trial_runs(trial, limit))
-    # a trial with more entries than the limit is a run alone
-    assert runs(1) == [(0, 3), (3, 4), (4, 9), (9, 11), (11, 12)]
-    assert runs(4) == [(0, 4), (4, 9), (9, 12)]
-    assert runs(12) == [(0, 12)]
-    assert list(faults._trial_runs(trial[:0], 4)) == []

@@ -74,6 +74,51 @@ def test_unused_import_is_reported(tmp_path):
     assert unused_imports(module) == ["os", "pi"]
 
 
+def numpy_random_lines(path):
+    """Lines of a module that import ``numpy.random`` or reach it through a numpy name.
+
+    Every draw goes through SplitMix64 (``statabft.rng``), so none may.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    numpy_names = {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for a in node.names
+        if a.name == "numpy"
+    }
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(a.name.startswith("numpy.random") for a in node.names):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if module.startswith("numpy.random") or (
+                module == "numpy" and any(a.name == "random" for a in node.names)
+            ):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "random":
+            if isinstance(node.value, ast.Name) and node.value.id in numpy_names:
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_numpy_random(path):
+    assert numpy_random_lines(path) == []
+
+
+def test_numpy_random_is_reported(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import numpy as np\nimport numpy.random\nfrom numpy import random\n"
+        "from numpy.random import default_rng\nrng = np.random.default_rng(0)\n"
+        "import random\nx = random.random()\nimport math as numpy\n"
+    )
+    assert numpy_random_lines(module) == [2, 3, 4, 5]
+
+
 @pytest.mark.parametrize(
     "module, attr",
     [p[:2] for p in (*tracing.PROBES, *tracing.ORACLE_FACTORIES)],

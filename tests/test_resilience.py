@@ -18,9 +18,9 @@ from statabft.resilience import (
 # one amplification scenario pinned end to end: dim 4096, 8 outliers at 50,
 # unit noise, seed 0, +1000 added to element 100
 GOLDEN = {
-    "layer_norm": (0.99951171875, 610.1029089296663),
-    "rms_norm": (1.0, 303.9950976139375),
-    "none": (0.000244140625, 1989.3258746522445),
+    "layer_norm": (1.0, 312.25985131947135),
+    "rms_norm": (1.0, 388.7222171688205),
+    "none": (0.000244140625, 2516.0643997973607),
 }
 
 
@@ -31,10 +31,10 @@ def test_hidden_state_is_deterministic_and_shaped():
     np.testing.assert_allclose(
         v[:4],
         [
-            0.1257302210933933,
-            -0.1321048632913019,
-            0.6404226504432821,
-            0.10490011715303971,
+            1.3910965309223422,
+            -2.049324111351492,
+            0.7540612532158738,
+            -1.2010633001612487,
         ],
         rtol=0,
         atol=1e-15,
@@ -156,3 +156,18 @@ def test_outlier_free_state_is_pure_noise():
     cfg = NormPipelineConfig(dim=64, outlier_count=0, seed=9)
     v = synthetic_hidden_state(cfg)
     assert np.all(np.abs(v) < 10.0)
+
+
+def test_noise_is_standard_normal_times_its_scale():
+    # Box-Muller pairs of SplitMix64 unit floats: N(0, scale^2) per element,
+    # pooled over ten seeds (an odd dim drops the last pair's second value)
+    states = [
+        synthetic_hidden_state(
+            NormPipelineConfig(dim=4095, outlier_count=0, base_noise_scale=2.0, seed=seed)
+        )
+        for seed in range(10)
+    ]
+    assert {v.shape for v in states} == {(4095,)}
+    v = np.concatenate(states)
+    assert abs(v.mean()) < 0.05 and abs(v.std() - 2.0) < 0.03
+    assert abs(np.mean(np.abs(v) < 2.0) - 0.6827) < 0.015  # within one sigma

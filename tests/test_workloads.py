@@ -24,7 +24,7 @@ def test_spec_validation():
 
 
 def test_stream_is_bounded_in_checksum_lanes():
-    # gemm_count * n lanes: at most 2**24, one 128 MiB int64 difference matrix
+    # gemm_count * n lanes: at most 2**24, 128 MiB as one int64 difference matrix
     assert MAX_STREAM_LANES * 8 == 128 * 2**20
     assert WorkloadSpec(n=64, gemm_count=MAX_STREAM_LANES // 64).gemm_count == 2**18
     for n, gemm_count in ((64, MAX_STREAM_LANES // 64 + 1), (1, MAX_STREAM_LANES + 1), (4096, 10**30)):
