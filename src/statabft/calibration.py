@@ -2,14 +2,17 @@
 
 A quality grid sweeps uniform injections over a (frequency, magnitude)
 lattice, scores each cell with a workload-quality oracle, and marks cells
-acceptable when mean degradation stays within an epsilon budget. A cell's
-trials go a block at a time, with one call each: a clean factory builds the
-block's (trials x rows x cols) stack from its seeds, one
+acceptable when mean degradation stays within an epsilon budget. Trials go
+a block at a time: one ``derive_seed`` call gives the block's seeds in every
+cell, and then each cell makes one call of each kind: a clean factory builds
+the block's (trials x rows x cols) stack from its seeds, one
 ``faults.Corruption`` record corrupts a copy in one vectorized pass, and the
 oracle scores the ``OracleBlock`` into one array of per-trial scores. No
 Python object is built per trial, so the grid's cost per injection is a few
-array operations, and its memory is bounded by the block size, not by the
-trial count. A line fitted to the acceptable/unacceptable boundary recovers
+array operations. A block holds at most ``BLOCK_LANES`` elements of one
+cell and as many seeds of all cells, and each cell's score sum carries
+across blocks, so memory is bounded by the block size, not by the trial
+count. A line fitted to the acceptable/unacceptable boundary recovers
 critical-region parameters (a, b, theta_freq) for the statistical detector.
 
 The boundary model is theta_mag = b - (a - 1) * log2(MSD) with
@@ -237,8 +240,10 @@ def quality_grid(
     independent and the whole grid is reproducible from ``seed``. In each
     trial exactly ``freq`` elements get ``round(2**mag_log2)`` added.
 
-    A cell's trials go in blocks of max(1, BLOCK_LANES // elements), sized
-    by one probe call of ``clean_factory`` per grid. Per block,
+    Trials go in blocks of max(1, BLOCK_LANES // max(elements, 2 * cells)),
+    sized by one probe call of ``clean_factory`` per grid; one
+    ``derive_seed`` call gives a block's seeds in every cell, and the block
+    then visits the cells in turn. Per cell and block,
     ``clean_factory(seeds)`` maps the block's uint64 clean seeds to an
     integer (len(seeds) x rows x cols) stack (all-zero 16x16 matrices by
     default), with values inside INT32 and one (rows, cols) for the whole
@@ -246,9 +251,11 @@ def quality_grid(
     pass, which equals ``inject_uniform`` trial by trial; and one oracle call
     maps the ``OracleBlock`` to a float array of one degradation score >= 0
     per trial. A cell's quality is the mean of its scores, summed in trial
-    order, so block sizes change no result. A malformed stack, an injection
-    or oracle failure, and a score array of another shape or with a negative
-    or non-finite score raise GridCellError carrying the cell coordinates.
+    order with the sum carried across blocks, so block sizes change no
+    result and memory does not grow with ``trials``. A malformed stack, an
+    injection or oracle failure, and a score array of another shape or with
+    a negative or non-finite score raise GridCellError carrying the cell
+    coordinates.
     """
     mag_axis = np.asarray(mag_log2_axis, dtype=np.float64)
     freqs = np.asarray(freq_axis, dtype=np.int64)
@@ -261,38 +268,39 @@ def quality_grid(
     if clean_factory is None:
         clean_factory = _default_factory
 
-    n_cells = freqs.size * mag_axis.size
-    # seeds[c, t]: column 0 seeds trial t's clean matrix in cell c, column 1 its injection
-    seeds = derive_seed(
-        seed, np.arange(n_cells)[:, np.newaxis, np.newaxis],
-        np.arange(trials)[:, np.newaxis], np.arange(2),
-    )
-    probe = _clean_stack(clean_factory, seeds[0, :1, 0], None, int(freqs[0]), float(mag_axis[0]))
-    shape = probe.shape[1:]
-    step = max(1, BLOCK_LANES // (shape[0] * shape[1]))
-    quality = np.zeros(n_cells)
-    # scores[0] stays 0.0: each cell's sum starts from 0.0, as a Python sum does
-    scores = np.zeros(trials + 1)
-    for cell, (f, m) in enumerate(itertools.product(freqs.tolist(), mag_axis.tolist())):
-        mag = int(round(2.0**m))
-        for t0 in range(0, trials, step):
-            block_seeds = seeds[cell, t0 : t0 + step]
-            clean = _clean_stack(clean_factory, block_seeds[:, 0], shape, f, m)
+    cells = list(itertools.product(freqs.tolist(), mag_axis.tolist()))
+    probe_seed = np.array([derive_seed(seed, 0, 0, 0)], dtype=np.uint64)
+    shape = _clean_stack(clean_factory, probe_seed, None, *cells[0]).shape[1:]
+    # a block holds at most BLOCK_LANES elements of one cell, and as many seeds of all cells
+    step = max(1, BLOCK_LANES // max(shape[0] * shape[1], 2 * len(cells)))
+    # sums[c]: cell c's scores summed one after another in trial order from 0.0,
+    # as a Python sum does and np.sum does not
+    sums = np.zeros(len(cells))
+    for t0 in range(0, trials, step):
+        block_trials = np.arange(t0, min(t0 + step, trials))
+        # seeds[c, i]: column 0 seeds trial block_trials[i]'s clean matrix in cell c,
+        # column 1 its injection
+        seeds = derive_seed(
+            seed, np.arange(len(cells))[:, np.newaxis, np.newaxis],
+            block_trials[:, np.newaxis], np.arange(2),
+        )
+        for cell, (f, m) in enumerate(cells):
+            mag = int(round(2.0**m))
+            clean = _clean_stack(clean_factory, seeds[cell, :, 0], shape, f, m)
             try:
                 corrupted = uniform_corruption(
-                    block_seeds[:, 1], *shape, lambda *at: clean[at], f, mag
+                    seeds[cell, :, 1], *shape, lambda *at: clean[at], f, mag
                 ).apply(clean.copy())
             except ValueError as e:
                 raise GridCellError(f, m, str(e)) from e
             block = OracleBlock(
                 clean=clean, corrupted=corrupted, freq=f, mag=mag, mag_log2=m,
-                trials=np.arange(t0, t0 + len(block_seeds)),
+                trials=block_trials,
             )
-            scores[1 + t0 : 1 + t0 + len(block_seeds)] = _scores(oracle, block, f, m)
-        # summed one after another in trial order, as np.sum would not
-        quality[cell] = np.add.accumulate(scores)[-1] / trials
+            scores = _scores(oracle, block, f, m)
+            sums[cell] = np.add.accumulate(np.concatenate(([sums[cell]], scores)))[-1]
 
-    quality = quality.reshape(freqs.size, mag_axis.size)
+    quality = (sums / trials).reshape(freqs.size, mag_axis.size)
     return QualityGrid(
         freq_axis=freqs,
         mag_log2_axis=mag_axis,

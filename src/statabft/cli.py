@@ -38,7 +38,7 @@ from .energy import (
     stream,
     sweep_detectors,
 )
-from .faults import TableFormatError, corruption
+from .faults import corruption
 from .gemm import ChecksumVector, predicted_output_checksum
 from .workloads import workload_matrices
 
@@ -317,9 +317,6 @@ def main(argv=None) -> int:
         if args.format:
             cfg = replace(cfg, output_format=args.format)
         return args.handler(cfg, args)
-    except (ConfigError, TableFormatError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (NoBoundaryError, GridCellError) as e:
         print(f"experiment failed: {e}", file=sys.stderr)
         return 1

@@ -69,7 +69,8 @@ ROW_TOLERANCE = 2.5e-11
 # 64-bit values per trial row that one vectorized block holds (8 MiB per
 # temporary): the calibration grid injects, and scoring decides, its trials
 # in blocks of max(1, BLOCK_LANES // lanes) rows, so memory stays bounded
-# however many trials there are. Results do not depend on it.
+# however many trials there are. Results do not depend on it, but it also
+# caps the flips one trial may expect (see geometric_flips).
 BLOCK_LANES = 2**20
 
 # flips drawn by the first batch of geometric_flips; each later batch doubles.
@@ -141,10 +142,17 @@ def geometric_flips(seeds, n_bits: int, ber: float) -> tuple[np.ndarray, np.ndar
     flip, sorted by (trial, index): the flips with ``u < ber'`` are an exact
     sample at any ``ber' <= ber``. The trials still drawing take each chunk
     together, in blocks of about ``DRAW_BLOCK`` values, and a trial drops out
-    once its chunk runs past its last bit.
+    once its chunk runs past its last bit. A trial may expect at most
+    ``BLOCK_LANES`` flips (``n_bits * ber``), since its flips are held at once
+    (about 120 bytes each); more raise ValueError before any draw.
     """
     if not 0.0 <= ber <= 1.0:
         raise ValueError(f"ber must be in [0, 1], got {ber}")
+    if n_bits * ber > BLOCK_LANES:
+        raise ValueError(
+            f"ber {ber:g} over {n_bits} candidate bits expects {n_bits * ber:.0f} flips "
+            f"per trial, more than {BLOCK_LANES}; lower the BER or the output size"
+        )
     seeds = np.asarray(seeds, dtype=np.uint64).ravel()
     if ber == 0.0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0)

@@ -1,13 +1,21 @@
 """Randomized self-checks of the simulator's core invariants.
 
-Each check runs a configurable number of randomized cases and reports the
-first violation. These are the properties the whole methodology leans on:
-exact checksum identities, agreement between the datapath-level
-statistical unit and the vectorized statistical detectors in both log2
-modes, fault-log soundness, the MSD = freq * mag relation for uniform
-injections, voltage/BER table interpolation behavior, and the checksum
-differences of the ``faults.Corruption`` records that compare and sweep
-score, against the dense product in both fault modes.
+These are the properties the whole methodology leans on: exact checksum
+identities, agreement between the datapath-level statistical unit and the
+vectorized statistical detectors in both log2 modes, fault-log soundness,
+the MSD = freq * mag relation for uniform injections, voltage/BER table
+interpolation behavior, and the checksum differences of the
+``faults.Corruption`` records that compare and sweep score, against the
+dense product in both fault modes.
+
+Each check is one row of ``CHECKS``: its name, the tag its case seeds are
+derived with, its case count (every case, or a quarter of them for the
+slower ones, at least 25) and its test. One driver, ``run_check``, runs
+any row: case c gets the seed ``derive_seed(seed, tag, c)``, the test
+returns "" when the case holds or else the reason it fails, and the first
+failing case ends the check with that reason "at case c". To add a check,
+write a test ``(s, c) -> str`` and add its row under an unused tag;
+``statabft verify`` then runs it and ``ALL_CHECKS`` names it.
 """
 
 from __future__ import annotations
@@ -15,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -96,31 +105,22 @@ def _random_diff(seed: int, n: int) -> np.ndarray:
     return d
 
 
-def check_checksum_identities(cases: int, seed: int, planted_failure: bool = False) -> CheckResult:
-    offset = 1 if planted_failure else 0
-    for c in range(cases):
-        s = derive_seed(seed, 1, c)
-        m, k, n = _dims(s)
-        w = random_quant_matrix(m, k, "uniform", derive_seed(s, 0))
-        x = random_quant_matrix(k, n, "uniform", derive_seed(s, 1))
-        y = gemm(w, x)
-        if not np.array_equal(
-            predicted_output_checksum(w, x).data + offset, checksum(y, "row").data
-        ):
-            return CheckResult(
-                "checksum-identities", c + 1, False, f"row identity broken at case {c}"
-            )
-        if not np.array_equal(
-            predicted_column_checksum(w, x).data, checksum(y, "column").data
-        ):
-            return CheckResult(
-                "checksum-identities", c + 1, False, f"column identity broken at case {c}"
-            )
-        if total_checksum(w, x) != int(y.data.sum(dtype=np.int64)):
-            return CheckResult(
-                "checksum-identities", c + 1, False, f"scalar identity broken at case {c}"
-            )
-    return CheckResult("checksum-identities", cases, True)
+def _checksum_identities(s: int, c: int, offset: int = 0) -> str:
+    """Row, column and scalar checksums of a random GEMM equal their predictions.
+
+    ``offset`` is added to the predicted row checksum: 1 plants a failure.
+    """
+    m, k, n = _dims(s)
+    w = random_quant_matrix(m, k, "uniform", derive_seed(s, 0))
+    x = random_quant_matrix(k, n, "uniform", derive_seed(s, 1))
+    y = gemm(w, x)
+    if not np.array_equal(predicted_output_checksum(w, x).data + offset, checksum(y, "row").data):
+        return "row identity broken"
+    if not np.array_equal(predicted_column_checksum(w, x).data, checksum(y, "column").data):
+        return "column identity broken"
+    if total_checksum(w, x) != int(y.data.sum(dtype=np.int64)):
+        return "scalar identity broken"
+    return ""
 
 
 def _random_case(seed: int) -> tuple[ChecksumPair, CriticalRegionParams]:
@@ -146,50 +146,38 @@ def _on_grid_params(
     return replace(params, a=2.0, b=b)
 
 
-# stat-unit-reference stacks this many cases, each zero-padded to this many
-# lanes (the most _random_case draws), into one square matrix
+# run_check hands cases to a test in blocks of this many; the block test
+# below zero-pads each case to this many lanes (the most _random_case draws)
 _BLOCK = 64
 
 
-def _stat_unit_block(start: int, stop: int, seed: int) -> tuple[int, str] | None:
-    """The first of cases [start, stop) that breaks stat-unit-reference, and how."""
-    cases = []
-    diffs = np.zeros((_BLOCK, _BLOCK), dtype=np.int64)
-    for i, c in enumerate(range(start, stop)):
-        s = derive_seed(seed, 3, c)
-        pair, params = _random_case(s)
-        if c % 4 == 3:
-            params = _on_grid_params(pair, params, derive_seed(s, 2))
-        diffs[i, : pair.diff.size] = pair.diff
-        cases.append((c, pair, params))
-    for i, (c, pair, params) in enumerate(cases):
-        for kind, mode in (("statistical", EXACT), ("statistical_lzc", LZC)):
-            row = DetectorSpec(kind=kind, params=params).decide(diffs).row(i)
-            unit = statistical_unit(pair.predicted, pair.observed, params, mode)
-            if row != unit:
-                return c, (
-                    f"{mode} datapath disagrees with {kind} at case {c}: "
-                    f"{unit.freq_eff} vs {row.freq_eff}"
-                )
-    return None
-
-
-def check_stat_unit_reference(cases: int, seed: int) -> CheckResult:
+def _stat_unit_block(seeds: list[int], cases: range) -> Iterator[str]:
     """Both statistical detectors, deciding stacked cases, agree with the scalar unit.
 
-    Cases are stacked in blocks of 64 rows of 64 lanes. Each case's params
-    decide its whole block in one call, and the case's own row is held to the
-    unit in that detector's log2 mode. The blocks are square, so a per-row
+    The block's cases are stacked as 64 rows of 64 lanes. Each case's params
+    decide the whole block in one call, and the case's own row is held to
+    the unit in that detector's log2 mode. The block is square, so a per-row
     bound applied along the lane axis still broadcasts and shows here as a
     wrong verdict. Every fourth case puts the LZC bound on a lane's exponent,
     where random params rarely do.
     """
-    for start in range(0, cases, _BLOCK):
-        failure = _stat_unit_block(start, min(start + _BLOCK, cases), seed)
-        if failure is not None:
-            c, detail = failure
-            return CheckResult("stat-unit-reference", c + 1, False, detail)
-    return CheckResult("stat-unit-reference", cases, True)
+    stacked = []
+    diffs = np.zeros((_BLOCK, _BLOCK), dtype=np.int64)
+    for i, (s, c) in enumerate(zip(seeds, cases)):
+        pair, params = _random_case(s)
+        if c % 4 == 3:
+            params = _on_grid_params(pair, params, derive_seed(s, 2))
+        diffs[i, : pair.diff.size] = pair.diff
+        stacked.append((pair, params))
+    for i, (pair, params) in enumerate(stacked):
+        reason = ""
+        for kind, mode in (("statistical", EXACT), ("statistical_lzc", LZC)):
+            row = DetectorSpec(kind=kind, params=params).decide(diffs).row(i)
+            unit = statistical_unit(pair.predicted, pair.observed, params, mode)
+            if row != unit:
+                reason = f"{mode} datapath disagrees with {kind}: {unit.freq_eff} vs {row.freq_eff}"
+                break
+        yield reason
 
 
 def _applied(y: AccumMatrix, events, cfg: FaultConfig) -> np.ndarray:
@@ -208,107 +196,79 @@ def _applied(y: AccumMatrix, events, cfg: FaultConfig) -> np.ndarray:
     return out
 
 
-def check_event_replay(cases: int, seed: int) -> CheckResult:
-    for c in range(cases):
-        s = derive_seed(seed, 4, c)
-        m, k, n = _dims(s)
-        w = random_quant_matrix(m, k, "uniform", derive_seed(s, 0))
-        x = random_quant_matrix(k, n, "uniform", derive_seed(s, 1))
-        y = gemm(w, x)
-        if c % 2 == 0:
-            cfg = FaultConfig(mode="ber", ber=0.01, seed=derive_seed(s, 2))
-        else:
-            freq = int(u64_stream(derive_seed(s, 3), 1)[0] % np.uint64(y.data.size))
-            cfg = FaultConfig(
-                mode="uniform", freq=freq, mag=1 << 20, seed=derive_seed(s, 2)
-            )
-        corrupted, events = apply_fault(y, cfg)
-        if not np.array_equal(corrupted.data, _applied(y, events, cfg)):
-            return CheckResult(
-                "event-replay", c + 1, False, f"log does not reproduce corruption at case {c}"
-            )
-        changed = int(np.count_nonzero(corrupted.data != y.data))
-        if changed != len(events):
-            return CheckResult(
-                "event-replay", c + 1, False,
-                f"{changed} changed elements but {len(events)} events at case {c}",
-            )
-    return CheckResult("event-replay", cases, True)
+def _event_replay(s: int, c: int) -> str:
+    """A fault log, BER on even cases and uniform on odd, reproduces the corrupted output."""
+    m, k, n = _dims(s)
+    w = random_quant_matrix(m, k, "uniform", derive_seed(s, 0))
+    x = random_quant_matrix(k, n, "uniform", derive_seed(s, 1))
+    y = gemm(w, x)
+    if c % 2 == 0:
+        cfg = FaultConfig(mode="ber", ber=0.01, seed=derive_seed(s, 2))
+    else:
+        freq = int(u64_stream(derive_seed(s, 3), 1)[0] % np.uint64(y.data.size))
+        cfg = FaultConfig(mode="uniform", freq=freq, mag=1 << 20, seed=derive_seed(s, 2))
+    corrupted, events = apply_fault(y, cfg)
+    if not np.array_equal(corrupted.data, _applied(y, events, cfg)):
+        return "log does not reproduce corruption"
+    changed = int(np.count_nonzero(corrupted.data != y.data))
+    if changed != len(events):
+        return f"{changed} changed elements but {len(events)} events"
+    return ""
 
 
-def check_uniform_msd_relation(cases: int, seed: int) -> CheckResult:
+def _uniform_msd_relation(s: int, c: int) -> str:
+    """A uniform injection into zeros has MSD freq * mag and one event per element."""
+    u = u64_stream(s, 2)
+    freq = int(u[0] % np.uint64(256)) + 1
+    mag = 1 << (int(u[1]) % 20)
+    cfg = FaultConfig(mode="uniform", freq=freq, mag=mag, seed=derive_seed(s, 0))
     zero = AccumMatrix(np.zeros((16, 16), dtype=np.int32))
-    for c in range(cases):
-        s = derive_seed(seed, 5, c)
-        u = u64_stream(s, 2)
-        freq = int(u[0] % np.uint64(256)) + 1
-        mag = 1 << (int(u[1]) % 20)
-        cfg = FaultConfig(mode="uniform", freq=freq, mag=mag, seed=derive_seed(s, 0))
-        corrupted, events = apply_fault(zero, cfg)
-        pair = ChecksumPair.from_vectors(checksum(zero, "row"), checksum(corrupted, "row"))
-        if pair.msd() != freq * mag:
-            return CheckResult(
-                "uniform-msd-relation", c + 1, False,
-                f"msd {pair.msd()} != freq*mag {freq * mag} at case {c}",
-            )
-        if len(events) != freq:
-            return CheckResult(
-                "uniform-msd-relation", c + 1, False,
-                f"{len(events)} events for freq {freq} at case {c}",
-            )
-    return CheckResult("uniform-msd-relation", cases, True)
+    corrupted, events = apply_fault(zero, cfg)
+    pair = ChecksumPair.from_vectors(checksum(zero, "row"), checksum(corrupted, "row"))
+    if pair.msd() != freq * mag:
+        return f"msd {pair.msd()} != freq*mag {freq * mag}"
+    if len(events) != freq:
+        return f"{len(events)} events for freq {freq}"
+    return ""
 
 
-def check_ber_table(cases: int, seed: int) -> CheckResult:
+def _ber_table(s: int, c: int) -> str:
+    """The default table interpolates between its rows and returns exact rows verbatim."""
     table = default_table()
-    for c in range(cases):
-        s = derive_seed(seed, 6, c)
-        u = u64_stream(s, 2)
-        i = int(u[0] % np.uint64(table.voltages.size - 1))
-        v0, v1 = float(table.voltages[i]), float(table.voltages[i + 1])
-        t = (int(u[1]) % 999 + 1) / 1000.0
-        v = v0 + (v1 - v0) * t
-        b = table.ber_at(v)
-        lo, hi = float(table.bers[i]), float(table.bers[i + 1])
-        if not (lo <= b <= hi):
-            return CheckResult(
-                "ber-table-interpolation", c + 1, False,
-                f"ber({v}) = {b} outside [{lo}, {hi}] at case {c}",
-            )
-        if table.ber_at(v0) != lo or table.ber_at(v1) != hi:
-            return CheckResult(
-                "ber-table-interpolation", c + 1, False, f"exact row not verbatim at case {c}"
-            )
-    # zero-BER rows floor to the log-domain epsilon instead of blowing up
-    zt = VoltageBerTable(np.array([0.9, 0.8]), np.array([0.0, 1e-6]))
-    mid = zt.ber_at(0.85)
-    if not (0.0 < mid < 1e-6):
-        return CheckResult(
-            "ber-table-interpolation", cases, False, f"zero-row interpolation gave {mid}"
-        )
-    return CheckResult("ber-table-interpolation", cases, True)
+    u = u64_stream(s, 2)
+    i = int(u[0] % np.uint64(table.voltages.size - 1))
+    v0, v1 = float(table.voltages[i]), float(table.voltages[i + 1])
+    t = (int(u[1]) % 999 + 1) / 1000.0
+    v = v0 + (v1 - v0) * t
+    b = table.ber_at(v)
+    lo, hi = float(table.bers[i]), float(table.bers[i + 1])
+    if not (lo <= b <= hi):
+        return f"ber({v}) = {b} outside [{lo}, {hi}]"
+    if table.ber_at(v0) != lo or table.ber_at(v1) != hi:
+        return "exact row not verbatim"
+    if c == 0:
+        # zero-BER rows floor to the log-domain epsilon instead of blowing up
+        mid = VoltageBerTable(np.array([0.9, 0.8]), np.array([0.0, 1e-6])).ber_at(0.85)
+        if not (0.0 < mid < 1e-6):
+            return f"zero-row interpolation gave {mid}"
+    return ""
 
 
-def check_lzc_band(cases: int, seed: int) -> CheckResult:
+def _lzc_band(s: int, c: int) -> str:
     """LZC-mode verdicts may differ from exact only near quantization edges."""
-    for c in range(cases):
-        pair, params = _random_case(derive_seed(seed, 7, c))
-        exact = statistical_unit(pair.predicted, pair.observed, params, EXACT)
-        lzc = statistical_unit(pair.predicted, pair.observed, params, LZC)
-        if exact.recovers == lzc.recovers:
-            continue
-        # at MSD == 0 both bounds are +inf, so a disagreement there fails below
-        lo, hi = sorted((exact.theta_mag, lzc.theta_mag))
-        lanes = [abs(int(v)) for v in pair.diff if v != 0]
-        if not any(
-            abs(math.log2(v) - exact.theta_mag) <= 1.0 or lo < floor_log2(v) <= hi
-            for v in lanes
-        ):
-            return CheckResult(
-                "lzc-agreement-band", c + 1, False,
-                f"disagreement away from quantization edge at case {c}",
-            )
-    return CheckResult("lzc-agreement-band", cases, True)
+    pair, params = _random_case(s)
+    exact = statistical_unit(pair.predicted, pair.observed, params, EXACT)
+    lzc = statistical_unit(pair.predicted, pair.observed, params, LZC)
+    if exact.recovers == lzc.recovers:
+        return ""
+    # at MSD == 0 both bounds are +inf, so a disagreement there fails below
+    lo, hi = sorted((exact.theta_mag, lzc.theta_mag))
+    lanes = [abs(int(v)) for v in pair.diff if v != 0]
+    if not any(
+        abs(math.log2(v) - exact.theta_mag) <= 1.0 or lo < floor_log2(v) <= hi for v in lanes
+    ):
+        return "disagreement away from quantization edge"
+    return ""
 
 
 def _one_gemm(spec: WorkloadSpec, index: int):
@@ -316,8 +276,24 @@ def _one_gemm(spec: WorkloadSpec, index: int):
     return lambda _, rows, cols: workload_entries(spec, index, rows, cols)
 
 
-def _sparse_evidence_failure(s: int) -> str:
-    """How case ``s`` breaks the sparse evidence (see below), or '' if it holds."""
+def _sparse_evidence(s: int, c: int) -> str:
+    """Records built from clean values at the touched elements give the dense difference.
+
+    Each case is one GEMM of a random WorkloadSpec in either distribution.
+    Its ``Corruption`` records read clean values through ``workload_entries``,
+    as compare and sweep do, and their ``diff()`` is held to
+    ``gemm(*workload_matrices(...))`` corrupted by numpy; the counter-based
+    draws both use are held to the sequential generator. The sweep's own
+    draw of a two-trial stream gives each trial the difference row of its
+    one-trial draw; on a quarter of the cases the BER puts about 64 flips in
+    a trial, and the stream pairs a trial that draws past the first 64-flip
+    chunk with one that ends inside it.
+    BER: at the top BER the record's events are ``sample_bitflips``'s own; as
+    the BER drops, the corrupted elements form nested sets, empty at BER 0.
+    Recovery rates are not checked for monotonicity: two flips in one column
+    can cancel to d_j = 0. Uniform: the events are ``inject_uniform``'s, at
+    INT32-edge magnitudes that wrap and up to every element corrupted.
+    """
     m, k, n = _dims(s)
     u = u64_stream(s, 4)
     # drawing rows and columns alone relies on draw i being the sequential generator's
@@ -382,52 +358,63 @@ def _sparse_evidence_failure(s: int) -> str:
     return ""
 
 
-def check_sparse_evidence(cases: int, seed: int) -> CheckResult:
-    """Records built from clean values at the touched elements give the dense difference.
+@dataclass(frozen=True)
+class Check:
+    """One row of CHECKS: a named invariant and the test that holds a case to it.
 
-    Each case is one GEMM of a random WorkloadSpec in either distribution.
-    Its ``Corruption`` records read clean values through ``workload_entries``,
-    as compare and sweep do, and their ``diff()`` is held to
-    ``gemm(*workload_matrices(...))`` corrupted by numpy; the counter-based
-    draws both use are held to the sequential generator. The sweep's own
-    draw of a two-trial stream gives each trial the difference row of its
-    one-trial draw; on a quarter of the cases the BER puts about 64 flips in
-    a trial, and the stream pairs a trial that draws past the first 64-flip
-    chunk with one that ends inside it.
-    BER: at the top BER the record's events are ``sample_bitflips``'s own; as
-    the BER drops, the corrupted elements form nested sets, empty at BER 0.
-    Recovery rates are not checked for monotonicity: two flips in one column
-    can cancel to d_j = 0. Uniform: the events are ``inject_uniform``'s, at
-    INT32-edge magnitudes that wrap and up to every element corrupted.
+    ``test(s, c)`` returns "" when case ``c``, seeded ``s``, holds, or else
+    the reason it fails. A ``block`` test instead takes the seeds and indices
+    of a block of up to ``_BLOCK`` cases and yields one such reason per case.
+    A ``quarter`` check, slower per case, runs max(cases // 4, 25) cases in
+    ``run_checks``. ``planted``, when set, is the test ``planted_failure``
+    runs instead, broken on purpose.
     """
-    for c in range(cases):
-        failure = _sparse_evidence_failure(derive_seed(seed, 8, c))
-        if failure:
-            return CheckResult("sparse-evidence", c + 1, False, f"{failure} at case {c}")
-    return CheckResult("sparse-evidence", cases, True)
+
+    name: str
+    tag: int
+    test: Callable
+    quarter: bool = False
+    block: bool = False
+    planted: Callable | None = None
 
 
-ALL_CHECKS = (
-    "checksum-identities",
-    "stat-unit-reference",
-    "event-replay",
-    "uniform-msd-relation",
-    "ber-table-interpolation",
-    "lzc-agreement-band",
-    "sparse-evidence",
+CHECKS = (
+    Check("checksum-identities", 1, _checksum_identities,
+          planted=partial(_checksum_identities, offset=1)),
+    Check("stat-unit-reference", 3, _stat_unit_block, block=True),
+    Check("event-replay", 4, _event_replay, quarter=True),
+    Check("uniform-msd-relation", 5, _uniform_msd_relation),
+    Check("ber-table-interpolation", 6, _ber_table),
+    Check("lzc-agreement-band", 7, _lzc_band),
+    Check("sparse-evidence", 8, _sparse_evidence, quarter=True),
 )
+
+ALL_CHECKS = tuple(check.name for check in CHECKS)
+
+
+def run_check(name: str, cases: int, seed: int, planted_failure: bool = False) -> CheckResult:
+    """Run cases 0 .. cases - 1 of check ``name``; the first failing case ends the check.
+
+    Case c is seeded ``derive_seed(seed, tag, c)`` with the check's tag, and
+    cases go to its test ``_BLOCK`` at a time.
+    """
+    if cases < 1:
+        raise ValueError("cases must be >= 1")
+    check = {k.name: k for k in CHECKS}[name]
+    test = (planted_failure and check.planted) or check.test
+    for start in range(0, cases, _BLOCK):
+        block = range(start, min(start + _BLOCK, cases))
+        seeds = [derive_seed(seed, check.tag, c) for c in block]
+        reasons = test(seeds, block) if check.block else map(test, seeds, block)
+        for c, reason in zip(block, reasons):
+            if reason:
+                return CheckResult(name, c + 1, False, f"{reason} at case {c}")
+    return CheckResult(name, cases, True)
 
 
 def run_checks(cases: int = 200, seed: int = 0, planted_failure: bool = False) -> list[CheckResult]:
-    """Run every invariant check; results keep the ALL_CHECKS order."""
-    if cases < 1:
-        raise ValueError("cases must be >= 1")
+    """Run every check; results keep the CHECKS order."""
     return [
-        check_checksum_identities(cases, seed, planted_failure),
-        check_stat_unit_reference(cases, seed),
-        check_event_replay(max(cases // 4, 25), seed),
-        check_uniform_msd_relation(cases, seed),
-        check_ber_table(cases, seed),
-        check_lzc_band(cases, seed),
-        check_sparse_evidence(max(cases // 4, 25), seed),
+        run_check(k.name, max(cases // 4, 25) if k.quarter else cases, seed, planted_failure)
+        for k in CHECKS
     ]

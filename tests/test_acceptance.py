@@ -21,7 +21,7 @@ from statabft.energy import EnergyConfig, compare_detectors, sweep_detectors
 from statabft.faults import FaultConfig, default_table, inject_uniform
 from statabft.gemm import AccumMatrix, checksum, gemm, predicted_output_checksum
 from statabft.rng import derive_seed, u64_stream
-from statabft.verify import check_lzc_band, check_stat_unit_reference
+from statabft.verify import run_check
 from statabft.workloads import WorkloadSpec, random_quant_matrix
 
 P = DEFAULT_PARAMS  # a=2, b=40, theta_freq=4
@@ -96,8 +96,8 @@ def test_criterion_03_single_bit_flip_exhaustion():
 
 
 def test_criterion_04_stat_unit_oracle_equivalence():
-    exact = check_stat_unit_reference(10_000, seed=13)
-    band = check_lzc_band(10_000, seed=13)
+    exact = run_check("stat-unit-reference", 10_000, seed=13)
+    band = run_check("lzc-agreement-band", 10_000, seed=13)
     ok = exact.passed and band.passed
     assert report(
         4,

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,10 +351,13 @@ def test_block_size_changes_no_result(monkeypatch, block_lanes):
     made.clear()
     small = []
     g_small = quality_grid(hash_oracle(small), [0.0, 30.0], [1, 11], **kw)
-    assert blocks == ([1] * 20 if block_lanes == 1 else [2, 2, 1] * 4)
+    # each block of trials visits the four cells in turn
+    step = 1 if block_lanes == 1 else 2
+    chunks = [range(t0, min(t0 + step, 5)) for t0 in range(0, 5, step)]
+    assert blocks == [len(chunk) for chunk in chunks for _ in range(4)]
     # one probe of the target shape, then one stack per block
     assert made == [1] + blocks
-    assert small == default
+    assert small == [default[cell * 5 + t] for chunk in chunks for cell in range(4) for t in chunk]
     np.testing.assert_array_equal(g_small.quality, g.quality)
 
 
@@ -372,17 +376,42 @@ def test_stock_grid_calls_the_oracle_once_per_block():
     assert made == [1] + [64] * 256
 
 
+def test_a_huge_trial_count_fails_on_its_first_block():
+    def broken(block):
+        raise RuntimeError("synthetic oracle crash")
+
+    # seeds are derived a block at a time, so nothing is sized by the trial count
+    with pytest.raises(GridCellError, match="synthetic oracle crash"):
+        quality_grid(broken, [4.0, 8.0], [1, 2], epsilon=1.0, trials=10**12)
+
+
+def test_grid_memory_does_not_grow_with_the_trials(monkeypatch):
+    # 16-trial blocks of 256-element targets
+    monkeypatch.setattr(calibration, "BLOCK_LANES", 2**12)
+    oracle = planted_step_oracle(CriticalRegionParams(a=2.0, b=40.0, theta_freq=4))
+    peaks = []
+    for trials in (64, 4096):
+        tracemalloc.start()
+        try:
+            quality_grid(oracle, [4.0, 8.0], [1, 2], epsilon=0.5, trials=trials)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
 @pytest.mark.parametrize("block_lanes", [None, 1, 32])
 def test_clean_factory_must_return_one_shape(monkeypatch, block_lanes):
-    # the third call changes shape: the second cell's one block, the first
-    # cell's second 1-trial block, or its ragged last block (2 + 1 trials)
+    # the shape changes on the second cell's one block (the third call), or
+    # after the first block of both cells (the fourth call) on the first
+    # cell's second 1-trial block or its ragged last block (2 + 1 trials)
     if block_lanes is not None:
         monkeypatch.setattr(calibration, "BLOCK_LANES", block_lanes)
-    calls = []
+    calls, change = [], 3 if block_lanes is None else 4
 
     def factory(seeds):
         calls.append(len(seeds))
-        return np.zeros((len(seeds), 4, 4 + (len(calls) > 2)), dtype=np.int32)
+        return np.zeros((len(seeds), 4, 4 + (len(calls) >= change)), dtype=np.int32)
 
     freq = 3 if block_lanes is None else 2
     match = rf"freq={freq}.*mag_log2=4\.0.*\(4, 5\) after \(4, 4\)"

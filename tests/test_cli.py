@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from statabft import faults
 from statabft.cli import main
 from statabft.detectors import load_params
 
@@ -26,21 +27,26 @@ SMALL_WORKLOAD = {"m": 8, "k": 16, "n": 8, "gemm_count": 12}
 
 def test_verify_passes(capsys):
     rc = main(["verify", "--cases", "40"])
-    out = capsys.readouterr().out
     assert rc == 0
-    lines = [l for l in out.splitlines() if l.strip()]
-    assert lines[-1].startswith("all ")
-    checks = lines[:-1]
-    assert len(checks) >= 6
-    assert all(" PASS" in l for l in checks)
-    assert all("cases=" in l for l in checks)
+    assert capsys.readouterr().out == (
+        "checksum-identities       cases=40     PASS\n"
+        "stat-unit-reference       cases=40     PASS\n"
+        "event-replay              cases=25     PASS\n"
+        "uniform-msd-relation      cases=40     PASS\n"
+        "ber-table-interpolation   cases=40     PASS\n"
+        "lzc-agreement-band        cases=40     PASS\n"
+        "sparse-evidence           cases=25     PASS\n"
+        "all 7 checks passed\n"
+    )
 
 
 def test_verify_planted_failure_exits_one(capsys):
     rc = main(["verify", "--cases", "20", "--planted-failure"])
     captured = capsys.readouterr()
     assert rc == 1
-    assert " FAIL" in captured.out
+    assert captured.out.splitlines()[0] == (
+        "checksum-identities       cases=1      FAIL  (row identity broken at case 0)"
+    )
     assert "failed" in captured.err
 
 
@@ -482,6 +488,20 @@ def test_stream_over_the_lane_bound_exits_two(tmp_path, capsys, command, gemm_co
     err = capsys.readouterr().err
     assert err.startswith("error: workload.gemm_count: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_compare_over_the_flip_bound_exits_two(tmp_path, capsys, monkeypatch):
+    # 2**28 expected flips in one GEMM; refused before the sampler draws
+    def no_draw(*args):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(faults, "u64_stream", no_draw)
+    workload = {"m": 4096, "n": 4096, "k": 1, "gemm_count": 1}
+    cfg = write_config(tmp_path, {"workload": workload, "fault": {"ber": 1.0}})
+    assert main(["--config", cfg, "compare"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ber 1 over 268435456 candidate bits expects ")
+    assert "Traceback" not in err
 
 
 def test_calibrate_target_over_the_size_bound_exits_two(tmp_path, capsys):

@@ -118,6 +118,18 @@ def test_geometric_flips_at_ber_zero_and_one():
         geometric_flips([3], 1000, 1.5)
 
 
+def test_geometric_flips_refuse_more_expected_flips_than_a_block(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(faults, "u64_stream", no_draw)
+    # a 4096 x 4096 output's 16-bit window at BER 1 expects 2**28 flips
+    with pytest.raises(ValueError, match="expects 268435456 flips per trial, more than 1048576"):
+        geometric_flips([0], 4096 * 4096 * 16, 1.0)
+    with pytest.raises(AssertionError, match="drew"):
+        geometric_flips([0], faults.BLOCK_LANES, 1.0)
+
+
 def test_geometric_flips_are_bernoulli_per_bit():
     # a flip count and its thinned share each within 5 standard deviations
     n_bits, ber = 200_000, 0.25

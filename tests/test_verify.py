@@ -4,17 +4,7 @@ import numpy as np
 import pytest
 
 from statabft import detectors, rng, verify, workloads
-from statabft.verify import (
-    ALL_CHECKS,
-    _random_diff,
-    check_ber_table,
-    check_checksum_identities,
-    check_lzc_band,
-    check_sparse_evidence,
-    check_stat_unit_reference,
-    check_uniform_msd_relation,
-    run_checks,
-)
+from statabft.verify import ALL_CHECKS, CHECKS, _random_diff, run_check, run_checks
 
 
 def test_all_checks_pass_on_healthy_build():
@@ -58,11 +48,25 @@ def test_random_diff_mixes_magnitudes():
 
 
 def test_individual_checks_report_case_counts():
-    assert check_checksum_identities(7, 0).cases == 7
-    assert check_stat_unit_reference(9, 1).cases == 9
-    assert check_uniform_msd_relation(11, 2).cases == 11
-    assert check_ber_table(13, 3).cases == 13
-    assert check_lzc_band(17, 4).cases == 17
+    assert run_check("checksum-identities", 7, 0).cases == 7
+    assert run_check("stat-unit-reference", 9, 1).cases == 9
+    assert run_check("uniform-msd-relation", 11, 2).cases == 11
+    assert run_check("ber-table-interpolation", 13, 3).cases == 13
+    assert run_check("lzc-agreement-band", 17, 4).cases == 17
+
+
+@pytest.mark.parametrize("name", ALL_CHECKS)
+def test_a_check_reports_its_first_failing_case(monkeypatch, name):
+    # every check goes through one driver, so a test failing at case 2 ends it there
+    failing = lambda s, c: "broken" if c == 2 else ""
+    patched = tuple(
+        replace(k, test=failing, block=False) if k.name == name else k for k in CHECKS
+    )
+    monkeypatch.setattr(verify, "CHECKS", patched)
+    result = run_check(name, 10, 0)
+    assert (result.cases, result.passed) == (3, False)
+    assert result.detail.endswith("at case 2")
+    assert run_check(name, 2, 0).passed
 
 
 def test_stat_unit_reference_catches_a_non_strict_lzc_bound(monkeypatch):
@@ -79,7 +83,7 @@ def test_stat_unit_reference_catches_a_non_strict_lzc_bound(monkeypatch):
         return theta, freq_eff
 
     monkeypatch.setattr(detectors, "_region_counts", non_strict)
-    result = check_stat_unit_reference(100, 0)
+    result = run_check("stat-unit-reference", 100, 0)
     assert not result.passed
     assert "lzc datapath disagrees" in result.detail
 
@@ -98,7 +102,7 @@ def test_stat_unit_reference_catches_a_bound_broadcast_along_the_lanes(monkeypat
         return theta, freq_eff
 
     monkeypatch.setattr(detectors, "_region_counts", wrong_axis)
-    result = check_stat_unit_reference(100, 0)
+    result = run_check("stat-unit-reference", 100, 0)
     assert not result.passed
     assert "exact datapath disagrees with statistical" in result.detail
 
@@ -116,6 +120,6 @@ def test_stat_unit_reference_catches_a_bound_broadcast_along_the_lanes(monkeypat
 def test_sparse_evidence_catches_an_off_by_one_draw(monkeypatch, module, message):
     real = rng.u64_at
     monkeypatch.setattr(module, "u64_at", lambda seed, idx: real(seed, np.asarray(idx) + 1))
-    result = check_sparse_evidence(25, 0)
+    result = run_check("sparse-evidence", 25, 0)
     assert not result.passed
     assert message in result.detail
