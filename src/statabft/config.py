@@ -27,7 +27,7 @@ from .detectors import (
     params_from_doc,
 )
 from .energy import EnergyConfig
-from .faults import FaultConfig, VoltageBerTable
+from .faults import BLOCK_LANES, UNIFORM_MODE, FaultConfig, VoltageBerTable
 from .workloads import WorkloadSpec
 
 
@@ -66,6 +66,11 @@ class ExperimentConfig:
         if self.fault.freq > elements:
             raise ValueError(
                 f"fault.freq must be <= workload.m * workload.n = {elements}, got {self.fault.freq}"
+            )
+        # uniform positions take one uint64 priority per element of an output
+        if self.fault.mode == UNIFORM_MODE and elements > BLOCK_LANES:
+            raise ValueError(
+                f"fault.mode uniform needs workload.m * workload.n <= {BLOCK_LANES}, got {elements}"
             )
         if self.output_format not in ("csv", "json"):
             raise ValueError(f"output_format must be 'csv' or 'json', got {self.output_format!r}")

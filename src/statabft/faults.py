@@ -70,7 +70,8 @@ ROW_TOLERANCE = 2.5e-11
 # temporary): the calibration grid injects, and scoring decides, its trials
 # in blocks of max(1, BLOCK_LANES // lanes) rows, so memory stays bounded
 # however many trials there are. Results do not depend on it, but it also
-# caps the flips one trial may expect (see geometric_flips).
+# caps the flips one trial may expect (see geometric_flips) and the elements
+# of one uniform-mode output (see uniform_positions).
 BLOCK_LANES = 2**20
 
 # flips drawn by the first batch of geometric_flips; each later batch doubles.
@@ -209,6 +210,19 @@ class Corruption:
         np.add.at(d, (self.trial, self.element % self.n_cols), self.before - self.after)
         return d
 
+    def touched(self) -> "Corruption":
+        """This record over its trials with a corrupted element only: trial i is the i-th of them."""
+        trials, trial = np.unique(self.trial, return_inverse=True)
+        return Corruption(trials.size, self.n_cols, trial, self.element, self.before, self.after, self.mask)
+
+    @classmethod
+    def stack(cls, records) -> "Corruption":
+        """One record of the trials of ``records`` in turn (same n_cols), without the masks."""
+        offsets = np.cumsum([0] + [r.n_trials for r in records])
+        trial = np.concatenate([r.trial + o for r, o in zip(records, offsets.tolist())])
+        fields = (np.concatenate([getattr(r, f) for r in records]) for f in ("element", "before", "after"))
+        return cls(int(offsets[-1]), records[0].n_cols, trial, *fields)
+
     def events(self) -> list[ErrorEvent]:
         """The event log of a one-trial record, in row-major order."""
         if self.n_trials != 1:
@@ -292,7 +306,14 @@ def uniform_positions(seeds, n: int, freq: int) -> np.ndarray:
     (row-major order, same stream discipline as the BER mode) and the
     ``freq`` smallest priorities are taken, which selects position sets
     uniformly. Returns an int64 (len(seeds) x freq) matrix, each row ascending.
+    A row's ``n`` priorities are held at once, so ``n`` may be at most
+    ``BLOCK_LANES``; more raise ValueError before any draw.
     """
+    if n > BLOCK_LANES:
+        raise ValueError(
+            f"uniform injection draws one priority per element: {n} elements per output "
+            f"exceed {BLOCK_LANES}; lower the output size"
+        )
     if freq > n:
         raise ValueError(f"freq {freq} exceeds element count {n}")
     if freq < 0:

@@ -504,6 +504,32 @@ def test_compare_over_the_flip_bound_exits_two(tmp_path, capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_uniform_compare_over_the_element_bound_exits_two(tmp_path, capsys, monkeypatch):
+    # 2**24 priorities per GEMM; refused when the config loads, before any draw
+    def no_draw(*args):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(faults, "u64_stream", no_draw)
+    workload = {"m": 4096, "n": 4096, "k": 1, "gemm_count": 1}
+    fault = {"mode": "uniform", "freq": 1, "mag": 1}
+    cfg = write_config(tmp_path, {"workload": workload, "fault": fault})
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "compare"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: fault.mode: uniform needs workload.m * workload.n <= 1048576, got 16777216\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_uniform_compare_at_the_element_bound_runs(tmp_path, capsys):
+    # a 1024 x 1024 output is 2**20 elements, exactly one block of priorities
+    workload = {"m": 1024, "n": 1024, "k": 1, "gemm_count": 1}
+    fault = {"mode": "uniform", "freq": 3, "mag": 5}
+    cfg = write_config(tmp_path, {"workload": workload, "fault": fault})
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "compare"]) == 0
+    rows = {r["detector"]: r for r in csv.DictReader(open(tmp_path / "out" / "detectors.csv"))}
+    assert float(rows["classical"]["recovery_rate"]) == 1.0
+    assert float(rows["none"]["mean_msd"]) == 15.0
+
+
 def test_calibrate_target_over_the_size_bound_exits_two(tmp_path, capsys):
     # 10**12 elements per trial: one clean matrix alone would take 4 TB
     cfg = write_config(tmp_path, {"calibrate": {"target_rows": 10**6, "target_cols": 10**6}})

@@ -319,6 +319,10 @@ def test_experiment_config_default_constructible():
             {"workload": {"m": 4, "n": 4}, "fault": {"mode": "uniform", "freq": 17}},
             "fault.freq: must be <= workload.m * workload.n = 16, got 17",
         ),
+        (
+            {"workload": {"m": 2048, "n": 1024}, "fault": {"mode": "uniform"}},
+            "fault.mode: uniform needs workload.m * workload.n <= 1048576, got 2097152",
+        ),
     ],
 )
 def test_json_types_rejected_at_their_key(doc, key):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statabft.detectors import (
+    DETECTOR_KINDS,
     ChecksumPair,
     CriticalRegionParams,
     DetectorSpec,
@@ -181,6 +182,19 @@ def test_detector_spec_dispatch():
         DetectorSpec(kind="quantum")
     with pytest.raises(ValueError, match="needs CriticalRegionParams"):
         DetectorSpec(kind="statistical")
+
+
+@pytest.mark.parametrize("kind", DETECTOR_KINDS)
+@pytest.mark.parametrize("theta_freq", [0, 4])
+def test_zero_rows_decide_to_nothing(kind, theta_freq):
+    # the scorer skips the all-zero difference rows of untouched trials: at the
+    # lowest thresholds (theta_freq 0, msd_threshold 0) they still add nothing
+    spec = DetectorSpec(
+        kind=kind, params=CriticalRegionParams(a=2.0, b=-8.0, theta_freq=theta_freq)
+    )
+    rows = spec.decide(np.zeros((5, 8), dtype=np.int64))
+    assert rows.msd.tolist() == [0] * 5 and rows.freq_eff.tolist() == [0] * 5
+    assert not rows.recovers.any()
 
 
 @st.composite

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from statabft import energy, faults, rng, workloads
-from statabft.detectors import CriticalRegionParams, DetectorSpec
+from statabft.detectors import STATISTICAL_KINDS, ChecksumPair, CriticalRegionParams, DetectorSpec
 from statabft.energy import (
     EnergyConfig,
     SweepPoint,
@@ -183,31 +183,164 @@ def test_sweep_deterministic_and_thread_invariant(monkeypatch):
     assert sweep_detectors(spec, DETECTORS, fault, voltages, cfg) == first
 
 
+def _own_flips(spec, fault, top):
+    """Each trial's flips at ``top``, drawn alone on the seed ``stream`` gives it."""
+    return [
+        faults.SparseFlips.draw(spec.m, spec.n, *stream(spec, fault, [t]), fault.bit_window, top)
+        for t in range(spec.gemm_count)
+    ]
+
+
+def _touched(spec, fault, top, bers):
+    """(trials x BERs) bools: whether each trial's own flips, thinned to each BER, corrupt it."""
+    return np.array([[f.at(ber).diff().any() for ber in bers] for f in _own_flips(spec, fault, top)])
+
+
+def _spy_decide(monkeypatch):
+    """The (kind, rows) of every ``DetectorSpec.decide`` call from here on."""
+    calls = []
+    real = DetectorSpec.decide
+
+    def spy(self, diffs):
+        calls.append((self.kind, len(diffs)))
+        return real(self, diffs)
+
+    monkeypatch.setattr(DetectorSpec, "decide", spy)
+    return calls
+
+
+def _decide_calls(kinds, touched, rows):
+    """The (kind, rows) ``decide`` calls of a scorer with ``rows``-trial blocks and batches.
+
+    In each block of trials, each BER's touched trials join the batch in turn,
+    and a BER that would take the batch past ``rows`` starts the next one; a
+    batch is one call per distinct spec.
+    """
+    calls = []
+    for start in range(0, len(touched), rows):
+        batches = [0]
+        for count in touched[start : start + rows].sum(axis=0).tolist():
+            if batches[-1] and batches[-1] + count > rows:
+                batches.append(0)
+            batches[-1] += count
+        calls += [(kind, size) for size in batches if size for kind in kinds]
+    return calls
+
+
 @pytest.mark.parametrize("block_lanes", [1, 3 * SPEC.n])
 def test_scoring_in_row_blocks_changes_no_result(monkeypatch, block_lanes):
     # one-row blocks, and three-row blocks with a ragged last one, against one block
     fault = FaultConfig(mode="ber", ber=4e-3, bit_window=(12, 31), seed=4)
     spec = replace(SPEC, gemm_count=40)
     table = VoltageBerTable(voltages=(0.9, 0.6), bers=(1e-6, 4e-3))
+    voltages = [0.9, 0.75, 0.7, 0.65, 0.6]
     run = lambda: (
         compare_detectors(spec, DETECTORS, fault),
-        sweep_detectors(spec, DETECTORS, fault, [0.9, 0.75, 0.6], EnergyConfig(table=table)),
+        sweep_detectors(spec, DETECTORS, fault, voltages, EnergyConfig(table=table)),
     )
     whole = run()
     assert 0.0 < whole[0][2].recovery_rate < 1.0 and whole[0][0].mean_msd > 0.0
-    blocks = []
-    real = energy.row_msd
-
-    def spy(diffs):
-        blocks.append(len(diffs))
-        return real(diffs)
-
+    touched = _touched(spec, fault, fault.ber, [table.ber_at(v) for v in voltages])
+    # untouched rows to skip, and BERs whose touched rows fill a three-row batch exactly
+    assert touched.sum() < touched.size
+    assert 3 in [touched[s : s + 3, 1:j].sum() for s in range(0, 40, 3) for j in (3, 4)]
     monkeypatch.setattr(energy, "BLOCK_LANES", block_lanes)
-    monkeypatch.setattr(energy, "row_msd", spy)
+    calls = _spy_decide(monkeypatch)
     assert run() == whole
-    per_stream = [1] * 40 if block_lanes == 1 else [3] * 13 + [1]
-    # compare's blocks, then each sweep block once per voltage
-    assert blocks == per_stream + [size for size in per_stream for _ in range(3)]
+    # the critical-region rule is the statistical detector, so it adds no call
+    kinds = [d.kind for d in DETECTORS]
+    rows = max(1, block_lanes // spec.n)
+    assert calls == _decide_calls(kinds, touched[:, -1:], rows) + _decide_calls(kinds, touched, rows)
+
+
+@pytest.mark.parametrize("msd_threshold", [0, 2**20])
+def test_default_sweep_decides_once_per_distinct_spec(monkeypatch, msd_threshold):
+    # the default 200 GEMMs are one block: one decision per spec over the
+    # nonzero difference rows of all 16 voltages, a small share of 3,200; the
+    # critical-region rule is the statistical detector whatever msd_threshold
+    # the detectors share (a config's detector.msd_threshold sets it for all)
+    detectors = [replace(d, msd_threshold=msd_threshold) for d in DETECTORS]
+    table = EnergyConfig().table
+    touched = _touched(WorkloadSpec(), BER, max(table.bers), table.bers)
+    calls = _spy_decide(monkeypatch)
+    sweep_detectors(WorkloadSpec(), detectors, BER, table.voltages, EnergyConfig())
+    assert calls == [(d.kind, touched.sum()) for d in DETECTORS]
+    assert 0 < touched.sum() < touched.size / 5 and not touched.any(axis=0).all()
+
+
+def _per_trial_rows(detectors, diffs):
+    """CompareRows counted trial by trial with ``DetectorSpec.evaluate`` on each dense row."""
+    statistical = [d for d in detectors if d.kind in STATISTICAL_KINDS]
+    rule = DetectorSpec(kind="statistical", params=statistical[0].params) if statistical else None
+    tally = {d.kind: [0, 0, 0] for d in detectors}
+    msd_sum = 0.0
+    for diff in diffs:
+        pair = ChecksumPair.from_diff(diff)
+        critical = rule is not None and rule.evaluate(pair).recovers
+        for d in detectors:
+            decision = d.evaluate(pair)
+            counts = tally[d.kind]
+            counts[0] += decision.recovers
+            counts[1] += critical and not decision.recovers
+            counts[2] += decision.freq_eff
+        msd_sum += float(pair.msd())
+    n = len(diffs)
+    return [
+        energy.CompareRow(kind, n, rec / n, missed / n, freq / n, msd_sum / n)
+        for kind, (rec, missed, freq) in tally.items()
+    ]
+
+
+# the LZC datapath and the float rule disagree on some trials under these params
+LZC_P = CriticalRegionParams(a=2.0, b=32.0, theta_freq=0)
+LZC_FIRST = (
+    DetectorSpec(kind="none"),
+    DetectorSpec(kind="statistical_lzc", params=LZC_P),
+    DetectorSpec(kind="classical"),
+    DetectorSpec(kind="statistical", params=LZC_P),
+    DetectorSpec(kind="msd", msd_threshold=2**20),
+)
+
+
+@pytest.mark.parametrize(
+    "fault, detectors",
+    [
+        (FaultConfig(mode="ber", ber=4e-3, bit_window=(12, 31), seed=4), DETECTORS),
+        (FaultConfig(mode="ber", ber=2e-3, bit_window=(0, 31), seed=2), LZC_FIRST),
+        (FaultConfig(mode="uniform", freq=5, mag=70000, seed=1), LZC_FIRST),
+        (FaultConfig(mode="uniform", freq=0, mag=70000), DETECTORS),
+        (FaultConfig(mode="uniform", freq=5, mag=0), LZC_FIRST),
+        (FaultConfig(mode="ber", ber=4e-3, seed=4), ()),
+    ],
+    ids=["ber", "ber-lzc-first", "uniform-lzc-first", "freq-0", "mag-0", "no-detectors"],
+)
+def test_compare_equals_a_per_trial_reference(fault, detectors):
+    # every trial, untouched ones included, decided alone on its dense difference row
+    spec = replace(SPEC, gemm_count=64)
+    diffs = [corruption(spec.m, spec.n, *stream(spec, fault, [t]), fault).diff()[0] for t in range(64)]
+    assert compare_detectors(spec, detectors, fault) == _per_trial_rows(detectors, diffs)
+
+
+@pytest.mark.parametrize("detectors", [DETECTORS, LZC_FIRST], ids=["stock", "lzc-first"])
+def test_sweep_equals_a_per_trial_reference(detectors):
+    # a sweep where most (trial, voltage) rows stay clean: each trial's own
+    # draw at the top BER, thinned to each voltage, decided trial by trial
+    spec = replace(SPEC, gemm_count=32)
+    fault = FaultConfig(mode="ber", bit_window=(12, 31), seed=6)
+    table = VoltageBerTable(voltages=(0.9, 0.6), bers=(1e-7, 3e-3))
+    voltages = [0.9, 0.8, 0.7, 0.65, 0.6]
+    bers = [table.ber_at(v) for v in voltages]
+    res = sweep_detectors(spec, detectors, fault, voltages, EnergyConfig(table=table))
+    flips = _own_flips(spec, fault, max(bers))
+    touched = np.array([[f.at(ber).diff().any() for ber in bers] for f in flips])
+    assert 0 < touched.sum() < touched.size / 2 and not touched[:, 0].any()
+    for j, ber in enumerate(bers):
+        for row in _per_trial_rows(detectors, [f.at(ber).diff()[0] for f in flips]):
+            point = res[row.detector].points[j]
+            assert (point.recovery_rate, point.quality_proxy) == (
+                row.recovery_rate,
+                row.undetected_critical_rate,
+            )
 
 
 def test_sweep_input_validation():

@@ -130,6 +130,19 @@ def test_geometric_flips_refuse_more_expected_flips_than_a_block(monkeypatch):
         geometric_flips([0], faults.BLOCK_LANES, 1.0)
 
 
+def test_uniform_positions_refuse_more_elements_than_a_block(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew")
+
+    monkeypatch.setattr(faults, "u64_stream", no_draw)
+    # a 4096 x 4096 output would take 2**24 priorities (128 MiB) per trial
+    for freq in (0, 1, 4096 * 4096):
+        with pytest.raises(ValueError, match="16777216 elements per output exceed 1048576"):
+            uniform_positions([0], 4096 * 4096, freq)
+    with pytest.raises(AssertionError, match="drew"):
+        uniform_positions([0], faults.BLOCK_LANES, 1)
+
+
 def test_geometric_flips_are_bernoulli_per_bit():
     # a flip count and its thinned share each within 5 standard deviations
     n_bits, ber = 200_000, 0.25
