@@ -1,11 +1,11 @@
 """Walk one GEMM through checksum detection, step by step.
 
-Runs a small int8 matrix product on the simulated array, flips a few bits
-in the accumulator outputs, and prints everything the detector sees: the
-predicted column checksum, the observed one, the per-column differences,
-the magnitude-sum discriminant, and the resulting decision for each detector
-in the family. Run it twice with different seeds to watch the decisions
-change with the fault pattern.
+Runs a small int8 matrix product, flips a few bits in the accumulator
+outputs, and prints everything the detector sees: the predicted column
+checksum, the observed one, the per-column differences, the magnitude-sum
+discriminant, and the resulting decision for each detector in the family.
+Run it twice with different seeds to watch the decisions change with the
+fault pattern.
 
     python3 demos/checksum_walkthrough.py
     python3 demos/checksum_walkthrough.py --ber 0.01 --seed 3
@@ -17,8 +17,8 @@ import argparse
 import numpy as np
 
 from statabft.detectors import ChecksumPair, CriticalRegionParams, DetectorSpec, theta_mag
-from statabft.faults import FaultConfig
-from statabft.systolic import run_array
+from statabft.faults import FaultConfig, corruption
+from statabft.gemm import AccumMatrix, checksum, gemm, predicted_output_checksum
 from statabft.workloads import random_quant_matrix
 
 
@@ -31,17 +31,22 @@ def main() -> None:
     w = random_quant_matrix(8, 12, "uniform", 100)
     x = random_quant_matrix(12, 6, "uniform", 200)
     fault = FaultConfig(mode="ber", ber=args.ber, seed=args.seed)
-    result = run_array(w, x, fault=fault)
+    clean = gemm(w, x)
+    # one trial, on the fault's own seed, reading clean values from the dense product
+    record = corruption(w.rows, x.cols, lambda _, rows, cols: clean.data[rows, cols], [fault.seed], fault)
+    events = record.events()
+    corrupted = AccumMatrix(record.apply(clean.data[np.newaxis].copy())[0])
 
     print(f"GEMM 8x12 @ 12x6, ber={args.ber:g}, seed={args.seed}")
-    print(f"flips applied: {len(result.events)}")
-    for ev in result.events:
+    print(f"flips applied: {len(events)}")
+    for ev in events:
         print(f"  ({ev.row},{ev.col}) {ev.before} -> {ev.after}")
 
-    pair = ChecksumPair.from_vectors(result.predicted, result.observed)
+    # the predicted checksum comes from the inputs, the observed one from the corrupted output
+    pair = ChecksumPair.from_vectors(predicted_output_checksum(w, x), checksum(corrupted))
     diff = np.asarray(pair.diff.data)
-    print("\npredicted column sums:", np.asarray(result.predicted.data))
-    print("observed column sums: ", np.asarray(result.observed.data))
+    print("\npredicted column sums:", np.asarray(pair.predicted.data))
+    print("observed column sums: ", np.asarray(pair.observed.data))
     print("difference d:         ", diff)
     print(f"MSD = |sum d| = {pair.msd()}")
 

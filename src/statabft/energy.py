@@ -30,25 +30,24 @@ faults of all of them and reads every clean entry they need in one
 ``rng.DRAW_BLOCK`` values. Every detector is scored on the same checksum
 evidence, by one scorer (``_score_stream``) that ``compare`` calls at one BER
 and a sweep at all of its voltages' BERs: it walks the stream in blocks of
-trials that hold at most ``BLOCK_LANES`` lanes and whose records hold about
-``_RECORD_BLOCK`` elements, so memory stays bounded however long the stream
-(the 200 default GEMMs at the default table's BERs are one block). A block
-draws its flips once, at the top BER, and thins them to each BER. Faults are
-rare, so it scores only the trials a fault touched: an untouched trial's
+trials, sized by the one block rule in its docstring, so memory stays
+bounded however long the stream (the 200 default GEMMs at the default
+table's BERs are one block). A block draws its flips once, at the top BER,
+and ``SparseFlips.rows`` thins them to every BER: one record of the (BER,
+trial) rows a fault touched, BER after BER, each row knowing its BER.
+Faults are rare, so only those rows are scored: an untouched trial's
 difference row is all zero, and a zero row has MSD 0 and freq_eff 0 and is
 recovered by no detector, so it adds nothing to any count or MSD sum. The
-touched rows of every BER are stacked, BER after BER, into one int64 (rows x
-lanes) matrix D of checksum differences (the ``diff()`` of the stacked
-records; past ``BLOCK_LANES`` lanes a new matrix starts), and each distinct
-detector spec decides the rows of D in one vectorized call
-(``DetectorSpec.decide``). The statistical rule that marks a trial critical
-equals the first statistical detector when that one is ``statistical``, and
-then reuses its decision. Counts go back to their BER in int64, and each
-BER's MSDs sum in trial order, the same float sum as over every row, since
-adding 0.0 changes no float. The default sweep at seed 0 decides 491 of its
-3,200 (voltage, GEMM) rows in 4 calls. Row sums are exact in int64 while
-lanes * max|d_j| < 2**63, which every GEMM meets (|d_j| <= m * 2**32 <=
-2**44 with at most 4096 lanes) and which is asserted.
+record's ``diff()`` is one int64 (rows x lanes) matrix D of checksum
+differences, and each distinct detector spec decides all of D in one
+vectorized call (``DetectorSpec.decide``). The statistical rule that marks a
+trial critical equals the first statistical detector when that one is
+``statistical``, and then reuses its decision. Counts scatter to their BER in
+int64, and each BER's MSDs sum in trial order, the same float sum as over
+every row, since adding 0.0 changes no float. The default sweep at seed 0
+decides 491 of its 3,200 (voltage, GEMM) rows in 4 calls. Row sums are exact
+in int64 while lanes * max|d_j| < 2**63, which every GEMM meets (|d_j| <= m *
+2**32 <= 2**44 with at most 4096 lanes) and which is asserted.
 The per-detector optimum is the sweep point with minimal energy (ties break
 toward higher voltage).
 """
@@ -63,7 +62,6 @@ from .detectors import STATISTICAL_KINDS, row_msd
 from .faults import (
     BLOCK_LANES,
     UNIFORM_MODE,
-    Corruption,
     FaultConfig,
     SparseFlips,
     VoltageBerTable,
@@ -214,46 +212,28 @@ def _critical_rule(detectors):
     return None
 
 
-def _batches(records, cap: int):
-    """Lists of (BER index, ``Corruption.touched()`` record) of at most ``cap`` trials in all.
-
-    Records come one per BER, in order; a BER whose record touches no trial is
-    left out, and each BER's trials stay in one list.
-    """
-    batch, rows = [], 0
-    for i, record in enumerate(records):
-        touched = record.touched()
-        if not touched.n_trials:
-            continue
-        if batch and rows + touched.n_trials > cap:
-            yield batch
-            batch, rows = [], 0
-        batch.append((i, touched))
-        rows += touched.n_trials
-    if batch:
-        yield batch
-
-
 def _score_stream(
     spec: WorkloadSpec, detectors, fault: FaultConfig, bers
 ) -> list[list[CompareRow]]:
     """Score every detector on the ``spec.gemm_count`` GEMMs of a stream at each of ``bers``.
 
-    Returns one ``CompareRow`` per detector for each BER, in the orders given.
-    The trials go in blocks of at most ``BLOCK_LANES`` lanes (trials x n)
-    whose records hold about ``_RECORD_BLOCK`` elements: m * n per trial in
-    uniform mode (its priorities), the expected flips at the top BER in BER
-    mode. A block draws its flips once, at ``max(bers)``, and each BER keeps
-    those whose thinning uniform lies below it; a uniform fault corrupts the
-    same elements at every BER. Only the trials a BER's record touches are
-    scored: an all-zero difference row has MSD 0 and freq_eff 0 and no
-    detector recovers it (``theta_freq`` and ``msd_threshold`` are >= 0). The
-    touched rows of every BER are stacked, at most ``BLOCK_LANES`` lanes at a
-    time, and each distinct spec (every detector, and the statistical rule
-    that marks a trial critical under the first statistical detector's
-    params, which is that detector when it is ``statistical``) decides them in
-    one call. Counts scatter back per BER in int64, and each BER's MSD sums
-    in trial order across blocks, so results depend on neither block size.
+    Returns one ``CompareRow`` per detector for each BER, in the orders given
+    (uniform mode scores one BER, a comparison's). The block rule: with
+    ``group = max(1, BLOCK_LANES // n)`` BERs per ``SparseFlips.rows`` call
+    (all of them unless n * len(bers) > BLOCK_LANES), a block holds
+    ``max(1, min(BLOCK_LANES // (n * min(len(bers), group)), _RECORD_BLOCK //
+    per_trial))`` trials, so one call's rows hold at most ``BLOCK_LANES``
+    lanes and the block's record about ``_RECORD_BLOCK`` elements;
+    ``per_trial`` is m * n in uniform mode (its priorities), the expected
+    flips at the top BER in BER mode. A block draws its flips once, at
+    ``max(bers)``, and ``rows`` gives the (BER, trial) rows they touch; a
+    uniform record touches every trial or none and is scored as is. An
+    untouched row is all zero and would count nothing (no detector recovers
+    it: ``theta_freq`` and ``msd_threshold`` are >= 0). Each distinct spec
+    (every detector, and the critical-region rule, which is the first
+    statistical detector when that one is ``statistical``) decides a call's
+    rows at once. Counts scatter to their BER in int64 and each BER's MSD
+    sums in trial order, so the block size changes no result.
     """
     labels = _unique_labels(detectors)
     rule = _critical_rule(detectors)
@@ -262,8 +242,8 @@ def _score_stream(
     per_trial = spec.m * spec.n
     if fault.mode != UNIFORM_MODE:
         per_trial *= (fault.bit_window[1] - fault.bit_window[0] + 1) * top
-    cap = max(1, BLOCK_LANES // spec.n)
-    step = max(1, min(cap, int(_RECORD_BLOCK // max(1.0, per_trial))))
+    group = max(1, BLOCK_LANES // spec.n)
+    step = max(1, min(BLOCK_LANES // (spec.n * min(len(bers), group)), int(_RECORD_BLOCK // max(1.0, per_trial))))
     # per BER and detector: recoveries, undetected critical trials and the freq_eff sum
     counts = np.zeros((len(bers), len(detectors), 3), dtype=np.int64)
     msd_sums = [0.0] * len(bers)
@@ -271,27 +251,26 @@ def _score_stream(
         entries, seeds = stream(spec, fault, np.arange(start, min(start + step, spec.gemm_count)))
         if fault.mode == UNIFORM_MODE:
             record = uniform_corruption(seeds, spec.m, spec.n, entries, fault.freq, fault.mag)
-            records = (record for _ in bers)
+            parts = [(0, (np.zeros(record.n_trials, dtype=np.int64), None, record))]
         else:
             flips = SparseFlips.draw(spec.m, spec.n, entries, seeds, fault.bit_window, top)
-            records = (flips.at(ber) for ber in bers)
-        for batch in _batches(records, cap):
-            diffs = Corruption.stack([touched for _, touched in batch]).diff()
+            parts = ((lo, flips.rows(bers[lo : lo + group])) for lo in range(0, len(bers), group))
+        for lo, (level, _, record) in parts:
+            if not level.size:
+                continue
+            diffs = record.diff()
             decided = {s: s.decide(diffs) for s in specs}
             critical = np.zeros(len(diffs), bool) if rule is None else decided[rule].recovers
-            # (detectors x 3 x rows) int64, summed over each BER's run of rows
+            # (detectors x 3 x rows) int64, added to each row's BER
             per_row = np.array(
                 [(r.recovers, critical & ~r.recovers, r.freq_eff) for r in map(decided.get, detectors)],
                 dtype=np.int64,
             ).reshape(len(detectors), 3, len(diffs))
-            ids = [i for i, _ in batch]
-            sizes = [touched.n_trials for _, touched in batch]
-            starts = np.cumsum([0, *sizes[:-1]])
-            counts[ids] += np.moveaxis(np.add.reduceat(per_row, starts, axis=2), 2, 0)
+            np.add.at(counts, lo + level, np.moveaxis(per_row, 2, 0))
             msd = row_msd(diffs).astype(np.float64)
-            for i, lo, size in zip(ids, starts.tolist(), sizes):
+            for i, run in enumerate(np.split(msd, np.searchsorted(level, np.arange(1, level[-1] + 1))), lo):
                 # float MSDs summed one after another in trial order (np.sum would sum pairwise)
-                msd_sums[i] = float(np.add.accumulate(np.append(msd_sums[i], msd[lo : lo + size]))[-1])
+                msd_sums[i] = float(np.add.accumulate(np.append(msd_sums[i], run))[-1])
     n = spec.gemm_count
     return [
         [

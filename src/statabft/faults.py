@@ -27,7 +27,8 @@ Two fault modes:
 Both modes record what they corrupt in one array record, ``Corruption``,
 the only source of checksum differences (``diff``), event logs (``events``)
 and corrupted dense stacks (``apply``). ``SparseFlips.at`` builds it in BER
-mode and ``uniform_corruption`` in uniform mode (positions from
+mode (``SparseFlips.rows`` for the touched rows of several BERs at once)
+and ``uniform_corruption`` in uniform mode (positions from
 ``uniform_positions``), ``corruption`` in either mode, all for a stream of
 trials with one seed each. Each reads clean values only at the corrupted
 elements, through one callback call for all the trials it is given,
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,11 +68,12 @@ LOG_BER_FLOOR = 1e-15
 ROW_TOLERANCE = 2.5e-11
 
 # 64-bit values per trial row that one vectorized block holds (8 MiB per
-# temporary): the calibration grid injects, and scoring decides, its trials
-# in blocks of max(1, BLOCK_LANES // lanes) rows, so memory stays bounded
-# however many trials there are. Results do not depend on it, but it also
-# caps the flips one trial may expect (see geometric_flips) and the elements
-# of one uniform-mode output (see uniform_positions).
+# temporary): the calibration grid injects its trials in blocks of
+# max(1, BLOCK_LANES // lanes) rows, and scoring sizes its blocks by it (see
+# energy._score_stream), so memory stays bounded however many trials there
+# are. Results do not depend on it, but it also caps the flips one trial may
+# expect (see geometric_flips) and the elements of one uniform-mode output
+# (see uniform_positions).
 BLOCK_LANES = 2**20
 
 # flips drawn by the first batch of geometric_flips; each later batch doubles.
@@ -210,19 +212,6 @@ class Corruption:
         np.add.at(d, (self.trial, self.element % self.n_cols), self.before - self.after)
         return d
 
-    def touched(self) -> "Corruption":
-        """This record over its trials with a corrupted element only: trial i is the i-th of them."""
-        trials, trial = np.unique(self.trial, return_inverse=True)
-        return Corruption(trials.size, self.n_cols, trial, self.element, self.before, self.after, self.mask)
-
-    @classmethod
-    def stack(cls, records) -> "Corruption":
-        """One record of the trials of ``records`` in turn (same n_cols), without the masks."""
-        offsets = np.cumsum([0] + [r.n_trials for r in records])
-        trial = np.concatenate([r.trial + o for r, o in zip(records, offsets.tolist())])
-        fields = (np.concatenate([getattr(r, f) for r in records]) for f in ("element", "before", "after"))
-        return cls(int(offsets[-1]), records[0].n_cols, trial, *fields)
-
     def events(self) -> list[ErrorEvent]:
         """The event log of a one-trial record, in row-major order."""
         if self.n_trials != 1:
@@ -249,7 +238,8 @@ class SparseFlips:
     flip, sorted by (trial, element): the flip hits the row-major ``element``
     of trial ``trial``'s output with the one-bit ``mask``; ``u`` is its
     thinning uniform and ``clean`` the clean value of the element it hits.
-    ``at(ber)`` thins the flips to any ``ber`` up to the top one.
+    ``rows(bers)`` thins the flips to any ``bers`` up to the top one at once,
+    and ``at(ber)`` to one.
     """
 
     n_trials: int
@@ -282,21 +272,38 @@ class SparseFlips:
         clean = np.asarray(entries(trial, rows, cols), dtype=np.int64)
         return cls(seeds.size, n_cols, ber, trial, element, mask, u, clean)
 
-    def at(self, ber: float) -> Corruption:
-        """The elements corrupted at ``ber``, by the flips whose thinning uniform lies below it."""
-        if not 0.0 <= ber <= self.ber:
-            raise ValueError(f"ber must be in [0, {self.ber}], got {ber}")
-        keep = self.u < ber
+    def rows(self, bers) -> tuple[np.ndarray, np.ndarray, Corruption]:
+        """The (BER, trial) rows corrupted at each of ``bers``: ``(level, trial, record)``.
+
+        Row i is trial ``trial[i]`` at ``bers[level[i]]``, and trial i of
+        ``record`` holds its corrupted elements. Rows go BER by BER in the
+        order given, trials ascending; a (BER, trial) pair with no corrupted
+        element has no row. Each BER keeps the flips whose thinning uniform
+        lies below it, and flips that hit one element merge into one entry.
+        """
+        if not all(0.0 <= ber <= self.ber for ber in bers):
+            raise ValueError(f"each ber must be in [0, {self.ber}], got {list(bers)}")
+        keeps = [np.flatnonzero(self.u < ber) for ber in bers]
+        level = np.repeat(np.arange(len(keeps)), [k.size for k in keeps])
+        keep = np.concatenate([np.zeros(0, dtype=np.int64), *keeps])
         trial, element = self.trial[keep], self.element[keep]
-        # the kept flips stay sorted by (trial, element): each run of one key is one element
-        first = np.ones(trial.size, dtype=bool)
-        first[1:] = (trial[1:] != trial[:-1]) | (element[1:] != element[:-1])
-        starts = np.flatnonzero(first)
+        # the kept flips are sorted by (BER, trial, element): each run of one
+        # (BER, trial) is one row, and each run of one key one corrupted element
+        new = np.ones(keep.size, dtype=bool)
+        new[1:] = (level[1:] != level[:-1]) | (trial[1:] != trial[:-1])
+        first = new.copy()
+        first[1:] |= element[1:] != element[:-1]
+        starts, heads = np.flatnonzero(first), np.flatnonzero(new)
         mask = np.bitwise_or.reduceat(self.mask[keep], starts)
         before = self.clean[keep][starts]
         after = _wrap_int32(before ^ mask.astype(np.int64))
-        trial, element = trial[starts], element[starts]
-        return Corruption(self.n_trials, self.n_cols, trial, element, before, after, mask)
+        row = np.cumsum(new)[starts] - 1
+        return level[heads], trial[heads], Corruption(heads.size, self.n_cols, row, element[starts], before, after, mask)
+
+    def at(self, ber: float) -> Corruption:
+        """The elements corrupted at ``ber``, by the flips whose thinning uniform lies below it."""
+        _, trials, record = self.rows([ber])
+        return replace(record, n_trials=self.n_trials, trial=trials[record.trial])
 
 
 def uniform_positions(seeds, n: int, freq: int) -> np.ndarray:

@@ -287,7 +287,8 @@ def _sparse_evidence(s: int, c: int) -> str:
     draw of a two-trial stream gives each trial the difference row of its
     one-trial draw; on a quarter of the cases the BER puts about 64 flips in
     a trial, and the stream pairs a trial that draws past the first 64-flip
-    chunk with one that ends inside it.
+    chunk with one that ends inside it. Its ``rows`` over the BER ladder are
+    the touched (BER, trial) pairs of the per-BER ``at`` records, in order.
     BER: at the top BER the record's events are ``sample_bitflips``'s own; as
     the BER drops, the corrupted elements form nested sets, empty at BER 0.
     Recovery rates are not checked for monotonicity: two flips in one column
@@ -325,24 +326,33 @@ def _sparse_evidence(s: int, c: int) -> str:
     # the sweep's draw, with this GEMM as trial `index` of a two-trial stream
     seeds = pair if index == 0 else pair[::-1]
     stream = SparseFlips.draw(m, n, partial(workload_entries, spec), seeds, fault.bit_window, top)
-    above = None
-    for ber in (top, top / 3, top / 10, top / 100, 0.0):
+    above, ladder, pairs, expected = None, (top, top / 3, top / 10, top / 100, 0.0), [], []
+    for level, ber in enumerate(ladder):
         kept = flips.at(ber)
         dense = predicted - _applied(clean, kept.events(), fault).sum(0, dtype=np.int64)
         if not np.array_equal(kept.diff()[0], dense):
             return f"sparse difference != dense at ber {ber:g}"
-        rows = stream.at(ber).diff()
+        thinned = stream.at(ber)
+        rows = thinned.diff()
         if not (
             np.array_equal(rows[index], dense)
             and np.array_equal(rows[1 - index], other.at(ber).diff()[0])
         ):
             return f"stream difference rows != per-trial rows at ber {ber:g}"
+        touched = sorted(set(thinned.trial.tolist()))
+        pairs, expected = pairs + [(level, t) for t in touched], expected + [rows[touched]]
         sites = set(kept.element.tolist())
         if ber == 0.0 and sites:
             return "flips kept at ber 0"
         if above is not None and not sites <= above:
             return f"flips at ber {ber:g} not nested in the higher BER's"
         above = sites
+    # the scorer's rows: every BER of the ladder thinned at once, touched (BER, trial) pairs only
+    levels, trials, record = stream.rows(ladder)
+    if list(zip(levels.tolist(), trials.tolist())) != pairs or not np.array_equal(
+        record.diff(), np.concatenate(expected)
+    ):
+        return "rows(bers) != the per-BER at(ber) rows of the touched trials"
     freq = m * n if s % 4 == 0 else int(u[1] % np.uint64(m * n + 1))
     mag = INT32_MAX if s % 3 else INT32_MIN  # adding an INT32 edge wraps often
     uniform = FaultConfig(mode="uniform", freq=freq, mag=mag, seed=derive_seed(s, 3))

@@ -209,48 +209,60 @@ def _spy_decide(monkeypatch):
     return calls
 
 
-def _decide_calls(kinds, touched, rows):
-    """The (kind, rows) ``decide`` calls of a scorer with ``rows``-trial blocks and batches.
-
-    In each block of trials, each BER's touched trials join the batch in turn,
-    and a BER that would take the batch past ``rows`` starts the next one; a
-    batch is one call per distinct spec.
-    """
-    calls = []
-    for start in range(0, len(touched), rows):
-        batches = [0]
-        for count in touched[start : start + rows].sum(axis=0).tolist():
-            if batches[-1] and batches[-1] + count > rows:
-                batches.append(0)
-            batches[-1] += count
-        calls += [(kind, size) for size in batches if size for kind in kinds]
-    return calls
+# a 40-GEMM stream at five voltages where some (voltage, trial) rows stay clean
+BLOCKED = FaultConfig(mode="ber", ber=4e-3, bit_window=(12, 31), seed=4)
+BLOCKED_SPEC = replace(SPEC, gemm_count=40)
+BLOCKED_TABLE = EnergyConfig(table=VoltageBerTable(voltages=(0.9, 0.6), bers=(1e-6, 4e-3)))
+BLOCKED_VOLTAGES = [0.9, 0.75, 0.7, 0.65, 0.6]
 
 
-@pytest.mark.parametrize("block_lanes", [1, 3 * SPEC.n])
-def test_scoring_in_row_blocks_changes_no_result(monkeypatch, block_lanes):
-    # one-row blocks, and three-row blocks with a ragged last one, against one block
-    fault = FaultConfig(mode="ber", ber=4e-3, bit_window=(12, 31), seed=4)
-    spec = replace(SPEC, gemm_count=40)
-    table = VoltageBerTable(voltages=(0.9, 0.6), bers=(1e-6, 4e-3))
-    voltages = [0.9, 0.75, 0.7, 0.65, 0.6]
+def _blocked_touched():
+    bers = [BLOCKED_TABLE.table.ber_at(v) for v in BLOCKED_VOLTAGES]
+    return _touched(BLOCKED_SPEC, BLOCKED, BLOCKED.ber, bers)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_scoring_in_row_blocks_changes_no_result(monkeypatch, trials):
+    # sweep blocks of one trial, and of three with a ragged last one, against one block
+    spec, voltages = BLOCKED_SPEC, BLOCKED_VOLTAGES
     run = lambda: (
-        compare_detectors(spec, DETECTORS, fault),
-        sweep_detectors(spec, DETECTORS, fault, voltages, EnergyConfig(table=table)),
+        compare_detectors(spec, DETECTORS, BLOCKED),
+        sweep_detectors(spec, DETECTORS, BLOCKED, voltages, BLOCKED_TABLE),
     )
     whole = run()
     assert 0.0 < whole[0][2].recovery_rate < 1.0 and whole[0][0].mean_msd > 0.0
-    touched = _touched(spec, fault, fault.ber, [table.ber_at(v) for v in voltages])
-    # untouched rows to skip, and BERs whose touched rows fill a three-row batch exactly
-    assert touched.sum() < touched.size
-    assert 3 in [touched[s : s + 3, 1:j].sum() for s in range(0, 40, 3) for j in (3, 4)]
+    touched = _blocked_touched()
+    assert touched.sum() < touched.size  # untouched rows to skip
+    block_lanes = trials * len(voltages) * spec.n
     monkeypatch.setattr(energy, "BLOCK_LANES", block_lanes)
     calls = _spy_decide(monkeypatch)
     assert run() == whole
-    # the critical-region rule is the statistical detector, so it adds no call
+    # a block of max(1, BLOCK_LANES // (n * BERs)) trials is one call per
+    # distinct spec over its touched rows of every BER (the critical-region
+    # rule is the statistical detector, so it adds no call), and its rows
+    # hold at most BLOCK_LANES lanes
     kinds = [d.kind for d in DETECTORS]
-    rows = max(1, block_lanes // spec.n)
-    assert calls == _decide_calls(kinds, touched[:, -1:], rows) + _decide_calls(kinds, touched, rows)
+    expected = []
+    for block, column in ((len(voltages) * trials, touched[:, -1]), (trials, touched)):
+        sizes = [int(column[start : start + block].sum()) for start in range(0, spec.gemm_count, block)]
+        expected += [(kind, size) for size in sizes if size for kind in kinds]
+    assert calls == expected
+    assert max(rows for _, rows in calls) * spec.n <= block_lanes
+    assert any(touched[start : start + trials].any(axis=0).sum() > 1 for start in range(0, 40, trials))
+
+
+def test_a_trials_rows_past_the_lane_bound_take_several_calls(monkeypatch):
+    # when BLOCK_LANES holds two BERs' rows of a trial, a one-trial block
+    # thins to the five BERs two at a time: one call per spec per group, each
+    # within the bound, and the same result
+    whole = sweep_detectors(BLOCKED_SPEC, DETECTORS, BLOCKED, BLOCKED_VOLTAGES, BLOCKED_TABLE)
+    touched = _blocked_touched()
+    monkeypatch.setattr(energy, "BLOCK_LANES", 2 * BLOCKED_SPEC.n)
+    calls = _spy_decide(monkeypatch)
+    assert sweep_detectors(BLOCKED_SPEC, DETECTORS, BLOCKED, BLOCKED_VOLTAGES, BLOCKED_TABLE) == whole
+    sizes = [int(row[lo : lo + 2].sum()) for row in touched for lo in (0, 2, 4)]
+    assert calls == [(d.kind, size) for size in sizes if size for d in DETECTORS]
+    assert max(rows for _, rows in calls) == 2
 
 
 @pytest.mark.parametrize("msd_threshold", [0, 2**20])

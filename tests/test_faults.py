@@ -209,6 +209,65 @@ def test_stacked_flips_give_each_trials_difference_row():
         stream.at(0.01).events()
 
 
+def _flip_stream(trials=6, top=0.04):
+    """The flips of a ``trials``-trial stream of one 9x7 GEMM at ``top`` in the whole 32-bit window."""
+    w = random_quant_matrix(9, 30, "outlier", 2)
+    x = random_quant_matrix(30, 7, "uniform", 3)
+    return SparseFlips.draw(w.rows, x.cols, _entries(w, x), range(trials), (0, 31), top)
+
+
+def _assert_rows_are_the_per_ber_records(flips, bers):
+    # rows(bers) joins each BER's at(ber) record, narrowed to its touched trials, in order
+    levels, trials, record = flips.rows(bers)
+    parts = [flips.at(ber) for ber in bers]
+    touched = [np.unique(p.trial) for p in parts]
+    assert np.array_equal(levels, np.repeat(np.arange(len(bers)), [t.size for t in touched]))
+    assert np.array_equal(trials, np.concatenate([np.zeros(0, dtype=np.int64), *touched]))
+    assert record.n_trials == levels.size and record.n_cols == flips.n_cols
+    expected = [p.diff()[t] for p, t in zip(parts, touched)]
+    assert np.array_equal(record.diff(), np.concatenate([np.zeros((0, flips.n_cols), np.int64), *expected]))
+    for name in ("element", "before", "after", "mask"):
+        joined = np.concatenate([np.zeros(0, getattr(record, name).dtype), *(getattr(p, name) for p in parts)])
+        assert np.array_equal(getattr(record, name), joined), name
+    return levels, trials, record
+
+
+def test_rows_join_the_touched_trials_of_each_ber():
+    # BERs in no particular order: each keeps its flips, and its trials ascend
+    flips = _flip_stream()
+    levels, trials, record = _assert_rows_are_the_per_ber_records(flips, [0.01, 0.04, 2e-4])
+    assert 0 < np.count_nonzero(levels == 2) < np.count_nonzero(levels == 0) <= flips.n_trials
+    assert record.diff().any(axis=1).all()
+
+
+def test_rows_of_no_ber_and_of_ber_zero_are_empty():
+    flips = _flip_stream()
+    for bers in ([], [0.0], [0.0, 0.0]):
+        levels, trials, record = _assert_rows_are_the_per_ber_records(flips, bers)
+        assert levels.size == trials.size == record.n_trials == record.element.size == 0
+        assert record.diff().shape == (0, flips.n_cols)
+    # a BER of 0 between two others leaves a gap in the BER indices
+    levels, _, _ = _assert_rows_are_the_per_ber_records(flips, [0.04, 0.0, 0.02])
+    assert sorted(set(levels.tolist())) == [0, 2]
+
+
+def test_rows_repeat_for_equal_bers():
+    # two voltages on a flat stretch of the table: the same rows, once per BER
+    flips = _flip_stream()
+    levels, trials, record = _assert_rows_are_the_per_ber_records(flips, [0.02, 0.02])
+    half = levels.size // 2
+    assert half and np.array_equal(levels, np.repeat([0, 1], half))
+    assert np.array_equal(trials[:half], trials[half:])
+    assert np.array_equal(record.diff()[:half], record.diff()[half:])
+
+
+def test_rows_refuse_a_ber_above_the_top_one():
+    flips = _flip_stream()
+    for bers in ([0.05], [0.01, 0.041], [-0.01]):
+        with pytest.raises(ValueError, match="ber"):
+            flips.rows(bers)
+
+
 _SEVERAL_CHUNKS = st.floats(min_value=0.05, max_value=1.0)  # >= 64 flips on >= 1280 bits
 
 
