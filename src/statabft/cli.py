@@ -14,7 +14,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, astuple, fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -169,11 +169,16 @@ def cmd_calibrate(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
+def _row(record, header) -> tuple:
+    """The ``header`` fields of a flat dataclass record, as is (``astuple`` would deep-copy each)."""
+    return tuple(getattr(record, name) for name in header)
+
+
 def cmd_compare(cfg: ExperimentConfig, args) -> int:
     rows = compare_detectors(cfg.workload, cfg.detector_specs(), cfg.fault)
     out = _prepare_out(cfg, "compare", args.out_dir or cfg.output_dir)
     header = [f.name for f in fields(CompareRow)]
-    table = [astuple(r) for r in rows]
+    table = [_row(r, header) for r in rows]
     path = _write_table(out, "detectors", cfg.output_format, header, table)
     for r in rows:
         print(
@@ -191,9 +196,9 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     )
     out = _prepare_out(cfg, "sweep", args.out_dir or cfg.output_dir)
     header = [f.name for f in fields(SweepPoint)]
-    rows = [astuple(p) for res in results.values() for p in res.points]
+    rows = [_row(p, header) for res in results.values() for p in res.points]
     for res in results.values():
-        rows.append(astuple(replace(res.optimum, detector=f"{res.optimum.detector}_optimum")))
+        rows.append(_row(replace(res.optimum, detector=f"{res.optimum.detector}_optimum"), header))
     path = _write_table(out, "sweep", cfg.output_format, header, rows)
 
     classical = results.get("classical")

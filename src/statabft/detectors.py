@@ -237,9 +237,11 @@ def _theta_fixed_rows(msd: np.ndarray, params: CriticalRegionParams) -> np.ndarr
 def _region_counts(diffs: np.ndarray, msd: np.ndarray, params: CriticalRegionParams, lzc: bool):
     """Each row's magnitude bound and its count of nonzero lanes above it.
 
-    The exact bound is computed per row with MSD > 0 by the scalar ``theta_mag``
-    (math.log2), the LZC bound by ``_theta_fixed_rows``, so every row gets
-    exactly the bound its GEMM alone gets.
+    The exact bound of a row with MSD > 0 takes ``math.log2`` of its MSD, the
+    logarithm ``theta_mag`` takes (numpy's ``log2`` need not round alike),
+    and then ``theta_mag``'s multiply and subtract, the same two IEEE
+    operations on an array; the LZC bound comes from ``_theta_fixed_rows``.
+    So every row gets exactly the bound its GEMM alone gets.
     """
     if lzc:
         # rows with MSD == 0 get the saturated bound, which no lane exponent exceeds
@@ -249,8 +251,10 @@ def _region_counts(diffs: np.ndarray, msd: np.ndarray, params: CriticalRegionPar
         theta = np.where(active, fixed / (1 << LZC_FRAC_BITS), math.inf)
     else:
         nonzero = np.flatnonzero(msd)
+        logs = np.fromiter(map(math.log2, msd[nonzero].tolist()), np.float64, nonzero.size)
         theta = np.full(len(diffs), math.inf)
-        theta[nonzero] = [theta_mag(m, params) for m in msd[nonzero].tolist()]
+        with np.errstate(over="ignore"):  # a huge a gives -inf, as theta_mag's float steps do
+            theta[nonzero] = params.b - (params.a - 1.0) * logs
         with np.errstate(divide="ignore"):  # log2(0) = -inf on zero lanes, masked below
             over = np.log2(np.abs(diffs.astype(np.float64))) > theta[:, np.newaxis]
     return theta, np.count_nonzero((diffs != 0) & over, axis=1)

@@ -31,10 +31,11 @@ faults of all of them and reads every clean entry they need in one
 evidence, by one scorer (``_score_stream``) that ``compare`` calls at one BER
 and a sweep at all of its voltages' BERs: it walks the stream in blocks of
 trials, sized by the one block rule in its docstring, so memory stays
-bounded however long the stream (the 200 default GEMMs at the default
-table's BERs are one block). A block draws its flips once, at the top BER,
-and ``SparseFlips.rows`` thins them to every BER: one record of the (BER,
-trial) rows a fault touched, BER after BER, each row knowing its BER.
+bounded however long the stream and however many voltages it has (the 200
+default GEMMs at the default table's BERs are one block). A block draws its
+flips once, at the top BER, and ``SparseFlips.rows`` thins them to a run of
+BERs at a time (every BER of the default sweep at once): one record of the
+(BER, trial) rows a fault touched, BER after BER, each row knowing its BER.
 Faults are rare, so only those rows are scored: an untouched trial's
 difference row is all zero, and a zero row has MSD 0 and freq_eff 0 and is
 recovered by no detector, so it adds nothing to any count or MSD sum. The
@@ -79,8 +80,9 @@ from .workloads import workload_matrices
 # derivation tag for fault streams inside sweeps/comparisons
 _TAG_FAULT = 201
 
-# elements a scoring block's record is sized to hold (see _score_stream), and
-# so the clean entries it reads in one call; results do not depend on it
+# elements a scoring block's flips at the top BER (and so the clean entries it
+# reads in one call) and each of its thinned records are sized to hold (see
+# _score_stream); results do not depend on it
 _RECORD_BLOCK = 2**14
 
 
@@ -212,6 +214,22 @@ def _critical_rule(detectors):
     return None
 
 
+def _ber_runs(sizes, cap: int) -> list[tuple[int, int]]:
+    """Consecutive runs ``[lo, hi)`` of BER positions, one ``SparseFlips.rows`` call each.
+
+    A run holds at most ``cap`` BERs, and a new one starts where the next
+    BER's expected record ``sizes[i]`` would take the run's sum past
+    ``_RECORD_BLOCK``; every run holds at least one BER.
+    """
+    starts, total = [0], 0.0
+    for i, size in enumerate(sizes):
+        if i > starts[-1] and (i - starts[-1] == cap or total + size > _RECORD_BLOCK):
+            starts.append(i)
+            total = 0.0
+        total += size
+    return list(zip(starts, starts[1:] + [len(sizes)]))
+
+
 def _score_stream(
     spec: WorkloadSpec, detectors, fault: FaultConfig, bers
 ) -> list[list[CompareRow]]:
@@ -219,15 +237,18 @@ def _score_stream(
 
     Returns one ``CompareRow`` per detector for each BER, in the orders given
     (uniform mode scores one BER, a comparison's). The block rule: with
-    ``group = max(1, BLOCK_LANES // n)`` BERs per ``SparseFlips.rows`` call
-    (all of them unless n * len(bers) > BLOCK_LANES), a block holds
-    ``max(1, min(BLOCK_LANES // (n * min(len(bers), group)), _RECORD_BLOCK //
-    per_trial))`` trials, so one call's rows hold at most ``BLOCK_LANES``
-    lanes and the block's record about ``_RECORD_BLOCK`` elements;
-    ``per_trial`` is m * n in uniform mode (its priorities), the expected
-    flips at the top BER in BER mode. A block draws its flips once, at
-    ``max(bers)``, and ``rows`` gives the (BER, trial) rows they touch; a
-    uniform record touches every trial or none and is scored as is. An
+    ``cap = max(1, BLOCK_LANES // n)`` BERs at most per ``SparseFlips.rows``
+    call, a block holds ``max(1, min(BLOCK_LANES // (n * min(len(bers),
+    cap)), _RECORD_BLOCK // per_trial))`` trials, so one call's rows hold at
+    most ``BLOCK_LANES`` lanes and the block's flips at the top BER about
+    ``_RECORD_BLOCK`` elements; ``per_trial`` is m * n in uniform mode (its
+    priorities), the expected flips at the top BER in BER mode. A call takes
+    a run of consecutive BERs whose expected flips over the block's trials
+    sum to about ``_RECORD_BLOCK`` (``_ber_runs``), so a call's record stays
+    that small however many voltages share the block. A block draws its
+    flips once, at ``max(bers)``, and ``rows`` gives the (BER, trial) rows
+    they touch; a uniform record touches every trial or none and is scored
+    as is. An
     untouched row is all zero and would count nothing (no detector recovers
     it: ``theta_freq`` and ``msd_threshold`` are >= 0). Each distinct spec
     (every detector, and the critical-region rule, which is the first
@@ -239,11 +260,14 @@ def _score_stream(
     rule = _critical_rule(detectors)
     specs = list(dict.fromkeys([*detectors, rule] if rule else detectors))
     top = max(bers)
-    per_trial = spec.m * spec.n
-    if fault.mode != UNIFORM_MODE:
-        per_trial *= (fault.bit_window[1] - fault.bit_window[0] + 1) * top
-    group = max(1, BLOCK_LANES // spec.n)
-    step = max(1, min(BLOCK_LANES // (spec.n * min(len(bers), group)), int(_RECORD_BLOCK // max(1.0, per_trial))))
+    if fault.mode == UNIFORM_MODE:
+        per_trial = [spec.m * spec.n]
+    else:
+        bits = fault.bit_window[1] - fault.bit_window[0] + 1
+        per_trial = [spec.m * spec.n * (bits * ber) for ber in bers]
+    cap = max(1, BLOCK_LANES // spec.n)
+    step = max(1, min(BLOCK_LANES // (spec.n * min(len(bers), cap)), int(_RECORD_BLOCK // max(1.0, *per_trial))))
+    runs = _ber_runs([step * p for p in per_trial], cap)
     # per BER and detector: recoveries, undetected critical trials and the freq_eff sum
     counts = np.zeros((len(bers), len(detectors), 3), dtype=np.int64)
     msd_sums = [0.0] * len(bers)
@@ -254,7 +278,7 @@ def _score_stream(
             parts = [(0, (np.zeros(record.n_trials, dtype=np.int64), None, record))]
         else:
             flips = SparseFlips.draw(spec.m, spec.n, entries, seeds, fault.bit_window, top)
-            parts = ((lo, flips.rows(bers[lo : lo + group])) for lo in range(0, len(bers), group))
+            parts = ((lo, flips.rows(bers[lo:hi])) for lo, hi in runs)
         for lo, (level, _, record) in parts:
             if not level.size:
                 continue

@@ -16,10 +16,10 @@ import numpy as np
 MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 
-# uint64 values per temporary of a stream-wide draw (32 KiB): the fault
+# uint64 values per temporary of a stream-wide draw (128 KiB): the fault
 # sampler's first chunk over a block of trials, a block of operand rows and a
 # block of entry dot products. Results do not depend on it.
-DRAW_BLOCK = 2**12
+DRAW_BLOCK = 2**14
 
 _M1 = 0xBF58476D1CE4E5B9
 _M2 = 0x94D049BB133111EB
@@ -34,14 +34,21 @@ def mix64(x: int) -> int:
 
 
 def _mix64_array(z: np.ndarray) -> np.ndarray:
-    """``mix64`` of each value of a uint64 array of at least one dimension.
+    """``mix64`` of each value of a uint64 array of at least one dimension, in place.
 
+    Consumes its argument: ``z`` is overwritten with the result and returned,
+    so callers pass a fresh temporary. One scratch array holds the shifts.
     The products wrap modulo 2**64 silently only on arrays: numpy warns when
     a 0-d operand makes them scalar products.
     """
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
-    return z ^ (z >> np.uint64(31))
+    t = np.empty_like(z)
+    for shift, mult in ((30, _M1), (27, _M2)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= np.uint64(mult)
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 def u64_at(seed, idx) -> np.ndarray:

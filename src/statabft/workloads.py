@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gemm import MAX_INNER_DIM, QuantMatrix, gemm_entries
-from .rng import DRAW_BLOCK, derive_seed, u64_at, u64_stream
+from .rng import DRAW_BLOCK, GAMMA, MASK64, derive_seed, u64_at, u64_stream
 
 DISTRIBUTIONS = ("uniform", "outlier")
 
@@ -79,19 +79,28 @@ class WorkloadSpec:
 
 
 def _int8_values(u: np.ndarray, distribution: str) -> np.ndarray:
-    """The INT8 element each u64 draw decodes to under ``distribution``, same shape."""
+    """The INT8 element each u64 draw decodes to under ``distribution``, same shape.
+
+    Every value is read from the draw's low 17 bits and its top 6, on bytes:
+    the low byte is taken once, and only the outlier positions read more.
+    """
+    low = u.astype(np.uint8, order="C")  # the low byte: unsigned casts wrap modulo 256
     if distribution == "uniform":
-        # 2**64 is divisible by 256, so the low byte is exactly uniform
-        vals = (u & np.uint64(0xFF)).astype(np.int64) - 128
-    elif distribution == "outlier":
-        body = (u & np.uint64(0x1F)).astype(np.int64) - 16
-        is_outlier = (u >> np.uint64(58)) == 0
-        out_mag = 96 + ((u >> np.uint64(8)) & np.uint64(0x1F)).astype(np.int64)
-        sign = np.where((u >> np.uint64(16)) & np.uint64(1), 1, -1)
-        vals = np.where(is_outlier, sign * out_mag, body)
-    else:
+        # 2**64 is divisible by 256, so the low byte is exactly uniform;
+        # flipping its top bit maps 0..255 onto -128..127 in two's complement
+        low ^= np.uint8(0x80)
+        return low.view(np.int8)
+    if distribution != "outlier":
         raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
-    return vals.astype(np.int8)
+    low &= np.uint8(0x1F)
+    vals = low.view(np.int8)
+    vals -= np.int8(16)  # the body, in [-16, 15]
+    # about 1 draw in 64 has its top 6 bits clear and is an outlier, |v| in [96, 127]
+    at = np.flatnonzero(u < np.uint64(1 << 58))
+    hit = u.ravel()[at]
+    mag = 96 + ((hit >> np.uint64(8)) & np.uint64(0x1F)).astype(np.int8)
+    vals.ravel()[at] = np.where((hit >> np.uint64(16)) & np.uint64(1), mag, -mag)
+    return vals
 
 
 def random_quant_matrix(rows: int, cols: int, distribution: str, seed: int) -> QuantMatrix:
@@ -110,11 +119,6 @@ def workload_matrices(spec: WorkloadSpec, index: int) -> tuple[QuantMatrix, Quan
         spec.k, spec.n, spec.distribution, derive_seed(spec.seed, TAG_ACTIVATIONS, index)
     )
     return w, x
-
-
-def _operand(spec: WorkloadSpec, seeds: np.ndarray, idx: np.ndarray) -> QuantMatrix:
-    """The elements at row-major positions ``idx`` of the operand streams ``seeds`` (broadcast)."""
-    return QuantMatrix(_int8_values(u64_at(seeds, idx), spec.distribution))
 
 
 def workload_entries(spec: WorkloadSpec, index, rows, cols) -> np.ndarray:
@@ -148,14 +152,18 @@ def workload_entries(spec: WorkloadSpec, index, rows, cols) -> np.ndarray:
         raise ValueError(f"entries outside the {spec.m}x{spec.n} output")
     w_keys, w_at = np.unique(trial * spec.m + rows, return_inverse=True)
     x_keys, x_at = np.unique(trial * spec.n + cols, return_inverse=True)
-    w_seeds = derive_seed(spec.seed, TAG_WEIGHTS, w_keys // spec.m)[:, np.newaxis]
-    x_seeds = derive_seed(spec.seed, TAG_ACTIVATIONS, x_keys // spec.n)
-    w_first, x_cols = (w_keys % spec.m)[:, np.newaxis] * spec.k, x_keys % spec.n
+    # draw j of a stream seeded s is mix64(s + (j + 1) * GAMMA), so W row r's
+    # draw r*k + i is draw i of the seed s + r*k*GAMMA, and X column c's draw
+    # i*n + c is draw i*n of the seed s + c*GAMMA: a block indexes its inner
+    # positions once, broadcast against every row's and column's seed
+    w_rows, x_cols = (w_keys % spec.m).astype(np.uint64), (x_keys % spec.n).astype(np.uint64)
+    w_seeds = derive_seed(spec.seed, TAG_WEIGHTS, w_keys // spec.m) + w_rows * np.uint64(spec.k * GAMMA & MASK64)
+    x_seeds = derive_seed(spec.seed, TAG_ACTIVATIONS, x_keys // spec.n) + x_cols * np.uint64(GAMMA)
     out = np.zeros(rows.size, dtype=np.int64)
     step = max(1, DRAW_BLOCK // max(w_keys.size, x_keys.size))
     for start in range(0, spec.k, step):
-        inner = np.arange(start, min(start + step, spec.k))
-        w = _operand(spec, w_seeds, w_first + inner)
-        x = _operand(spec, x_seeds, inner[:, np.newaxis] * spec.n + x_cols)
-        out += gemm_entries(w, x, w_at, x_at)
+        inner = np.arange(start, min(start + step, spec.k), dtype=np.uint64)
+        w = _int8_values(u64_at(w_seeds[:, np.newaxis], inner), spec.distribution)
+        x = _int8_values(u64_at(x_seeds, (inner * np.uint64(spec.n))[:, np.newaxis]), spec.distribution)
+        out += gemm_entries(QuantMatrix(w), QuantMatrix(x), w_at, x_at)
     return out

@@ -18,6 +18,7 @@ from statabft.detectors import (
     theta_mag,
 )
 from statabft.gemm import ChecksumVector
+from statabft.rng import u64_stream
 
 P = CriticalRegionParams(a=2.0, b=40.0, theta_freq=4)
 CLASSICAL = DetectorSpec(kind="classical")
@@ -269,3 +270,23 @@ def test_statistical_lzc_floors_lane_logs_and_uses_the_mitchell_bound():
     assert math.isinf(cancelled.theta_mag) and cancelled.freq_eff == 0
     with pytest.raises(ValueError, match="statistical_lzc detector needs CriticalRegionParams"):
         DetectorSpec(kind="statistical_lzc")
+
+
+@pytest.mark.parametrize(
+    "params",
+    [P, CriticalRegionParams(a=1.0, b=-3.25, theta_freq=0), CriticalRegionParams(a=1.37, b=17.1, theta_freq=2),
+     CriticalRegionParams(a=1e307, b=1.0, theta_freq=0)],
+)
+def test_row_bound_equals_theta_mag_on_every_msd_scale(params):
+    # MSD 1 to 2**56: every power of two and its neighbours, the integers
+    # around 2**53 where a float64 MSD would round, and spread values
+    msds = {1, 2, 3, 2**56}
+    msds |= {2**e + d for e in range(2, 56) for d in (-1, 0, 1)}
+    msds |= {2**53 + d for d in range(-8, 9)}
+    msds |= {int(v) for v in u64_stream(4, 64) >> np.uint64(8)}
+    msds = sorted(msds)
+    assert msds[0] == 1 and msds[-1] == 2**56
+    # each MSD is a one-lane row, with a zero row between for the +inf bound
+    diffs = np.array([[v] for m in msds for v in (m, 0)], dtype=np.int64)
+    theta = DetectorSpec(kind="statistical", params=params).decide(diffs).theta_mag
+    assert theta.tolist() == [t for m in msds for t in (theta_mag(m, params), math.inf)]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from statabft import energy, faults, rng, workloads
+from statabft.config import ExperimentConfig
 from statabft.detectors import STATISTICAL_KINDS, ChecksumPair, CriticalRegionParams, DetectorSpec
 from statabft.energy import (
     EnergyConfig,
@@ -251,6 +252,16 @@ def test_scoring_in_row_blocks_changes_no_result(monkeypatch, trials):
     assert any(touched[start : start + trials].any(axis=0).sum() > 1 for start in range(0, 40, trials))
 
 
+def test_default_sweep_decides_its_touched_rows_in_one_call_per_detector(monkeypatch):
+    # 200 GEMMs at the default table's 16 BERs expect about 1,850 flips in
+    # all, so every BER is thinned in one run of one block: one decide call
+    # per detector on the 491 (voltage, GEMM) rows a fault touched at seed 0
+    cfg = ExperimentConfig()
+    calls = _spy_decide(monkeypatch)
+    sweep_detectors(cfg.workload, cfg.detector_specs(), cfg.fault, cfg.voltages(), cfg.energy)
+    assert calls == [(d.kind, 491) for d in cfg.detector_specs()] and len(calls) == 4
+
+
 def test_a_trials_rows_past_the_lane_bound_take_several_calls(monkeypatch):
     # when BLOCK_LANES holds two BERs' rows of a trial, a one-trial block
     # thins to the five BERs two at a time: one call per spec per group, each
@@ -482,6 +493,23 @@ def test_sweep_memory_does_not_grow_with_the_stream():
     assert peaks[1] <= 1.5 * peaks[0]
 
 
+def test_sweep_memory_does_not_grow_with_the_voltage_count():
+    # a block's flips are thinned to its BERs a run at a time, each run's
+    # record about _RECORD_BLOCK elements, so 301 voltages hold no more than 16
+    steep = EnergyConfig(table=VoltageBerTable(voltages=(0.9, 0.6), bers=(1e-9, 0.02)))
+    peaks = []
+    for step, count in ((0.02, 16), (0.001, 301)):
+        voltages = [round(0.9 - i * step, 10) for i in range(count)]
+        assert voltages[-1] == 0.6
+        tracemalloc.start()
+        try:
+            sweep_detectors(WorkloadSpec(gemm_count=400), DETECTORS, BER, voltages, steep)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0]
+
+
 def test_compare_draws_only_the_operand_rows_and_columns_its_faults_read(monkeypatch):
     # compare_deep's shape and BER: a trial draws k values per W row and per X
     # column that its corrupted elements read, and a trial without flips none
@@ -492,8 +520,10 @@ def test_compare_draws_only_the_operand_rows_and_columns_its_faults_read(monkeyp
     real = workloads.u64_at
 
     def spy(seed, idx):
-        draws.append(idx.size)
-        return real(seed, idx)
+        # the values drawn: the seeds and indices broadcast together
+        drawn = real(seed, idx)
+        draws.append(drawn.size)
+        return drawn
 
     def zeros(trials, rows, cols):
         return np.zeros(len(rows), dtype=np.int64)

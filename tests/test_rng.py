@@ -177,3 +177,19 @@ def test_derive_seed_takes_numpy_integer_indices(root, before, k):
 
 def test_derive_seed_on_an_int64_scalar_does_not_overflow():
     assert derive_seed(0, np.int64(3)) == derive_seed(0, 3) == int(derive_seed(0, np.arange(4))[3])
+
+
+def test_draws_leave_their_seed_and_index_arrays_unchanged():
+    # the mixing rounds run in place on temporaries, never on a caller's array
+    seeds = u64_stream(3, 6).reshape(6, 1)
+    idx = np.arange(5, dtype=np.uint64) * np.uint64(7)
+    keys = np.array([0, 1, MASK64], dtype=np.uint64)
+    given = [seeds.copy(), idx.copy(), keys.copy()]
+    u64_at(seeds, idx)
+    u64_at(seeds[:, 0], np.uint64(4) + idx[:, np.newaxis] * np.uint64(0))
+    u64_at(11, idx)
+    u64_stream(seeds, 9, offset=2)
+    derive_seed(5, 2, keys)
+    derive_seed(5, keys[:, np.newaxis], idx)
+    for before, after in zip(given, (seeds, idx, keys)):
+        assert np.array_equal(before, after)

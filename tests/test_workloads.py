@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statabft.gemm import gemm
+from statabft.rng import u64_stream
 from statabft.workloads import (
     MAX_STREAM_LANES,
     WorkloadSpec,
+    _int8_values,
     random_quant_matrix,
     workload_entries,
     workload_matrices,
@@ -55,6 +57,35 @@ def test_outlier_matrix_is_heavy_tailed():
     assert 0.7 / 64 < rate < 1.3 / 64
     # both signs occur
     assert (outliers > 0).any() and (outliers < 0).any()
+
+
+def _reference_int8_values(u, distribution):
+    # the decode on int64 temporaries that the byte-wide one replaced
+    if distribution == "uniform":
+        vals = (u & np.uint64(0xFF)).astype(np.int64) - 128
+    else:
+        body = (u & np.uint64(0x1F)).astype(np.int64) - 16
+        is_outlier = (u >> np.uint64(58)) == 0
+        out_mag = 96 + ((u >> np.uint64(8)) & np.uint64(0x1F)).astype(np.int64)
+        sign = np.where((u >> np.uint64(16)) & np.uint64(1), 1, -1)
+        vals = np.where(is_outlier, sign * out_mag, body)
+    return vals.astype(np.int8)
+
+
+@pytest.mark.parametrize("distribution", ["uniform", "outlier"])
+def test_int8_decode_equals_the_int64_formula_on_every_low_pattern(distribution):
+    # every value of the low 17 bits, which hold both distributions' values and
+    # signs, under a zero top-6 field (an outlier) and three nonzero ones; the
+    # bits between them are random and read by neither
+    low = np.arange(2**17, dtype=np.uint64)
+    middle = u64_stream(21, low.size) & np.uint64(((1 << 58) - 1) ^ ((1 << 17) - 1))
+    u = np.concatenate([(low | middle) + (np.uint64(top) << np.uint64(58)) for top in (0, 1, 32, 63)])
+    assert ((u >> np.uint64(58)) == 0).sum() == 2**17
+    got = _int8_values(u, distribution)
+    assert got.dtype == np.int8 and np.array_equal(got, _reference_int8_values(u, distribution))
+    # a strided 2-D view decodes like its copy
+    view = u.reshape(-1, 2**10).T[::3]
+    assert np.array_equal(_int8_values(view, distribution), _reference_int8_values(view, distribution))
 
 
 def test_matrices_are_deterministic_and_indexed():
