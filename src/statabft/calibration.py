@@ -49,10 +49,6 @@ _FLAT_A = 1.0 + 2.0**-20
 
 MAX_MAG_LOG2 = 30.0
 
-# elements of a calibration target (1024 x 1024): one trial's priority draws
-# then fill at most one injection block of BLOCK_LANES uint64s (8 MiB)
-MAX_TARGET_ELEMENTS = 2**20
-
 DEFAULT_FREQ_AXIS = (1, 2, 3, 4, 6, 8, 11, 16, 23, 32, 45, 64, 91, 128, 181, 256)
 DEFAULT_MAG_AXIS = tuple(12.0 + 0.5 * i for i in range(16))
 ORACLES = ("planted", "norm_distortion")
@@ -161,9 +157,10 @@ class CalibrationSettings:
         for name in ("target_rows", "target_cols"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.target_rows * self.target_cols > MAX_TARGET_ELEMENTS:
+        # one trial's priority draws fill at most one injection block (1024 x 1024 elements)
+        if self.target_rows * self.target_cols > BLOCK_LANES:
             raise ValueError(
-                f"target_rows must make target_rows * target_cols <= {MAX_TARGET_ELEMENTS} "
+                f"target_rows must make target_rows * target_cols <= {BLOCK_LANES} "
                 f"(a 1024 x 1024 target), got {self.target_rows} * {self.target_cols}"
             )
         for name, lo, hi in (("freq_axis", 1, math.inf), ("mag_log2_axis", 0, MAX_MAG_LOG2)):

@@ -29,7 +29,7 @@ from .calibration import (
     quality_grid,
 )
 from .config import ConfigError, ExperimentConfig, load_config, override_seed, resolved_dict
-from .detectors import ChecksumPair, RowDecisions, save_params
+from .detectors import RowDecisions, save_params
 from .energy import (
     CompareRow,
     SweepPoint,
@@ -39,7 +39,7 @@ from .energy import (
     sweep_detectors,
 )
 from .faults import corruption
-from .gemm import ChecksumVector, predicted_output_checksum
+from .gemm import predicted_output_checksum
 from .workloads import workload_matrices
 
 
@@ -242,9 +242,8 @@ def cmd_inject(cfg: ExperimentConfig, args) -> int:
     record = corruption(spec.m, spec.n, *stream(spec, cfg.fault, [args.index]), cfg.fault)
     events = record.events()
     predicted = predicted_output_checksum(w, x)
-    observed = ChecksumVector(predicted.data - record.diff()[0])
-    pair = ChecksumPair.from_vectors(predicted, observed)
-    verdicts = {d.kind: d.evaluate(pair) for d in cfg.detector_specs()}
+    diff = record.diff()
+    verdicts = {d.kind: d.decide(diff).row(0) for d in cfg.detector_specs()}
 
     doc = {
         "version": __version__,
@@ -253,8 +252,8 @@ def cmd_inject(cfg: ExperimentConfig, args) -> int:
         "fault": resolved_dict(cfg)["fault"],
         "events": [asdict(e) for e in events],
         "predicted_checksum": predicted.data,
-        "observed_checksum": observed.data,
-        "diff": pair.diff,
+        "observed_checksum": predicted.data - diff[0],
+        "diff": diff[0],
         "verdicts": {
             kind: {"msd": v.msd, "theta_mag": v.theta_mag, "freq_eff": v.freq_eff,
                    "decision": _decision(v)}

@@ -28,23 +28,25 @@ GEMMs its fault seeds and one clean-entry callback, and one draw samples the
 faults of all of them and reads every clean entry they need in one
 ``workload_entries`` call, with its temporaries in blocks of about
 ``rng.DRAW_BLOCK`` values. Every detector is scored on the same checksum
-evidence, by one scorer (``_score_stream``) that ``compare`` calls at one BER
-and a sweep at all of its voltages' BERs: it walks the stream in blocks of
-trials, sized by the one block rule in its docstring, so memory stays
-bounded however long the stream and however many voltages it has (the 200
-default GEMMs at the default table's BERs are one block). A block draws its
-flips once, at the top BER, and ``SparseFlips.rows`` thins them to a run of
-BERs at a time (every BER of the default sweep at once): one record of the
-(BER, trial) rows a fault touched, BER after BER, each row knowing its BER.
-Faults are rare, so only those rows are scored: an untouched trial's
+evidence, which one generator (``_evidence``) yields: it walks the stream in
+blocks of trials, sized by the one block rule in its docstring, so memory
+stays bounded however long the stream and however many voltages it has (the
+200 default GEMMs at the default table's BERs are one block). A block draws
+its flips once, at the top BER, and ``SparseFlips.rows`` thins them to a run
+of BERs at a time (every BER of the default sweep at once): one record of
+the (BER, trial) rows a fault touched, BER after BER, each row knowing its
+BER. Faults are rare, so only those rows are yielded: an untouched trial's
 difference row is all zero, and a zero row has MSD 0 and freq_eff 0 and is
 recovered by no detector, so it adds nothing to any count or MSD sum. The
 record's ``diff()`` is one int64 (rows x lanes) matrix D of checksum
 differences, and each distinct detector spec decides all of D in one
 vectorized call (``DetectorSpec.decide``). The statistical rule that marks a
 trial critical equals the first statistical detector when that one is
-``statistical``, and then reuses its decision. Counts scatter to their BER in
-int64, and each BER's MSDs sum in trial order, the same float sum as over
+``statistical``, and then reuses its decision. Per call, the generator
+yields each row's BER, D, each detector's decisions and the critical marks.
+One tally (``_score_stream``), which ``compare`` calls at one BER and a
+sweep at all of its voltages' BERs, folds them: counts scatter to their BER
+in int64, and each BER's MSDs sum in trial order, the same float sum as over
 every row, since adding 0.0 changes no float. The default sweep at seed 0
 decides 491 of its 3,200 (voltage, GEMM) rows in 4 calls. Row sums are exact
 in int64 while lanes * max|d_j| < 2**63, which every GEMM meets (|d_j| <= m *
@@ -82,7 +84,7 @@ _TAG_FAULT = 201
 
 # elements a scoring block's flips at the top BER (and so the clean entries it
 # reads in one call) and each of its thinned records are sized to hold (see
-# _score_stream); results do not depend on it
+# _evidence); results do not depend on it
 _RECORD_BLOCK = 2**14
 
 
@@ -230,36 +232,31 @@ def _ber_runs(sizes, cap: int) -> list[tuple[int, int]]:
     return list(zip(starts, starts[1:] + [len(sizes)]))
 
 
-def _score_stream(
-    spec: WorkloadSpec, detectors, fault: FaultConfig, bers
-) -> list[list[CompareRow]]:
-    """Score every detector on the ``spec.gemm_count`` GEMMs of a stream at each of ``bers``.
+def _evidence(spec: WorkloadSpec, detectors, fault: FaultConfig, bers):
+    """The decided evidence of the ``spec.gemm_count`` GEMMs of a stream at each of ``bers``.
 
-    Returns one ``CompareRow`` per detector for each BER, in the orders given
-    (uniform mode scores one BER, a comparison's). The block rule: with
-    ``cap = max(1, BLOCK_LANES // n)`` BERs at most per ``SparseFlips.rows``
-    call, a block holds ``max(1, min(BLOCK_LANES // (n * min(len(bers),
-    cap)), _RECORD_BLOCK // per_trial))`` trials, so one call's rows hold at
-    most ``BLOCK_LANES`` lanes and the block's flips at the top BER about
-    ``_RECORD_BLOCK`` elements; ``per_trial`` is m * n in uniform mode (its
-    priorities), the expected flips at the top BER in BER mode. A call takes
-    a run of consecutive BERs whose expected flips over the block's trials
-    sum to about ``_RECORD_BLOCK`` (``_ber_runs``), so a call's record stays
-    that small however many voltages share the block. A block draws its
-    flips once, at ``max(bers)``, and ``rows`` gives the (BER, trial) rows
-    they touch; a uniform record touches every trial or none and is scored
-    as is. An
-    untouched row is all zero and would count nothing (no detector recovers
-    it: ``theta_freq`` and ``msd_threshold`` are >= 0). Each distinct spec
-    (every detector, and the critical-region rule, which is the first
-    statistical detector when that one is ``statistical``) decides a call's
-    rows at once. Counts scatter to their BER in int64 and each BER's MSD
-    sums in trial order, so the block size changes no result.
+    Yields ``(level, diffs, decisions, critical)`` per scored call: row i of
+    the int64 (rows x lanes) difference matrix ``diffs`` is a trial at
+    ``bers[level[i]]``, ``decisions`` holds one ``RowDecisions`` of all rows
+    per detector, in the order given, and ``critical`` whether the critical
+    rule (``_critical_rule``; none marks no row) recovers each row. The block
+    rule: with ``cap = max(1, BLOCK_LANES // n)`` BERs at most per
+    ``SparseFlips.rows`` call, a block holds ``max(1, min(BLOCK_LANES // (n *
+    min(len(bers), cap)), _RECORD_BLOCK // per_trial))`` trials, so one
+    call's rows hold at most ``BLOCK_LANES`` lanes and the block's flips at
+    the top BER about ``_RECORD_BLOCK`` elements; ``per_trial`` is m * n in
+    uniform mode (its priorities), the expected flips at the top BER in BER
+    mode. A call takes a run of consecutive BERs whose expected flips over
+    the block's trials sum to about ``_RECORD_BLOCK`` (``_ber_runs``), so a
+    call's record stays that small however many voltages share the block. A
+    block draws its flips once, at ``max(bers)``, and ``rows`` gives the
+    (BER, trial) rows they touch, BER after BER; a uniform record touches
+    every trial or none and is yielded as is. An untouched row is all zero,
+    which no detector recovers (``theta_freq`` and ``msd_threshold`` are >=
+    0), and is not yielded. Each distinct spec decides a call's rows at once.
     """
-    labels = _unique_labels(detectors)
     rule = _critical_rule(detectors)
     specs = list(dict.fromkeys([*detectors, rule] if rule else detectors))
-    top = max(bers)
     if fault.mode == UNIFORM_MODE:
         per_trial = [spec.m * spec.n]
     else:
@@ -268,33 +265,47 @@ def _score_stream(
     cap = max(1, BLOCK_LANES // spec.n)
     step = max(1, min(BLOCK_LANES // (spec.n * min(len(bers), cap)), int(_RECORD_BLOCK // max(1.0, *per_trial))))
     runs = _ber_runs([step * p for p in per_trial], cap)
-    # per BER and detector: recoveries, undetected critical trials and the freq_eff sum
-    counts = np.zeros((len(bers), len(detectors), 3), dtype=np.int64)
-    msd_sums = [0.0] * len(bers)
     for start in range(0, spec.gemm_count, step):
         entries, seeds = stream(spec, fault, np.arange(start, min(start + step, spec.gemm_count)))
         if fault.mode == UNIFORM_MODE:
             record = uniform_corruption(seeds, spec.m, spec.n, entries, fault.freq, fault.mag)
             parts = [(0, (np.zeros(record.n_trials, dtype=np.int64), None, record))]
         else:
-            flips = SparseFlips.draw(spec.m, spec.n, entries, seeds, fault.bit_window, top)
+            flips = SparseFlips.draw(spec.m, spec.n, entries, seeds, fault.bit_window, max(bers))
             parts = ((lo, flips.rows(bers[lo:hi])) for lo, hi in runs)
         for lo, (level, _, record) in parts:
-            if not level.size:
-                continue
-            diffs = record.diff()
-            decided = {s: s.decide(diffs) for s in specs}
-            critical = np.zeros(len(diffs), bool) if rule is None else decided[rule].recovers
-            # (detectors x 3 x rows) int64, added to each row's BER
-            per_row = np.array(
-                [(r.recovers, critical & ~r.recovers, r.freq_eff) for r in map(decided.get, detectors)],
-                dtype=np.int64,
-            ).reshape(len(detectors), 3, len(diffs))
-            np.add.at(counts, lo + level, np.moveaxis(per_row, 2, 0))
-            msd = row_msd(diffs).astype(np.float64)
-            for i, run in enumerate(np.split(msd, np.searchsorted(level, np.arange(1, level[-1] + 1))), lo):
-                # float MSDs summed one after another in trial order (np.sum would sum pairwise)
-                msd_sums[i] = float(np.add.accumulate(np.append(msd_sums[i], run))[-1])
+            if level.size:
+                diffs = record.diff()
+                decided = {s: s.decide(diffs) for s in specs}
+                critical = np.zeros(len(diffs), bool) if rule is None else decided[rule].recovers
+                yield lo + level, diffs, [decided[d] for d in detectors], critical
+
+
+def _score_stream(
+    spec: WorkloadSpec, detectors, fault: FaultConfig, bers
+) -> list[list[CompareRow]]:
+    """Score every detector on the ``spec.gemm_count`` GEMMs of a stream at each of ``bers``.
+
+    Returns one ``CompareRow`` per detector for each BER, in the orders given
+    (uniform mode scores one BER, a comparison's). It tallies the rows
+    ``_evidence`` yields: counts scatter to their BER in int64 and each BER's
+    MSDs sum in trial order, so the block size changes no result.
+    """
+    labels = _unique_labels(detectors)
+    # per BER and detector: recoveries, undetected critical trials and the freq_eff sum
+    counts = np.zeros((len(bers), len(detectors), 3), dtype=np.int64)
+    msd_sums = [0.0] * len(bers)
+    for level, diffs, decisions, critical in _evidence(spec, detectors, fault, bers):
+        # (detectors x 3 x rows) int64, added to each row's BER
+        per_row = np.array(
+            [(r.recovers, critical & ~r.recovers, r.freq_eff) for r in decisions], dtype=np.int64
+        ).reshape(len(detectors), 3, len(diffs))
+        np.add.at(counts, level, np.moveaxis(per_row, 2, 0))
+        msd = row_msd(diffs).astype(np.float64)
+        runs = np.split(msd, np.searchsorted(level, np.arange(level[0] + 1, level[-1] + 1)))
+        for i, run in enumerate(runs, level[0]):
+            # float MSDs summed one after another in trial order (np.sum would sum pairwise)
+            msd_sums[i] = float(np.add.accumulate(np.append(msd_sums[i], run))[-1])
     n = spec.gemm_count
     return [
         [

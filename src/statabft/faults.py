@@ -70,7 +70,7 @@ ROW_TOLERANCE = 2.5e-11
 # 64-bit values per trial row that one vectorized block holds (8 MiB per
 # temporary): the calibration grid injects its trials in blocks of
 # max(1, BLOCK_LANES // lanes) rows, and scoring sizes its blocks by it (see
-# energy._score_stream), so memory stays bounded however many trials there
+# energy._evidence), so memory stays bounded however many trials there
 # are. Results do not depend on it, but it also caps the flips one trial may
 # expect (see geometric_flips) and the elements of one uniform-mode output
 # (see uniform_positions).

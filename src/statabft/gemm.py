@@ -55,49 +55,39 @@ def _frozen_2d(data, dtype) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class QuantMatrix:
+class _IntMatrix:
+    """Row-major integer matrix of the subclass's ``dtype``; equal only to one of its class."""
+
+    data: np.ndarray
+    dtype = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "data", _frozen_2d(self.data, self.dtype))
+
+    @property
+    def rows(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.data.shape[1]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return np.array_equal(self.data, other.data)
+
+
+class QuantMatrix(_IntMatrix):
     """Row-major INT8 matrix; all checksum arithmetic is done on the raw integers."""
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_2d(self.data, np.int8))
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, QuantMatrix):
-            return NotImplemented
-        return np.array_equal(self.data, other.data)
+    dtype = np.int8
 
 
-@dataclass(frozen=True, eq=False)
-class AccumMatrix:
+class AccumMatrix(_IntMatrix):
     """INT32 accumulator matrix, the output domain of the integer GEMM."""
 
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _frozen_2d(self.data, np.int32))
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AccumMatrix):
-            return NotImplemented
-        return np.array_equal(self.data, other.data)
+    dtype = np.int32
 
 
 @dataclass(frozen=True, eq=False)

@@ -252,6 +252,37 @@ def test_scoring_in_row_blocks_changes_no_result(monkeypatch, trials):
     assert any(touched[start : start + trials].any(axis=0).sum() > 1 for start in range(0, 40, trials))
 
 
+@pytest.mark.parametrize("trials", [40, 1])
+def test_evidence_yields_each_touched_row_once_at_its_ber(monkeypatch, trials):
+    # the 40 BLOCKED trials in one block, and in one-trial blocks
+    bers = [BLOCKED_TABLE.table.ber_at(v) for v in BLOCKED_VOLTAGES]
+    if trials == 1:
+        monkeypatch.setattr(energy, "BLOCK_LANES", len(bers) * BLOCKED_SPEC.n)
+    yielded = np.zeros(len(bers), dtype=np.int64)
+    for level, diffs, decisions, critical in energy._evidence(BLOCKED_SPEC, DETECTORS, BLOCKED, bers):
+        assert diffs.any(axis=1).all()
+        assert len(level) == len(diffs) == len(critical)
+        assert [len(d.recovers) for d in decisions] == [len(diffs)] * len(DETECTORS)
+        yielded += np.bincount(level, minlength=len(bers))
+    assert yielded.tolist() == _blocked_touched().sum(axis=0).tolist()
+
+
+def test_compare_and_sweep_each_reach_the_scorer_once_through_the_module(monkeypatch):
+    # the benchmark's tracer patches energy._score_stream by name
+    calls = []
+    real = energy._score_stream
+
+    def counting(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(energy, "_score_stream", counting)
+    compare_detectors(SPEC, DETECTORS, BLOCKED)
+    assert len(calls) == 1
+    sweep_detectors(SPEC, DETECTORS, BER, BLOCKED_VOLTAGES, BLOCKED_TABLE)
+    assert len(calls) == 2 and len(calls[1]) == len(BLOCKED_VOLTAGES)
+
+
 def test_default_sweep_decides_its_touched_rows_in_one_call_per_detector(monkeypatch):
     # 200 GEMMs at the default table's 16 BERs expect about 1,850 flips in
     # all, so every BER is thinned in one run of one block: one decide call
