@@ -264,7 +264,8 @@ def _evidence(spec: WorkloadSpec, detectors, fault: FaultConfig, bers):
         per_trial = [spec.m * spec.n * (bits * ber) for ber in bers]
     cap = max(1, BLOCK_LANES // spec.n)
     step = max(1, min(BLOCK_LANES // (spec.n * min(len(bers), cap)), int(_RECORD_BLOCK // max(1.0, *per_trial))))
-    runs = _ber_runs([step * p for p in per_trial], cap)
+    # a stream shorter than step fills its one block with gemm_count trials
+    runs = _ber_runs([min(step, spec.gemm_count) * p for p in per_trial], cap)
     for start in range(0, spec.gemm_count, step):
         entries, seeds = stream(spec, fault, np.arange(start, min(start + step, spec.gemm_count)))
         if fault.mode == UNIFORM_MODE:

@@ -22,7 +22,12 @@ Two fault modes:
 * "uniform": exactly ``freq`` output elements at distinct positions each get
   ``mag`` added (wrapping in INT32). When no element wraps, the checksum sum
   deviation is exactly freq * mag, which is what makes this mode useful for
-  planting errors of known severity.
+  planting errors of known severity. Each element draws one SplitMix64
+  priority and the ``freq`` smallest are hit: ``uniform_positions`` takes the
+  row's ``freq``-th smallest priority (``np.partition``) and keeps every
+  element at or below it, which is exactly ``freq`` of them because no two
+  priorities of an output tie. Trials draw in row blocks of about
+  ``rng.DRAW_BLOCK`` priorities.
 
 Both modes record what they corrupt in one array record, ``Corruption``,
 the only source of checksum differences (``diff``), event logs (``events``)
@@ -132,8 +137,9 @@ class ErrorEvent:
     flipped_bits: tuple[int, ...] = ()
 
 
-def _wrap_int32(v: int) -> int:
-    return ((v - INT32_MIN) % 2**32) + INT32_MIN
+def _wrap_int32(v: np.ndarray) -> np.ndarray:
+    """An int64 array wrapped into INT32 (modulo 2**32), as int64: the int32 cast wraps."""
+    return v.astype(np.int32).astype(np.int64)
 
 
 def geometric_flips(seeds, n_bits: int, ber: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -225,8 +231,18 @@ class Corruption:
         ]
 
     def apply(self, stack: np.ndarray) -> np.ndarray:
-        """Write ``after`` into an int32 (n_trials x rows x n_cols) stack in place; return it."""
-        stack[(self.trial, *np.divmod(self.element, self.n_cols))] = self.after
+        """Write ``after`` into an int32 (n_trials x rows x n_cols) stack in place; return it.
+
+        The writes go through a flat (n_trials x rows * n_cols) view, so a
+        stack whose rows and columns cannot be viewed flat raises ValueError.
+        """
+        if stack.ndim != 3 or (stack.shape[0], stack.shape[2]) != (self.n_trials, self.n_cols):
+            raise ValueError(f"stack shape {stack.shape} is not ({self.n_trials}, rows, {self.n_cols})")
+        flat = stack.reshape(self.n_trials, stack.shape[1] * self.n_cols)
+        # reshape copies when it cannot view, and a copy never overlaps its source
+        if stack.size and not np.may_share_memory(flat, stack):
+            raise ValueError("stack rows and columns must be viewable flat to write in place")
+        flat[self.trial, self.element] = self.after
         return stack
 
 
@@ -312,7 +328,14 @@ def uniform_positions(seeds, n: int, freq: int) -> np.ndarray:
     Each element gets one SplitMix64 priority draw under the row's seed
     (row-major order, same stream discipline as the BER mode) and the
     ``freq`` smallest priorities are taken, which selects position sets
-    uniformly. Returns an int64 (len(seeds) x freq) matrix, each row ascending.
+    uniformly. They are the elements whose priority is at most the row's
+    ``freq``-th smallest, so a mask against that value gives them in
+    ascending order. Exactly ``freq`` pass, as no two priorities of a row tie:
+    priority i is ``mix64(seed + (i + 1) * GAMMA)``, the inputs are distinct
+    modulo 2**64 because GAMMA is odd, and ``mix64`` is a bijection.
+    Rows are drawn ``max(1, DRAW_BLOCK // n)`` at a time, so a temporary
+    holds about ``DRAW_BLOCK`` priorities (one row's ``n`` when that is
+    more). Returns an int64 (len(seeds) x freq) matrix, each row ascending.
     A row's ``n`` priorities are held at once, so ``n`` may be at most
     ``BLOCK_LANES``; more raise ValueError before any draw.
     """
@@ -327,9 +350,18 @@ def uniform_positions(seeds, n: int, freq: int) -> np.ndarray:
         raise ValueError(f"freq must be >= 0, got {freq}")
     if freq in (0, n):
         return np.tile(np.arange(freq), (len(seeds), 1))
-    priorities = u64_stream(np.asarray(seeds, dtype=np.uint64)[:, np.newaxis], n)
-    positions = np.argpartition(priorities, freq, axis=1)[:, :freq]
-    positions.sort(axis=1)
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
+    positions = np.empty((len(seeds), freq), dtype=np.int64)
+    step = max(1, DRAW_BLOCK // n)
+    for start in range(0, len(seeds), step):
+        priorities = u64_stream(seeds[start : start + step], n)
+        kth = np.partition(priorities, freq - 1, axis=1)[:, freq - 1 : freq]
+        hits = np.flatnonzero(priorities <= kth)
+        # row i's hits are flat indices offset by i * n; a row with more than
+        # freq of them (a tie) fails the reshape
+        rows = len(priorities)
+        offsets = np.arange(0, rows * n, n)[:, np.newaxis]
+        np.subtract(hits.reshape(rows, freq), offsets, out=positions[start : start + rows])
     return positions
 
 

@@ -17,8 +17,9 @@ MASK64 = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
 
 # uint64 values per temporary of a stream-wide draw (128 KiB): the fault
-# sampler's first chunk over a block of trials, a block of operand rows and a
-# block of entry dot products. Results do not depend on it.
+# sampler's first chunk over a block of trials, a block of uniform-mode
+# priority rows, a block of operand rows and a block of entry dot products.
+# Results do not depend on it.
 DRAW_BLOCK = 2**14
 
 _M1 = 0xBF58476D1CE4E5B9

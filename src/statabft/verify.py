@@ -217,7 +217,11 @@ def _event_replay(s: int, c: int) -> str:
 
 
 def _uniform_msd_relation(s: int, c: int) -> str:
-    """A uniform injection into zeros has MSD freq * mag and one event per element."""
+    """A uniform injection into zeros has MSD freq * mag and one event per element.
+
+    The events sit at the ``freq`` smallest of the 256 priorities, found by a
+    full argsort: the dense reference for ``faults.uniform_positions``.
+    """
     u = u64_stream(s, 2)
     freq = int(u[0] % np.uint64(256)) + 1
     mag = 1 << (int(u[1]) % 20)
@@ -229,6 +233,9 @@ def _uniform_msd_relation(s: int, c: int) -> str:
         return f"msd {pair.msd()} != freq*mag {freq * mag}"
     if len(events) != freq:
         return f"{len(events)} events for freq {freq}"
+    want = np.sort(np.argsort(u64_stream(cfg.seed, 256))[:freq]).tolist()
+    if [e.row * 16 + e.col for e in events] != want:
+        return f"event positions differ from the {freq} smallest priorities"
     return ""
 
 

@@ -267,6 +267,16 @@ def test_evidence_yields_each_touched_row_once_at_its_ber(monkeypatch, trials):
     assert yielded.tolist() == _blocked_touched().sum(axis=0).tolist()
 
 
+def test_a_stream_shorter_than_a_block_is_thinned_in_one_call():
+    # the 40 BLOCKED trials expect about 272 flips over all five BERs, far
+    # below _RECORD_BLOCK: BER runs are sized by the block's 40 trials, not
+    # by the thousands a full block would hold, so one call covers every BER
+    bers = [BLOCKED_TABLE.table.ber_at(v) for v in BLOCKED_VOLTAGES]
+    calls = list(energy._evidence(BLOCKED_SPEC, DETECTORS, BLOCKED, bers))
+    assert len(calls) == 1
+    assert calls[0][0].tolist() == np.repeat(np.arange(len(bers)), _blocked_touched().sum(axis=0)).tolist()
+
+
 def test_compare_and_sweep_each_reach_the_scorer_once_through_the_module(monkeypatch):
     # the benchmark's tracer patches energy._score_stream by name
     calls = []

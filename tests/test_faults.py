@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from statabft import faults
 from statabft.faults import (
+    INT32_MAX,
+    INT32_MIN,
     FaultConfig,
     SparseFlips,
     TableFormatError,
@@ -23,7 +25,7 @@ from statabft.faults import (
     uniform_positions,
 )
 from statabft.gemm import AccumMatrix, checksum, gemm, gemm_entries, predicted_output_checksum
-from statabft.rng import derive_seed
+from statabft.rng import DRAW_BLOCK, derive_seed, u64_stream
 from statabft.workloads import DISTRIBUTIONS, WorkloadSpec, random_quant_matrix, workload_entries
 
 
@@ -426,6 +428,81 @@ def test_stack_injection_equals_inject_uniform_per_trial(freq, mag):
     for c, o, seed in zip(clean, out, seeds.tolist()):
         cfg = FaultConfig(mode="uniform", freq=freq, mag=mag, seed=seed)
         assert AccumMatrix(o) == inject_uniform(AccumMatrix(c), cfg)[0]
+
+
+@pytest.mark.parametrize("n", [2, 255, 256, 257, DRAW_BLOCK + 1])
+def test_uniform_positions_equal_an_argsort_reference(n):
+    # rows go in blocks of max(1, DRAW_BLOCK // n): one block at n = 2,
+    # several with a ragged last one at n = 255 to 257, one row each past DRAW_BLOCK
+    seeds = derive_seed(n, np.arange(200))
+    order = np.argsort(u64_stream(seeds[:, np.newaxis], n), axis=1)
+    for rows in (1, 7, 200):
+        for freq in sorted({1, n // 2, n - 1}):
+            want = np.sort(order[:rows, :freq], axis=1)
+            got = uniform_positions(seeds[:rows], n, freq)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 256, 257, DRAW_BLOCK + 1, 3 * DRAW_BLOCK])
+def test_uniform_positions_draw_at_most_a_block_per_call(monkeypatch, n):
+    drawn = []
+
+    def spy(*args):
+        out = u64_stream(*args)
+        drawn.append(out.size)
+        return out
+
+    monkeypatch.setattr(faults, "u64_stream", spy)
+    uniform_positions(derive_seed(3, np.arange(100)), n, n // 2)
+    assert sum(drawn) == 100 * n and max(drawn) <= max(DRAW_BLOCK, n)
+
+
+def test_wrap_int32_equals_the_modular_formula():
+    # INT32 bounds and 2**32 off by one each way, every sum before + mag of
+    # INT32 values, and every before ^ mask of an INT32 value and a uint32 mask
+    edges = np.array([INT32_MIN, INT32_MIN + 1, -1, 0, 1, INT32_MAX - 1, INT32_MAX])
+    masks = np.array([0, 1, 2**31 - 1, 2**31, 2**32 - 1], dtype=np.int64)
+    values = np.concatenate([
+        [INT32_MIN - 1, INT32_MAX + 1, -(2**32), 2**32, -(2**32) - 1, 2**32 + 1],
+        (edges[:, np.newaxis] + edges).ravel(),
+        (edges[:, np.newaxis] ^ masks).ravel(),
+    ]).astype(np.int64)
+    got = faults._wrap_int32(values)
+    assert got.dtype == np.int64
+    assert got.tolist() == [((v - INT32_MIN) % 2**32) + INT32_MIN for v in values.tolist()]
+
+
+def test_apply_writes_every_entry_of_a_strided_stack_or_raises():
+    seeds = np.arange(4, dtype=np.uint64)
+    record = uniform_corruption(seeds, 6, 8, lambda t, r, c: t * 100 + r * 8 + c, 9, 1000)
+    want = np.zeros((4, 6, 8), dtype=np.int32)
+    for t, e, a in zip(record.trial, record.element, record.after):
+        want[t, e // 8, e % 8] = a
+    shapes = ((8, 6, 8), (4, 12, 8), (4, 6, 16), (8, 6, 4))
+    trials2, rows2, cols2, transposed = (np.zeros(shape, dtype=np.int32) for shape in shapes)
+    # (name, base, the stack inside it, whether its rows and columns are viewable flat)
+    views = [
+        ("every other trial", trials2, trials2[::2], True),
+        ("every other row", rows2, rows2[:, ::2], False),
+        # a row of every other column spans exactly one row stride: flat with step 2
+        ("every other column", cols2, cols2[:, :, ::2], True),
+        ("column-major", transposed, transposed.T, False),
+    ]
+    for name, base, stack, flat in views:
+        try:
+            out = record.apply(stack)
+        except ValueError as e:
+            assert not flat and "viewable flat" in str(e), name
+            assert not base.any(), name
+        else:
+            assert flat and out is stack, name
+            assert np.array_equal(stack, want) and np.count_nonzero(base) == np.count_nonzero(want)
+    empty = uniform_corruption(seeds[:0], 6, 8, lambda t, r, c: t, 9, 1000)
+    assert empty.apply(np.zeros((0, 6, 8), dtype=np.int32)).shape == (0, 6, 8)
+    with pytest.raises(ValueError, match="stack shape"):
+        record.apply(np.zeros((4, 8, 6), dtype=np.int32))
+    with pytest.raises(ValueError, match="stack shape"):
+        record.apply(np.zeros((3, 6, 8), dtype=np.int32))
 
 
 # --- voltage/BER table -------------------------------------------------------
