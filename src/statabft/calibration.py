@@ -31,7 +31,7 @@ import csv
 import io
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -100,31 +100,30 @@ CleanFactory = Callable[[np.ndarray], np.ndarray]
 class QualityGrid:
     """Mean degradation per (freq, mag) cell plus the acceptability mask.
 
-    quality has shape (len(freq_axis), len(mag_log2_axis)).
+    quality has shape (len(freq_axis), len(mag_log2_axis)); acceptable is
+    derived from it as quality <= epsilon.
     """
 
     freq_axis: np.ndarray
     mag_log2_axis: np.ndarray
     quality: np.ndarray
-    acceptable: np.ndarray
     epsilon: float
+    acceptable: np.ndarray = field(init=False)
 
     def __post_init__(self):
         fa = np.asarray(self.freq_axis, dtype=np.int64)
         ma = np.asarray(self.mag_log2_axis, dtype=np.float64)
         q = np.asarray(self.quality, dtype=np.float64)
-        acc = np.asarray(self.acceptable, dtype=bool)
         if fa.ndim != 1 or fa.size < 2 or np.any(fa < 1) or np.any(np.diff(fa) <= 0):
             raise ValueError("freq_axis must be >= 2 strictly increasing positives")
         if ma.ndim != 1 or ma.size < 2 or np.any(np.diff(ma) <= 0):
             raise ValueError("mag_log2_axis must be >= 2 strictly increasing values")
         shape = (fa.size, ma.size)
-        if q.shape != shape or acc.shape != shape:
-            raise ValueError(f"quality/acceptable must have shape {shape}")
+        if q.shape != shape:
+            raise ValueError(f"quality must have shape {shape}")
         if np.any(q < 0) or not np.all(np.isfinite(q)):
             raise ValueError("quality values must be finite and >= 0")
-        if not np.array_equal(acc, q <= self.epsilon):
-            raise ValueError("acceptable mask inconsistent with quality <= epsilon")
+        acc = q <= self.epsilon
         for name, arr in (("freq_axis", fa), ("mag_log2_axis", ma),
                           ("quality", q), ("acceptable", acc)):
             arr.setflags(write=False)
@@ -176,8 +175,13 @@ class CalibrationSettings:
             )
 
 
-def _default_factory(seeds: np.ndarray) -> np.ndarray:
-    return np.zeros((len(seeds), 16, 16), dtype=np.int32)
+def zero_factory(rows: int, cols: int) -> CleanFactory:
+    """The clean factory of all-zero int32 (seeds x rows x cols) stacks."""
+
+    def factory(seeds: np.ndarray) -> np.ndarray:
+        return np.zeros((len(seeds), rows, cols), dtype=np.int32)
+
+    return factory
 
 
 def _clean_stack(clean_factory: CleanFactory, seeds, shape, f: int, m: float) -> np.ndarray:
@@ -228,7 +232,7 @@ def quality_grid(
     epsilon: float,
     trials: int = 32,
     seed: int = 0,
-    clean_factory: CleanFactory | None = None,
+    clean_factory: CleanFactory = zero_factory(16, 16),
 ) -> QualityGrid:
     """Score every (freq, mag) cell with ``trials`` uniform injections.
 
@@ -242,7 +246,7 @@ def quality_grid(
     ``derive_seed`` call gives a block's seeds in every cell, and the block
     then visits the cells in turn. Per cell and block,
     ``clean_factory(seeds)`` maps the block's uint64 clean seeds to an
-    integer (len(seeds) x rows x cols) stack (all-zero 16x16 matrices by
+    integer (len(seeds) x rows x cols) stack (``zero_factory(16, 16)`` by
     default), with values inside INT32 and one (rows, cols) for the whole
     grid; ``uniform_corruption(...).apply`` corrupts a copy in one vectorized
     pass, which equals ``inject_uniform`` trial by trial; and one oracle call
@@ -262,8 +266,6 @@ def quality_grid(
         raise ValueError("trials must be >= 1")
     if not (epsilon >= 0):
         raise ValueError("epsilon must be >= 0")
-    if clean_factory is None:
-        clean_factory = _default_factory
 
     cells = list(itertools.product(freqs.tolist(), mag_axis.tolist()))
     probe_seed = np.array([derive_seed(seed, 0, 0, 0)], dtype=np.uint64)
@@ -302,7 +304,6 @@ def quality_grid(
         freq_axis=freqs,
         mag_log2_axis=mag_axis,
         quality=quality,
-        acceptable=quality <= epsilon,
         epsilon=epsilon,
     )
 
@@ -380,32 +381,23 @@ def fit_critical_region(grid: QualityGrid) -> CriticalRegionParams:
 
     ts: list[float] = []
     ms: list[float] = []
-    for i in range(n_rows):
-        if freqs[i] <= theta_freq:
-            continue
-        for j in range(n_cols):
-            if not acc[i, j]:
-                continue
-            if j + 1 < n_cols and not acc[i, j + 1]:
-                ts.append(t_axis[i])
-                ms.append(0.5 * (m_axis[j] + m_axis[j + 1]))
-            if j > 0 and not acc[i, j - 1]:
-                ts.append(t_axis[i])
-                ms.append(0.5 * (m_axis[j] + m_axis[j - 1]))
-            if i + 1 < n_rows and not acc[i + 1, j]:
-                ts.append(0.5 * (t_axis[i] + t_axis[i + 1]))
-                ms.append(m_axis[j])
-            if i > 0 and freqs[i - 1] > theta_freq and not acc[i - 1, j]:
-                ts.append(0.5 * (t_axis[i] + t_axis[i - 1]))
-                ms.append(m_axis[j])
+    above = freqs > theta_freq
+    for i, j in zip(*np.nonzero(acc & above[:, np.newaxis])):
+        # right, left, down, up; the midpoint of a cell with its row or column
+        # neighbour keeps the shared coordinate exactly, as 0.5 * (x + x) == x
+        for k, l in ((i, j + 1), (i, j - 1), (i + 1, j), (i - 1, j)):
+            if 0 <= k < n_rows and 0 <= l < n_cols and above[k] and not acc[k, l]:
+                ts.append(0.5 * (t_axis[i] + t_axis[k]))
+                ms.append(0.5 * (m_axis[j] + m_axis[l]))
 
     if not ts:
-        above = [i for i in range(n_rows) if freqs[i] > theta_freq]
-        if above and not any(acc[i].any() for i in above):
-            return CriticalRegionParams(
-                a=_FLAT_A, b=float(m_axis[0]), theta_freq=theta_freq
-            )
-        raise NoBoundaryError("no acceptable/unacceptable boundary above theta_freq")
+        # The lowest row above theta_freq that holds an acceptable cell either
+        # holds an unacceptable one too (a horizontal pair) or is fully
+        # acceptable; then it is not the first row above theta_freq, which is
+        # not fully acceptable, so the row below it is above theta_freq and
+        # fully unacceptable (a vertical pair). No pair therefore means no
+        # acceptable cell above theta_freq: a pure frequency boundary.
+        return CriticalRegionParams(a=_FLAT_A, b=float(m_axis[0]), theta_freq=theta_freq)
     if len(set(ts)) < 2:
         raise NoBoundaryError("boundary has no frequency extent; widen the freq axis")
 

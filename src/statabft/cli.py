@@ -27,6 +27,7 @@ from .calibration import (
     norm_distortion_oracle,
     planted_step_oracle,
     quality_grid,
+    zero_factory,
 )
 from .config import ConfigError, ExperimentConfig, load_config, override_seed, resolved_dict
 from .detectors import RowDecisions, save_params
@@ -66,8 +67,6 @@ def _fmt(v) -> str:
     if isinstance(v, bool):
         return str(int(v))
     if isinstance(v, float):
-        if math.isinf(v):
-            return "inf" if v > 0 else "-inf"
         return f"{v:.10g}"
     return str(v)
 
@@ -104,9 +103,7 @@ def cmd_verify(cfg: ExperimentConfig, args) -> int:
     # imported here so the other subcommands do not load the checks at start-up
     from .verify import run_checks
 
-    results = run_checks(
-        cases=args.cases, seed=cfg.workload.seed, planted_failure=args.planted_failure
-    )
+    results = run_checks(cases=args.cases, seed=cfg.workload.seed)
     width = max(len(r.name) for r in results) + 2
     for r in results:
         line = f"{r.name:<{width}} cases={r.cases:<6} {'PASS' if r.passed else 'FAIL'}"
@@ -139,11 +136,6 @@ def _make_oracle(cfg: ExperimentConfig):
 
 def cmd_calibrate(cfg: ExperimentConfig, args) -> int:
     cal = cfg.calibrate
-    rows, cols = cal.target_rows, cal.target_cols
-
-    def factory(seeds: np.ndarray) -> np.ndarray:
-        return np.zeros((len(seeds), rows, cols), dtype=np.int32)
-
     grid = quality_grid(
         _make_oracle(cfg),
         cal.mag_log2_axis,
@@ -151,7 +143,7 @@ def cmd_calibrate(cfg: ExperimentConfig, args) -> int:
         epsilon=cal.epsilon,
         trials=cal.trials,
         seed=cfg.workload.seed,
-        clean_factory=factory,
+        clean_factory=zero_factory(cal.target_rows, cal.target_cols),
     )
     params = fit_critical_region(grid)
 
@@ -287,9 +279,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run randomized invariant checks")
     p_verify.add_argument("--cases", type=int, default=200, help="cases per check")
-    p_verify.add_argument(
-        "--planted-failure", action="store_true", help=argparse.SUPPRESS
-    )
     p_verify.set_defaults(handler=cmd_verify)
 
     p_cal = sub.add_parser("calibrate", help="fit critical-region params from a quality grid")

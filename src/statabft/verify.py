@@ -15,7 +15,7 @@ any row: case c gets the seed ``derive_seed(seed, tag, c)``, the test
 returns "" when the case holds or else the reason it fails, and the first
 failing case ends the check with that reason "at case c". To add a check,
 write a test ``(s, c) -> str`` and add its row under an unused tag;
-``statabft verify`` then runs it and ``ALL_CHECKS`` names it.
+``statabft verify`` then runs it.
 """
 
 from __future__ import annotations
@@ -76,10 +76,8 @@ class CheckResult:
     detail: str = ""
 
 
-def _dims(seed: int, lo: int = 1, hi: int = 24) -> tuple[int, int, int]:
-    u = u64_stream(seed, 3)
-    span = hi - lo + 1
-    return tuple(int(v % span) + lo for v in u)
+def _dims(seed: int) -> tuple[int, int, int]:
+    return tuple(int(v % 24) + 1 for v in u64_stream(seed, 3))
 
 
 def _random_params(seed: int) -> CriticalRegionParams:
@@ -105,16 +103,13 @@ def _random_diff(seed: int, n: int) -> np.ndarray:
     return d
 
 
-def _checksum_identities(s: int, c: int, offset: int = 0) -> str:
-    """Row, column and scalar checksums of a random GEMM equal their predictions.
-
-    ``offset`` is added to the predicted row checksum: 1 plants a failure.
-    """
+def _checksum_identities(s: int, c: int) -> str:
+    """Row, column and scalar checksums of a random GEMM equal their predictions."""
     m, k, n = _dims(s)
     w = random_quant_matrix(m, k, "uniform", derive_seed(s, 0))
     x = random_quant_matrix(k, n, "uniform", derive_seed(s, 1))
     y = gemm(w, x)
-    if not np.array_equal(predicted_output_checksum(w, x).data + offset, checksum(y, "row").data):
+    if not np.array_equal(predicted_output_checksum(w, x).data, checksum(y, "row").data):
         return "row identity broken"
     if not np.array_equal(predicted_column_checksum(w, x).data, checksum(y, "column").data):
         return "column identity broken"
@@ -383,8 +378,7 @@ class Check:
     the reason it fails. A ``block`` test instead takes the seeds and indices
     of a block of up to ``_BLOCK`` cases and yields one such reason per case.
     A ``quarter`` check, slower per case, runs max(cases // 4, 25) cases in
-    ``run_checks``. ``planted``, when set, is the test ``planted_failure``
-    runs instead, broken on purpose.
+    ``run_checks``.
     """
 
     name: str
@@ -392,12 +386,10 @@ class Check:
     test: Callable
     quarter: bool = False
     block: bool = False
-    planted: Callable | None = None
 
 
 CHECKS = (
-    Check("checksum-identities", 1, _checksum_identities,
-          planted=partial(_checksum_identities, offset=1)),
+    Check("checksum-identities", 1, _checksum_identities),
     Check("stat-unit-reference", 3, _stat_unit_block, block=True),
     Check("event-replay", 4, _event_replay, quarter=True),
     Check("uniform-msd-relation", 5, _uniform_msd_relation),
@@ -406,10 +398,8 @@ CHECKS = (
     Check("sparse-evidence", 8, _sparse_evidence, quarter=True),
 )
 
-ALL_CHECKS = tuple(check.name for check in CHECKS)
 
-
-def run_check(name: str, cases: int, seed: int, planted_failure: bool = False) -> CheckResult:
+def run_check(name: str, cases: int, seed: int) -> CheckResult:
     """Run cases 0 .. cases - 1 of check ``name``; the first failing case ends the check.
 
     Case c is seeded ``derive_seed(seed, tag, c)`` with the check's tag, and
@@ -418,20 +408,19 @@ def run_check(name: str, cases: int, seed: int, planted_failure: bool = False) -
     if cases < 1:
         raise ValueError("cases must be >= 1")
     check = {k.name: k for k in CHECKS}[name]
-    test = (planted_failure and check.planted) or check.test
     for start in range(0, cases, _BLOCK):
         block = range(start, min(start + _BLOCK, cases))
         seeds = [derive_seed(seed, check.tag, c) for c in block]
-        reasons = test(seeds, block) if check.block else map(test, seeds, block)
+        reasons = check.test(seeds, block) if check.block else map(check.test, seeds, block)
         for c, reason in zip(block, reasons):
             if reason:
                 return CheckResult(name, c + 1, False, f"{reason} at case {c}")
     return CheckResult(name, cases, True)
 
 
-def run_checks(cases: int = 200, seed: int = 0, planted_failure: bool = False) -> list[CheckResult]:
+def run_checks(cases: int = 200, seed: int = 0) -> list[CheckResult]:
     """Run every check; results keep the CHECKS order."""
     return [
-        run_check(k.name, max(cases // 4, 25) if k.quarter else cases, seed, planted_failure)
+        run_check(k.name, max(cases // 4, 25) if k.quarter else cases, seed)
         for k in CHECKS
     ]

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from statabft import calibration
 from statabft.calibration import (
@@ -15,6 +17,7 @@ from statabft.calibration import (
     norm_distortion_oracle,
     planted_step_oracle,
     quality_grid,
+    zero_factory,
 )
 from statabft.config import DEFAULT_FREQ_AXIS, DEFAULT_MAG_AXIS
 from statabft.detectors import CriticalRegionParams, load_params, save_params
@@ -31,7 +34,6 @@ def make_grid(freqs, mags, acceptable):
         freq_axis=np.array(freqs, dtype=np.int64),
         mag_log2_axis=np.array(mags, dtype=np.float64),
         quality=np.where(acc, 0.0, 1.0),
-        acceptable=acc,
         epsilon=0.5,
     )
 
@@ -127,6 +129,108 @@ def test_boundary_without_frequency_extent_raises():
     acc = [[True, True, True], [True, True, False]]
     with pytest.raises(NoBoundaryError, match="frequency extent"):
         fit_critical_region(make_grid([1, 2], [10.0, 11.0, 12.0], acc))
+
+
+def reference_fit(grid):
+    """fit_critical_region with one hand-written case per neighbour, as it once was."""
+    acc = grid.acceptable
+    if acc.all():
+        raise NoBoundaryError("grid entirely acceptable; extend axes upward")
+    if not acc.any():
+        raise NoBoundaryError("grid entirely unacceptable; extend axes downward")
+    freqs = grid.freq_axis
+    t_axis = np.log2(freqs.astype(np.float64))
+    m_axis = grid.mag_log2_axis
+    n_rows, n_cols = acc.shape
+    theta_freq = 0
+    for i in range(n_rows):
+        if acc[i].all():
+            theta_freq = int(freqs[i])
+        else:
+            break
+    ts, ms = [], []
+    for i in range(n_rows):
+        if freqs[i] <= theta_freq:
+            continue
+        for j in range(n_cols):
+            if not acc[i, j]:
+                continue
+            if j + 1 < n_cols and not acc[i, j + 1]:
+                ts.append(t_axis[i])
+                ms.append(0.5 * (m_axis[j] + m_axis[j + 1]))
+            if j > 0 and not acc[i, j - 1]:
+                ts.append(t_axis[i])
+                ms.append(0.5 * (m_axis[j] + m_axis[j - 1]))
+            if i + 1 < n_rows and not acc[i + 1, j]:
+                ts.append(0.5 * (t_axis[i] + t_axis[i + 1]))
+                ms.append(m_axis[j])
+            if i > 0 and freqs[i - 1] > theta_freq and not acc[i - 1, j]:
+                ts.append(0.5 * (t_axis[i] + t_axis[i - 1]))
+                ms.append(m_axis[j])
+    if not ts:
+        above = [i for i in range(n_rows) if freqs[i] > theta_freq]
+        if above and not any(acc[i].any() for i in above):
+            return CriticalRegionParams(a=calibration._FLAT_A, b=float(m_axis[0]),
+                                        theta_freq=theta_freq)
+        raise NoBoundaryError("no acceptable/unacceptable boundary above theta_freq")
+    if len(set(ts)) < 2:
+        raise NoBoundaryError("boundary has no frequency extent; widen the freq axis")
+    slope, intercept = np.polyfit(np.array(ts), np.array(ms), 1)
+    slope = float(min(max(slope, -1.0 + 1e-9), 0.0))
+    a = 1.0 / (1.0 + slope)
+    return CriticalRegionParams(a=float(a), b=float(intercept) * a, theta_freq=theta_freq)
+
+
+def fit_outcome(fit, grid):
+    """The repr of ``fit(grid)``'s params, or of the NoBoundaryError it raises."""
+    try:
+        return repr(fit(grid))
+    except NoBoundaryError as e:
+        return repr(e)
+
+
+@pytest.mark.parametrize("mags", [[10.0, 11.5, 14.0], [10.0, 11.5, 14.0, 14.25]])
+def test_fit_equals_the_per_neighbour_reference_on_every_mask(mags):
+    freqs = [1, 3, 8]
+    cells = len(freqs) * len(mags)
+    for bits in range(2**cells):
+        acc = (bits >> np.arange(cells) & 1).astype(bool).reshape(len(freqs), len(mags))
+        grid = make_grid(freqs, mags, acc)
+        assert fit_outcome(fit_critical_region, grid) == fit_outcome(reference_fit, grid), acc
+
+
+@st.composite
+def random_grids(draw):
+    rows, cols = draw(st.integers(2, 8)), draw(st.integers(2, 8))
+    freqs = np.cumsum(draw(st.lists(st.integers(1, 50), min_size=rows, max_size=rows)))
+    steps = draw(st.lists(st.floats(0.01, 4.0), min_size=cols, max_size=cols))
+    mags = draw(st.floats(0.0, 10.0)) + np.cumsum(steps)
+    acc = draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols))
+    return make_grid(freqs, mags, np.reshape(acc, (rows, cols)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(random_grids())
+def test_fit_equals_the_per_neighbour_reference_on_random_grids(grid):
+    assert fit_outcome(fit_critical_region, grid) == fit_outcome(reference_fit, grid)
+
+
+def test_non_monotone_grid_pairs_left_and_up_neighbours():
+    # (4, 13.0) is acceptable right of the unacceptable (4, 12.0) and above the
+    # unacceptable (2, 13.0): its left and up neighbours add the midpoints
+    # (2, 12.5) and (1.5, 13) in (log2 freq, log2 mag)
+    acc = [
+        [True, True, True, True],
+        [True, True, False, False],
+        [True, False, False, True],
+        [True, False, False, False],
+    ]
+    fit = fit_critical_region(make_grid([1, 2, 4, 8], [10.0, 11.0, 12.0, 13.0], acc))
+    # least squares over the midpoints (1, 11.5), (1.5, 11), (2, 10.5), (2, 12.5),
+    # (2.5, 13), (1.5, 13), (3, 10.5): slope -9/38, intercept 462.5/38
+    assert fit.theta_freq == 1
+    assert fit.a == pytest.approx(38 / 29, rel=1e-12)
+    assert fit.b == pytest.approx(462.5 / 29, rel=1e-12)
 
 
 def test_quality_grid_determinism_and_seed_sensitivity():
@@ -241,16 +345,7 @@ def test_grid_type_validation():
             freq_axis=np.array([1, 2]),
             mag_log2_axis=np.array([4.0, 5.0]),
             quality=np.zeros((3, 2)),
-            acceptable=np.zeros((3, 2), bool),
             epsilon=1.0,
-        )
-    with pytest.raises(ValueError, match="inconsistent"):
-        QualityGrid(
-            freq_axis=np.array([1, 2]),
-            mag_log2_axis=np.array([4.0, 5.0]),
-            quality=np.ones((2, 2)),
-            acceptable=np.ones((2, 2), bool),
-            epsilon=0.5,
         )
 
 
@@ -370,7 +465,7 @@ def test_stock_grid_calls_the_oracle_once_per_block():
 
     quality_grid(
         oracle, DEFAULT_MAG_AXIS, DEFAULT_FREQ_AXIS, epsilon=0.5, trials=64,
-        clean_factory=counted(calibration._default_factory, made),
+        clean_factory=counted(zero_factory(16, 16), made),
     )
     assert oracle_calls == [list(range(64))] * 256
     assert made == [1] + [64] * 256

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import errno
 import json
@@ -11,8 +12,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from statabft import faults
-from statabft.cli import main
+from statabft import faults, verify
+from statabft.cli import build_parser, main
 from statabft.detectors import load_params
 
 
@@ -40,14 +41,30 @@ def test_verify_passes(capsys):
     )
 
 
-def test_verify_planted_failure_exits_one(capsys):
-    rc = main(["verify", "--cases", "20", "--planted-failure"])
+def test_verify_planted_failure_exits_one(monkeypatch, capsys):
+    broken = lambda s, c: "row identity broken"
+    planted = tuple(
+        replace(k, test=broken) if k.name == "checksum-identities" else k for k in verify.CHECKS
+    )
+    monkeypatch.setattr(verify, "CHECKS", planted)
+    rc = main(["verify", "--cases", "20"])
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out.splitlines()[0] == (
         "checksum-identities       cases=1      FAIL  (row identity broken at case 0)"
     )
     assert "failed" in captured.err
+
+
+def test_parser_has_no_hidden_option():
+    # a test hook must not come back as an option that --help does not show
+    parser = build_parser()
+    subparsers = next(
+        a for a in parser._actions if isinstance(a, argparse._SubParsersAction)
+    ).choices.values()
+    for p in (parser, *subparsers):
+        hidden = [a.option_strings for a in p._actions if a.help == argparse.SUPPRESS]
+        assert not hidden, f"{p.prog}: {hidden}"
 
 
 def test_verify_report_file(tmp_path, capsys):

@@ -137,6 +137,29 @@ def test_max_inner_dim_enforced():
         gemm(QuantMatrix(data), QuantMatrix(data.T.copy()))
 
 
+_W34 = QuantMatrix(np.ones((3, 4), dtype=np.int8))
+_X52 = QuantMatrix(np.ones((5, 2), dtype=np.int8))
+_WIDE = QuantMatrix(np.zeros((1, 2**16 + 1), dtype=np.int8))
+_TALL = QuantMatrix(np.zeros((2**16 + 1, 1), dtype=np.int8))
+_AT = (np.array([0]), np.array([0]))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: gemm_entries(_W34, _X52, *_AT), "inner dimensions differ: 4 vs 5"),
+        (lambda: predicted_output_checksum(_W34, _X52), "inner dimensions differ: 4 vs 5"),
+        (lambda: predicted_column_checksum(_W34, _X52), "inner dimensions differ: 4 vs 5"),
+        (lambda: total_checksum(_W34, _X52), "inner dimensions differ: 4 vs 5"),
+        (lambda: gemm_entries(_WIDE, _TALL, *_AT), "inner dimension 65537 exceeds 65536"),
+    ],
+    ids=["entries", "output-checksum", "column-checksum", "total-checksum", "entries-max-k"],
+)
+def test_inner_dimension_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("block", [1, 7 * 5, 7 * 64, 2**18])
 def test_gemm_entries_equal_the_dense_product_in_any_block_size(monkeypatch, block):
     # a block holds block // k entries (at least one), so block boundaries fall

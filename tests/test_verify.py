@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from statabft import detectors, rng, verify, workloads
-from statabft.verify import ALL_CHECKS, CHECKS, _random_diff, run_check, run_checks
+from statabft.verify import CHECKS, _random_diff, run_check, run_checks
+
+ALL_CHECKS = tuple(check.name for check in CHECKS)
 
 
 def test_all_checks_pass_on_healthy_build():
@@ -15,8 +17,13 @@ def test_all_checks_pass_on_healthy_build():
         assert r.cases > 0
 
 
-def test_planted_failure_is_caught():
-    results = run_checks(cases=30, seed=0, planted_failure=True)
+def test_planted_failure_is_caught(monkeypatch):
+    broken = lambda s, c: "row identity broken"
+    planted = tuple(
+        replace(k, test=broken) if k.name == "checksum-identities" else k for k in CHECKS
+    )
+    monkeypatch.setattr(verify, "CHECKS", planted)
+    results = run_checks(cases=30, seed=0)
     by_name = {r.name: r for r in results}
     assert not by_name["checksum-identities"].passed
     assert "identity broken" in by_name["checksum-identities"].detail
