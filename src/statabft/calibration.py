@@ -2,18 +2,20 @@
 
 A quality grid sweeps uniform injections over a (frequency, magnitude)
 lattice, scores each cell with a workload-quality oracle, and marks cells
-acceptable when mean degradation stays within an epsilon budget. Trials go
-a block at a time: one ``derive_seed`` call gives the block's seeds in every
-cell, and then each cell makes one call of each kind: a clean factory builds
-the block's (trials x rows x cols) stack from its seeds, one
-``faults.Corruption`` record corrupts a copy in one vectorized pass, and the
-oracle scores the ``OracleBlock`` into one array of per-trial scores. No
-Python object is built per trial, so the grid's cost per injection is a few
-array operations. A block holds at most ``BLOCK_LANES`` elements of one
-cell and as many seeds of all cells, and each cell's score sum carries
-across blocks, so memory is bounded by the block size, not by the trial
-count. A line fitted to the acceptable/unacceptable boundary recovers
-critical-region parameters (a, b, theta_freq) for the statistical detector.
+acceptable when mean degradation stays within an epsilon budget. Trial t is
+the same in every cell: one clean matrix and one set of injection
+priorities, so neighbouring cells are compared on common random numbers.
+Trials go a block at a time. A block makes one clean-factory call, which
+builds its (trials x rows x cols) stack; one ``faults.Corruption`` record
+per frequency, whose positions all of that frequency's magnitudes share;
+and, per cell, one vectorized write into a copy of the stack and one
+oracle call, which scores the ``OracleBlock`` into one array of per-trial
+scores. No Python object is built per trial, so the grid's cost per
+injection is a few array operations. A block holds at most ``BLOCK_LANES``
+elements, and each cell's score sum carries across blocks, so memory is
+bounded by the block size, not by the trial count. A line fitted to the
+acceptable/unacceptable boundary recovers critical-region parameters
+(a, b, theta_freq) for the statistical detector.
 
 The boundary model is theta_mag = b - (a - 1) * log2(MSD) with
 MSD = freq * mag for uniform injections, i.e. in (t, m) = (log2 freq,
@@ -29,15 +31,14 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from .detectors import DEFAULT_PARAMS, CriticalRegionParams
-from .faults import BLOCK_LANES, INT32_MAX, INT32_MIN, uniform_corruption
+from .faults import BLOCK_LANES, INT32_MAX, INT32_MIN, _wrap_int32, uniform_corruption
 from .resilience import NORM_KINDS
 from .rng import derive_seed
 # not called: the benchmark's tracer (perfbench/tracing.py) looks inject_uniform up in this module
@@ -72,8 +73,8 @@ class OracleBlock:
     """A block of one grid cell's injected trials, handed to a quality oracle in one call.
 
     ``clean`` and ``corrupted`` are read-only int32 (len(trials) x rows x
-    cols) stacks, row i holding trial ``trials[i]`` (its index within the
-    cell) before and after injection.
+    cols) stacks, row i holding trial ``trials[i]`` (its index, shared by
+    every cell) before and after injection.
     """
 
     clean: np.ndarray
@@ -236,27 +237,30 @@ def quality_grid(
 ) -> QualityGrid:
     """Score every (freq, mag) cell with ``trials`` uniform injections.
 
-    Trial t of cell c has seeds ``derive_seed(seed, c, t, 0)`` for its clean
-    matrix and ``derive_seed(seed, c, t, 1)`` for its injection, so cells are
-    independent and the whole grid is reproducible from ``seed``. In each
-    trial exactly ``freq`` elements get ``round(2**mag_log2)`` added.
+    Trial t has seeds ``derive_seed(seed, t, 0)`` for its clean matrix and
+    ``derive_seed(seed, t, 1)`` for its injection in every cell, so cells
+    share their trials (common random numbers) and the whole grid is
+    reproducible from ``seed``, which must lie in [0, 2**64). In each trial
+    exactly ``freq`` elements get ``round(2**mag_log2)`` added: the ``freq``
+    smallest of the trial's priorities, so a trial's positions at one freq
+    hold those at every lower freq, and all mags of a freq share them.
 
-    Trials go in blocks of max(1, BLOCK_LANES // max(elements, 2 * cells)),
-    sized by one probe call of ``clean_factory`` per grid; one
-    ``derive_seed`` call gives a block's seeds in every cell, and the block
-    then visits the cells in turn. Per cell and block,
+    Trials go in blocks of max(1, BLOCK_LANES // elements), sized by one
+    probe call of ``clean_factory`` per grid. Per block,
     ``clean_factory(seeds)`` maps the block's uint64 clean seeds to an
     integer (len(seeds) x rows x cols) stack (``zero_factory(16, 16)`` by
     default), with values inside INT32 and one (rows, cols) for the whole
-    grid; ``uniform_corruption(...).apply`` corrupts a copy in one vectorized
-    pass, which equals ``inject_uniform`` trial by trial; and one oracle call
-    maps the ``OracleBlock`` to a float array of one degradation score >= 0
-    per trial. A cell's quality is the mean of its scores, summed in trial
-    order with the sum carried across blocks, so block sizes change no
-    result and memory does not grow with ``trials``. A malformed stack, an
-    injection or oracle failure, and a score array of another shape or with
-    a negative or non-finite score raise GridCellError carrying the cell
-    coordinates.
+    grid; one ``uniform_corruption`` call per freq picks the positions and
+    reads their clean values; and per cell, the record with that cell's mag
+    corrupts a copy of the stack in one vectorized pass, which equals
+    ``inject_uniform`` trial by trial, and one oracle call maps the
+    ``OracleBlock`` to a float array of one degradation score >= 0 per
+    trial. A cell's quality is the mean of its scores, summed in trial order
+    with the sum carried across blocks, so block sizes change no result and
+    memory does not grow with ``trials``. A malformed stack, an injection or
+    oracle failure, and a score array of another shape or with a negative or
+    non-finite score raise GridCellError carrying the cell coordinates: the
+    first cell for the factory, a freq's first mag for its injection.
     """
     mag_axis = np.asarray(mag_log2_axis, dtype=np.float64)
     freqs = np.asarray(freq_axis, dtype=np.int64)
@@ -266,40 +270,41 @@ def quality_grid(
         raise ValueError("trials must be >= 1")
     if not (epsilon >= 0):
         raise ValueError("epsilon must be >= 0")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
-    cells = list(itertools.product(freqs.tolist(), mag_axis.tolist()))
-    probe_seed = np.array([derive_seed(seed, 0, 0, 0)], dtype=np.uint64)
-    shape = _clean_stack(clean_factory, probe_seed, None, *cells[0]).shape[1:]
-    # a block holds at most BLOCK_LANES elements of one cell, and as many seeds of all cells
-    step = max(1, BLOCK_LANES // max(shape[0] * shape[1], 2 * len(cells)))
-    # sums[c]: cell c's scores summed one after another in trial order from 0.0,
-    # as a Python sum does and np.sum does not
-    sums = np.zeros(len(cells))
+    mags = [(m, int(round(2.0**m))) for m in mag_axis.tolist()]
+    f0, (m0, mag0) = int(freqs[0]), mags[0]
+    probe_seed = np.array([derive_seed(seed, 0, 0)], dtype=np.uint64)
+    rows, cols = _clean_stack(clean_factory, probe_seed, None, f0, m0).shape[1:]
+    step = max(1, BLOCK_LANES // (rows * cols))
+    # sums[i, j]: cell (i, j)'s scores summed one after another in trial order
+    # from 0.0, as a Python sum does and np.sum does not
+    sums = np.zeros((freqs.size, mag_axis.size))
     for t0 in range(0, trials, step):
         block_trials = np.arange(t0, min(t0 + step, trials))
-        # seeds[c, i]: column 0 seeds trial block_trials[i]'s clean matrix in cell c,
-        # column 1 its injection
-        seeds = derive_seed(
-            seed, np.arange(len(cells))[:, np.newaxis, np.newaxis],
-            block_trials[:, np.newaxis], np.arange(2),
-        )
-        for cell, (f, m) in enumerate(cells):
-            mag = int(round(2.0**m))
-            clean = _clean_stack(clean_factory, seeds[cell, :, 0], shape, f, m)
+        # seeds[i]: column 0 seeds trial block_trials[i]'s clean matrix, column 1 its injection
+        seeds = derive_seed(seed, block_trials[:, np.newaxis], np.arange(2))
+        clean = _clean_stack(clean_factory, seeds[:, 0], (rows, cols), f0, m0)
+        flat = clean.reshape(len(clean), rows * cols)
+        for i, f in enumerate(freqs.tolist()):
             try:
-                corrupted = uniform_corruption(
-                    seeds[cell, :, 1], *shape, lambda *at: clean[at], f, mag
-                ).apply(clean.copy())
+                record = uniform_corruption(
+                    seeds[:, 1], rows, cols, lambda t, r, c: flat[t, r * cols + c], f, mag0
+                )
             except ValueError as e:
-                raise GridCellError(f, m, str(e)) from e
-            block = OracleBlock(
-                clean=clean, corrupted=corrupted, freq=f, mag=mag, mag_log2=m,
-                trials=block_trials,
-            )
-            scores = _scores(oracle, block, f, m)
-            sums[cell] = np.add.accumulate(np.concatenate(([sums[cell]], scores)))[-1]
+                raise GridCellError(f, m0, str(e)) from e
+            for j, (m, mag) in enumerate(mags):
+                after = _wrap_int32(record.before + mag)
+                corrupted = replace(record, after=after).apply(clean.copy())
+                block = OracleBlock(
+                    clean=clean, corrupted=corrupted, freq=f, mag=mag, mag_log2=m,
+                    trials=block_trials,
+                )
+                scores = _scores(oracle, block, f, m)
+                sums[i, j] = np.add.accumulate(np.concatenate(([sums[i, j]], scores)))[-1]
 
-    quality = (sums / trials).reshape(freqs.size, mag_axis.size)
+    quality = sums / trials
     return QualityGrid(
         freq_axis=freqs,
         mag_log2_axis=mag_axis,

@@ -388,10 +388,11 @@ def test_batched_grid_equals_a_per_trial_reference(seed):
     want, quality = [], np.zeros((len(freqs), len(mags)))
     for i, f in enumerate(freqs):
         for j, m in enumerate(mags):
-            cell, scores = i * len(mags) + j, []
+            scores = []
             for t in range(trials):
-                data = one_clean(factory, derive_seed(seed, cell, t, 0)).ravel().astype(np.int64)
-                priority = u64_stream(derive_seed(seed, cell, t, 1), rows * cols)
+                # trial t draws on the same two seeds in every cell
+                data = one_clean(factory, derive_seed(seed, t, 0)).ravel().astype(np.int64)
+                priority = u64_stream(derive_seed(seed, t, 1), rows * cols)
                 data[np.sort(np.argpartition(priority, f)[:f])] += round(2.0**m)
                 corrupted = ((data + 2**31) % 2**32 - 2**31).astype(np.int32).reshape(rows, cols)
                 digest = hashlib.sha256(corrupted.tobytes()).digest()
@@ -411,14 +412,14 @@ def test_grid_injections_equal_inject_uniform():
         DEFAULT_MAG_AXIS, DEFAULT_FREQ_AXIS,
         epsilon=0.5, trials=4, seed=5, clean_factory=factory,
     )
-    # 4 trials of 256 elements make one block per cell
+    # 4 trials of 256 elements make one block, scored in one oracle call per cell
     assert len(blocks) == len(DEFAULT_FREQ_AXIS) * len(DEFAULT_MAG_AXIS)
-    for cell, block in enumerate(blocks):
+    for block in blocks:
         assert block.trials.tolist() == [0, 1, 2, 3]
         for t, (clean, corrupted) in enumerate(zip(block.clean, block.corrupted)):
-            assert np.array_equal(clean, one_clean(factory, derive_seed(5, cell, t, 0)))
+            assert np.array_equal(clean, one_clean(factory, derive_seed(5, t, 0)))
             cfg = FaultConfig(
-                mode="uniform", freq=block.freq, mag=block.mag, seed=derive_seed(5, cell, t, 1)
+                mode="uniform", freq=block.freq, mag=block.mag, seed=derive_seed(5, t, 1)
             )
             assert np.array_equal(corrupted, inject_uniform(AccumMatrix(clean), cfg)[0].data)
 
@@ -438,7 +439,7 @@ def test_block_size_changes_no_result(monkeypatch, block_lanes):
     kw = dict(epsilon=0.5, trials=5, seed=3, clean_factory=counted(noisy_factory(3, 4), made))
     default = []
     g = quality_grid(hash_oracle(default), [0.0, 30.0], [1, 11], **kw)
-    assert made == [1] + [5] * 4
+    assert made == [1, 5]
     blocks = []
     monkeypatch.setattr(calibration, "BLOCK_LANES", block_lanes)
     injected = counted(calibration.uniform_corruption, blocks)
@@ -446,12 +447,12 @@ def test_block_size_changes_no_result(monkeypatch, block_lanes):
     made.clear()
     small = []
     g_small = quality_grid(hash_oracle(small), [0.0, 30.0], [1, 11], **kw)
-    # each block of trials visits the four cells in turn
+    # each block of trials draws the positions of the two freqs in turn
     step = 1 if block_lanes == 1 else 2
     chunks = [range(t0, min(t0 + step, 5)) for t0 in range(0, 5, step)]
-    assert blocks == [len(chunk) for chunk in chunks for _ in range(4)]
-    # one probe of the target shape, then one stack per block
-    assert made == [1] + blocks
+    assert blocks == [len(chunk) for chunk in chunks for _ in range(2)]
+    # one probe of the target shape, then one stack per block, shared by the four cells
+    assert made == [1] + [len(chunk) for chunk in chunks]
     assert small == [default[cell * 5 + t] for chunk in chunks for cell in range(4) for t in chunk]
     np.testing.assert_array_equal(g_small.quality, g.quality)
 
@@ -468,7 +469,71 @@ def test_stock_grid_calls_the_oracle_once_per_block():
         clean_factory=counted(zero_factory(16, 16), made),
     )
     assert oracle_calls == [list(range(64))] * 256
-    assert made == [1] + [64] * 256
+    # the probe, then the one block's stack, shared by all 256 cells
+    assert made == [1, 64]
+
+
+def test_stock_grid_draws_positions_once_per_freq(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(
+        calibration, "uniform_corruption", counted(calibration.uniform_corruption, drawn)
+    )
+    quality_grid(
+        lambda b: np.zeros(len(b.trials)), DEFAULT_MAG_AXIS, DEFAULT_FREQ_AXIS,
+        epsilon=0.5, trials=64,
+    )
+    # one 64-row draw per freq, which its 16 mags share
+    assert drawn == [64] * len(DEFAULT_FREQ_AXIS)
+
+
+def test_every_cell_of_a_block_gets_the_same_clean_stack(monkeypatch):
+    # 12-element targets in 2-trial blocks: trials (0, 1), (2, 3), (4,)
+    monkeypatch.setattr(calibration, "BLOCK_LANES", 24)
+    factory, blocks = noisy_factory(3, 4), []
+    quality_grid(
+        lambda block: blocks.append(block) or np.zeros(len(block.trials)),
+        [0.0, 10.5, 30.0], [1, 5, 11], epsilon=0.5, trials=5, seed=4, clean_factory=factory,
+    )
+    assert [b.trials.tolist() for b in blocks] == [[0, 1]] * 9 + [[2, 3]] * 9 + [[4]] * 9
+    for block in blocks:
+        want = [one_clean(factory, derive_seed(4, t, 0)) for t in block.trials.tolist()]
+        np.testing.assert_array_equal(block.clean, want)
+
+
+def test_positions_nest_across_freqs():
+    # values spread over INT32 change under any mag, so the changed elements are the positions
+    freqs, mags, trials = [1, 2, 5, 11, 12], [0.0, 10.5, 30.0], 6
+    changed = {}
+
+    def oracle(block):
+        moved = (block.corrupted != block.clean).reshape(len(block.trials), -1)
+        for t, row in zip(block.trials.tolist(), moved):
+            changed[block.freq, block.mag_log2, t] = set(np.flatnonzero(row).tolist())
+        return np.zeros(len(block.trials))
+
+    quality_grid(
+        oracle, mags, freqs, epsilon=0.5, trials=trials, seed=9, clean_factory=noisy_factory(3, 4)
+    )
+    for t in range(trials):
+        for m in mags:
+            sets = [changed[f, m, t] for f in freqs]
+            assert [len(hit) for hit in sets] == freqs
+            for lower, higher in zip(sets, sets[1:]):
+                assert lower < higher, (t, m)
+        # every mag of a freq hits the same elements
+        for f in freqs:
+            assert len({frozenset(changed[f, m, t]) for m in mags}) == 1
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5], ids=["-1", "2**64", "2**64+5"])
+def test_grid_seed_outside_64_bits_is_refused_before_any_draw(seed):
+    made = []
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        quality_grid(
+            lambda b: np.zeros(len(b.trials)), [4.0, 8.0], [1, 2], epsilon=0.5, trials=2,
+            seed=seed, clean_factory=counted(zero_factory(4, 4), made),
+        )
+    assert made == []
 
 
 def test_a_huge_trial_count_fails_on_its_first_block():
@@ -497,19 +562,19 @@ def test_grid_memory_does_not_grow_with_the_trials(monkeypatch):
 
 @pytest.mark.parametrize("block_lanes", [None, 1, 32])
 def test_clean_factory_must_return_one_shape(monkeypatch, block_lanes):
-    # the shape changes on the second cell's one block (the third call), or
-    # after the first block of both cells (the fourth call) on the first
-    # cell's second 1-trial block or its ragged last block (2 + 1 trials)
+    # the shape changes after the probe on the one 3-trial block (the second
+    # call), or after the first block (the third call) on the second 1-trial
+    # block or the ragged last block (2 + 1 trials); a factory failure names
+    # the grid's first cell
     if block_lanes is not None:
         monkeypatch.setattr(calibration, "BLOCK_LANES", block_lanes)
-    calls, change = [], 3 if block_lanes is None else 4
+    calls, change = [], 2 if block_lanes is None else 3
 
     def factory(seeds):
         calls.append(len(seeds))
         return np.zeros((len(seeds), 4, 4 + (len(calls) >= change)), dtype=np.int32)
 
-    freq = 3 if block_lanes is None else 2
-    match = rf"freq={freq}.*mag_log2=4\.0.*\(4, 5\) after \(4, 4\)"
+    match = r"freq=2.*mag_log2=4\.0.*\(4, 5\) after \(4, 4\)"
     with pytest.raises(GridCellError, match=match):
         quality_grid(
             lambda b: np.zeros(len(b.trials)), [4.0], [2, 3], epsilon=1.0, trials=3,
