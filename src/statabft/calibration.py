@@ -97,6 +97,17 @@ QualityOracle = Callable[[OracleBlock], np.ndarray]
 CleanFactory = Callable[[np.ndarray], np.ndarray]
 
 
+def _grid_axes(freq_axis, mag_log2_axis) -> tuple[np.ndarray, np.ndarray]:
+    """The grid's axes as int64 and float64 arrays, each >= 2 strictly increasing values."""
+    fa = np.asarray(freq_axis, dtype=np.int64)
+    ma = np.asarray(mag_log2_axis, dtype=np.float64)
+    if fa.ndim != 1 or fa.size < 2 or np.any(fa < 1) or np.any(np.diff(fa) <= 0):
+        raise ValueError("freq_axis must be >= 2 strictly increasing positives")
+    if ma.ndim != 1 or ma.size < 2 or np.any(np.diff(ma) <= 0):
+        raise ValueError("mag_log2_axis must be >= 2 strictly increasing values")
+    return fa, ma
+
+
 @dataclass(frozen=True, eq=False)
 class QualityGrid:
     """Mean degradation per (freq, mag) cell plus the acceptability mask.
@@ -112,13 +123,8 @@ class QualityGrid:
     acceptable: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        fa = np.asarray(self.freq_axis, dtype=np.int64)
-        ma = np.asarray(self.mag_log2_axis, dtype=np.float64)
+        fa, ma = _grid_axes(self.freq_axis, self.mag_log2_axis)
         q = np.asarray(self.quality, dtype=np.float64)
-        if fa.ndim != 1 or fa.size < 2 or np.any(fa < 1) or np.any(np.diff(fa) <= 0):
-            raise ValueError("freq_axis must be >= 2 strictly increasing positives")
-        if ma.ndim != 1 or ma.size < 2 or np.any(np.diff(ma) <= 0):
-            raise ValueError("mag_log2_axis must be >= 2 strictly increasing values")
         shape = (fa.size, ma.size)
         if q.shape != shape:
             raise ValueError(f"quality must have shape {shape}")
@@ -263,7 +269,6 @@ def quality_grid(
     first cell for the factory, a freq's first mag for its injection.
     """
     mag_axis = np.asarray(mag_log2_axis, dtype=np.float64)
-    freqs = np.asarray(freq_axis, dtype=np.int64)
     if np.any(mag_axis < 0) or np.any(mag_axis > MAX_MAG_LOG2):
         raise ValueError(f"mag_log2 values must lie in [0, {MAX_MAG_LOG2}]")
     if trials < 1:
@@ -272,6 +277,7 @@ def quality_grid(
         raise ValueError("epsilon must be >= 0")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    freqs, mag_axis = _grid_axes(freq_axis, mag_axis)  # before any factory or oracle call
 
     mags = [(m, int(round(2.0**m))) for m in mag_axis.tolist()]
     f0, (m0, mag0) = int(freqs[0]), mags[0]

@@ -116,7 +116,7 @@ def cmd_verify(cfg: ExperimentConfig, args) -> int:
         _write_table(
             out,
             "verify_report",
-            cfg.output_format,
+            cfg.output.format,
             ["check", "cases", "passed", "detail"],
             [[r.name, r.cases, r.passed, r.detail] for r in results],
         )
@@ -147,7 +147,7 @@ def cmd_calibrate(cfg: ExperimentConfig, args) -> int:
     )
     params = fit_critical_region(grid)
 
-    out = _prepare_out(cfg, "calibrate", args.out_dir or cfg.output_dir)
+    out = _prepare_out(cfg, "calibrate", args.out_dir or cfg.output.dir)
     _write_text(os.path.join(out, "grid.csv"), grid_to_csv(grid))
     provenance = (
         f"statabft {__version__} calibrate oracle={cal.oracle} "
@@ -168,10 +168,10 @@ def _row(record, header) -> tuple:
 
 def cmd_compare(cfg: ExperimentConfig, args) -> int:
     rows = compare_detectors(cfg.workload, cfg.detector_specs(), cfg.fault)
-    out = _prepare_out(cfg, "compare", args.out_dir or cfg.output_dir)
+    out = _prepare_out(cfg, "compare", args.out_dir or cfg.output.dir)
     header = [f.name for f in fields(CompareRow)]
     table = [_row(r, header) for r in rows]
-    path = _write_table(out, "detectors", cfg.output_format, header, table)
+    path = _write_table(out, "detectors", cfg.output.format, header, table)
     for r in rows:
         print(
             f"{r.detector:<12} recovery_rate={r.recovery_rate:.4f} "
@@ -186,12 +186,12 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     results = sweep_detectors(
         cfg.workload, cfg.detector_specs(), cfg.fault, cfg.voltages(), cfg.energy
     )
-    out = _prepare_out(cfg, "sweep", args.out_dir or cfg.output_dir)
+    out = _prepare_out(cfg, "sweep", args.out_dir or cfg.output.dir)
     header = [f.name for f in fields(SweepPoint)]
     rows = [_row(p, header) for res in results.values() for p in res.points]
     for res in results.values():
         rows.append(_row(replace(res.optimum, detector=f"{res.optimum.detector}_optimum"), header))
-    path = _write_table(out, "sweep", cfg.output_format, header, rows)
+    path = _write_table(out, "sweep", cfg.output.format, header, rows)
 
     classical = results.get("classical")
     summary_rows = []
@@ -212,7 +212,7 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
     _write_table(
         out,
         "sweep_summary",
-        cfg.output_format,
+        cfg.output.format,
         ["detector", "opt_voltage", "ber", "recovery_rate", "energy_total",
          "latency_factor", "quality_proxy", "energy_saving_vs_classical"],
         summary_rows,
@@ -308,7 +308,7 @@ def main(argv=None) -> int:
                 raise ConfigError(f"--seed must be in [0, 2**64), got {args.seed}")
             cfg = override_seed(cfg, args.seed)
         if args.format:
-            cfg = replace(cfg, output_format=args.format)
+            cfg = replace(cfg, output=replace(cfg.output, format=args.format))
         return args.handler(cfg, args)
     except (NoBoundaryError, GridCellError) as e:
         print(f"experiment failed: {e}", file=sys.stderr)

@@ -36,32 +36,50 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
+class SweepSettings:
+    """The voltages a sweep runs at (empty: the energy table's own) and the kinds it compares."""
+
+    voltages: tuple[float, ...] = ()
+    detectors: tuple[str, ...] = ("none", "classical", "statistical", "dmr")
+
+    def __post_init__(self):
+        if not all(v > 0 for v in self.voltages):
+            raise ValueError(f"voltages must all be > 0, got {list(self.voltages)}")
+        if len(set(self.voltages)) != len(self.voltages):
+            raise ValueError(f"voltages must be distinct, got {list(self.voltages)}")
+        kinds = self.detectors
+        if not kinds or len(set(kinds)) != len(kinds) or not set(kinds) <= set(DETECTOR_KINDS):
+            raise ValueError(f"detectors must list unique kinds from {DETECTOR_KINDS}")
+
+
+@dataclass(frozen=True)
+class OutputSettings:
+    """Where a run writes its files, and the format of its result tables."""
+
+    dir: str = "out"
+    format: str = "csv"
+
+    def __post_init__(self):
+        if self.format not in ("csv", "json"):
+            raise ValueError(f"format must be 'csv' or 'json', got {self.format!r}")
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully-resolved experiment settings, ready for any subcommand."""
+    """Fully-resolved experiment settings, one field per JSON section, ready for any subcommand."""
 
     # frozen, so one shared default instance each
     workload: WorkloadSpec = WorkloadSpec()
     fault: FaultConfig = FaultConfig(mode="ber", ber=1e-6)
-    # the spec each kind in detector_set is built from; its own kind is not a setting
+    # the spec each kind in sweep.detectors is built from; its own kind is not a setting
     detector: DetectorSpec = DetectorSpec(kind="statistical", params=DEFAULT_PARAMS)
     energy: EnergyConfig = EnergyConfig()
-    sweep_voltages: tuple[float, ...] = ()
-    detector_set: tuple[str, ...] = ("none", "classical", "statistical", "dmr")
+    sweep: SweepSettings = SweepSettings()
     calibrate: CalibrationSettings = CalibrationSettings()
-    output_dir: str = "out"
-    output_format: str = "csv"
+    output: OutputSettings = OutputSettings()
     params_provenance: str = ""
 
     def __post_init__(self):
-        if not all(v > 0 for v in self.sweep_voltages):
-            raise ValueError(f"sweep_voltages must all be > 0, got {list(self.sweep_voltages)}")
-        if len(set(self.sweep_voltages)) != len(self.sweep_voltages):
-            raise ValueError(
-                f"sweep_voltages must be distinct, got {list(self.sweep_voltages)}"
-            )
-        kinds = self.detector_set
-        if not kinds or len(set(kinds)) != len(kinds) or not set(kinds) <= set(DETECTOR_KINDS):
-            raise ValueError(f"detector_set must list unique kinds from {DETECTOR_KINDS}")
         elements = self.workload.m * self.workload.n  # uniform faults hit freq distinct ones
         if self.fault.freq > elements:
             raise ValueError(
@@ -72,8 +90,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"fault.mode uniform needs workload.m * workload.n <= {BLOCK_LANES}, got {elements}"
             )
-        if self.output_format not in ("csv", "json"):
-            raise ValueError(f"output_format must be 'csv' or 'json', got {self.output_format!r}")
         # (3 + detect_overhead) nominal GEMMs bound every energy a sweep reports
         nominal = self.workload.macs_per_gemm * self.energy.e_mac_nom
         if not math.isfinite(nominal * (3 + self.energy.detect_overhead)):
@@ -90,22 +106,13 @@ class ExperimentConfig:
         return self.workload.gemm_count
 
     def voltages(self) -> tuple[float, ...]:
-        if self.sweep_voltages:
-            return self.sweep_voltages
-        return tuple(float(v) for v in self.energy.table.voltages)
+        return self.sweep.voltages or tuple(float(v) for v in self.energy.table.voltages)
 
     def detector_specs(self) -> tuple[DetectorSpec, ...]:
-        """The comparison set: the ``detector`` spec under each kind of detector_set."""
-        return tuple(replace(self.detector, kind=k) for k in self.detector_set)
+        """The comparison set: the ``detector`` spec under each kind of sweep.detectors."""
+        return tuple(replace(self.detector, kind=k) for k in self.sweep.detectors)
 
 
-# ExperimentConfig fields that JSON (and the run echo) group under a section
-_PATHS = {
-    "sweep_voltages": ("sweep", "voltages"),
-    "detector_set": ("sweep", "detectors"),
-    "output_dir": ("output", "dir"),
-    "output_format": ("output", "format"),
-}
 _RANGE = ("v_min", "v_max", "v_step")
 # a v_min/v_max/v_step range gives voltages rounded to this many decimals
 _VOLTAGE_DECIMALS = 10
@@ -154,11 +161,6 @@ def _fields(obj, skip=()) -> dict:
     return {f.name: getattr(obj, f.name) for f in fields(obj) if f.name not in skip}
 
 
-def _grouped(cfg: ExperimentConfig, section: str) -> dict:
-    """The ExperimentConfig fields that JSON groups under ``section``, by JSON key."""
-    return {k: getattr(cfg, f) for f, (s, k) in _PATHS.items() if s == section}
-
-
 def _build(path, make, values: dict):
     """``make(**values)``; a ValueError is placed at the given (dotted) key it starts with."""
     try:
@@ -167,7 +169,7 @@ def _build(path, make, values: dict):
         name, _, reason = str(e).partition(" ")
         if name.split(".")[0] not in values:
             raise _fail(path, str(e)) from None
-        raise _fail(_PATHS.get(name, [*path, *name.split(".")]), reason) from None
+        raise _fail([*path, *name.split(".")], reason) from None
 
 
 def _call(path, fn, arg):
@@ -217,9 +219,9 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
         "fault": {**_fields(base.fault), "voltage": float},
         "detector": {**_fields(base.detector, skip=("kind",)), "params_file": str},
         "energy": {**_fields(base.energy, skip=("table",)), "table_file": str},
-        "sweep": {**_grouped(base, "sweep"), "voltages": (float,), **dict.fromkeys(_RANGE, float)},
+        "sweep": {**_fields(base.sweep), "voltages": (float,), **dict.fromkeys(_RANGE, float)},
         "calibrate": _fields(base.calibrate),
-        "output": _grouped(base, "output"),
+        "output": _fields(base.output),
     }
     _object([], doc, likes)
     given = {}
@@ -251,14 +253,13 @@ def parse_config(doc: dict, base_dir: str = ".") -> ExperimentConfig:
         missing = set(_RANGE) - set(sw)
         if missing:
             raise _fail(["sweep"], f"range needs v_min/v_max/v_step, missing {sorted(missing)}")
-        if sw["v_min"] > sw["v_max"]:
+        v_min, v_max, v_step = (sw.pop(k) for k in _RANGE)
+        if v_min > v_max:
             raise _fail(["sweep"], "v_min must be <= v_max")
-        sw["voltages"] = _voltage_range(sw["v_min"], sw["v_max"], sw["v_step"])
+        sw["voltages"] = _voltage_range(v_min, v_max, v_step)
 
-    own = [s for s in given if hasattr(base, s)]  # sections held as dataclasses
-    parts = {s: _build([s], partial(replace, getattr(base, s)), given[s]) for s in own}
-    top = {f: given[s][k] for f, (s, k) in _PATHS.items() if k in given[s]}
-    return _build([], partial(replace, base), {**parts, **top, "params_provenance": provenance})
+    parts = {s: _build([s], partial(replace, getattr(base, s)), given[s]) for s in given}
+    return _build([], partial(replace, base), {**parts, "params_provenance": provenance})
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -282,13 +283,11 @@ def override_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
 
 def resolved_dict(cfg: ExperimentConfig) -> dict:
     """The fully-defaulted config as a JSON-ready document (the run echo)."""
-    doc: dict = {}
-    for name, value in asdict(cfg).items():
-        if isinstance(value, dict):
-            doc[name] = {k: list(v) if isinstance(v, tuple) else v for k, v in value.items()}
-        elif name in _PATHS:
-            section, key = _PATHS[name]
-            doc.setdefault(section, {})[key] = list(value) if isinstance(value, tuple) else value
+    doc = {
+        name: {k: list(v) if isinstance(v, tuple) else v for k, v in section.items()}
+        for name, section in asdict(cfg).items()
+        if name != "params_provenance"
+    }
     del doc["detector"]["kind"]
     doc["detector"]["provenance"] = cfg.params_provenance
     table = cfg.energy.table

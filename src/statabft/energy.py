@@ -111,10 +111,14 @@ class EnergyConfig:
             raise ValueError("detect_overhead must be >= 0 like all overheads")
 
 
-def compute_energy(v: float, n_mac: int, cfg: EnergyConfig) -> float:
-    """Energy of n_mac MACs at supply voltage v (quadratic scaling)."""
+def _check_voltage(v: float, cfg: EnergyConfig) -> None:
     if not (0.0 < v <= cfg.v_nom):
         raise ValueError(f"voltage must be in (0, {cfg.v_nom}], got {v}")
+
+
+def compute_energy(v: float, n_mac: int, cfg: EnergyConfig) -> float:
+    """Energy of n_mac MACs at supply voltage v (quadratic scaling)."""
+    _check_voltage(v, cfg)
     if n_mac < 1:
         raise ValueError("n_mac must be >= 1")
     return n_mac * cfg.e_mac_nom * (v / cfg.v_nom) ** 2
@@ -339,7 +343,8 @@ def sweep_detectors(
     """Voltage sweep: same GEMM stream and faults per point, BER from the table.
 
     ``fault`` gives the seed and bit window; its ``ber`` is not read, and a
-    uniform-mode ``fault`` is rejected. Each of the ``spec.gemm_count``
+    uniform-mode ``fault`` is rejected, as is a voltage outside
+    (0, ``energy_cfg.v_nom``], both before any GEMM is scored. Each of the ``spec.gemm_count``
     trials has its flips sampled once, at the sweep's highest BER with the
     seed ``stream`` gives it, and thinned per voltage; the point at the
     highest BER therefore scores the same evidence a comparison at that BER
@@ -356,6 +361,8 @@ def sweep_detectors(
         raise ValueError("sweep needs at least one voltage")
     n_mac = spec.macs_per_gemm
     bers = [energy_cfg.table.ber_at(v) for v in voltages]
+    for v in voltages:  # each point's energy needs it; refused before any GEMM is scored
+        _check_voltage(v, energy_cfg)
     rows = _score_stream(spec, detectors, fault, bers)
     results = {}
     for d, by_voltage in zip(detectors, zip(*rows)):

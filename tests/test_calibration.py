@@ -279,24 +279,26 @@ def test_oracle_failures_are_annotated():
         raise RuntimeError("synthetic oracle crash")
 
     with pytest.raises(GridCellError, match=r"freq=2.*mag_log2=4\.0"):
-        quality_grid(broken, [4.0], [2], epsilon=1.0, trials=1)
+        quality_grid(broken, [4.0, 5.0], [2, 3], epsilon=1.0, trials=1)
 
     def negative(block):
         # one bad score among good ones fails the cell
         return np.where(block.trials == 2, -1.0, 0.5)
 
     with pytest.raises(GridCellError, match=r"returned -1\.0"):
-        quality_grid(negative, [4.0], [2], epsilon=1.0, trials=3)
+        quality_grid(negative, [4.0, 5.0], [2, 3], epsilon=1.0, trials=3)
 
     def nan_oracle(block):
         return np.full(len(block.trials), math.nan)
 
     with pytest.raises(GridCellError, match="returned nan"):
-        quality_grid(nan_oracle, [4.0], [2], epsilon=1.0, trials=1)
+        quality_grid(nan_oracle, [4.0, 5.0], [2, 3], epsilon=1.0, trials=1)
 
     # injection failure (freq exceeds the 16x16 default clean matrix)
     with pytest.raises(GridCellError, match="freq=300"):
-        quality_grid(lambda b: np.zeros(len(b.trials)), [4.0], [300], epsilon=1.0, trials=1)
+        quality_grid(
+            lambda b: np.zeros(len(b.trials)), [4.0, 5.0], [300, 301], epsilon=1.0, trials=1
+        )
 
 
 @pytest.mark.parametrize(
@@ -306,7 +308,7 @@ def test_oracle_failures_are_annotated():
 )
 def test_oracle_must_return_one_score_per_trial(scores):
     with pytest.raises(GridCellError, match=r"freq=2.*returned shape .* for 3 trials"):
-        quality_grid(lambda b: scores(len(b.trials)), [4.0], [2], epsilon=1.0, trials=3)
+        quality_grid(lambda b: scores(len(b.trials)), [4.0, 5.0], [2, 3], epsilon=1.0, trials=3)
 
 
 def test_norm_distortion_oracle_spread_vs_confined():
@@ -333,6 +335,33 @@ def test_oracle_block_stacks_are_read_only():
             arr[0] = 1
     # the caller's own arrays stay writable
     stack[0] = 1
+
+
+@pytest.mark.parametrize(
+    "mags, freqs, message",
+    [
+        ([4.0, 5.0, 6.0], [4, 2, 8], "freq_axis must be >= 2 strictly increasing positives"),
+        ([4.0, 4.0, 6.0], [2, 4, 8], "mag_log2_axis must be >= 2 strictly increasing values"),
+        ([4.0, 5.0], [2], "freq_axis must be >= 2 strictly increasing positives"),
+        ([4.0], [2, 4], "mag_log2_axis must be >= 2 strictly increasing values"),
+        ([4.0, 5.0], [0, 2], "freq_axis must be >= 2 strictly increasing positives"),
+    ],
+    ids=["descending-freq", "repeated-mag", "one-freq", "one-mag", "freq-0"],
+)
+def test_grid_axes_are_refused_before_any_factory_or_oracle_call(mags, freqs, message):
+    calls = []
+
+    def factory(seeds):
+        calls.append("factory")
+        return np.zeros((len(seeds), 16, 16), dtype=np.int32)
+
+    def oracle(block):
+        calls.append("oracle")
+        return np.zeros(len(block.trials))
+
+    with pytest.raises(ValueError, match=message):
+        quality_grid(oracle, mags, freqs, epsilon=1.0, trials=2, clean_factory=factory)
+    assert calls == []
 
 
 def test_grid_type_validation():
@@ -577,7 +606,7 @@ def test_clean_factory_must_return_one_shape(monkeypatch, block_lanes):
     match = r"freq=2.*mag_log2=4\.0.*\(4, 5\) after \(4, 4\)"
     with pytest.raises(GridCellError, match=match):
         quality_grid(
-            lambda b: np.zeros(len(b.trials)), [4.0], [2, 3], epsilon=1.0, trials=3,
+            lambda b: np.zeros(len(b.trials)), [4.0, 5.0], [2, 3], epsilon=1.0, trials=3,
             clean_factory=factory,
         )
     assert calls[-1] == (3 if block_lanes is None else 1)
@@ -612,7 +641,7 @@ def test_clean_factory_stacks_are_checked(stack, problem, probe):
     match = rf"freq=2.*mag_log2=4\.0.*clean_factory returned .*{problem}"
     with pytest.raises(GridCellError, match=match):
         quality_grid(
-            lambda b: np.zeros(len(b.trials)), [4.0], [2], epsilon=1.0, trials=2,
+            lambda b: np.zeros(len(b.trials)), [4.0, 5.0], [2, 3], epsilon=1.0, trials=2,
             clean_factory=factory,
         )
 

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import errno
+import hashlib
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from statabft import faults, verify
+from statabft import energy, faults, verify
 from statabft.cli import build_parser, main
 from statabft.detectors import load_params
 
@@ -358,6 +359,62 @@ def test_resolved_config_echo_contents(tmp_path):
     assert echo["config"]["fault"]["seed"] == 42
     # voltage was translated to a concrete BER before the echo
     assert echo["config"]["fault"]["ber"] > 0
+
+
+def test_stock_echo_layout(tmp_path):
+    out_dir = str(tmp_path / "echo")
+    assert main(["--out", out_dir, "compare"]) == 0
+    with open(os.path.join(out_dir, "resolved_config.json")) as fh:
+        config = json.load(fh)["config"]
+    # the sections in JSON order, each with its keys in the order of its dataclass fields
+    assert [(section, list(keys)) for section, keys in config.items()] == [
+        ("workload", ["m", "k", "n", "gemm_count", "distribution", "seed"]),
+        ("fault", ["mode", "ber", "bit_window", "mag", "freq", "seed"]),
+        ("detector", ["params", "msd_threshold", "provenance"]),
+        ("energy", ["v_nom", "e_mac_nom", "detect_overhead", "table"]),
+        ("sweep", ["voltages", "detectors"]),
+        ("calibrate", ["oracle", "epsilon", "trials", "freq_axis", "mag_log2_axis", "planted",
+                       "norm_kind", "target_rows", "target_cols"]),
+        ("output", ["dir", "format"]),
+    ]
+    # the detector kind is no setting; the params' provenance is echoed in its place
+    assert "kind" not in config["detector"] and config["detector"]["provenance"] == ""
+
+
+# sha256 of the stock result tables at seed 0; a change that alters a table on
+# purpose updates its digest here and says why
+STOCK_DIGESTS = {
+    ("sweep", "sweep.csv"):
+        "a8fb38cd4b88e834d2f105074fd501a19022ce436b57ddeeecb81a6ae3b2ab72",
+    ("sweep", "sweep_summary.csv"):
+        "0b08351930aefa240550eac92b677e59ec9e77c5514e65dd0aa279c0a6b381da",
+    ("compare", "detectors.csv"):
+        "48ab98c935c69d0795ba2ffb2a05611abe3af3fc5044d6b277ed1b2752ff4fa8",
+    ("calibrate", "grid.csv"):
+        "b788508b93756ebc1e35f7feff8df94eaa9df5590b9b84aa463c8ae2024426e8",
+}
+
+
+def test_stock_tables_keep_their_digests(tmp_path):
+    for command in ("sweep", "compare", "calibrate"):
+        assert main(["--seed", "0", "--out", str(tmp_path / command), command]) == 0
+    digests = {
+        (command, name): hashlib.sha256((tmp_path / command / name).read_bytes()).hexdigest()
+        for command, name in STOCK_DIGESTS
+    }
+    assert digests == STOCK_DIGESTS
+
+
+def test_sweep_voltage_above_v_nom_exits_two_before_scoring(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(energy, "_score_stream", lambda *args: calls.append(args))
+    cfg = write_config(tmp_path, {"energy": {"v_nom": 0.8}})
+    assert main(["--config", cfg, "--out", str(tmp_path / "sw"), "sweep"]) == 2
+    assert capsys.readouterr().err == "error: voltage must be in (0, 0.8], got 0.9\n"
+    assert calls == [] and not (tmp_path / "sw").exists()
+    # compare reads no voltage, so the same config still runs it
+    monkeypatch.undo()
+    assert main(["--config", cfg, "--out", str(tmp_path / "cmp"), "compare"]) == 0
 
 
 def _run_child(code, **kwargs):

@@ -30,11 +30,11 @@ def test_empty_config_gives_stock_experiment():
     assert cfg.fault.bit_window == (16, 31)
     assert cfg.detector.params == DEFAULT_PARAMS
     assert cfg.energy.v_nom == 0.9
-    assert cfg.sweep_voltages == ()
-    assert cfg.detector_set == ("none", "classical", "statistical", "dmr")
+    assert cfg.sweep.voltages == ()
+    assert cfg.sweep.detectors == ("none", "classical", "statistical", "dmr")
     assert cfg.calibrate.freq_axis == DEFAULT_FREQ_AXIS
     assert cfg.calibrate.mag_log2_axis == DEFAULT_MAG_AXIS
-    assert cfg.output_dir == "out" and cfg.output_format == "csv"
+    assert cfg.output.dir == "out" and cfg.output.format == "csv"
     # without explicit sweep voltages, the table's own rows drive the sweep
     assert cfg.voltages() == tuple(float(v) for v in cfg.energy.table.voltages)
 
@@ -118,11 +118,11 @@ def test_table_file_resolution(tmp_path):
 def test_sweep_voltages_explicit_and_range():
     cfg = parse_config({"sweep": {"voltages": [0.7, 0.9, 0.8]}})
     # normalized to descending order
-    assert cfg.sweep_voltages == (0.9, 0.8, 0.7)
+    assert cfg.sweep.voltages == (0.9, 0.8, 0.7)
     assert cfg.voltages() == (0.9, 0.8, 0.7)
 
     cfg = parse_config({"sweep": {"v_min": 0.6, "v_max": 0.9, "v_step": 0.1}})
-    assert cfg.sweep_voltages == (0.9, 0.8, 0.7, 0.6)
+    assert cfg.sweep.voltages == (0.9, 0.8, 0.7, 0.6)
 
     with pytest.raises(ConfigError, match="either voltages or"):
         parse_config({"sweep": {"voltages": [0.8], "v_min": 0.6, "v_max": 0.9, "v_step": 0.1}})
@@ -135,33 +135,33 @@ def test_sweep_voltages_explicit_and_range():
 def test_sweep_range_counts_its_steps():
     # the stock table's rows, 20 mV apart, and a range ending off the step grid
     cfg = parse_config({"sweep": {"v_min": 0.6, "v_max": 0.9, "v_step": 0.02}})
-    assert cfg.sweep_voltages == tuple(float(v) for v in default_table().voltages)
+    assert cfg.sweep.voltages == tuple(float(v) for v in default_table().voltages)
     cfg = parse_config({"sweep": {"v_min": 0.61, "v_max": 0.87, "v_step": 0.013}})
-    assert cfg.sweep_voltages[-1] == 0.61 and len(cfg.sweep_voltages) == 21
+    assert cfg.sweep.voltages[-1] == 0.61 and len(cfg.sweep.voltages) == 21
     cfg = parse_config({"sweep": {"v_min": 0.6, "v_max": 0.6, "v_step": 0.5}})
-    assert cfg.sweep_voltages == (0.6,)
+    assert cfg.sweep.voltages == (0.6,)
     # the finest step allowed still gives distinct voltages
     cfg = parse_config({"sweep": {"v_min": 0.7, "v_max": 0.7 + 1e-9, "v_step": 1e-10}})
-    assert cfg.sweep_voltages[:2] == (0.700000001, 0.7000000009)
-    assert len(set(cfg.sweep_voltages)) == len(cfg.sweep_voltages)
+    assert cfg.sweep.voltages[:2] == (0.700000001, 0.7000000009)
+    assert len(set(cfg.sweep.voltages)) == len(cfg.sweep.voltages)
 
 
 def test_sweep_range_never_steps_below_v_min():
     # a step finer than the 1e-9 float allowance once gave 21 voltages, 10 below v_min
     cfg = parse_config({"sweep": {"v_min": 0.7, "v_max": 0.700000001, "v_step": 1e-10}})
-    assert len(cfg.sweep_voltages) == 11
-    assert min(cfg.sweep_voltages) == 0.7
+    assert len(cfg.sweep.voltages) == 11
+    assert min(cfg.sweep.voltages) == 0.7
     # off the step grid, the range ends at its last whole step above v_min
     cfg = parse_config({"sweep": {"v_min": 0.7, "v_max": 0.7000000012, "v_step": 1e-9}})
-    assert cfg.sweep_voltages == (0.7000000012, 0.7000000002)
+    assert cfg.sweep.voltages == (0.7000000012, 0.7000000002)
     # within the 1e-9 float allowance of v_min, a last voltage below it is dropped
     cfg = parse_config({"sweep": {"v_min": 0.7, "v_max": 0.7000000015, "v_step": 1e-9}})
-    assert cfg.sweep_voltages == (0.7000000015, 0.7000000005)
+    assert cfg.sweep.voltages == (0.7000000015, 0.7000000005)
     cfg = parse_config({"sweep": {"v_min": 0.7, "v_max": 0.700000005, "v_step": 2e-9}})
-    assert cfg.sweep_voltages == (0.700000005, 0.700000003, 0.700000001)
+    assert cfg.sweep.voltages == (0.700000005, 0.700000003, 0.700000001)
     # a range that ends on v_min up to float error keeps v_min itself
     cfg = parse_config({"sweep": {"v_min": 0.6, "v_max": 0.9, "v_step": 0.02}})
-    assert len(cfg.sweep_voltages) == 16 and cfg.sweep_voltages[-1] == 0.6
+    assert len(cfg.sweep.voltages) == 16 and cfg.sweep.voltages[-1] == 0.6
 
 
 @pytest.mark.parametrize(
@@ -182,7 +182,7 @@ def test_sweep_voltages_that_repeat_or_never_end_are_rejected(sweep, message):
 
 def test_sweep_detector_set():
     cfg = parse_config({"sweep": {"detectors": ["classical", "statistical"]}})
-    assert cfg.detector_set == ("classical", "statistical")
+    assert cfg.sweep.detectors == ("classical", "statistical")
     specs = cfg.detector_specs()
     assert [s.kind for s in specs] == ["classical", "statistical"]
     assert specs[1].params == DEFAULT_PARAMS
@@ -287,7 +287,7 @@ def test_resolved_dict_round_trips_through_parse():
     assert again.workload == cfg.workload
     assert again.fault == cfg.fault
     assert again.detector == cfg.detector
-    assert again.sweep_voltages == cfg.sweep_voltages
+    assert again.sweep.voltages == cfg.sweep.voltages
     json.dumps(echo)
 
 
@@ -341,7 +341,7 @@ def test_readme_full_config_example_parses(tmp_path):
     # integer JSON values are accepted on float axes and stored as floats
     assert cfg.calibrate.mag_log2_axis == (12.0, 14.0, 16.0, 18.0)
     assert cfg.detector.msd_threshold == 1048576
-    assert cfg.detector_set == ("classical", "statistical")
+    assert cfg.sweep.detectors == ("classical", "statistical")
 
 
 @pytest.mark.parametrize(
