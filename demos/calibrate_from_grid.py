@@ -8,8 +8,13 @@ the fit error is measurable directly.
 """
 from __future__ import annotations
 
-from statabft.calibration import fit_critical_region, planted_step_oracle, quality_grid
-from statabft.config import DEFAULT_FREQ_AXIS, DEFAULT_MAG_AXIS
+from statabft.calibration import (
+    DEFAULT_FREQ_AXIS,
+    DEFAULT_MAG_AXIS,
+    fit_critical_region,
+    planted_step_oracle,
+    quality_grid,
+)
 from statabft.detectors import CriticalRegionParams
 
 TRUE = CriticalRegionParams(a=2.0, b=40.0, theta_freq=4)

@@ -41,6 +41,7 @@ from .detectors import DEFAULT_PARAMS, CriticalRegionParams
 from .faults import BLOCK_LANES, INT32_MAX, INT32_MIN, _wrap_int32, uniform_corruption
 from .resilience import NORM_KINDS
 from .rng import derive_seed
+from .workloads import WorkloadSpec
 # not called: the benchmark's tracer (perfbench/tracing.py) looks inject_uniform up in this module
 from .faults import inject_uniform
 
@@ -108,6 +109,18 @@ def _grid_axes(freq_axis, mag_log2_axis) -> tuple[np.ndarray, np.ndarray]:
     return fa, ma
 
 
+def _check_grid(mag_log2_axis, freq_axis, trials: int, epsilon: float):
+    """``_grid_axes``, after the mag_log2 range, trials >= 1 and epsilon >= 0, in that order."""
+    mags = np.asarray(mag_log2_axis, dtype=np.float64)
+    if not np.all((mags >= 0) & (mags <= MAX_MAG_LOG2)):
+        raise ValueError(f"mag_log2_axis values must lie in [0, {MAX_MAG_LOG2}]")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not epsilon >= 0:
+        raise ValueError(f"epsilon must be >= 0, got {epsilon}")
+    return _grid_axes(freq_axis, mags)
+
+
 @dataclass(frozen=True, eq=False)
 class QualityGrid:
     """Mean degradation per (freq, mag) cell plus the acceptability mask.
@@ -154,10 +167,6 @@ class CalibrationSettings:
     def __post_init__(self):
         if self.oracle not in ORACLES:
             raise ValueError(f"oracle must be one of {ORACLES}, got {self.oracle!r}")
-        if not self.epsilon >= 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.norm_kind not in NORM_KINDS:
             raise ValueError(f"norm_kind must be one of {NORM_KINDS}, got {self.norm_kind!r}")
         for name in ("target_rows", "target_cols"):
@@ -169,17 +178,13 @@ class CalibrationSettings:
                 f"target_rows must make target_rows * target_cols <= {BLOCK_LANES} "
                 f"(a 1024 x 1024 target), got {self.target_rows} * {self.target_cols}"
             )
-        for name, lo, hi in (("freq_axis", 1, math.inf), ("mag_log2_axis", 0, MAX_MAG_LOG2)):
-            axis = getattr(self, name)
-            if len(axis) < 2 or not lo <= min(axis) <= max(axis) <= hi:
-                raise ValueError(f"{name} needs >= 2 values in [{lo}, {hi}], got {list(axis)}")
-            if any(b <= a for a, b in zip(axis, axis[1:])):
-                raise ValueError(f"{name} must be strictly increasing")
-        if max(self.freq_axis) > self.target_rows * self.target_cols:
+        # before the grid rules, so that a freq too large for int64 is refused here
+        if max(self.freq_axis, default=0) > self.target_rows * self.target_cols:
             raise ValueError(
                 f"freq_axis max {max(self.freq_axis)} exceeds injection target size "
                 f"{self.target_rows}x{self.target_cols}"
             )
+        _check_grid(self.mag_log2_axis, self.freq_axis, self.trials, self.epsilon)
 
 
 def zero_factory(rows: int, cols: int) -> CleanFactory:
@@ -237,9 +242,10 @@ def quality_grid(
     freq_axis,
     *,
     epsilon: float,
-    trials: int = 32,
-    seed: int = 0,
-    clean_factory: CleanFactory = zero_factory(16, 16),
+    trials: int = CalibrationSettings.trials,
+    seed: int = WorkloadSpec.seed,
+    clean_factory: CleanFactory = zero_factory(CalibrationSettings.target_rows,
+                                               CalibrationSettings.target_cols),
 ) -> QualityGrid:
     """Score every (freq, mag) cell with ``trials`` uniform injections.
 
@@ -254,30 +260,25 @@ def quality_grid(
     Trials go in blocks of max(1, BLOCK_LANES // elements), sized by one
     probe call of ``clean_factory`` per grid. Per block,
     ``clean_factory(seeds)`` maps the block's uint64 clean seeds to an
-    integer (len(seeds) x rows x cols) stack (``zero_factory(16, 16)`` by
-    default), with values inside INT32 and one (rows, cols) for the whole
-    grid; one ``uniform_corruption`` call per freq picks the positions and
-    reads their clean values; and per cell, the record with that cell's mag
-    corrupts a copy of the stack in one vectorized pass, which equals
-    ``inject_uniform`` trial by trial, and one oracle call maps the
-    ``OracleBlock`` to a float array of one degradation score >= 0 per
-    trial. A cell's quality is the mean of its scores, summed in trial order
-    with the sum carried across blocks, so block sizes change no result and
-    memory does not grow with ``trials``. A malformed stack, an injection or
-    oracle failure, and a score array of another shape or with a negative or
-    non-finite score raise GridCellError carrying the cell coordinates: the
-    first cell for the factory, a freq's first mag for its injection.
+    integer (len(seeds) x rows x cols) stack (by default all zeros, of
+    ``CalibrationSettings``' stock 16 x 16 target), with values inside INT32
+    and one (rows, cols) for the whole grid; one ``uniform_corruption``
+    call per freq picks the positions and reads their clean values; and per
+    cell, the record with that cell's mag corrupts a copy of the stack in
+    one vectorized pass, which equals ``inject_uniform`` trial by trial, and
+    one oracle call maps the ``OracleBlock`` to a float array of one
+    degradation score >= 0 per trial. A cell's quality is the mean of its
+    scores, summed in trial order with the sum carried across blocks, so
+    block sizes change no result and memory does not grow with ``trials``.
+    A malformed stack, an injection or oracle failure, and a score array of
+    another shape or with a negative or non-finite score raise GridCellError
+    carrying the cell coordinates: the first cell for the factory, a freq's
+    first mag for its injection.
     """
-    mag_axis = np.asarray(mag_log2_axis, dtype=np.float64)
-    if np.any(mag_axis < 0) or np.any(mag_axis > MAX_MAG_LOG2):
-        raise ValueError(f"mag_log2 values must lie in [0, {MAX_MAG_LOG2}]")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if not (epsilon >= 0):
-        raise ValueError("epsilon must be >= 0")
+    # every grid rule, before any factory or oracle call
+    freqs, mag_axis = _check_grid(mag_log2_axis, freq_axis, trials, epsilon)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    freqs, mag_axis = _grid_axes(freq_axis, mag_axis)  # before any factory or oracle call
 
     mags = [(m, int(round(2.0**m))) for m in mag_axis.tolist()]
     f0, (m0, mag0) = int(freqs[0]), mags[0]
@@ -340,7 +341,7 @@ def planted_step_oracle(params: CriticalRegionParams) -> QualityOracle:
     return oracle
 
 
-def norm_distortion_oracle(norm_kind: str = "layer_norm") -> QualityOracle:
+def norm_distortion_oracle(norm_kind: str = CalibrationSettings.norm_kind) -> QualityOracle:
     """Degradation = fraction of normalized outputs moved > 1% by the fault.
 
     Each trial's injected matrix is treated as one hidden-state vector

@@ -127,17 +127,14 @@ def cmd_verify(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _make_oracle(cfg: ExperimentConfig):
-    cal = cfg.calibrate
-    if cal.oracle == "planted":
-        return planted_step_oracle(cal.planted)
-    return norm_distortion_oracle(cal.norm_kind)
-
-
 def cmd_calibrate(cfg: ExperimentConfig, args) -> int:
     cal = cfg.calibrate
+    if cal.oracle == "planted":
+        oracle = planted_step_oracle(cal.planted)
+    else:
+        oracle = norm_distortion_oracle(cal.norm_kind)
     grid = quality_grid(
-        _make_oracle(cfg),
+        oracle,
         cal.mag_log2_axis,
         cal.freq_axis,
         epsilon=cal.epsilon,

@@ -16,7 +16,7 @@ import os
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 
-from .calibration import DEFAULT_FREQ_AXIS, DEFAULT_MAG_AXIS, CalibrationSettings  # noqa: F401
+from .calibration import CalibrationSettings
 from .detectors import (
     DEFAULT_PARAMS,
     DETECTOR_KINDS,

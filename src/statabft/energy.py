@@ -61,7 +61,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .detectors import STATISTICAL_KINDS, row_msd
+from .detectors import STATISTICAL_KINDS
 from .faults import (
     BLOCK_LANES,
     UNIFORM_MODE,
@@ -129,9 +129,9 @@ def total_energy(
     recovery_rate: float,
     n_mac: int,
     cfg: EnergyConfig,
-    detector: str = "statistical",
+    detector: str,
 ) -> float:
-    """Expected per-GEMM energy including detection and recovery costs."""
+    """Expected per-GEMM energy of a ``detector`` kind, detection and recovery costs included."""
     if not (0.0 <= recovery_rate <= 1.0):
         raise ValueError(f"recovery_rate must be in [0, 1], got {recovery_rate}")
     base = compute_energy(v, n_mac, cfg)
@@ -297,6 +297,8 @@ def _score_stream(
     MSDs sum in trial order, so the block size changes no result.
     """
     labels = _unique_labels(detectors)
+    if not detectors:  # nothing to tally
+        return [[] for _ in bers]
     # per BER and detector: recoveries, undetected critical trials and the freq_eff sum
     counts = np.zeros((len(bers), len(detectors), 3), dtype=np.int64)
     msd_sums = [0.0] * len(bers)
@@ -304,9 +306,9 @@ def _score_stream(
         # (detectors x 3 x rows) int64, added to each row's BER
         per_row = np.array(
             [(r.recovers, critical & ~r.recovers, r.freq_eff) for r in decisions], dtype=np.int64
-        ).reshape(len(detectors), 3, len(diffs))
+        )
         np.add.at(counts, level, np.moveaxis(per_row, 2, 0))
-        msd = row_msd(diffs).astype(np.float64)
+        msd = decisions[0].msd.astype(np.float64)  # every kind's decisions hold the same MSDs
         runs = np.split(msd, np.searchsorted(level, np.arange(level[0] + 1, level[-1] + 1)))
         for i, run in enumerate(runs, level[0]):
             # float MSDs summed one after another in trial order (np.sum would sum pairwise)
@@ -338,7 +340,7 @@ def sweep_detectors(
     detectors,
     fault: FaultConfig,
     voltages,
-    energy_cfg: EnergyConfig | None = None,
+    energy_cfg: EnergyConfig,
 ) -> dict[str, SweepResult]:
     """Voltage sweep: same GEMM stream and faults per point, BER from the table.
 
@@ -354,8 +356,6 @@ def sweep_detectors(
     """
     if fault.mode == UNIFORM_MODE:
         raise ValueError("fault.mode: sweep draws BER faults from the voltage table, not uniform")
-    if energy_cfg is None:
-        energy_cfg = EnergyConfig()
     voltages = [float(v) for v in voltages]
     if not voltages:
         raise ValueError("sweep needs at least one voltage")

@@ -418,7 +418,7 @@ def run_check(name: str, cases: int, seed: int) -> CheckResult:
     return CheckResult(name, cases, True)
 
 
-def run_checks(cases: int = 200, seed: int = 0) -> list[CheckResult]:
+def run_checks(cases: int, seed: int) -> list[CheckResult]:
     """Run every check; results keep the CHECKS order."""
     return [
         run_check(k.name, max(cases // 4, 25) if k.quarter else cases, seed)

@@ -13,9 +13,15 @@ import os
 import numpy as np
 import pytest
 
-from statabft.calibration import fit_critical_region, planted_step_oracle, quality_grid
+from statabft.calibration import (
+    DEFAULT_FREQ_AXIS,
+    DEFAULT_MAG_AXIS,
+    fit_critical_region,
+    planted_step_oracle,
+    quality_grid,
+)
 from statabft.cli import main
-from statabft.config import DEFAULT_FREQ_AXIS, DEFAULT_MAG_AXIS, DEFAULT_PARAMS
+from statabft.config import DEFAULT_PARAMS
 from statabft.detectors import ChecksumPair, DetectorSpec, detect_statistical, theta_mag
 from statabft.energy import EnergyConfig, compare_detectors, sweep_detectors
 from statabft.faults import FaultConfig, default_table, inject_uniform

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from statabft import calibration
 from statabft.calibration import (
+    DEFAULT_FREQ_AXIS,
+    DEFAULT_MAG_AXIS,
     GridCellError,
     NoBoundaryError,
     OracleBlock,
@@ -19,7 +21,6 @@ from statabft.calibration import (
     quality_grid,
     zero_factory,
 )
-from statabft.config import DEFAULT_FREQ_AXIS, DEFAULT_MAG_AXIS
 from statabft.detectors import CriticalRegionParams, load_params, save_params
 from statabft.faults import FaultConfig, inject_uniform
 from statabft.gemm import AccumMatrix

@@ -327,6 +327,17 @@ def test_inject_file_output(tmp_path, capsys):
     assert doc["gemm_index"] == 0
 
 
+def test_output_dir_covers_calibrate_compare_and_sweep_only(tmp_path, monkeypatch, capsys):
+    # verify and inject write files only under --out, as README's --out paragraph says
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, {"output": {"dir": "mine"}})
+    assert main(["--config", cfg, "verify", "--cases", "5"]) == 0
+    assert main(["--config", cfg, "inject", "--index", "1"]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+    assert main(["--config", cfg, "compare"]) == 0
+    assert os.path.exists(tmp_path / "mine" / "detectors.csv")
+
+
 def test_inject_index_out_of_range(tmp_path, capsys):
     cfg = write_config(tmp_path, {"workload": dict(SMALL_WORKLOAD, gemm_count=2)})
     rc = main(["--config", cfg, "inject", "--index", "5"])

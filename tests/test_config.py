@@ -1,14 +1,20 @@
+import inspect
 import json
 import math
 import os
 import re
 
+import numpy as np
 import pytest
 
-from statabft.cli import main
-from statabft.config import (
+from statabft.calibration import (
     DEFAULT_FREQ_AXIS,
     DEFAULT_MAG_AXIS,
+    norm_distortion_oracle,
+    quality_grid,
+)
+from statabft.cli import main
+from statabft.config import (
     DEFAULT_PARAMS,
     ConfigError,
     ExperimentConfig,
@@ -18,7 +24,9 @@ from statabft.config import (
     resolved_dict,
 )
 from statabft.detectors import CriticalRegionParams, save_params
+from statabft.energy import sweep_detectors, total_energy
 from statabft.faults import default_table
+from statabft.verify import run_checks
 
 
 def test_empty_config_gives_stock_experiment():
@@ -37,6 +45,30 @@ def test_empty_config_gives_stock_experiment():
     assert cfg.output.dir == "out" and cfg.output.format == "csv"
     # without explicit sweep voltages, the table's own rows drive the sweep
     assert cfg.voltages() == tuple(float(v) for v in cfg.energy.table.voltages)
+
+
+def test_library_defaults_are_their_sections_defaults():
+    # an entry point's default is its config section's default, or there is none
+    stock = ExperimentConfig()
+    cal = stock.calibrate
+    homes = {
+        ("quality_grid", "trials"): cal.trials,
+        ("quality_grid", "seed"): stock.workload.seed,
+        ("norm_distortion_oracle", "norm_kind"): cal.norm_kind,
+    }
+    found = []
+    for fn in (quality_grid, norm_distortion_oracle, sweep_detectors, total_energy, run_checks):
+        for name, p in inspect.signature(fn).parameters.items():
+            if p.default is inspect.Parameter.empty:
+                continue
+            found.append((fn.__name__, name))
+            if name == "clean_factory":
+                # the all-zero stack of the section's target
+                stack = p.default(np.zeros(2, dtype=np.uint64))
+                assert stack.shape == (2, cal.target_rows, cal.target_cols) and not stack.any()
+            else:
+                assert p.default == homes.get((fn.__name__, name), "no home")
+    assert sorted(found) == sorted([*homes, ("quality_grid", "clean_factory")])
 
 
 def test_sweep_trials_is_the_workload_gemm_count():

@@ -71,7 +71,7 @@ def test_total_energy_per_detector():
         1000 * 1.0179 + 1000.0
     )
     with pytest.raises(ValueError, match="recovery_rate"):
-        total_energy(0.6, 1.5, 1000, cfg)
+        total_energy(0.6, 1.5, 1000, cfg, "statistical")
 
 
 def test_latency_factor():
@@ -410,11 +410,11 @@ def test_sweep_equals_a_per_trial_reference(detectors):
 def test_sweep_input_validation():
     spec = replace(SPEC, gemm_count=2)
     with pytest.raises(ValueError, match="voltage"):
-        sweep_detectors(spec, DETECTORS, BER, [])
+        sweep_detectors(spec, DETECTORS, BER, [], EnergyConfig())
     # the BER comes from the table, so a uniform fault has no place in a sweep
     uniform = FaultConfig(mode="uniform", freq=1, mag=1)
     with pytest.raises(ValueError, match="^fault.mode: sweep draws BER faults"):
-        sweep_detectors(spec, DETECTORS, uniform, [0.9])
+        sweep_detectors(spec, DETECTORS, uniform, [0.9], EnergyConfig())
 
 
 def test_energy_saving_fraction():

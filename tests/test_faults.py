@@ -158,6 +158,25 @@ def test_geometric_flips_are_bernoulli_per_bit():
     assert abs(kept - idx.size / 2) < 5 * (idx.size / 4) ** 0.5
 
 
+@pytest.mark.parametrize(
+    "n_bits, ber",
+    # means of 10 flips, of 205 (past the first _SKIP_CHUNK draw), and every bit
+    [(1000, 0.01), (4096, 0.05), (300, 1.0)],
+)
+def test_geometric_flips_count_per_trial_is_binomial(n_bits, ber):
+    # K, a trial's flip count, is Binomial(n_bits, ber): over 2,000 trials its
+    # sample mean and variance lie within 5 standard errors of the law's
+    trials = 2000
+    trial, _, _ = geometric_flips(derive_seed(41, np.arange(trials)), n_bits, ber)
+    k = np.bincount(trial, minlength=trials)
+    mean, var = n_bits * ber, n_bits * ber * (1 - ber)
+    # the binomial's fourth central moment gives the sample variance's spread
+    mu4 = var * (1 + 3 * (n_bits - 2) * ber * (1 - ber))
+    var_se = ((mu4 - var**2 * (trials - 3) / (trials - 1)) / trials) ** 0.5
+    assert abs(k.mean() - mean) <= 5 * (var / trials) ** 0.5
+    assert abs(k.var(ddof=1) - var) <= 5 * var_se
+
+
 def test_sparse_flips_match_the_dense_sampler():
     w = random_quant_matrix(12, 40, "uniform", 5)
     x = random_quant_matrix(40, 9, "outlier", 6)

@@ -3,6 +3,7 @@
 import ast
 import importlib.util
 import pathlib
+import re
 
 import pytest
 
@@ -10,7 +11,8 @@ import statabft
 from statabft import energy
 
 SRC = pathlib.Path(statabft.__file__).parent
-TRACING = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def _load_tracing():
@@ -40,24 +42,64 @@ def _exported(tree):
     return set()
 
 
+def _top_level_imports(path):
+    """The names a module's top-level imports bind, split by a ``# noqa: F401`` mark, and read.
+
+    Returns (names of unmarked imports, names of marked ones, names the module
+    reads, its module AST).
+    """
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source, filename=str(path))
+    plain, marked = set(), set()
+    for node in tree.body:
+        names = set()
+        if isinstance(node, ast.Import):
+            names = {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names = {a.asname or a.name for a in node.names}
+        (marked if "# noqa: F401" in lines[node.lineno - 1] else plain).update(names)
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return plain, marked, read, tree
+
+
 def unused_imports(path):
     """Names bound by the module's top-level imports that nothing in it reads.
 
     An import marked ``# noqa: F401`` on its first line is a deliberate re-export.
     """
-    source = path.read_text()
-    lines = source.splitlines()
-    tree = ast.parse(source, filename=str(path))
-    bound = set()
-    for node in tree.body:
-        if "# noqa: F401" in lines[node.lineno - 1]:
-            continue
-        if isinstance(node, ast.Import):
-            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            bound |= {a.asname or a.name for a in node.names}
-    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return sorted(bound - read - _exported(tree) - LOOKED_UP.get(path.stem, set()))
+    plain, _, read, tree = _top_level_imports(path)
+    return sorted(plain - read - _exported(tree) - LOOKED_UP.get(path.stem, set()))
+
+
+def _sources():
+    """Every text that may import from the package: src, demos, tests and README's python blocks."""
+    for folder in (SRC, ROOT / "demos", ROOT / "tests"):
+        for path in sorted(folder.glob("*.py")):
+            yield path.read_text()
+    yield from re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+
+
+def imported_names(sources):
+    """(module, name) of each ``from statabft.module import name`` or ``from .module import name``."""
+    found = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                package, _, module = node.module.rpartition(".")
+                if package == "statabft" or (node.level == 1 and not package):
+                    found |= {(module, a.name) for a in node.names}
+    return found
+
+
+IMPORTED = imported_names(_sources())
+
+
+def stale_reexports(path, imported):
+    """Names a module re-exports (``# noqa: F401``) that neither it nor any file imports from it."""
+    _, marked, read, _ = _top_level_imports(path)
+    taken = {name for module, name in imported if module == path.stem}
+    return sorted(marked - read - taken - LOOKED_UP.get(path.stem, set()))
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -72,6 +114,20 @@ def test_unused_import_is_reported(tmp_path):
         "from math import e  # noqa: F401\nprint(np, tau)\n"
     )
     assert unused_imports(module) == ["os", "pi"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_stale_reexports(path):
+    assert stale_reexports(path, IMPORTED) == []
+
+
+def test_stale_reexport_is_reported(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from math import pi, tau  # noqa: F401\nfrom math import e  # noqa: F401\nprint(tau)\n"
+    )
+    assert stale_reexports(module, imported_names(["from statabft.m import e\n"])) == ["pi"]
+    assert stale_reexports(module, imported_names(["from .m import pi, e\n"])) == []
 
 
 def numpy_random_lines(path):

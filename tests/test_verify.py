@@ -40,7 +40,7 @@ def test_checks_are_seed_stable():
 
 def test_run_checks_rejects_bad_case_count():
     with pytest.raises(ValueError, match="cases"):
-        run_checks(cases=0)
+        run_checks(cases=0, seed=0)
 
 
 def test_random_diff_mixes_magnitudes():
