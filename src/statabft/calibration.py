@@ -8,11 +8,14 @@ priorities, so neighbouring cells are compared on common random numbers.
 Trials go a block at a time. A block makes one clean-factory call, which
 builds its (trials x rows x cols) stack; one ``faults.Corruption`` record
 per frequency, whose positions all of that frequency's magnitudes share;
-and, per cell, one vectorized write into a copy of the stack and one
-oracle call, which scores the ``OracleBlock`` into one array of per-trial
-scores. No Python object is built per trial, so the grid's cost per
-injection is a few array operations. A block holds at most ``BLOCK_LANES``
-elements, and each cell's score sum carries across blocks, so memory is
+and, per cell, one oracle call, which scores the ``OracleBlock`` into one
+array of per-trial scores. A cell's corrupted stack is written only when
+its oracle reads ``OracleBlock.corrupted``, in one vectorized pass into a
+copy of the clean stack, so an oracle that reads only the cell's
+coordinates costs no injection write at all. No Python object is built per
+trial, so the grid's cost per injection is a few array operations. A block
+holds at most ``BLOCK_LANES`` clean elements and at most ``BLOCK_LANES``
+scores, and each cell's score sum carries across blocks, so memory is
 bounded by the block size, not by the trial count. A line fitted to the
 acceptable/unacceptable boundary recovers critical-region parameters
 (a, b, theta_freq) for the statistical detector.
@@ -33,14 +36,15 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .detectors import DEFAULT_PARAMS, CriticalRegionParams
-from .faults import BLOCK_LANES, INT32_MAX, INT32_MIN, _wrap_int32, uniform_corruption
+from .faults import BLOCK_LANES, INT32_MAX, INT32_MIN, Corruption, _wrap_int32, uniform_corruption
 from .resilience import NORM_KINDS
-from .rng import derive_seed
+from .rng import check_seed, derive_seed
 from .workloads import WorkloadSpec
 # not called: the benchmark's tracer (perfbench/tracing.py) looks inject_uniform up in this module
 from .faults import inject_uniform
@@ -75,21 +79,35 @@ class OracleBlock:
 
     ``clean`` and ``corrupted`` are read-only int32 (len(trials) x rows x
     cols) stacks, row i holding trial ``trials[i]`` (its index, shared by
-    every cell) before and after injection.
+    every cell) before and after injection. ``record`` is the
+    ``faults.Corruption`` of the cell's frequency, which all its mags share:
+    the elements each trial corrupts and their clean values (its ``after``
+    is not read). ``corrupted`` is derived from it: on first read, ``mag``
+    is added to those values (wrapping in INT32) and written into a copy of
+    ``clean`` in one vectorized pass, which equals ``inject_uniform`` trial
+    by trial, and the stack is cached. An oracle that never reads it costs
+    no write.
     """
 
     clean: np.ndarray
-    corrupted: np.ndarray
+    record: Corruption
     freq: int
     mag: int
     mag_log2: float
     trials: np.ndarray
 
     def __post_init__(self):
-        for name in ("clean", "corrupted", "trials"):
+        for name in ("clean", "trials"):
             view = np.asarray(getattr(self, name)).view()
             view.setflags(write=False)
             object.__setattr__(self, name, view)
+
+    @cached_property
+    def corrupted(self) -> np.ndarray:
+        after = _wrap_int32(self.record.before + self.mag)
+        stack = replace(self.record, after=after).apply(self.clean.copy())
+        stack.setflags(write=False)
+        return stack
 
 
 # maps a block to a float array of one degradation score >= 0 per trial
@@ -257,19 +275,19 @@ def quality_grid(
     smallest of the trial's priorities, so a trial's positions at one freq
     hold those at every lower freq, and all mags of a freq share them.
 
-    Trials go in blocks of max(1, BLOCK_LANES // elements), sized by one
-    probe call of ``clean_factory`` per grid. Per block,
+    Trials go in blocks of max(1, BLOCK_LANES // max(elements, cells)),
+    sized by one probe call of ``clean_factory`` per grid. Per block,
     ``clean_factory(seeds)`` maps the block's uint64 clean seeds to an
     integer (len(seeds) x rows x cols) stack (by default all zeros, of
     ``CalibrationSettings``' stock 16 x 16 target), with values inside INT32
     and one (rows, cols) for the whole grid; one ``uniform_corruption``
     call per freq picks the positions and reads their clean values; and per
-    cell, the record with that cell's mag corrupts a copy of the stack in
-    one vectorized pass, which equals ``inject_uniform`` trial by trial, and
-    one oracle call maps the ``OracleBlock`` to a float array of one
-    degradation score >= 0 per trial. A cell's quality is the mean of its
-    scores, summed in trial order with the sum carried across blocks, so
-    block sizes change no result and memory does not grow with ``trials``.
+    cell, one oracle call maps the ``OracleBlock`` to a float array of one
+    degradation score >= 0 per trial. The block's ``corrupted`` stack is
+    written from the freq's record, with that cell's mag, only if the oracle
+    reads it. A cell's quality is the mean of its scores, summed in trial
+    order with the sum carried across blocks, so block sizes change no
+    result and memory does not grow with ``trials``.
     A malformed stack, an injection or oracle failure, and a score array of
     another shape or with a negative or non-finite score raise GridCellError
     carrying the cell coordinates: the first cell for the factory, a freq's
@@ -277,14 +295,14 @@ def quality_grid(
     """
     # every grid rule, before any factory or oracle call
     freqs, mag_axis = _check_grid(mag_log2_axis, freq_axis, trials, epsilon)
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    check_seed(seed)
 
     mags = [(m, int(round(2.0**m))) for m in mag_axis.tolist()]
     f0, (m0, mag0) = int(freqs[0]), mags[0]
     probe_seed = np.array([derive_seed(seed, 0, 0)], dtype=np.uint64)
     rows, cols = _clean_stack(clean_factory, probe_seed, None, f0, m0).shape[1:]
-    step = max(1, BLOCK_LANES // (rows * cols))
+    # a block holds at most BLOCK_LANES clean elements and at most BLOCK_LANES scores
+    step = max(1, BLOCK_LANES // max(rows * cols, freqs.size * mag_axis.size))
     # sums[i, j]: cell (i, j)'s scores summed one after another in trial order
     # from 0.0, as a Python sum does and np.sum does not
     sums = np.zeros((freqs.size, mag_axis.size))
@@ -294,6 +312,9 @@ def quality_grid(
         seeds = derive_seed(seed, block_trials[:, np.newaxis], np.arange(2))
         clean = _clean_stack(clean_factory, seeds[:, 0], (rows, cols), f0, m0)
         flat = clean.reshape(len(clean), rows * cols)
+        # scores[i, j]: cell (i, j)'s carried sum, then its score of each trial of the block
+        scores = np.empty((freqs.size, mag_axis.size, 1 + len(block_trials)))
+        scores[:, :, 0] = sums
         for i, f in enumerate(freqs.tolist()):
             try:
                 record = uniform_corruption(
@@ -302,14 +323,12 @@ def quality_grid(
             except ValueError as e:
                 raise GridCellError(f, m0, str(e)) from e
             for j, (m, mag) in enumerate(mags):
-                after = _wrap_int32(record.before + mag)
-                corrupted = replace(record, after=after).apply(clean.copy())
                 block = OracleBlock(
-                    clean=clean, corrupted=corrupted, freq=f, mag=mag, mag_log2=m,
-                    trials=block_trials,
+                    clean=clean, record=record, freq=f, mag=mag, mag_log2=m, trials=block_trials
                 )
-                scores = _scores(oracle, block, f, m)
-                sums[i, j] = np.add.accumulate(np.concatenate(([sums[i, j]], scores)))[-1]
+                scores[i, j, 1:] = _scores(oracle, block, f, m)
+        # np.add.accumulate, unlike np.sum, adds one trial after another
+        sums = np.add.accumulate(scores, axis=2)[:, :, -1]
 
     quality = sums / trials
     return QualityGrid(

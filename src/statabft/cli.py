@@ -41,6 +41,7 @@ from .energy import (
 )
 from .faults import corruption
 from .gemm import predicted_output_checksum
+from .rng import check_seed
 from .workloads import workload_matrices
 
 
@@ -301,8 +302,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config) if args.config else ExperimentConfig()
         if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError(f"--seed must be in [0, 2**64), got {args.seed}")
+            check_seed(args.seed, "--seed")
             cfg = override_seed(cfg, args.seed)
         if args.format:
             cfg = replace(cfg, output=replace(cfg.output, format=args.format))

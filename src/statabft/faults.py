@@ -56,7 +56,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .gemm import AccumMatrix
-from .rng import DRAW_BLOCK, u64_stream, unit_floats
+from .rng import DRAW_BLOCK, check_seed, u64_stream, unit_floats
 
 BER_MODE = "ber"
 UNIFORM_MODE = "uniform"
@@ -117,8 +117,7 @@ class FaultConfig:
             raise ValueError(f"freq must be >= 0, got {self.freq}")
         if not (INT32_MIN <= self.mag <= INT32_MAX):
             raise ValueError(f"mag must fit INT32, got {self.mag}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -80,6 +80,12 @@ def u64_stream(seed, n: int, offset: int = 0) -> np.ndarray:
     return u64_at(seed, np.arange(offset, offset + n, dtype=np.uint64))
 
 
+def check_seed(seed: int, name: str = "seed") -> None:
+    """Refuse a root seed outside [0, 2**64), which ``derive_seed`` would wrap silently."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"{name} must be in [0, 2**64), got {seed}")
+
+
 def unit_floats(u: np.ndarray) -> np.ndarray:
     """Map uint64 draws to float64 in [0, 1) using the top 53 bits."""
     return (u >> np.uint64(11)).astype(np.float64) * 2.0**-53

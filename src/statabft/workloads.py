@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gemm import MAX_INNER_DIM, QuantMatrix, gemm_entries
-from .rng import DRAW_BLOCK, GAMMA, MASK64, derive_seed, u64_at, u64_stream
+from .rng import DRAW_BLOCK, GAMMA, MASK64, check_seed, derive_seed, u64_at, u64_stream
 
 DISTRIBUTIONS = ("uniform", "outlier")
 
@@ -70,8 +70,7 @@ class WorkloadSpec:
             )
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"distribution must be one of {DISTRIBUTIONS}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        check_seed(self.seed)
 
     @property
     def macs_per_gemm(self) -> int:

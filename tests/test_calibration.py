@@ -1,5 +1,6 @@
 import hashlib
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from statabft import calibration
+from statabft import calibration, cli, faults
 from statabft.calibration import (
     DEFAULT_FREQ_AXIS,
     DEFAULT_MAG_AXIS,
@@ -22,10 +23,12 @@ from statabft.calibration import (
     zero_factory,
 )
 from statabft.detectors import CriticalRegionParams, load_params, save_params
-from statabft.faults import FaultConfig, inject_uniform
+from statabft.faults import Corruption, FaultConfig, inject_uniform, uniform_corruption
 from statabft.gemm import AccumMatrix
 from statabft.resilience import NORM_KINDS, apply_norm, measure_change
 from statabft.rng import derive_seed, u64_stream
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def make_grid(freqs, mags, acceptable):
@@ -40,10 +43,11 @@ def make_grid(freqs, mags, acceptable):
 
 
 def planted_case(freq, mag_log2, trials=3):
-    z = np.zeros((trials, 1, 1), dtype=np.int32)
+    # the planted oracle reads only the cell's coordinates, so the record corrupts nothing
+    none = np.zeros(0, dtype=np.int64)
     return OracleBlock(
-        clean=z,
-        corrupted=z,
+        clean=np.zeros((trials, 1, 1), dtype=np.int32),
+        record=Corruption(trials, 1, none, none, none, none),
         freq=freq,
         mag=int(round(2.0**mag_log2)),
         mag_log2=mag_log2,
@@ -316,26 +320,54 @@ def test_norm_distortion_oracle_spread_vs_confined():
     clean = AccumMatrix(np.zeros((16, 16), dtype=np.int32))
     cfg = FaultConfig(mode="uniform", freq=4, mag=1024, seed=3)
     corrupted, _ = inject_uniform(clean, cfg)
+    # the record inject_uniform draws on the same seed
+    record = uniform_corruption(
+        np.array([cfg.seed], dtype=np.uint64), 16, 16, lambda _, r, c: clean.data[r, c],
+        cfg.freq, cfg.mag,
+    )
     block = OracleBlock(
         clean=clean.data[np.newaxis],
-        corrupted=corrupted.data[np.newaxis],
+        record=record,
         freq=4,
         mag=1024,
         mag_log2=10.0,
         trials=np.arange(1),
     )
+    np.testing.assert_array_equal(block.corrupted, corrupted.data[np.newaxis])
     assert norm_distortion_oracle("layer_norm")(block).tolist() == [1.0]
     assert norm_distortion_oracle("none")(block).tolist() == [4.0 / 256.0]
 
 
+def one_freq_block(stack, seeds, freq, mag):
+    """The OracleBlock of ``stack`` injected with ``freq`` elements of ``mag`` on ``seeds``."""
+    record = uniform_corruption(
+        np.asarray(seeds, dtype=np.uint64), *stack.shape[1:], lambda t, r, c: stack[t, r, c],
+        freq, mag,
+    )
+    return OracleBlock(
+        stack, record, freq=freq, mag=mag, mag_log2=math.log2(mag), trials=np.arange(len(stack))
+    )
+
+
 def test_oracle_block_stacks_are_read_only():
     stack = np.zeros((2, 3, 4), dtype=np.int32)
-    block = OracleBlock(stack, stack, freq=1, mag=2, mag_log2=1.0, trials=np.arange(2))
+    block = one_freq_block(stack, [5, 6], freq=1, mag=2)
     for arr in (block.clean, block.corrupted, block.trials):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
     # the caller's own arrays stay writable
     stack[0] = 1
+
+
+def test_corrupted_is_built_once_and_cached():
+    stack = np.zeros((2, 3, 4), dtype=np.int32)
+    block = one_freq_block(stack, [5, 6], freq=3, mag=8)
+    first = block.corrupted
+    assert block.corrupted is first
+    assert not first.flags.writeable
+    assert [int((row == 8).sum()) for row in first] == [3, 3]
+    # the clean stack is untouched
+    assert not block.clean.any()
 
 
 @pytest.mark.parametrize(
@@ -454,6 +486,82 @@ def test_grid_injections_equal_inject_uniform():
             assert np.array_equal(corrupted, inject_uniform(AccumMatrix(clean), cfg)[0].data)
 
 
+def count_writes(monkeypatch):
+    """Log each ``Corruption.apply`` call, by the number of trials it writes."""
+    writes = []
+    real = faults.Corruption.apply
+
+    def spy(record, stack):
+        writes.append(record.n_trials)
+        return real(record, stack)
+
+    monkeypatch.setattr(faults.Corruption, "apply", spy)
+    return writes
+
+
+def test_stock_planted_grid_writes_no_corrupted_stack(monkeypatch, tmp_path, capsys):
+    # the benchmarked calibrate run: the planted oracle reads only the cell coordinates
+    writes = count_writes(monkeypatch)
+    config = str(ROOT / "perfbench" / "configs" / "calibrate_planted.json")
+    assert cli.main(["--config", config, "--out", str(tmp_path), "calibrate"]) == 0
+    assert "fitted a=" in capsys.readouterr().out
+    assert writes == []
+
+
+def test_norm_distortion_grid_writes_once_per_cell_per_block(monkeypatch):
+    # 12-element targets in 2-trial blocks: trials (0, 1), (2, 3), (4,)
+    monkeypatch.setattr(calibration, "BLOCK_LANES", 24)
+    writes = count_writes(monkeypatch)
+    inner, during = norm_distortion_oracle("layer_norm"), []
+
+    def oracle(block):
+        before = len(writes)
+        scores = inner(block)
+        # a second read writes nothing
+        assert block.corrupted.shape == block.clean.shape
+        during.append(writes[before:])
+        return scores
+
+    quality_grid(
+        oracle, [0.0, 10.5], [1, 5, 11], epsilon=0.5, trials=5, seed=2,
+        clean_factory=noisy_factory(3, 4),
+    )
+    # each cell's stack is written inside its oracle call, in one pass over the block
+    assert during == [[2]] * 6 + [[2]] * 6 + [[1]] * 6
+    assert len(writes) == 18
+
+
+def test_a_kept_block_still_yields_its_stack(monkeypatch):
+    # 12-element targets in 2-trial blocks; no oracle call reads a stack
+    monkeypatch.setattr(calibration, "BLOCK_LANES", 24)
+    writes = count_writes(monkeypatch)
+    factory, blocks = noisy_factory(3, 4), []
+    quality_grid(
+        lambda block: blocks.append(block) or np.zeros(len(block.trials)),
+        [0.0, 10.5, 30.0], [1, 5, 11], epsilon=0.5, trials=5, seed=6, clean_factory=factory,
+    )
+    assert writes == []
+    # read after the grid has moved on to later blocks, and returned
+    stacks = [block.corrupted for block in blocks]
+    assert writes == [2] * 9 + [2] * 9 + [1] * 9
+    for block, stack in zip(blocks, stacks):
+        for t, corrupted in zip(block.trials.tolist(), stack):
+            clean = one_clean(factory, derive_seed(6, t, 0))
+            cfg = FaultConfig(
+                mode="uniform", freq=block.freq, mag=block.mag, seed=derive_seed(6, t, 1)
+            )
+            assert np.array_equal(corrupted, inject_uniform(AccumMatrix(clean), cfg)[0].data)
+
+
+def test_a_failed_stack_write_names_its_cell(monkeypatch):
+    def broken(record, stack):
+        raise RuntimeError("synthetic write failure")
+
+    monkeypatch.setattr(faults.Corruption, "apply", broken)
+    with pytest.raises(GridCellError, match=r"freq=2.*mag_log2=4\.0.*synthetic write failure"):
+        quality_grid(norm_distortion_oracle(), [4.0, 5.0], [2, 3], epsilon=1.0, trials=2)
+
+
 def counted(real, calls):
     def spy(seeds, *args):
         calls.append(len(seeds))
@@ -501,6 +609,18 @@ def test_stock_grid_calls_the_oracle_once_per_block():
     assert oracle_calls == [list(range(64))] * 256
     # the probe, then the one block's stack, shared by all 256 cells
     assert made == [1, 64]
+
+
+def test_a_block_holds_at_most_block_lanes_scores(monkeypatch):
+    # 4-element targets fit 16 trials in 64 lanes, but 32 cells' scores fit only 2
+    monkeypatch.setattr(calibration, "BLOCK_LANES", 64)
+    sizes = []
+    quality_grid(
+        lambda block: sizes.append(len(block.trials)) or np.zeros(len(block.trials)),
+        [1.0 + m for m in range(8)], [1, 2, 3, 4], epsilon=0.5, trials=5,
+        clean_factory=zero_factory(2, 2),
+    )
+    assert sizes == [2] * 32 + [2] * 32 + [1] * 32
 
 
 def test_stock_grid_draws_positions_once_per_freq(monkeypatch):

@@ -1,17 +1,23 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from statabft.calibration import quality_grid
+from statabft.cli import main
+from statabft.faults import FaultConfig
 from statabft.rng import (
     GAMMA,
     MASK64,
     SplitMix64,
+    check_seed,
     derive_seed,
     mix64,
     u64_at,
     u64_stream,
     unit_floats,
 )
+from statabft.workloads import WorkloadSpec
 
 
 def reference_sequence(seed, n):
@@ -193,3 +199,32 @@ def test_draws_leave_their_seed_and_index_arrays_unchanged():
     derive_seed(5, keys[:, np.newaxis], idx)
     for before, after in zip(given, (seeds, idx, keys)):
         assert np.array_equal(before, after)
+
+
+def _cli_seed_error(seed, capsys):
+    assert main(["--seed", str(seed), "verify", "--cases", "1"]) == 2
+    return capsys.readouterr().err.removeprefix("error: ").strip()
+
+
+def _library_seed_error(make):
+    with pytest.raises(ValueError) as e:
+        make()
+    return str(e.value)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["-1", "2**64"])
+@pytest.mark.parametrize("place", ["FaultConfig", "WorkloadSpec", "quality_grid", "--seed"])
+def test_every_seed_check_refuses_the_same_range_in_the_same_words(place, seed, capsys):
+    if place == "--seed":
+        got, name = _cli_seed_error(seed, capsys), "--seed"
+    else:
+        make = {
+            "FaultConfig": lambda: FaultConfig(mode="ber", seed=seed),
+            "WorkloadSpec": lambda: WorkloadSpec(seed=seed),
+            "quality_grid": lambda: quality_grid(
+                lambda b: np.zeros(len(b.trials)), [4.0, 8.0], [1, 2], epsilon=0.5, seed=seed
+            ),
+        }[place]
+        got, name = _library_seed_error(make), "seed"
+    assert got == f"{name} must be in [0, 2**64), got {seed}"
+    assert got == _library_seed_error(lambda: check_seed(seed, name))
