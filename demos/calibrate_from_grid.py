@@ -15,9 +15,10 @@ from statabft.calibration import (
     planted_step_oracle,
     quality_grid,
 )
-from statabft.detectors import CriticalRegionParams
+from statabft.detectors import DEFAULT_PARAMS
 
-TRUE = CriticalRegionParams(a=2.0, b=40.0, theta_freq=4)
+# plant the stock critical region (a=2, b=40, theta_freq=4)
+TRUE = DEFAULT_PARAMS
 
 
 def main() -> None:

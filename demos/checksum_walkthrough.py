@@ -16,7 +16,7 @@ import argparse
 
 import numpy as np
 
-from statabft.detectors import ChecksumPair, CriticalRegionParams, DetectorSpec, theta_mag
+from statabft.detectors import DEFAULT_PARAMS, ChecksumPair, DetectorSpec, theta_mag
 from statabft.faults import FaultConfig, corruption
 from statabft.gemm import AccumMatrix, checksum, gemm, predicted_output_checksum
 from statabft.workloads import random_quant_matrix
@@ -50,15 +50,15 @@ def main() -> None:
     print("difference d:         ", diff)
     print(f"MSD = |sum d| = {pair.msd()}")
 
-    params = CriticalRegionParams(a=2.0, b=40.0, theta_freq=4)
-    t_mag = theta_mag(pair.msd(), params)
+    # both statistical detectors below decide on the stock region, DEFAULT_PARAMS
+    t_mag = theta_mag(pair.msd(), DEFAULT_PARAMS)
     print(f"theta_mag(MSD) = {t_mag:.3f}  (columns above this log2 magnitude count)")
 
     for name, spec in (
         ("classical", DetectorSpec(kind="classical")),
         ("msd-threshold", DetectorSpec(kind="msd", msd_threshold=2**20)),
-        ("statistical", DetectorSpec(kind="statistical", params=params)),
-        ("statistical_lzc", DetectorSpec(kind="statistical_lzc", params=params)),
+        ("statistical", DetectorSpec(kind="statistical")),
+        ("statistical_lzc", DetectorSpec(kind="statistical_lzc")),
     ):
         decision = spec.evaluate(pair)
         print(

@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import argparse
 
-from statabft.detectors import CriticalRegionParams, DetectorSpec
+from statabft.detectors import DetectorSpec
 from statabft.energy import EnergyConfig, energy_saving, sweep_detectors
 from statabft.faults import FaultConfig, default_table
 from statabft.workloads import WorkloadSpec
 
-PARAMS = CriticalRegionParams(a=2.0, b=40.0, theta_freq=4)
 DETECTORS = (
     DetectorSpec(kind="none"),
     DetectorSpec(kind="classical"),
-    DetectorSpec(kind="statistical", params=PARAMS),
+    DetectorSpec(),  # statistical on the stock critical region
     DetectorSpec(kind="dmr"),
 )
 
@@ -43,7 +42,7 @@ def main() -> None:
     results = sweep_detectors(
         spec,
         DETECTORS,
-        FaultConfig(mode="ber", seed=args.seed),
+        FaultConfig(seed=args.seed),  # BER mode; each voltage takes its BER from the table
         voltages,
         EnergyConfig(table=table),
     )

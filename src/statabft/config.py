@@ -18,7 +18,6 @@ from functools import partial
 
 from .calibration import CalibrationSettings
 from .detectors import (
-    DEFAULT_PARAMS,
     DETECTOR_KINDS,
     CriticalRegionParams,
     DetectorSpec,
@@ -70,9 +69,9 @@ class ExperimentConfig:
 
     # frozen, so one shared default instance each
     workload: WorkloadSpec = WorkloadSpec()
-    fault: FaultConfig = FaultConfig(mode="ber", ber=1e-6)
+    fault: FaultConfig = FaultConfig()
     # the spec each kind in sweep.detectors is built from; its own kind is not a setting
-    detector: DetectorSpec = DetectorSpec(kind="statistical", params=DEFAULT_PARAMS)
+    detector: DetectorSpec = DetectorSpec()
     energy: EnergyConfig = EnergyConfig()
     sweep: SweepSettings = SweepSettings()
     calibrate: CalibrationSettings = CalibrationSettings()

@@ -58,7 +58,7 @@ import numpy as np
 from .gemm import ChecksumVector
 
 DETECTOR_KINDS = ("none", "classical", "msd", "statistical", "statistical_lzc", "dmr")
-# the kinds that decide by a critical region and so need CriticalRegionParams
+# the kinds that decide by a critical region, the only ones that read DetectorSpec.params
 STATISTICAL_KINDS = ("statistical", "statistical_lzc")
 
 # fractional bits of the LZC datapath's fixed-point log2 and theta
@@ -89,7 +89,7 @@ class CriticalRegionParams:
             raise ValueError(f"theta_freq must be an int >= 0, got {self.theta_freq!r}")
 
 
-# the package-default critical region, used wherever no params are configured
+# the package-default critical region: the params of DetectorSpec(), the stock detector section
 DEFAULT_PARAMS = CriticalRegionParams(a=2.0, b=40.0, theta_freq=4)
 
 
@@ -226,7 +226,7 @@ def _theta_fixed_rows(msd: np.ndarray, params: CriticalRegionParams) -> np.ndarr
     e = _floor_log2_lanes(msd)
     # the first f mantissa bits below the leading one; x << f would overflow past 2**59
     below = np.where(e >= f, msd >> np.maximum(e - f, 0), msd << np.maximum(f - e, 0))
-    with np.errstate(over="ignore"):  # an infinite bound saturates below, as in _theta_fixed
+    with np.errstate(over="ignore", invalid="ignore"):  # inf saturates below; NaN raises next
         theta = params.b * (1 << f) - (params.a - 1.0) * ((e << f) | (below & ((1 << f) - 1)))
     if np.isnan(theta).any():
         raise ValueError(f"the LZC bound of {params} is NaN")
@@ -262,17 +262,15 @@ def _region_counts(diffs: np.ndarray, msd: np.ndarray, params: CriticalRegionPar
 
 @dataclass(frozen=True)
 class DetectorSpec:
-    """A detector kind plus whatever parameters that kind needs."""
+    """A detector kind plus its parameters; ``DetectorSpec()`` is the stock ``detector`` section."""
 
-    kind: str
-    params: CriticalRegionParams | None = None
+    kind: str = "statistical"
+    params: CriticalRegionParams = DEFAULT_PARAMS
     msd_threshold: int = 0
 
     def __post_init__(self):
         if self.kind not in DETECTOR_KINDS:
             raise ValueError(f"kind must be one of {DETECTOR_KINDS}, got {self.kind!r}")
-        if self.kind in STATISTICAL_KINDS and self.params is None:
-            raise ValueError(f"{self.kind} detector needs CriticalRegionParams")
         if self.msd_threshold < 0:
             raise ValueError("msd_threshold must be >= 0")
 

@@ -116,6 +116,11 @@ def _check_voltage(v: float, cfg: EnergyConfig) -> None:
         raise ValueError(f"voltage must be in (0, {cfg.v_nom}], got {v}")
 
 
+def _check_rate(recovery_rate: float) -> None:
+    if not (0.0 <= recovery_rate <= 1.0):
+        raise ValueError(f"recovery_rate must be in [0, 1], got {recovery_rate}")
+
+
 def compute_energy(v: float, n_mac: int, cfg: EnergyConfig) -> float:
     """Energy of n_mac MACs at supply voltage v (quadratic scaling)."""
     _check_voltage(v, cfg)
@@ -132,8 +137,7 @@ def total_energy(
     detector: str,
 ) -> float:
     """Expected per-GEMM energy of a ``detector`` kind, detection and recovery costs included."""
-    if not (0.0 <= recovery_rate <= 1.0):
-        raise ValueError(f"recovery_rate must be in [0, 1], got {recovery_rate}")
+    _check_rate(recovery_rate)
     base = compute_energy(v, n_mac, cfg)
     nominal = n_mac * cfg.e_mac_nom
     if detector == "none":
@@ -145,8 +149,7 @@ def total_energy(
 
 def latency_factor(recovery_rate: float) -> float:
     """Expected slowdown from recoveries: 1 + recovery_rate."""
-    if not (0.0 <= recovery_rate <= 1.0):
-        raise ValueError(f"recovery_rate must be in [0, 1], got {recovery_rate}")
+    _check_rate(recovery_rate)
     return 1.0 + recovery_rate
 
 

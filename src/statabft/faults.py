@@ -92,11 +92,12 @@ class FaultConfig:
 
     mode="ber" uses ``ber`` and ``bit_window`` (inclusive bit positions
     within the 32-bit accumulator); mode="uniform" uses ``freq`` and ``mag``.
-    ``seed`` roots the fault stream in either mode.
+    ``seed`` roots the fault stream in either mode. ``FaultConfig()`` is the
+    stock ``fault`` config section: BER mode at 1e-6.
     """
 
-    mode: str
-    ber: float = 0.0
+    mode: str = BER_MODE
+    ber: float = 1e-6
     bit_window: tuple[int, int] = (16, 31)
     mag: int = 0
     freq: int = 0

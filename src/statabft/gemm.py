@@ -123,16 +123,20 @@ class ChecksumVector:
         return self.side == other.side and np.array_equal(self.data, other.data)
 
 
+def _check_inner(w: QuantMatrix, x: QuantMatrix, bounded: bool = False) -> None:
+    if w.cols != x.rows:
+        raise ValueError(f"inner dimensions differ: {w.cols} vs {x.rows}")
+    if bounded and w.cols > MAX_INNER_DIM:
+        raise ValueError(f"inner dimension {w.cols} exceeds {MAX_INNER_DIM}")
+
+
 def gemm(w: QuantMatrix, x: QuantMatrix) -> AccumMatrix:
     """Exact INT8 x INT8 -> INT32 matrix product.
 
     Accumulation happens in int64 and is cast down; the MAX_INNER_DIM bound
     guarantees the result fits INT32, so the cast never wraps.
     """
-    if w.cols != x.rows:
-        raise ValueError(f"inner dimensions differ: {w.cols} vs {x.rows}")
-    if w.cols > MAX_INNER_DIM:
-        raise ValueError(f"inner dimension {w.cols} exceeds {MAX_INNER_DIM}")
+    _check_inner(w, x, bounded=True)
     y = w.data.astype(np.int64) @ x.data.astype(np.int64)
     return AccumMatrix(y.astype(np.int32))
 
@@ -145,10 +149,7 @@ def gemm_entries(w: QuantMatrix, x: QuantMatrix, rows, cols) -> np.ndarray:
     ``_ENTRY_BLOCK`` values each, so memory stays bounded however many
     entries are asked for.
     """
-    if w.cols != x.rows:
-        raise ValueError(f"inner dimensions differ: {w.cols} vs {x.rows}")
-    if w.cols > MAX_INNER_DIM:
-        raise ValueError(f"inner dimension {w.cols} exceeds {MAX_INNER_DIM}")
+    _check_inner(w, x, bounded=True)
     out = np.zeros(len(rows), dtype=np.int64)
     step = max(_ENTRY_BLOCK // w.cols, 1)
     for i in range(0, len(rows), step):
@@ -175,24 +176,21 @@ def predicted_output_checksum(w: QuantMatrix, x: QuantMatrix) -> ChecksumVector:
     fault in the main GEMM leaves it untouched, so comparing it against the
     observed checksum of the (possibly faulted) output isolates the fault.
     """
-    if w.cols != x.rows:
-        raise ValueError(f"inner dimensions differ: {w.cols} vs {x.rows}")
+    _check_inner(w, x)
     wsum = w.data.sum(axis=0, dtype=np.int64)
     return ChecksumVector(wsum @ x.data.astype(np.int64), side=ROW)
 
 
 def predicted_column_checksum(w: QuantMatrix, x: QuantMatrix) -> ChecksumVector:
     """Checksum column of W @ X computed from the inputs only: W (X e)."""
-    if w.cols != x.rows:
-        raise ValueError(f"inner dimensions differ: {w.cols} vs {x.rows}")
+    _check_inner(w, x)
     xsum = x.data.sum(axis=1, dtype=np.int64)
     return ChecksumVector(w.data.astype(np.int64) @ xsum, side=COLUMN)
 
 
 def total_checksum(w: QuantMatrix, x: QuantMatrix) -> int:
     """Scalar checksum of W @ X from the inputs only: (e^T W)(X e)."""
-    if w.cols != x.rows:
-        raise ValueError(f"inner dimensions differ: {w.cols} vs {x.rows}")
+    _check_inner(w, x)
     wsum = w.data.sum(axis=0, dtype=np.int64)
     xsum = x.data.sum(axis=1, dtype=np.int64)
     return int(wsum @ xsum)

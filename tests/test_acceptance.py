@@ -21,8 +21,13 @@ from statabft.calibration import (
     quality_grid,
 )
 from statabft.cli import main
-from statabft.config import DEFAULT_PARAMS
-from statabft.detectors import ChecksumPair, DetectorSpec, detect_statistical, theta_mag
+from statabft.detectors import (
+    DEFAULT_PARAMS,
+    ChecksumPair,
+    DetectorSpec,
+    detect_statistical,
+    theta_mag,
+)
 from statabft.energy import EnergyConfig, compare_detectors, sweep_detectors
 from statabft.faults import FaultConfig, default_table, inject_uniform
 from statabft.gemm import AccumMatrix, checksum, gemm, predicted_output_checksum

@@ -93,6 +93,18 @@ def test_invalid_config_is_exit_two(tmp_path, capsys):
     assert "fault.ber" in capsys.readouterr().err
 
 
+def test_nan_lzc_bound_is_exit_two_with_one_error_line(tmp_path, capsys):
+    # the params pass config, but the LZC bound's inf - inf is NaN: one error line, no warning
+    params = {"a": 1e308, "b": 1e308, "theta_freq": 0}
+    cfg = write_config(
+        tmp_path, {"detector": {"params": params}, "sweep": {"detectors": ["statistical_lzc"]}}
+    )
+    assert main(["--config", cfg, "--out", str(tmp_path / "out"), "compare"]) == 2
+    assert capsys.readouterr().err == (
+        "error: the LZC bound of CriticalRegionParams(a=1e+308, b=1e+308, theta_freq=0) is NaN\n"
+    )
+
+
 def test_negative_seed_is_exit_two(capsys):
     rc = main(["--seed", "-1", "verify"])
     assert rc == 2

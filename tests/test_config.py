@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+from dataclasses import fields, is_dataclass
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from statabft.calibration import (
 )
 from statabft.cli import main
 from statabft.config import (
-    DEFAULT_PARAMS,
     ConfigError,
     ExperimentConfig,
     load_config,
@@ -23,7 +24,7 @@ from statabft.config import (
     parse_config,
     resolved_dict,
 )
-from statabft.detectors import CriticalRegionParams, save_params
+from statabft.detectors import DEFAULT_PARAMS, CriticalRegionParams, save_params
 from statabft.energy import sweep_detectors, total_energy
 from statabft.faults import default_table
 from statabft.verify import run_checks
@@ -69,6 +70,24 @@ def test_library_defaults_are_their_sections_defaults():
             else:
                 assert p.default == homes.get((fn.__name__, name), "no home")
     assert sorted(found) == sorted([*homes, ("quality_grid", "clean_factory")])
+
+
+def _same(x, y) -> bool:
+    """Field-by-field equality of nested dataclasses, comparing numpy arrays by value."""
+    if is_dataclass(x):
+        pairs = ((getattr(x, f.name), getattr(y, f.name)) for f in fields(x))
+        return type(x) is type(y) and all(_same(a, b) for a, b in pairs)
+    return np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+
+
+def test_every_section_default_is_its_class_called_with_no_arguments():
+    # a section's stock values live on its own dataclass, not in ExperimentConfig
+    hints = get_type_hints(ExperimentConfig)
+    stock = ExperimentConfig()
+    sections = [f.name for f in fields(stock) if is_dataclass(hints[f.name])]
+    assert sections == ["workload", "fault", "detector", "energy", "sweep", "calibrate", "output"]
+    for name in sections:
+        assert _same(getattr(stock, name), hints[name]()), name
 
 
 def test_sweep_trials_is_the_workload_gemm_count():

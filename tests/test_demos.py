@@ -14,11 +14,13 @@ README_BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_t
 
 
 def _run(args, cwd):
-    # statabft importable from this checkout; any stray file lands in cwd
+    # statabft importable from this checkout; any stray file lands in cwd; a RuntimeWarning
+    # fails the run, the policy pyproject.toml applies to the tests themselves
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-W", "error::RuntimeWarning", *args],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip()

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from statabft.detectors import (
+    DEFAULT_PARAMS,
     DETECTOR_KINDS,
     ChecksumPair,
     CriticalRegionParams,
@@ -181,8 +182,7 @@ def test_detector_spec_dispatch():
     assert DetectorSpec(kind="dmr").evaluate(pair) == CLASSICAL.evaluate(pair)
     with pytest.raises(ValueError, match="kind"):
         DetectorSpec(kind="quantum")
-    with pytest.raises(ValueError, match="needs CriticalRegionParams"):
-        DetectorSpec(kind="statistical")
+    assert DetectorSpec(kind="statistical").params is DEFAULT_PARAMS
 
 
 @pytest.mark.parametrize("kind", DETECTOR_KINDS)
@@ -268,8 +268,14 @@ def test_statistical_lzc_floors_lane_logs_and_uses_the_mitchell_bound():
     assert lzc == (3 * 2**20, 18.5, 1, False)
     cancelled = DetectorSpec(kind="statistical_lzc", params=params).evaluate(pair_of([5, -5]))
     assert math.isinf(cancelled.theta_mag) and cancelled.freq_eff == 0
-    with pytest.raises(ValueError, match="statistical_lzc detector needs CriticalRegionParams"):
-        DetectorSpec(kind="statistical_lzc")
+    assert DetectorSpec(kind="statistical_lzc").params is DEFAULT_PARAMS
+
+
+def test_nan_lzc_bound_is_refused_without_a_warning():
+    # b * 16 and (a - 1) * log2(MSD) both overflow to inf, and inf - inf is NaN
+    spec = DetectorSpec(kind="statistical_lzc", params=CriticalRegionParams(1e308, 1e308, 0))
+    with pytest.raises(ValueError, match=r"^the LZC bound of .* is NaN$"):
+        spec.decide(np.array([[3, 5]], dtype=np.int64))
 
 
 @pytest.mark.parametrize(
