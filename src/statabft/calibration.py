@@ -32,8 +32,6 @@ while describing exactly the same boundary line.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -439,20 +437,3 @@ def fit_critical_region(grid: QualityGrid) -> CriticalRegionParams:
     b = float(intercept) * a
     return CriticalRegionParams(a=float(a), b=b, theta_freq=theta_freq)
 
-
-# --- grid CSV, as calibrate writes it --------------------------------------
-#
-# Columns: freq,mag_log2,quality,acceptable. One row per cell, freq-major.
-
-
-def grid_to_csv(grid: QualityGrid) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["freq", "mag_log2", "quality", "acceptable"])
-    for i, f in enumerate(grid.freq_axis):
-        for j, m in enumerate(grid.mag_log2_axis):
-            writer.writerow(
-                [int(f), f"{float(m):.10g}", f"{grid.quality[i, j]:.10g}",
-                 int(grid.acceptable[i, j])]
-            )
-    return buf.getvalue()

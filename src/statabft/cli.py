@@ -22,8 +22,8 @@ from . import __version__
 from .calibration import (
     GridCellError,
     NoBoundaryError,
+    QualityGrid,
     fit_critical_region,
-    grid_to_csv,
     norm_distortion_oracle,
     planted_step_oracle,
     quality_grid,
@@ -72,31 +72,46 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _csv_text(header: list[str], rows) -> str:
+    """One line per row, each cell through ``_fmt``, under a header line."""
+    lines = [",".join(header)]
+    lines += [",".join(_fmt(v) for v in r) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _json_text(doc) -> str:
+    return json.dumps(_jsonable(doc), indent=2) + "\n"
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w") as fh:
         fh.write(text)
 
 
 def _write_table(out_dir: str, name: str, fmt: str, header: list[str], rows: list[list]) -> str:
+    path = os.path.join(out_dir, f"{name}.{fmt}")
     if fmt == "json":
-        path = os.path.join(out_dir, f"{name}.json")
-        docs = [dict(zip(header, _jsonable(list(r)))) for r in rows]
-        _write_text(path, json.dumps(docs, indent=2) + "\n")
+        text = _json_text([dict(zip(header, r)) for r in rows])
     else:
-        path = os.path.join(out_dir, f"{name}.csv")
-        lines = [",".join(header)]
-        lines += [",".join(_fmt(v) for v in r) for r in rows]
-        _write_text(path, "\n".join(lines) + "\n")
+        text = _csv_text(header, rows)
+    _write_text(path, text)
     return path
+
+
+def grid_to_csv(grid: QualityGrid) -> str:
+    """The ``grid.csv`` that ``calibrate`` writes: one row per cell, freq-major."""
+    rows = (
+        (int(f), float(m), float(q), bool(acc))
+        for f, qs, accs in zip(grid.freq_axis, grid.quality, grid.acceptable)
+        for m, q, acc in zip(grid.mag_log2_axis, qs, accs)
+    )
+    return _csv_text(["freq", "mag_log2", "quality", "acceptable"], rows)
 
 
 def _prepare_out(cfg: ExperimentConfig, command: str, out_dir: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     echo = {"version": __version__, "command": command, "config": resolved_dict(cfg)}
-    _write_text(
-        os.path.join(out_dir, "resolved_config.json"),
-        json.dumps(_jsonable(echo), indent=2) + "\n",
-    )
+    _write_text(os.path.join(out_dir, "resolved_config.json"), _json_text(echo))
     return out_dir
 
 
@@ -250,7 +265,7 @@ def cmd_inject(cfg: ExperimentConfig, args) -> int:
             for kind, v in verdicts.items()
         },
     }
-    text = json.dumps(_jsonable(doc), indent=2) + "\n"
+    text = _json_text(doc)
     if args.out_dir:
         out = _prepare_out(cfg, "inject", args.out_dir)
         path = os.path.join(out, "inject.json")

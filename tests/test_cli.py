@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 from statabft import energy, faults, verify
-from statabft.cli import build_parser, main
+from statabft.calibration import QualityGrid
+from statabft.cli import build_parser, grid_to_csv, main
 from statabft.detectors import load_params
 
 
@@ -139,6 +140,24 @@ def test_calibrate_writes_grid_and_params(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 6 * 6
     assert {r["acceptable"] for r in rows} == {"0", "1"}
+
+
+def test_grid_csv_renders_every_cell_freq_major():
+    # ten significant digits, integer freqs and 0/1 acceptability from the grid's np.bool_ mask
+    grid = QualityGrid(
+        freq_axis=[1, 4],
+        mag_log2_axis=[3.0, 12.25],
+        quality=[[1 / 3, 1e-12], [12345.678901234, 2.0]],
+        epsilon=0.5,
+    )
+    assert isinstance(grid.acceptable[0, 0], np.bool_)
+    assert grid_to_csv(grid) == (
+        "freq,mag_log2,quality,acceptable\n"
+        "1,3,0.3333333333,1\n"
+        "1,12.25,1e-12,1\n"
+        "4,3,12345.6789,0\n"
+        "4,12.25,2,0\n"
+    )
 
 
 def test_calibrate_no_boundary_is_exit_one(tmp_path, capsys):
@@ -415,6 +434,8 @@ STOCK_DIGESTS = {
         "48ab98c935c69d0795ba2ffb2a05611abe3af3fc5044d6b277ed1b2752ff4fa8",
     ("calibrate", "grid.csv"):
         "b788508b93756ebc1e35f7feff8df94eaa9df5590b9b84aa463c8ae2024426e8",
+    ("sweep", "resolved_config.json"):
+        "29550009b8143bb380b6bfe97da5ee86753b4b069b5533ae4c686b021c0960e2",
 }
 
 
@@ -426,6 +447,32 @@ def test_stock_tables_keep_their_digests(tmp_path):
         for command, name in STOCK_DIGESTS
     }
     assert digests == STOCK_DIGESTS
+
+
+# sha256 of the JSON files at seed 0: the tables under --format json and
+# inject's dump, pinned like STOCK_DIGESTS
+JSON_DIGESTS = {
+    ("sweep", "sweep.json"):
+        "54d714676303d4346eafd1abef54bf32e1ba30055c68509706cf33942e877635",
+    ("sweep", "sweep_summary.json"):
+        "5e3eff5f90d29fe06de5ce664f154a3c79047cfa0f739454165e1d8d9f9e970d",
+    ("compare", "detectors.json"):
+        "b5d76ffe8474d79c9c22c533252384c670165cf26433d834d7533e33b57cd3c8",
+    ("inject", "inject.json"):
+        "c6d3c7693fff6a8b8b3aac147337ec5a613245992f9460942ef491645fe94112",
+}
+
+
+def test_stock_json_outputs_keep_their_digests(tmp_path, capsys):
+    for command in ("sweep", "compare"):
+        out = str(tmp_path / command)
+        assert main(["--seed", "0", "--format", "json", "--out", out, command]) == 0
+    assert main(["--seed", "0", "--out", str(tmp_path / "inject"), "inject", "--index", "3"]) == 0
+    digests = {
+        (command, name): hashlib.sha256((tmp_path / command / name).read_bytes()).hexdigest()
+        for command, name in JSON_DIGESTS
+    }
+    assert digests == JSON_DIGESTS
 
 
 def test_sweep_voltage_above_v_nom_exits_two_before_scoring(tmp_path, capsys, monkeypatch):

@@ -8,7 +8,13 @@ import pytest
 
 from statabft import energy, faults, rng, workloads
 from statabft.config import ExperimentConfig
-from statabft.detectors import STATISTICAL_KINDS, ChecksumPair, CriticalRegionParams, DetectorSpec
+from statabft.detectors import (
+    STATISTICAL_KINDS,
+    ChecksumPair,
+    CriticalRegionParams,
+    DetectorSpec,
+    RowDecisions,
+)
 from statabft.energy import (
     EnergyConfig,
     SweepPoint,
@@ -275,6 +281,36 @@ def test_a_stream_shorter_than_a_block_is_thinned_in_one_call():
     calls = list(energy._evidence(BLOCKED_SPEC, DETECTORS, BLOCKED, bers))
     assert len(calls) == 1
     assert calls[0][0].tolist() == np.repeat(np.arange(len(bers)), _blocked_touched().sum(axis=0)).tolist()
+
+
+def test_each_bers_msd_sum_adds_its_rows_one_after_another_in_trial_order(monkeypatch):
+    # 2**53 then sixteen 1s: added one after another, each 1 is lost (2**53 + 1
+    # is a tie and rounds to the even 2**53), where a pairwise or an exact sum
+    # keeps some of them
+    msds = [2**53] + [1] * 16
+    total = 0.0
+    for msd in msds:
+        total += msd
+    assert total == 2**53 and math.fsum(msds) != total and np.sum(np.array(msds, float)) != total
+
+    def two_blocks(spec, detectors, fault, bers):
+        # both BERs' rows in each of two blocks, split after the tenth trial
+        for lo, hi in ((0, 10), (10, len(msds))):
+            level = np.repeat([0, 1], hi - lo)
+            rows = len(level)
+            decision = RowDecisions(
+                np.array(msds[lo:hi] * 2, dtype=np.int64),
+                np.zeros(rows),
+                np.zeros(rows, dtype=np.int64),
+                np.zeros(rows, dtype=bool),
+            )
+            yield level, np.zeros((rows, spec.n), dtype=np.int64), [decision] * len(detectors), decision.recovers
+
+    monkeypatch.setattr(energy, "_evidence", two_blocks)
+    n = len(msds)
+    rows = energy._score_stream(replace(SPEC, gemm_count=n), DETECTORS, BER, [1e-6, 1e-5])
+    assert [[r.mean_msd for r in per_ber] for per_ber in rows] == [[total / n] * len(DETECTORS)] * 2
+    assert all(type(r.mean_msd) is float for per_ber in rows for r in per_ber)
 
 
 def test_compare_and_sweep_each_reach_the_scorer_once_through_the_module(monkeypatch):
