@@ -41,6 +41,7 @@ import numpy as np
 
 from .detectors import DEFAULT_PARAMS, CriticalRegionParams
 from .faults import BLOCK_LANES, INT32_MAX, INT32_MIN, Corruption, _wrap_int32, uniform_corruption
+from .faults import check_uniform_elements, check_uniform_freq
 from .resilience import NORM_KINDS
 from .rng import check_seed, derive_seed
 from .workloads import WorkloadSpec
@@ -188,18 +189,10 @@ class CalibrationSettings:
         for name in ("target_rows", "target_cols"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        # one trial's priority draws fill at most one injection block (1024 x 1024 elements)
-        if self.target_rows * self.target_cols > BLOCK_LANES:
-            raise ValueError(
-                f"target_rows must make target_rows * target_cols <= {BLOCK_LANES} "
-                f"(a 1024 x 1024 target), got {self.target_rows} * {self.target_cols}"
-            )
+        elements, size = self.target_rows * self.target_cols, "target_rows * target_cols"
+        check_uniform_elements(elements, "target_rows", size)
         # before the grid rules, so that a freq too large for int64 is refused here
-        if max(self.freq_axis, default=0) > self.target_rows * self.target_cols:
-            raise ValueError(
-                f"freq_axis max {max(self.freq_axis)} exceeds injection target size "
-                f"{self.target_rows}x{self.target_cols}"
-            )
+        check_uniform_freq(max(self.freq_axis, default=0), elements, "freq_axis", size)
         _check_grid(self.mag_log2_axis, self.freq_axis, self.trials, self.epsilon)
 
 

@@ -26,7 +26,7 @@ from .detectors import (
     params_from_doc,
 )
 from .energy import EnergyConfig
-from .faults import BLOCK_LANES, UNIFORM_MODE, FaultConfig, VoltageBerTable
+from .faults import UNIFORM_MODE, FaultConfig, VoltageBerTable, check_uniform_elements, check_uniform_freq
 from .workloads import WorkloadSpec
 
 
@@ -79,16 +79,10 @@ class ExperimentConfig:
     params_provenance: str = ""
 
     def __post_init__(self):
-        elements = self.workload.m * self.workload.n  # uniform faults hit freq distinct ones
-        if self.fault.freq > elements:
-            raise ValueError(
-                f"fault.freq must be <= workload.m * workload.n = {elements}, got {self.fault.freq}"
-            )
-        # uniform positions take one uint64 priority per element of an output
-        if self.fault.mode == UNIFORM_MODE and elements > BLOCK_LANES:
-            raise ValueError(
-                f"fault.mode uniform needs workload.m * workload.n <= {BLOCK_LANES}, got {elements}"
-            )
+        elements, size = self.workload.m * self.workload.n, "workload.m * workload.n"
+        check_uniform_freq(self.fault.freq, elements, "fault.freq", size)
+        if self.fault.mode == UNIFORM_MODE:
+            check_uniform_elements(elements, "fault.mode", size)
         # (3 + detect_overhead) nominal GEMMs bound every energy a sweep reports
         nominal = self.workload.macs_per_gemm * self.energy.e_mac_nom
         if not math.isfinite(nominal * (3 + self.energy.detect_overhead)):

@@ -322,6 +322,18 @@ class SparseFlips:
         return replace(record, n_trials=self.n_trials, trial=trials[record.trial])
 
 
+def check_uniform_elements(elements: int, name: str = "n", size: str = "n") -> None:
+    """Refuse more than ``BLOCK_LANES`` elements: uniform injection holds an output's priorities at once."""
+    if elements > BLOCK_LANES:
+        raise ValueError(f"{name} must make {size} <= {BLOCK_LANES} for uniform injection, got {elements}")
+
+
+def check_uniform_freq(freq: int, elements: int, name: str = "freq", size: str = "n") -> None:
+    """Refuse a ``freq`` outside [0, elements]: uniform injection hits ``freq`` distinct elements."""
+    if not 0 <= freq <= elements:
+        raise ValueError(f"{name} must be in [0, {size} = {elements}], got {freq}")
+
+
 def uniform_positions(seeds, n: int, freq: int) -> np.ndarray:
     """Row r: the ``freq`` of ``n`` row-major elements hit by uniform injection on ``seeds[r]``.
 
@@ -336,18 +348,11 @@ def uniform_positions(seeds, n: int, freq: int) -> np.ndarray:
     Rows are drawn ``max(1, DRAW_BLOCK // n)`` at a time, so a temporary
     holds about ``DRAW_BLOCK`` priorities (one row's ``n`` when that is
     more). Returns an int64 (len(seeds) x freq) matrix, each row ascending.
-    A row's ``n`` priorities are held at once, so ``n`` may be at most
-    ``BLOCK_LANES``; more raise ValueError before any draw.
+    A row's ``n`` priorities are held at once, so ``check_uniform_elements``
+    and then ``check_uniform_freq`` refuse ``n`` and ``freq`` before any draw.
     """
-    if n > BLOCK_LANES:
-        raise ValueError(
-            f"uniform injection draws one priority per element: {n} elements per output "
-            f"exceed {BLOCK_LANES}; lower the output size"
-        )
-    if freq > n:
-        raise ValueError(f"freq {freq} exceeds element count {n}")
-    if freq < 0:
-        raise ValueError(f"freq must be >= 0, got {freq}")
+    check_uniform_elements(n)
+    check_uniform_freq(freq, n)
     if freq in (0, n):
         return np.tile(np.arange(freq), (len(seeds), 1))
     seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)

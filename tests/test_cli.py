@@ -659,7 +659,10 @@ def test_uniform_compare_over_the_element_bound_exits_two(tmp_path, capsys, monk
     cfg = write_config(tmp_path, {"workload": workload, "fault": fault})
     assert main(["--config", cfg, "--out", str(tmp_path / "out"), "compare"]) == 2
     err = capsys.readouterr().err
-    assert err == "error: fault.mode: uniform needs workload.m * workload.n <= 1048576, got 16777216\n"
+    assert err == (
+        "error: fault.mode: must make workload.m * workload.n <= 1048576 for uniform injection, "
+        "got 16777216\n"
+    )
     assert not (tmp_path / "out").exists()
 
 

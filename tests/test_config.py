@@ -9,9 +9,11 @@ from typing import get_type_hints
 import numpy as np
 import pytest
 
+from statabft import faults
 from statabft.calibration import (
     DEFAULT_FREQ_AXIS,
     DEFAULT_MAG_AXIS,
+    CalibrationSettings,
     norm_distortion_oracle,
     quality_grid,
 )
@@ -257,13 +259,22 @@ def test_calibrate_axes_validation():
         parse_config({"calibrate": {"freq_axis": [1, 1, 2]}})
     with pytest.raises(ConfigError, match="mag_log2_axis"):
         parse_config({"calibrate": {"mag_log2_axis": [5.0, 4.0]}})
-    # max freq must fit in the injection target
-    with pytest.raises(ConfigError, match="exceeds injection target"):
-        parse_config({"calibrate": {"freq_axis": [1, 300], "target_rows": 16, "target_cols": 16}})
+    # max freq must fit in the injection target, and a max below 0 gets the same message
+    for axis, got in (([1, 300], 300), ([-2, -1], -1)):
+        message = f"calibrate.freq_axis: must be in [0, target_rows * target_cols = 256], got {got}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config({"calibrate": {"freq_axis": axis, "target_rows": 16, "target_cols": 16}})
     cfg = parse_config(
         {"calibrate": {"freq_axis": [1, 300], "target_rows": 32, "target_cols": 16}}
     )
     assert cfg.calibrate.freq_axis == (1, 300)
+    # each bound admits the value exactly on it
+    cfg = parse_config({"calibrate": {"freq_axis": [1, 256], "target_rows": 16, "target_cols": 16}})
+    assert cfg.calibrate.freq_axis == (1, 256)
+    cfg = parse_config({"calibrate": {"target_rows": 1024, "target_cols": 1024}})
+    assert cfg.calibrate.target_rows * cfg.calibrate.target_cols == 2**20
+    cfg = parse_config({"workload": {"m": 4, "n": 4}, "fault": {"mode": "uniform", "freq": 16}})
+    assert cfg.fault.freq == 16
 
 
 def test_load_config_errors(tmp_path):
@@ -368,17 +379,38 @@ def test_experiment_config_default_constructible():
         ({"sweep": {"voltages": [0.8, -math.inf]}}, "sweep.voltages"),
         (
             {"workload": {"m": 4, "n": 4}, "fault": {"mode": "uniform", "freq": 17}},
-            "fault.freq: must be <= workload.m * workload.n = 16, got 17",
+            "fault.freq: must be in [0, workload.m * workload.n = 16], got 17",
         ),
         (
             {"workload": {"m": 2048, "n": 1024}, "fault": {"mode": "uniform"}},
-            "fault.mode: uniform needs workload.m * workload.n <= 1048576, got 2097152",
+            "fault.mode: must make workload.m * workload.n <= 1048576 for uniform injection, got 2097152",
+        ),
+        (
+            {"calibrate": {"target_rows": 1024, "target_cols": 1025}},
+            "calibrate.target_rows: must make target_rows * target_cols <= 1048576 for uniform injection, "
+            "got 1049600",
         ),
     ],
 )
 def test_json_types_rejected_at_their_key(doc, key):
     with pytest.raises(ConfigError, match=re.escape(key)):
         parse_config(doc)
+
+
+def test_uniform_size_rules_follow_faults_block_lanes(monkeypatch):
+    # one home: with the bound at 256 the stock 16 x 16 calibrate target sits exactly on it
+    monkeypatch.setattr(faults, "BLOCK_LANES", 256)
+    assert faults.uniform_positions([0], 256, 1).shape == (1, 1)
+    cfg = parse_config({"workload": {"m": 16, "n": 16}, "fault": {"mode": "uniform"}})
+    assert cfg.calibrate.target_rows * cfg.calibrate.target_cols == 256
+    with pytest.raises(ValueError, match=r"^n must make n <= 256 for uniform injection, got 257$"):
+        faults.uniform_positions([0], 257, 1)
+    message = "fault.mode: must make workload.m * workload.n <= 256 for uniform injection, got 257"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        parse_config({"workload": {"m": 1, "n": 257}, "fault": {"mode": "uniform"}})
+    message = "target_rows must make target_rows * target_cols <= 256 for uniform injection, got 257"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        CalibrationSettings(target_rows=1, target_cols=257)
 
 
 def test_readme_full_config_example_parses(tmp_path):
