@@ -6,10 +6,13 @@ acceptable when mean degradation stays within an epsilon budget. Trial t is
 the same in every cell: one clean matrix and one set of injection
 priorities, so neighbouring cells are compared on common random numbers.
 Trials go a block at a time. A block makes one clean-factory call, which
-builds its (trials x rows x cols) stack; one ``faults.Corruption`` record
-per frequency, whose positions all of that frequency's magnitudes share;
-and, per cell, one oracle call, which scores the ``OracleBlock`` into one
-array of per-trial scores. A cell's corrupted stack is written only when
+builds its (trials x rows x cols) stack, and one read-only view of it and
+of its trial indices, which every cell shares; one draw of its injection
+priorities, from which ``faults.uniform_corruptions`` builds one
+``faults.Corruption`` record per frequency, whose positions all of that
+frequency's magnitudes share; per cell, one oracle call, which scores the
+``OracleBlock`` into one array of per-trial scores; and one check of all
+its cells' scores. A cell's corrupted stack is written only when
 its oracle reads ``OracleBlock.corrupted``, in one vectorized pass into a
 copy of the clean stack, so an oracle that reads only the cell's
 coordinates costs no injection write at all. No Python object is built per
@@ -40,7 +43,7 @@ from typing import Callable
 import numpy as np
 
 from .detectors import DEFAULT_PARAMS, CriticalRegionParams
-from .faults import BLOCK_LANES, INT32_MAX, INT32_MIN, Corruption, _wrap_int32, uniform_corruption
+from .faults import BLOCK_LANES, INT32_MAX, INT32_MIN, Corruption, _wrap_int32, uniform_corruptions
 from .faults import check_uniform_elements, check_uniform_freq
 from .resilience import NORM_KINDS
 from .rng import check_seed, derive_seed
@@ -85,7 +88,9 @@ class OracleBlock:
     is added to those values (wrapping in INT32) and written into a copy of
     ``clean`` in one vectorized pass, which equals ``inject_uniform`` trial
     by trial, and the stack is cached. An oracle that never reads it costs
-    no write.
+    no write. A ``clean`` or ``trials`` that is a read-only ndarray is kept
+    as it is (the grid passes each block's once to every cell), and any
+    other is held through a read-only view, so its owner may still write it.
     """
 
     clean: np.ndarray
@@ -97,9 +102,7 @@ class OracleBlock:
 
     def __post_init__(self):
         for name in ("clean", "trials"):
-            view = np.asarray(getattr(self, name)).view()
-            view.setflags(write=False)
-            object.__setattr__(self, name, view)
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     @cached_property
     def corrupted(self) -> np.ndarray:
@@ -107,6 +110,15 @@ class OracleBlock:
         stack = replace(self.record, after=after).apply(self.clean.copy())
         stack.setflags(write=False)
         return stack
+
+
+def _read_only(arr) -> np.ndarray:
+    """``arr`` if it is a read-only ndarray, else a read-only view of it."""
+    if isinstance(arr, np.ndarray) and not arr.flags.writeable:
+        return arr
+    view = np.asarray(arr).view()
+    view.setflags(write=False)
+    return view
 
 
 # maps a block to a float array of one degradation score >= 0 per trial
@@ -229,20 +241,18 @@ def _clean_stack(clean_factory: CleanFactory, seeds, shape, f: int, m: float) ->
     return np.ascontiguousarray(stack, dtype=np.int32)
 
 
-def _scores(oracle: QualityOracle, block: OracleBlock, f: int, m: float) -> np.ndarray:
-    """The oracle's float64 score of each trial of ``block``, checked."""
-    try:
-        scores = np.asarray(oracle(block), dtype=np.float64)
-    except Exception as e:
-        raise GridCellError(f, m, str(e)) from e
-    if scores.shape != block.trials.shape:
-        raise GridCellError(
-            f, m, f"oracle returned shape {scores.shape} for {len(block.trials)} trials"
-        )
-    bad = ~(np.isfinite(scores) & (scores >= 0.0))
+def _check_scores(scores: np.ndarray, freqs, mags, cells: int) -> None:
+    """Refuse the first of the first ``cells`` cells, freq-major, with a score not finite and >= 0.
+
+    ``scores[i, j, 1:]`` holds cell (i, j)'s score of each trial of a block, and
+    the GridCellError names that cell and its first such score in trial order.
+    """
+    block = scores[:, :, 1:]
+    bad = ~(np.isfinite(block) & (block >= 0.0)).reshape(-1, block.shape[2])[:cells]
     if bad.any():
-        raise GridCellError(f, m, f"oracle returned {float(scores[bad][0])!r}")
-    return scores
+        cell, trial = np.unravel_index(np.argmax(bad), bad.shape)
+        i, j = divmod(int(cell), len(mags))
+        raise GridCellError(int(freqs[i]), mags[j][0], f"oracle returned {float(block[i, j, trial])!r}")
 
 
 def quality_grid(
@@ -271,18 +281,23 @@ def quality_grid(
     ``clean_factory(seeds)`` maps the block's uint64 clean seeds to an
     integer (len(seeds) x rows x cols) stack (by default all zeros, of
     ``CalibrationSettings``' stock 16 x 16 target), with values inside INT32
-    and one (rows, cols) for the whole grid; one ``uniform_corruption``
-    call per freq picks the positions and reads their clean values; and per
-    cell, one oracle call maps the ``OracleBlock`` to a float array of one
-    degradation score >= 0 per trial. The block's ``corrupted`` stack is
+    and one (rows, cols) for the whole grid; one ``uniform_corruptions``
+    call draws the priorities once for every freq and yields each freq's
+    record, its positions and their clean values; per cell, one oracle call
+    maps the ``OracleBlock`` to a float array of one degradation score >= 0
+    per trial; and one check of the block's scores finds any that is
+    negative or not finite. The block's ``corrupted`` stack is
     written from the freq's record, with that cell's mag, only if the oracle
     reads it. A cell's quality is the mean of its scores, summed in trial
     order with the sum carried across blocks, so block sizes change no
     result and memory does not grow with ``trials``.
-    A malformed stack, an injection or oracle failure, and a score array of
-    another shape or with a negative or non-finite score raise GridCellError
-    carrying the cell coordinates: the first cell for the factory, a freq's
-    first mag for its injection.
+    A malformed stack, a freq the target cannot hold, an oracle failure, and
+    a score array of another shape or with a negative or non-finite score
+    raise GridCellError carrying the cell coordinates: the first cell for the
+    factory, a freq's first mag for its size, checked once on the probed
+    shape before any draw. Within a block the first failing cell in
+    freq-major order is named, with its first bad score in trial order, so
+    a bad score wins over a later cell's oracle failure.
     """
     # every grid rule, before any factory or oracle call
     freqs, mag_axis = _check_grid(mag_log2_axis, freq_axis, trials, epsilon)
@@ -292,32 +307,50 @@ def quality_grid(
     f0, (m0, mag0) = int(freqs[0]), mags[0]
     probe_seed = np.array([derive_seed(seed, 0, 0)], dtype=np.uint64)
     rows, cols = _clean_stack(clean_factory, probe_seed, None, f0, m0).shape[1:]
+    freq_list = freqs.tolist()
+    # the uniform-injection size rules, on the probed target before any draw;
+    # the first freq they refuse names its cell
+    for f in freq_list:
+        try:
+            check_uniform_elements(rows * cols)
+            check_uniform_freq(f, rows * cols)
+        except ValueError as e:
+            raise GridCellError(f, m0, str(e)) from e
     # a block holds at most BLOCK_LANES clean elements and at most BLOCK_LANES scores
     step = max(1, BLOCK_LANES // max(rows * cols, freqs.size * mag_axis.size))
     # sums[i, j]: cell (i, j)'s scores summed one after another in trial order
     # from 0.0, as a Python sum does and np.sum does not
     sums = np.zeros((freqs.size, mag_axis.size))
     for t0 in range(0, trials, step):
-        block_trials = np.arange(t0, min(t0 + step, trials))
+        # read-only once per block, so that no cell's OracleBlock makes a view
+        block_trials = _read_only(np.arange(t0, min(t0 + step, trials)))
         # seeds[i]: column 0 seeds trial block_trials[i]'s clean matrix, column 1 its injection
         seeds = derive_seed(seed, block_trials[:, np.newaxis], np.arange(2))
-        clean = _clean_stack(clean_factory, seeds[:, 0], (rows, cols), f0, m0)
+        clean = _read_only(_clean_stack(clean_factory, seeds[:, 0], (rows, cols), f0, m0))
         flat = clean.reshape(len(clean), rows * cols)
         # scores[i, j]: cell (i, j)'s carried sum, then its score of each trial of the block
         scores = np.empty((freqs.size, mag_axis.size, 1 + len(block_trials)))
         scores[:, :, 0] = sums
-        for i, f in enumerate(freqs.tolist()):
-            try:
-                record = uniform_corruption(
-                    seeds[:, 1], rows, cols, lambda t, r, c: flat[t, r * cols + c], f, mag0
-                )
-            except ValueError as e:
-                raise GridCellError(f, m0, str(e)) from e
+        records = uniform_corruptions(
+            seeds[:, 1], rows, cols, lambda t, r, c: flat[t, r * cols + c], freq_list, mag0
+        )
+        for i, (f, record) in enumerate(zip(freq_list, records)):
             for j, (m, mag) in enumerate(mags):
                 block = OracleBlock(
                     clean=clean, record=record, freq=f, mag=mag, mag_log2=m, trials=block_trials
                 )
-                scores[i, j, 1:] = _scores(oracle, block, f, m)
+                try:
+                    cell = np.asarray(oracle(block), dtype=np.float64)
+                    if cell.shape != block_trials.shape:
+                        raise ValueError(
+                            f"oracle returned shape {cell.shape} for {len(block_trials)} trials"
+                        )
+                except Exception as e:
+                    # a bad score of an earlier cell is the grid's first failure
+                    _check_scores(scores, freq_list, mags, i * len(mags) + j)
+                    raise GridCellError(f, m, str(e)) from e
+                scores[i, j, 1:] = cell
+        _check_scores(scores, freq_list, mags, freqs.size * mag_axis.size)
         # np.add.accumulate, unlike np.sum, adds one trial after another
         sums = np.add.accumulate(scores, axis=2)[:, :, -1]
 

@@ -27,14 +27,19 @@ Two fault modes:
   row's ``freq``-th smallest priority (``np.partition``) and keeps every
   element at or below it, which is exactly ``freq`` of them because no two
   priorities of an output tie. Trials draw in row blocks of about
-  ``rng.DRAW_BLOCK`` priorities.
+  ``rng.DRAW_BLOCK`` priorities, and one draw serves any number of freqs
+  (``uniform_position_sets``): a row's positions at a freq hold those at
+  every lower one, and one ``np.sort`` of its priorities gives every freq's
+  threshold.
 
 Both modes record what they corrupt in one array record, ``Corruption``,
 the only source of checksum differences (``diff``), event logs (``events``)
 and corrupted dense stacks (``apply``). ``SparseFlips.at`` builds it in BER
 mode (``SparseFlips.rows`` for the touched rows of several BERs at once)
 and ``uniform_corruption`` in uniform mode (positions from
-``uniform_positions``), ``corruption`` in either mode, all for a stream of
+``uniform_positions``; the two are the one-freq case of
+``uniform_corruptions`` and ``uniform_position_sets``, which serve several
+freqs from one draw), ``corruption`` in either mode, all for a stream of
 trials with one seed each. Each reads clean values only at the corrupted
 elements, through one callback call for all the trials it is given,
 ``entries(trials, rows, cols)``, so its caller bounds that call by the
@@ -52,6 +57,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -114,8 +120,6 @@ class FaultConfig:
             )
         lo, hi = self.bit_window
         object.__setattr__(self, "bit_window", (int(lo), int(hi)))
-        if self.freq < 0:
-            raise ValueError(f"freq must be >= 0, got {self.freq}")
         if not (INT32_MIN <= self.mag <= INT32_MAX):
             raise ValueError(f"mag must fit INT32, got {self.mag}")
         check_seed(self.seed)
@@ -334,6 +338,66 @@ def check_uniform_freq(freq: int, elements: int, name: str = "freq", size: str =
         raise ValueError(f"{name} must be in [0, {size} = {elements}], got {freq}")
 
 
+def _ranked_draws(seeds: np.ndarray, n: int, ranks: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each row block's (rows x n) priorities and each row's priority of each of ``ranks``."""
+    blocks = []
+    step = max(1, DRAW_BLOCK // n)
+    for start in range(0, len(seeds) if ranks else 0, step):
+        priorities = u64_stream(seeds[start : start + step], n)
+        # one sort ranks every threshold; one partition is cheaper for a single one
+        if len(ranks) == 1:
+            ranked = np.partition(priorities, ranks[0], axis=1)
+        else:
+            ranked = np.sort(priorities, axis=1)
+        blocks.append((priorities, ranked[:, ranks]))
+    return blocks
+
+
+def _positions_at(blocks, n: int, freq: int, column: int) -> np.ndarray:
+    """The positions whose priority is at most each row's threshold in ``column`` of ``blocks``."""
+    positions = np.empty((sum(len(p) for p, _ in blocks), freq), dtype=np.int64)
+    start = 0
+    for priorities, kths in blocks:
+        hits = np.flatnonzero(priorities <= kths[:, column, np.newaxis])
+        # row i's hits are flat indices offset by i * n; a row with more than
+        # freq of them (a tie) fails the reshape
+        rows = len(priorities)
+        offsets = np.arange(0, rows * n, n)[:, np.newaxis]
+        np.subtract(hits.reshape(rows, freq), offsets, out=positions[start : start + rows])
+        start += rows
+    return positions
+
+
+def uniform_position_sets(seeds, n: int, freqs) -> Iterator[np.ndarray]:
+    """Per freq of ``freqs``, in order: ``uniform_positions(seeds, n, freq)``, from one draw.
+
+    A row's positions at ``freq`` are the elements whose priority is at most
+    its ``freq``-th smallest, so one draw of the priorities gives every freq:
+    each row block is drawn once, and one ``np.sort`` of it gives the
+    threshold of every freq strictly between 0 and ``n`` (``np.partition`` at
+    the one rank when there is one such freq; freq 0 and ``n`` need no draw).
+    ``check_uniform_elements`` and then ``check_uniform_freq`` on each freq
+    in order refuse ``n`` and ``freqs`` before any draw. Every row's
+    priorities are held until the last freq that needs them is served.
+    """
+    check_uniform_elements(n)
+    for freq in freqs:
+        check_uniform_freq(freq, n)
+    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
+    ranks = [freq - 1 for freq in freqs if 0 < freq < n]
+    blocks = _ranked_draws(seeds, n, ranks)
+    column = 0
+    for freq in freqs:
+        if freq in (0, n):
+            yield np.tile(np.arange(freq), (len(seeds), 1))
+            continue
+        positions = _positions_at(blocks, n, freq, column)
+        column += 1
+        if column == len(ranks):
+            blocks = []  # no later freq reads the priorities
+        yield positions
+
+
 def uniform_positions(seeds, n: int, freq: int) -> np.ndarray:
     """Row r: the ``freq`` of ``n`` row-major elements hit by uniform injection on ``seeds[r]``.
 
@@ -347,27 +411,31 @@ def uniform_positions(seeds, n: int, freq: int) -> np.ndarray:
     modulo 2**64 because GAMMA is odd, and ``mix64`` is a bijection.
     Rows are drawn ``max(1, DRAW_BLOCK // n)`` at a time, so a temporary
     holds about ``DRAW_BLOCK`` priorities (one row's ``n`` when that is
-    more). Returns an int64 (len(seeds) x freq) matrix, each row ascending.
+    more), and every row's priorities are held until its positions are
+    taken. Returns an int64 (len(seeds) x freq) matrix, each row ascending.
     A row's ``n`` priorities are held at once, so ``check_uniform_elements``
     and then ``check_uniform_freq`` refuse ``n`` and ``freq`` before any draw.
+    It is the one-freq case of ``uniform_position_sets``.
     """
-    check_uniform_elements(n)
-    check_uniform_freq(freq, n)
-    if freq in (0, n):
-        return np.tile(np.arange(freq), (len(seeds), 1))
-    seeds = np.asarray(seeds, dtype=np.uint64).reshape(-1, 1)
-    positions = np.empty((len(seeds), freq), dtype=np.int64)
-    step = max(1, DRAW_BLOCK // n)
-    for start in range(0, len(seeds), step):
-        priorities = u64_stream(seeds[start : start + step], n)
-        kth = np.partition(priorities, freq - 1, axis=1)[:, freq - 1 : freq]
-        hits = np.flatnonzero(priorities <= kth)
-        # row i's hits are flat indices offset by i * n; a row with more than
-        # freq of them (a tie) fails the reshape
-        rows = len(priorities)
-        offsets = np.arange(0, rows * n, n)[:, np.newaxis]
-        np.subtract(hits.reshape(rows, freq), offsets, out=positions[start : start + rows])
-    return positions
+    return next(uniform_position_sets(seeds, n, [freq]))
+
+
+def uniform_corruptions(seeds, n_rows: int, n_cols: int, entries, freqs, mag: int) -> Iterator[Corruption]:
+    """Per freq of ``freqs``, in order: ``mag`` added (wrapping in INT32) to the elements it picks.
+
+    Trial t is an n_rows x n_cols output injected on ``seeds[t]``, its
+    positions at each freq drawn once for all of them by
+    ``uniform_position_sets``, and ``entries(trials, rows, cols)`` gives the
+    clean values at a freq's picked elements, one call per freq. mag == 0
+    corrupts nothing.
+    """
+    for positions in uniform_position_sets(seeds, n_rows * n_cols, freqs):
+        # adding 0 changes no element, so mag == 0 keeps none of the positions
+        positions = positions[:, : positions.shape[1] if mag else 0]
+        trial = np.repeat(np.arange(len(positions)), positions.shape[1])
+        element = positions.ravel()
+        before = np.asarray(entries(trial, *np.divmod(element, n_cols)), dtype=np.int64)
+        yield Corruption(len(positions), n_cols, trial, element, before, _wrap_int32(before + mag))
 
 
 def uniform_corruption(seeds, n_rows: int, n_cols: int, entries, freq: int, mag: int) -> Corruption:
@@ -375,14 +443,10 @@ def uniform_corruption(seeds, n_rows: int, n_cols: int, entries, freq: int, mag:
 
     Trial t is an n_rows x n_cols output injected on ``seeds[t]``, and
     ``entries(trials, rows, cols)`` gives the clean values at the picked
-    elements. mag == 0 corrupts nothing.
+    elements. mag == 0 corrupts nothing. It is the one-freq case of
+    ``uniform_corruptions``.
     """
-    # adding 0 changes no element, so mag == 0 keeps none of the positions
-    positions = uniform_positions(seeds, n_rows * n_cols, freq)[:, : freq if mag else 0]
-    trial = np.repeat(np.arange(len(positions)), positions.shape[1])
-    element = positions.ravel()
-    before = np.asarray(entries(trial, *np.divmod(element, n_cols)), dtype=np.int64)
-    return Corruption(len(positions), n_cols, trial, element, before, _wrap_int32(before + mag))
+    return next(uniform_corruptions(seeds, n_rows, n_cols, entries, [freq], mag))
 
 
 def corruption(n_rows: int, n_cols: int, entries, seeds, cfg: FaultConfig) -> Corruption:

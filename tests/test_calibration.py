@@ -306,6 +306,45 @@ def test_oracle_failures_are_annotated():
         )
 
 
+@pytest.mark.parametrize("later", ["crash", "shape"])
+def test_an_earlier_cells_bad_score_wins_over_a_later_cells_failure(later):
+    # cell (0, 0) scores -2 in every trial; cell (0, 1) crashes or returns too many scores
+    def oracle(block):
+        if (block.freq, block.mag_log2) == (2, 4.0):
+            return np.full(len(block.trials), -2.0)
+        if later == "crash":
+            raise RuntimeError("synthetic oracle crash")
+        return np.zeros(len(block.trials) + 1)
+
+    with pytest.raises(GridCellError, match=r"^cell \(freq=2, mag_log2=4\.0\): oracle returned -2\.0$"):
+        quality_grid(oracle, [4.0, 5.0], [2, 3], epsilon=1.0, trials=3)
+
+
+def test_the_first_bad_cell_freq_major_names_its_first_bad_trial():
+    # cell (0, 1) is bad in its last trial only, cell (1, 0) in its first:
+    # (0, 1) comes first in freq-major order
+    def oracle(block):
+        scores = np.zeros(len(block.trials))
+        if (block.freq, block.mag_log2) == (2, 5.0):
+            scores[-1] = math.inf
+        if (block.freq, block.mag_log2) == (3, 4.0):
+            scores[0] = -1.0
+        return scores
+
+    with pytest.raises(GridCellError, match=r"^cell \(freq=2, mag_log2=5\.0\): oracle returned inf$"):
+        quality_grid(oracle, [4.0, 5.0], [2, 3], epsilon=1.0, trials=3)
+
+
+@pytest.mark.parametrize("freqs", [[300, 301], [1, 300]])
+def test_a_freq_above_the_target_is_refused_before_any_draw(monkeypatch, freqs):
+    drawn = []
+    monkeypatch.setattr(faults, "u64_stream", counted(faults.u64_stream, drawn))
+    match = r"^cell \(freq=300, mag_log2=4\.0\): freq must be in \[0, n = 256\], got 300$"
+    with pytest.raises(GridCellError, match=match):
+        quality_grid(lambda b: np.zeros(len(b.trials)), [4.0, 5.0], freqs, epsilon=1.0, trials=1)
+    assert drawn == []
+
+
 @pytest.mark.parametrize(
     "scores",
     [lambda n: 0.0, lambda n: np.zeros(n + 1), lambda n: np.zeros((n, 1)), lambda n: []],
@@ -357,6 +396,10 @@ def test_oracle_block_stacks_are_read_only():
             arr[0] = 1
     # the caller's own arrays stay writable
     stack[0] = 1
+    # a read-only array is taken as it is
+    frozen = stack.view()
+    frozen.setflags(write=False)
+    assert one_freq_block(frozen, [5, 6], freq=1, mag=2).clean is frozen
 
 
 def test_corrupted_is_built_once_and_cached():
@@ -578,17 +621,18 @@ def test_block_size_changes_no_result(monkeypatch, block_lanes):
     default = []
     g = quality_grid(hash_oracle(default), [0.0, 30.0], [1, 11], **kw)
     assert made == [1, 5]
-    blocks = []
+    blocks, drawn = [], []
     monkeypatch.setattr(calibration, "BLOCK_LANES", block_lanes)
-    injected = counted(calibration.uniform_corruption, blocks)
-    monkeypatch.setattr(calibration, "uniform_corruption", injected)
+    injected = counted(calibration.uniform_corruptions, blocks)
+    monkeypatch.setattr(calibration, "uniform_corruptions", injected)
+    monkeypatch.setattr(faults, "u64_stream", counted(faults.u64_stream, drawn))
     made.clear()
     small = []
     g_small = quality_grid(hash_oracle(small), [0.0, 30.0], [1, 11], **kw)
-    # each block of trials draws the positions of the two freqs in turn
+    # each block of trials draws the positions of both freqs at once
     step = 1 if block_lanes == 1 else 2
     chunks = [range(t0, min(t0 + step, 5)) for t0 in range(0, 5, step)]
-    assert blocks == [len(chunk) for chunk in chunks for _ in range(2)]
+    assert blocks == drawn == [len(chunk) for chunk in chunks]
     # one probe of the target shape, then one stack per block, shared by the four cells
     assert made == [1] + [len(chunk) for chunk in chunks]
     assert small == [default[cell * 5 + t] for chunk in chunks for cell in range(4) for t in chunk]
@@ -623,17 +667,33 @@ def test_a_block_holds_at_most_block_lanes_scores(monkeypatch):
     assert sizes == [2] * 32 + [2] * 32 + [1] * 32
 
 
-def test_stock_grid_draws_positions_once_per_freq(monkeypatch):
-    drawn = []
+def test_stock_grid_draws_positions_once_per_block(monkeypatch):
+    calls, drawn = [], []
     monkeypatch.setattr(
-        calibration, "uniform_corruption", counted(calibration.uniform_corruption, drawn)
+        calibration, "uniform_corruptions", counted(calibration.uniform_corruptions, calls)
     )
+    monkeypatch.setattr(faults, "u64_stream", counted(faults.u64_stream, drawn))
     quality_grid(
         lambda b: np.zeros(len(b.trials)), DEFAULT_MAG_AXIS, DEFAULT_FREQ_AXIS,
         epsilon=0.5, trials=64,
     )
-    # one 64-row draw per freq, which its 16 mags share
-    assert drawn == [64] * len(DEFAULT_FREQ_AXIS)
+    # one 64-row draw of the priorities, which all 16 freqs and their 16 mags share
+    assert calls == drawn == [64]
+
+
+# sha256 of the hash_oracle digests of the stock grid at 64 trials and seed 0
+# on noisy 16 x 16 stacks: every corrupted stack in cell and trial order
+STOCK_GRID_STACKS_SHA256 = "1c8ec4b3a3203978a637c57afc3977c2ffe3bb11a48186fec87fe5c7d816952c"
+
+
+def test_stock_grid_corrupted_stacks_are_pinned():
+    log = []
+    quality_grid(
+        hash_oracle(log), DEFAULT_MAG_AXIS, DEFAULT_FREQ_AXIS, epsilon=0.5, trials=64, seed=0,
+        clean_factory=noisy_factory(16, 16),
+    )
+    assert len(log) == len(DEFAULT_FREQ_AXIS) * len(DEFAULT_MAG_AXIS) * 64
+    assert hashlib.sha256(b"".join(log)).hexdigest() == STOCK_GRID_STACKS_SHA256
 
 
 def test_every_cell_of_a_block_gets_the_same_clean_stack(monkeypatch):
@@ -648,6 +708,27 @@ def test_every_cell_of_a_block_gets_the_same_clean_stack(monkeypatch):
     for block in blocks:
         want = [one_clean(factory, derive_seed(4, t, 0)) for t in block.trials.tolist()]
         np.testing.assert_array_equal(block.clean, want)
+    # one read-only view of each per block, which its nine cells share
+    for name in ("clean", "trials"):
+        views = [getattr(b, name) for b in blocks]
+        assert not any(v.flags.writeable for v in views)
+        assert [len({id(v) for v in views[k : k + 9]}) for k in (0, 9, 18)] == [1, 1, 1]
+        assert len({id(v) for v in views}) == 3
+
+
+def test_a_factorys_own_stacks_stay_writable():
+    # int32 stacks pass through the checks as they are, so the grid's view must not freeze them
+    stacks = []
+
+    def factory(seeds):
+        stacks.append(np.zeros((len(seeds), 4, 4), dtype=np.int32))
+        return stacks[-1]
+
+    quality_grid(
+        lambda b: np.zeros(len(b.trials)), [4.0, 5.0], [2, 3], epsilon=1.0, trials=2,
+        clean_factory=factory,
+    )
+    assert len(stacks) == 2 and all(stack.flags.writeable for stack in stacks)
 
 
 def test_positions_nest_across_freqs():

@@ -184,3 +184,10 @@ def test_the_largest_seed_runs(files, capsys):
     for args in (["--config", str(files / "top.json")], ["--seed", str(top)]):
         assert main([*args, "inject"]) == 0
         assert json.loads(capsys.readouterr().out)["fault"]["seed"] == top
+
+
+@pytest.mark.parametrize("freq", [-1, 64 * 64 + 1])
+def test_fault_freq_has_one_rule_for_both_bounds(files, freq):
+    rc, err = _run(files, {"fault": {"freq": freq}})
+    assert rc == 2
+    assert err == f"error: fault.freq: must be in [0, workload.m * workload.n = 4096], got {freq}\n"

@@ -22,6 +22,8 @@ from statabft.faults import (
     inject_uniform,
     sample_bitflips,
     uniform_corruption,
+    uniform_corruptions,
+    uniform_position_sets,
     uniform_positions,
 )
 from statabft.gemm import AccumMatrix, checksum, gemm, gemm_entries, predicted_output_checksum
@@ -49,8 +51,10 @@ def test_fault_config_validation():
         FaultConfig(mode="ber", bit_window=(20, 10))
     with pytest.raises(ValueError, match="bit_window"):
         FaultConfig(mode="ber", bit_window=(0, 32))
-    with pytest.raises(ValueError, match="freq"):
-        FaultConfig(mode="uniform", freq=-1)
+    # the freq rule needs the output's size, so its one home is check_uniform_freq
+    negative = FaultConfig(mode="uniform", freq=-1)
+    with pytest.raises(ValueError, match=r"^freq must be in \[0, n = 64\], got -1$"):
+        inject_uniform(make_output(0), negative)
     with pytest.raises(ValueError, match="mag"):
         FaultConfig(mode="uniform", mag=2**31)
 
@@ -460,6 +464,61 @@ def test_uniform_positions_equal_an_argsort_reference(n):
             want = np.sort(order[:rows, :freq], axis=1)
             got = uniform_positions(seeds[:rows], n, freq)
             assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 255, 256, 257, DRAW_BLOCK + 1])
+def test_position_sets_equal_uniform_positions_and_an_argsort_reference(n):
+    # freq 0 and n draw nothing, and the freqs need not be sorted
+    seeds = derive_seed(n, np.arange(200))
+    order = np.argsort(u64_stream(seeds[:, np.newaxis], n), axis=1)
+    freqs = list(dict.fromkeys([n - 1, 0, n // 2, n, 1]))
+    for rows in (1, 7, 200):
+        sets = list(uniform_position_sets(seeds[:rows], n, freqs))
+        assert len(sets) == len(freqs)
+        for freq, got in zip(freqs, sets):
+            want = np.sort(order[:rows, :freq], axis=1)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert np.array_equal(got, uniform_positions(seeds[:rows], n, freq))
+
+
+def spy_draws(monkeypatch):
+    """Log the rows of each ``faults.u64_stream`` call."""
+    drawn = []
+
+    def spy(seeds, *args):
+        drawn.append(len(seeds))
+        return u64_stream(seeds, *args)
+
+    monkeypatch.setattr(faults, "u64_stream", spy)
+    return drawn
+
+
+@pytest.mark.parametrize("n", [2, 256, 257, DRAW_BLOCK + 1])
+def test_position_sets_draw_each_row_block_once_for_every_freq(monkeypatch, n):
+    drawn = spy_draws(monkeypatch)
+    seeds = derive_seed(5, np.arange(100))
+    freqs = sorted({1, n // 2, n - 1, n})
+    sets = list(uniform_position_sets(seeds, n, freqs))
+    step = max(1, DRAW_BLOCK // n)
+    row_blocks = [min(step, 100 - start) for start in range(0, 100, step)]
+    assert drawn == row_blocks
+    assert [s.shape for s in sets] == [(100, f) for f in freqs]
+    drawn.clear()
+    records = list(uniform_corruptions(seeds, 1, n, lambda t, r, c: c, freqs, 7))
+    assert drawn == row_blocks
+    for record, positions in zip(records, sets):
+        assert np.array_equal(record.element, positions.ravel())
+        assert np.array_equal(record.after, positions.ravel() + 7)
+
+
+def test_position_sets_refuse_every_freq_before_any_draw(monkeypatch):
+    drawn = spy_draws(monkeypatch)
+    sets = uniform_position_sets([0, 1], 64, [1, 65, 32])
+    with pytest.raises(ValueError, match=r"^freq must be in \[0, n = 64\], got 65$"):
+        next(sets)
+    # freq 0 and n alone take no draw
+    sets = list(uniform_position_sets([0, 1], 64, [64, 0]))
+    assert drawn == [] and [s.shape for s in sets] == [(2, 64), (2, 0)]
 
 
 @pytest.mark.parametrize("n", [2, 256, 257, DRAW_BLOCK + 1, 3 * DRAW_BLOCK])
