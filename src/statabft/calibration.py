@@ -8,15 +8,17 @@ priorities, so neighbouring cells are compared on common random numbers.
 Trials go a block at a time. A block makes one clean-factory call, which
 builds its (trials x rows x cols) stack, and one read-only view of it and
 of its trial indices, which every cell shares; one draw of its injection
-priorities, from which ``faults.uniform_corruptions`` builds one
-``faults.Corruption`` record per frequency, whose positions all of that
+priorities, from which ``faults.uniform_position_sets`` yields one
+read-only (trials x freq) position matrix per frequency, which all of that
 frequency's magnitudes share; per cell, one oracle call, which scores the
 ``OracleBlock`` into one array of per-trial scores; and one check of all
-its cells' scores. A cell's corrupted stack is written only when
-its oracle reads ``OracleBlock.corrupted``, in one vectorized pass into a
-copy of the clean stack, so an oracle that reads only the cell's
-coordinates costs no injection write at all. No Python object is built per
-trial, so the grid's cost per injection is a few array operations. A block
+its cells' scores. A cell's ``faults.Corruption`` record and its corrupted
+stack are built only when its oracle reads ``OracleBlock.record`` or
+``OracleBlock.corrupted``, the stack in one vectorized pass into a copy of
+the clean stack, so an oracle that reads only the cell's coordinates costs
+no record, no clean-value read and no injection write at all. No Python
+object is built per trial, so the grid's cost per injection is a few array
+operations. A block
 holds at most ``BLOCK_LANES`` clean elements and at most ``BLOCK_LANES``
 scores, and each cell's score sum carries across blocks, so memory is
 bounded by the block size, not by the trial count. A line fitted to the
@@ -36,14 +38,14 @@ while describing exactly the same boundary line.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from .detectors import DEFAULT_PARAMS, CriticalRegionParams
-from .faults import BLOCK_LANES, INT32_MAX, INT32_MIN, Corruption, _wrap_int32, uniform_corruptions
+from .faults import BLOCK_LANES, INT32_MAX, INT32_MIN, Corruption, uniform_position_sets, uniform_record
 from .faults import check_uniform_elements, check_uniform_freq
 from .resilience import NORM_KINDS
 from .rng import check_seed, derive_seed
@@ -81,33 +83,40 @@ class OracleBlock:
 
     ``clean`` and ``corrupted`` are read-only int32 (len(trials) x rows x
     cols) stacks, row i holding trial ``trials[i]`` (its index, shared by
-    every cell) before and after injection. ``record`` is the
-    ``faults.Corruption`` of the cell's frequency, which all its mags share:
-    the elements each trial corrupts and their clean values (its ``after``
-    is not read). ``corrupted`` is derived from it: on first read, ``mag``
-    is added to those values (wrapping in INT32) and written into a copy of
-    ``clean`` in one vectorized pass, which equals ``inject_uniform`` trial
-    by trial, and the stack is cached. An oracle that never reads it costs
-    no write. A ``clean`` or ``trials`` that is a read-only ndarray is kept
-    as it is (the grid passes each block's once to every cell), and any
-    other is held through a read-only view, so its owner may still write it.
+    every cell) before and after injection. ``positions`` is the read-only
+    int64 (len(trials) x freq) matrix of the row-major elements each trial
+    hits at the cell's frequency, which all its mags share. ``record`` and
+    ``corrupted`` are derived from it on first read and cached: ``record``
+    is the cell's ``faults.Corruption``, those elements' clean values and
+    ``mag`` added to them (wrapping in INT32), and ``corrupted`` writes it
+    into a copy of ``clean`` in one vectorized pass, which equals
+    ``inject_uniform`` trial by trial. An oracle that reads neither costs no
+    record and no write. A ``clean``, ``positions`` or ``trials`` that is a
+    read-only ndarray is kept as it is (the grid passes each block's once to
+    every cell, and each freq's once to its mags), and any other is held
+    through a read-only view, so its owner may still write it.
     """
 
     clean: np.ndarray
-    record: Corruption
+    positions: np.ndarray
     freq: int
     mag: int
     mag_log2: float
     trials: np.ndarray
 
     def __post_init__(self):
-        for name in ("clean", "trials"):
+        for name in ("clean", "positions", "trials"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
 
     @cached_property
+    def record(self) -> Corruption:
+        return uniform_record(
+            self.positions, self.clean.shape[2], lambda t, r, c: self.clean[t, r, c], self.mag
+        )
+
+    @cached_property
     def corrupted(self) -> np.ndarray:
-        after = _wrap_int32(self.record.before + self.mag)
-        stack = replace(self.record, after=after).apply(self.clean.copy())
+        stack = self.record.apply(self.clean.copy())
         stack.setflags(write=False)
         return stack
 
@@ -281,16 +290,17 @@ def quality_grid(
     ``clean_factory(seeds)`` maps the block's uint64 clean seeds to an
     integer (len(seeds) x rows x cols) stack (by default all zeros, of
     ``CalibrationSettings``' stock 16 x 16 target), with values inside INT32
-    and one (rows, cols) for the whole grid; one ``uniform_corruptions``
+    and one (rows, cols) for the whole grid; one ``uniform_position_sets``
     call draws the priorities once for every freq and yields each freq's
-    record, its positions and their clean values; per cell, one oracle call
-    maps the ``OracleBlock`` to a float array of one degradation score >= 0
-    per trial; and one check of the block's scores finds any that is
-    negative or not finite. The block's ``corrupted`` stack is
-    written from the freq's record, with that cell's mag, only if the oracle
-    reads it. A cell's quality is the mean of its scores, summed in trial
-    order with the sum carried across blocks, so block sizes change no
-    result and memory does not grow with ``trials``.
+    read-only position matrix, which the ``OracleBlock`` of each of its mags
+    holds; per cell, one oracle call maps the ``OracleBlock`` to a float
+    array of one degradation score >= 0 per trial; and one check of the
+    block's scores finds any that is negative or not finite. A cell's
+    ``record`` (its positions' clean values and its mag) and ``corrupted``
+    stack are built only if the oracle reads them. A cell's quality is the
+    mean of its scores, summed in trial order with the sum carried across
+    blocks, so block sizes change no result and memory does not grow with
+    ``trials``.
     A malformed stack, a freq the target cannot hold, an oracle failure, and
     a score array of another shape or with a negative or non-finite score
     raise GridCellError carrying the cell coordinates: the first cell for the
@@ -304,7 +314,7 @@ def quality_grid(
     check_seed(seed)
 
     mags = [(m, int(round(2.0**m))) for m in mag_axis.tolist()]
-    f0, (m0, mag0) = int(freqs[0]), mags[0]
+    f0, m0 = int(freqs[0]), mags[0][0]
     probe_seed = np.array([derive_seed(seed, 0, 0)], dtype=np.uint64)
     rows, cols = _clean_stack(clean_factory, probe_seed, None, f0, m0).shape[1:]
     freq_list = freqs.tolist()
@@ -327,17 +337,17 @@ def quality_grid(
         # seeds[i]: column 0 seeds trial block_trials[i]'s clean matrix, column 1 its injection
         seeds = derive_seed(seed, block_trials[:, np.newaxis], np.arange(2))
         clean = _read_only(_clean_stack(clean_factory, seeds[:, 0], (rows, cols), f0, m0))
-        flat = clean.reshape(len(clean), rows * cols)
         # scores[i, j]: cell (i, j)'s carried sum, then its score of each trial of the block
         scores = np.empty((freqs.size, mag_axis.size, 1 + len(block_trials)))
         scores[:, :, 0] = sums
-        records = uniform_corruptions(
-            seeds[:, 1], rows, cols, lambda t, r, c: flat[t, r * cols + c], freq_list, mag0
-        )
-        for i, (f, record) in enumerate(zip(freq_list, records)):
+        position_sets = uniform_position_sets(seeds[:, 1], rows * cols, freq_list)
+        for i, (f, positions) in enumerate(zip(freq_list, position_sets)):
+            # read-only once per freq, so that no cell's OracleBlock makes a view
+            positions.setflags(write=False)
             for j, (m, mag) in enumerate(mags):
                 block = OracleBlock(
-                    clean=clean, record=record, freq=f, mag=mag, mag_log2=m, trials=block_trials
+                    clean=clean, positions=positions, freq=f, mag=mag, mag_log2=m,
+                    trials=block_trials,
                 )
                 try:
                     cell = np.asarray(oracle(block), dtype=np.float64)
@@ -402,6 +412,33 @@ def norm_distortion_oracle(norm_kind: str = CalibrationSettings.norm_kind) -> Qu
     return oracle
 
 
+# right, left, down, up: the neighbours of a cell in the order its midpoints go
+_NEIGHBOURS = np.array([(0, 1), (0, -1), (1, 0), (-1, 0)])
+
+
+def _boundary_midpoints(acc, above, t_axis, m_axis) -> tuple[np.ndarray, np.ndarray]:
+    """The (t, m) midpoint of each (acceptable, unacceptable 4-neighbour) pair in rows ``above``.
+
+    ``acc`` is the (rows x cols) acceptability mask, ``above`` the rows that
+    take part, and ``t_axis`` and ``m_axis`` the cells' coordinates. The
+    midpoints go cell by cell in row-major order, and a cell's by neighbour
+    right, left, down, up.
+    """
+    rows, cols = acc.shape
+    # unacceptable cells of the rows taking part, inside a border that is neither
+    bad = np.zeros((rows + 2, cols + 2), dtype=bool)
+    bad[1:-1, 1:-1] = ~acc & above[:, np.newaxis]
+    i, j = np.nonzero(acc & above[:, np.newaxis])
+    # k[c, d], l[c, d]: the d-th neighbour of the c-th cell
+    k = i[:, np.newaxis] + _NEIGHBOURS[:, 0]
+    l = j[:, np.newaxis] + _NEIGHBOURS[:, 1]
+    cell, d = np.nonzero(bad[k + 1, l + 1])
+    i, j, k, l = i[cell], j[cell], k[cell, d], l[cell, d]
+    # the midpoint of a cell with its row or column neighbour keeps the shared
+    # coordinate exactly, as 0.5 * (x + x) == x
+    return 0.5 * (t_axis[i] + t_axis[k]), 0.5 * (m_axis[j] + m_axis[l])
+
+
 def fit_critical_region(grid: QualityGrid) -> CriticalRegionParams:
     """Recover (a, b, theta_freq) from a quality grid.
 
@@ -425,27 +462,16 @@ def fit_critical_region(grid: QualityGrid) -> CriticalRegionParams:
     freqs = grid.freq_axis
     t_axis = np.log2(freqs.astype(np.float64))
     m_axis = grid.mag_log2_axis
-    n_rows, n_cols = acc.shape
 
     theta_freq = 0
-    for i in range(n_rows):
+    for i in range(len(freqs)):
         if acc[i].all():
             theta_freq = int(freqs[i])
         else:
             break
 
-    ts: list[float] = []
-    ms: list[float] = []
-    above = freqs > theta_freq
-    for i, j in zip(*np.nonzero(acc & above[:, np.newaxis])):
-        # right, left, down, up; the midpoint of a cell with its row or column
-        # neighbour keeps the shared coordinate exactly, as 0.5 * (x + x) == x
-        for k, l in ((i, j + 1), (i, j - 1), (i + 1, j), (i - 1, j)):
-            if 0 <= k < n_rows and 0 <= l < n_cols and above[k] and not acc[k, l]:
-                ts.append(0.5 * (t_axis[i] + t_axis[k]))
-                ms.append(0.5 * (m_axis[j] + m_axis[l]))
-
-    if not ts:
+    ts, ms = _boundary_midpoints(acc, freqs > theta_freq, t_axis, m_axis)
+    if not ts.size:
         # The lowest row above theta_freq that holds an acceptable cell either
         # holds an unacceptable one too (a horizontal pair) or is fully
         # acceptable; then it is not the first row above theta_freq, which is
@@ -453,10 +479,11 @@ def fit_critical_region(grid: QualityGrid) -> CriticalRegionParams:
         # fully unacceptable (a vertical pair). No pair therefore means no
         # acceptable cell above theta_freq: a pure frequency boundary.
         return CriticalRegionParams(a=_FLAT_A, b=float(m_axis[0]), theta_freq=theta_freq)
-    if len(set(ts)) < 2:
+    # a set, not np.unique, whose first call imports numpy.ma
+    if len(set(ts.tolist())) < 2:
         raise NoBoundaryError("boundary has no frequency extent; widen the freq axis")
 
-    slope, intercept = np.polyfit(np.array(ts), np.array(ms), 1)
+    slope, intercept = np.polyfit(ts, ms, 1)
     # m = (b - (a-1) t) / a  =>  slope = -(a-1)/a, intercept = b/a
     slope = float(min(max(slope, -1.0 + 1e-9), 0.0))
     a = 1.0 / (1.0 + slope)

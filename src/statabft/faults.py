@@ -36,18 +36,19 @@ Both modes record what they corrupt in one array record, ``Corruption``,
 the only source of checksum differences (``diff``), event logs (``events``)
 and corrupted dense stacks (``apply``). ``SparseFlips.at`` builds it in BER
 mode (``SparseFlips.rows`` for the touched rows of several BERs at once)
-and ``uniform_corruption`` in uniform mode (positions from
-``uniform_positions``; the two are the one-freq case of
-``uniform_corruptions`` and ``uniform_position_sets``, which serve several
-freqs from one draw), ``corruption`` in either mode, all for a stream of
-trials with one seed each. Each reads clean values only at the corrupted
-elements, through one callback call for all the trials it is given,
+and ``uniform_corruption`` in uniform mode (``uniform_record`` of the
+positions from ``uniform_positions``, the one-freq case of
+``uniform_position_sets``, which serves several freqs from one draw),
+``corruption`` in either mode, all for a stream of trials with one seed
+each. Each reads clean values only at the corrupted elements, through one
+callback call for all the trials it is given,
 ``entries(trials, rows, cols)``, so its caller bounds that call by the
 trials it passes: comparisons and sweeps pass a block of trials at a time
 and ``inject`` one, all with ``workloads.workload_entries``, which draws only
 the operand rows and columns those elements read; the dense injectors (``sample_bitflips``,
 ``inject_uniform``) pass a one-trial stream on ``FaultConfig.seed``, read the
-matrix and ``apply`` the record to a copy of it, and the calibration grid
+matrix and ``apply`` the record to a copy of it, and a calibration cell
+builds its record with ``uniform_record`` from its freq's positions and
 reads and corrupts a stack of trials. A ``FaultConfig`` roots every trial
 seed and is the only source of a bit window.
 """
@@ -420,22 +421,22 @@ def uniform_positions(seeds, n: int, freq: int) -> np.ndarray:
     return next(uniform_position_sets(seeds, n, [freq]))
 
 
-def uniform_corruptions(seeds, n_rows: int, n_cols: int, entries, freqs, mag: int) -> Iterator[Corruption]:
-    """Per freq of ``freqs``, in order: ``mag`` added (wrapping in INT32) to the elements it picks.
+def uniform_record(positions, n_cols: int, entries, mag: int) -> Corruption:
+    """``mag`` added (wrapping in INT32) to each trial's elements in its row of ``positions``.
 
-    Trial t is an n_rows x n_cols output injected on ``seeds[t]``, its
-    positions at each freq drawn once for all of them by
-    ``uniform_position_sets``, and ``entries(trials, rows, cols)`` gives the
-    clean values at a freq's picked elements, one call per freq. mag == 0
-    corrupts nothing.
+    Row t of the int64 (trials x freq) ``positions`` holds the row-major
+    elements of trial t's n_cols-wide output that are hit, as
+    ``uniform_positions`` gives them, and ``entries(trials, rows, cols)``
+    gives their clean values in one call. mag == 0 corrupts nothing.
     """
-    for positions in uniform_position_sets(seeds, n_rows * n_cols, freqs):
-        # adding 0 changes no element, so mag == 0 keeps none of the positions
-        positions = positions[:, : positions.shape[1] if mag else 0]
-        trial = np.repeat(np.arange(len(positions)), positions.shape[1])
-        element = positions.ravel()
-        before = np.asarray(entries(trial, *np.divmod(element, n_cols)), dtype=np.int64)
-        yield Corruption(len(positions), n_cols, trial, element, before, _wrap_int32(before + mag))
+    # adding 0 changes no element, so mag == 0 keeps none of the positions
+    positions = positions[:, : positions.shape[1] if mag else 0]
+    trial = np.repeat(np.arange(len(positions)), positions.shape[1])
+    element = positions.ravel()
+    # two passes, but about half the time of one np.divmod of int64 elements
+    rows = element // n_cols
+    before = np.asarray(entries(trial, rows, element - rows * n_cols), dtype=np.int64)
+    return Corruption(len(positions), n_cols, trial, element, before, _wrap_int32(before + mag))
 
 
 def uniform_corruption(seeds, n_rows: int, n_cols: int, entries, freq: int, mag: int) -> Corruption:
@@ -443,10 +444,10 @@ def uniform_corruption(seeds, n_rows: int, n_cols: int, entries, freq: int, mag:
 
     Trial t is an n_rows x n_cols output injected on ``seeds[t]``, and
     ``entries(trials, rows, cols)`` gives the clean values at the picked
-    elements. mag == 0 corrupts nothing. It is the one-freq case of
-    ``uniform_corruptions``.
+    elements. mag == 0 corrupts nothing. It is ``uniform_record`` of the
+    trials' positions.
     """
-    return next(uniform_corruptions(seeds, n_rows, n_cols, entries, [freq], mag))
+    return uniform_record(uniform_positions(seeds, n_rows * n_cols, freq), n_cols, entries, mag)
 
 
 def corruption(n_rows: int, n_cols: int, entries, seeds, cfg: FaultConfig) -> Corruption:

@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from statabft import calibration, cli, faults
@@ -23,7 +23,7 @@ from statabft.calibration import (
     zero_factory,
 )
 from statabft.detectors import CriticalRegionParams, load_params, save_params
-from statabft.faults import Corruption, FaultConfig, inject_uniform, uniform_corruption
+from statabft.faults import INT32_MAX, INT32_MIN, FaultConfig, inject_uniform, uniform_positions
 from statabft.gemm import AccumMatrix
 from statabft.resilience import NORM_KINDS, apply_norm, measure_change
 from statabft.rng import derive_seed, u64_stream
@@ -43,11 +43,10 @@ def make_grid(freqs, mags, acceptable):
 
 
 def planted_case(freq, mag_log2, trials=3):
-    # the planted oracle reads only the cell's coordinates, so the record corrupts nothing
-    none = np.zeros(0, dtype=np.int64)
+    # the planted oracle reads only the cell's coordinates, so no trial hits an element
     return OracleBlock(
         clean=np.zeros((trials, 1, 1), dtype=np.int32),
-        record=Corruption(trials, 1, none, none, none, none),
+        positions=np.zeros((trials, 0), dtype=np.int64),
         freq=freq,
         mag=int(round(2.0**mag_log2)),
         mag_log2=mag_log2,
@@ -216,8 +215,53 @@ def random_grids(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(random_grids())
+# one row above theta_freq: no frequency extent
+@example(make_grid([1, 2], [10.0, 11.0, 12.0], [[True, True, True], [True, True, False]]))
+# no pair above theta_freq: the flat fallback
+@example(make_grid([1, 2, 4], [10.0, 11.0], [[True, True], [False, False], [False, False]]))
+# pairs only at the grid's edges
+@example(make_grid([1, 2, 4], [10.0, 11.0, 12.0],
+                   [[True] * 3, [False, True, False], [True, False, True]]))
 def test_fit_equals_the_per_neighbour_reference_on_random_grids(grid):
     assert fit_outcome(fit_critical_region, grid) == fit_outcome(reference_fit, grid)
+
+
+def loop_midpoints(acc, above, t_axis, m_axis):
+    """The boundary midpoints by the per-cell loop that ``_boundary_midpoints`` replaced."""
+    n_rows, n_cols = acc.shape
+    ts, ms = [], []
+    for i, j in zip(*np.nonzero(acc & above[:, np.newaxis])):
+        for k, l in ((i, j + 1), (i, j - 1), (i + 1, j), (i - 1, j)):
+            if 0 <= k < n_rows and 0 <= l < n_cols and above[k] and not acc[k, l]:
+                ts.append(0.5 * (t_axis[i] + t_axis[k]))
+                ms.append(0.5 * (m_axis[j] + m_axis[l]))
+    return np.array(ts), np.array(ms)
+
+
+@st.composite
+def midpoint_cases(draw):
+    # single rows and columns too, and rows taking part in any pattern
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    t_axis = np.cumsum(draw(st.lists(st.floats(0.01, 4.0), min_size=rows, max_size=rows)))
+    m_axis = draw(st.floats(0.0, 10.0)) + np.cumsum(
+        draw(st.lists(st.floats(0.01, 4.0), min_size=cols, max_size=cols))
+    )
+    above = np.array(draw(st.lists(st.booleans(), min_size=rows, max_size=rows)))
+    acc = np.reshape(draw(st.lists(st.booleans(), min_size=rows * cols, max_size=rows * cols)),
+                     (rows, cols))
+    return acc, above, t_axis, m_axis
+
+
+@settings(max_examples=300, deadline=None)
+@given(midpoint_cases())
+# no cell takes part; every cell acceptable; one row with pairs at both edges
+@example((np.ones((2, 2), bool), np.zeros(2, bool), np.array([0.0, 1.0]), np.array([1.0, 2.0])))
+@example((np.ones((3, 1), bool), np.ones(3, bool), np.arange(3.0), np.array([5.0])))
+@example((np.array([[True, False, True]]), np.ones(1, bool), np.zeros(1), np.arange(3.0)))
+def test_midpoints_equal_the_per_cell_loop(case):
+    got, want = calibration._boundary_midpoints(*case), loop_midpoints(*case)
+    for g, w in zip(got, want):
+        assert g.dtype == np.float64 and g.tolist() == w.tolist()
 
 
 def test_non_monotone_grid_pairs_left_and_up_neighbours():
@@ -359,14 +403,11 @@ def test_norm_distortion_oracle_spread_vs_confined():
     clean = AccumMatrix(np.zeros((16, 16), dtype=np.int32))
     cfg = FaultConfig(mode="uniform", freq=4, mag=1024, seed=3)
     corrupted, _ = inject_uniform(clean, cfg)
-    # the record inject_uniform draws on the same seed
-    record = uniform_corruption(
-        np.array([cfg.seed], dtype=np.uint64), 16, 16, lambda _, r, c: clean.data[r, c],
-        cfg.freq, cfg.mag,
-    )
+    # the positions inject_uniform draws on the same seed
+    positions = uniform_positions(np.array([cfg.seed], dtype=np.uint64), 256, cfg.freq)
     block = OracleBlock(
         clean=clean.data[np.newaxis],
-        record=record,
+        positions=positions,
         freq=4,
         mag=1024,
         mag_log2=10.0,
@@ -379,19 +420,16 @@ def test_norm_distortion_oracle_spread_vs_confined():
 
 def one_freq_block(stack, seeds, freq, mag):
     """The OracleBlock of ``stack`` injected with ``freq`` elements of ``mag`` on ``seeds``."""
-    record = uniform_corruption(
-        np.asarray(seeds, dtype=np.uint64), *stack.shape[1:], lambda t, r, c: stack[t, r, c],
-        freq, mag,
-    )
+    positions = uniform_positions(np.asarray(seeds, dtype=np.uint64), stack[0].size, freq)
     return OracleBlock(
-        stack, record, freq=freq, mag=mag, mag_log2=math.log2(mag), trials=np.arange(len(stack))
+        stack, positions, freq=freq, mag=mag, mag_log2=math.log2(mag), trials=np.arange(len(stack))
     )
 
 
 def test_oracle_block_stacks_are_read_only():
     stack = np.zeros((2, 3, 4), dtype=np.int32)
     block = one_freq_block(stack, [5, 6], freq=1, mag=2)
-    for arr in (block.clean, block.corrupted, block.trials):
+    for arr in (block.clean, block.positions, block.corrupted, block.trials):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
     # the caller's own arrays stay writable
@@ -411,6 +449,47 @@ def test_corrupted_is_built_once_and_cached():
     assert [int((row == 8).sum()) for row in first] == [3, 3]
     # the clean stack is untouched
     assert not block.clean.any()
+
+
+def wrapped(values):
+    """Python ints wrapped into INT32 by the modular formula."""
+    return [(v - INT32_MIN) % 2**32 + INT32_MIN for v in values]
+
+
+def test_record_adds_the_cells_own_mag():
+    stack = noisy_factory(3, 4)(np.array([1, 2], dtype=np.uint64))
+    stack[0, 0, 0] = INT32_MAX
+    positions = np.array([[0, 5, 11], [1, 2, 3]])
+    before = [int(stack[t].ravel()[e]) for t in range(2) for e in positions[t]]
+    for mag in (1, 3, 2**30):
+        block = OracleBlock(
+            stack, positions, freq=3, mag=mag, mag_log2=math.log2(mag), trials=np.arange(2)
+        )
+        record = block.record
+        assert block.record is record
+        assert record.trial.tolist() == [0, 0, 0, 1, 1, 1]
+        assert record.element.tolist() == positions.ravel().tolist()
+        assert record.before.tolist() == before
+        assert record.after.tolist() == wrapped(b + mag for b in before)
+        np.testing.assert_array_equal(block.corrupted, record.apply(stack.copy()))
+        # a clean INT32_MAX and mag 1 wrap to INT32_MIN
+        assert (record.after[0] == INT32_MIN) == (mag == 1)
+
+
+def test_every_grid_cells_record_holds_its_own_mag():
+    blocks = []
+    quality_grid(
+        lambda block: blocks.append(block) or np.zeros(len(block.trials)),
+        [0.0, 10.5, 30.0], [1, 5, 12], epsilon=0.5, trials=3, seed=2,
+        clean_factory=noisy_factory(3, 4),
+    )
+    assert len(blocks) == 9
+    for block in blocks:
+        record = block.record
+        flat = block.clean.reshape(len(block.trials), -1)
+        assert record.before.tolist() == flat[record.trial, record.element].tolist()
+        assert record.after.tolist() == wrapped(b + block.mag for b in record.before.tolist())
+        np.testing.assert_array_equal(block.corrupted, record.apply(block.clean.copy()))
 
 
 @pytest.mark.parametrize(
@@ -623,8 +702,8 @@ def test_block_size_changes_no_result(monkeypatch, block_lanes):
     assert made == [1, 5]
     blocks, drawn = [], []
     monkeypatch.setattr(calibration, "BLOCK_LANES", block_lanes)
-    injected = counted(calibration.uniform_corruptions, blocks)
-    monkeypatch.setattr(calibration, "uniform_corruptions", injected)
+    injected = counted(calibration.uniform_position_sets, blocks)
+    monkeypatch.setattr(calibration, "uniform_position_sets", injected)
     monkeypatch.setattr(faults, "u64_stream", counted(faults.u64_stream, drawn))
     made.clear()
     small = []
@@ -670,7 +749,7 @@ def test_a_block_holds_at_most_block_lanes_scores(monkeypatch):
 def test_stock_grid_draws_positions_once_per_block(monkeypatch):
     calls, drawn = [], []
     monkeypatch.setattr(
-        calibration, "uniform_corruptions", counted(calibration.uniform_corruptions, calls)
+        calibration, "uniform_position_sets", counted(calibration.uniform_position_sets, calls)
     )
     monkeypatch.setattr(faults, "u64_stream", counted(faults.u64_stream, drawn))
     quality_grid(
@@ -679,6 +758,35 @@ def test_stock_grid_draws_positions_once_per_block(monkeypatch):
     )
     # one 64-row draw of the priorities, which all 16 freqs and their 16 mags share
     assert calls == drawn == [64]
+
+
+def test_stock_planted_grid_builds_no_record(monkeypatch):
+    built, records = [], []
+    real_init = faults.Corruption.__init__
+
+    def init(record, n_trials, *args):
+        built.append(n_trials)
+        real_init(record, n_trials, *args)
+
+    monkeypatch.setattr(faults.Corruption, "__init__", init)
+    # a record's clean values are read only inside uniform_record
+    monkeypatch.setattr(
+        calibration, "uniform_record", counted(calibration.uniform_record, records)
+    )
+    planted, blocks = planted_step_oracle(calibration.CalibrationSettings.planted), []
+    grid = quality_grid(
+        lambda block: blocks.append(block) or planted(block), DEFAULT_MAG_AXIS,
+        DEFAULT_FREQ_AXIS, epsilon=0.5, trials=64,
+    )
+    assert grid.acceptable.any() and not grid.acceptable.all()
+    assert len(blocks) == 256 and built == records == []
+    assert not any({"record", "corrupted"} & set(vars(block)) for block in blocks)
+    # an oracle that reads corrupted builds one record per cell, once
+    quality_grid(
+        hash_oracle([]), [0.0, 30.0], [1, 11], epsilon=0.5, trials=5, seed=3,
+        clean_factory=noisy_factory(3, 4),
+    )
+    assert built == records == [5] * 4
 
 
 # sha256 of the hash_oracle digests of the stock grid at 64 trials and seed 0

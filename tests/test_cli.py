@@ -511,6 +511,32 @@ def test_cli_import_does_not_load_concurrent_futures():
     assert not _loaded_by_cli_import("concurrent.futures")
 
 
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "configs")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calibrate"],
+        ["--config", os.path.join(CONFIGS, "calibrate_planted.json"), "calibrate"],
+        ["compare"],
+        ["--config", os.path.join(CONFIGS, "compare_deep.json"), "compare"],
+        ["sweep"],
+    ],
+    ids=["calibrate", "calibrate_planted", "compare", "compare_deep", "sweep"],
+)
+def test_no_command_imports_numpy_ma(tmp_path, argv):
+    # numpy.ma costs a cold run about 24 ms at its first import (np.unique, for one, imports it)
+    argv = ["--out", str(tmp_path)] + argv
+    code = (
+        f"import sys, statabft.cli; rc = statabft.cli.main({argv!r}); "
+        "print(rc, 'numpy.ma' in sys.modules)"
+    )
+    out = _run_child(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 False"
+
+
 def test_inject_runs_no_dense_gemm_and_matches_the_dense_oracle(tmp_path, capsys, monkeypatch):
     from statabft.energy import stream
     from statabft.faults import FaultConfig

@@ -22,9 +22,9 @@ from statabft.faults import (
     inject_uniform,
     sample_bitflips,
     uniform_corruption,
-    uniform_corruptions,
     uniform_position_sets,
     uniform_positions,
+    uniform_record,
 )
 from statabft.gemm import AccumMatrix, checksum, gemm, gemm_entries, predicted_output_checksum
 from statabft.rng import DRAW_BLOCK, derive_seed, u64_stream
@@ -503,8 +503,8 @@ def test_position_sets_draw_each_row_block_once_for_every_freq(monkeypatch, n):
     row_blocks = [min(step, 100 - start) for start in range(0, 100, step)]
     assert drawn == row_blocks
     assert [s.shape for s in sets] == [(100, f) for f in freqs]
-    drawn.clear()
-    records = list(uniform_corruptions(seeds, 1, n, lambda t, r, c: c, freqs, 7))
+    # a record is built from its positions with no further draw
+    records = [uniform_record(positions, n, lambda t, r, c: c, 7) for positions in sets]
     assert drawn == row_blocks
     for record, positions in zip(records, sets):
         assert np.array_equal(record.element, positions.ravel())
